@@ -40,8 +40,8 @@ std::uint64_t chaosKillAfter();
  * Stable shard assignment of @p key among @p of shards: FNV-1a with a
  * splitmix finalizer, mod of. Position-independent — adding or removing
  * other points never moves a key to a different shard — which is what
- * makes per-shard checkpoint ledgers and result caches reusable across
- * retries with changed campaigns. @p of == 0 is treated as 1.
+ * makes per-shard result caches reusable across retries with changed
+ * campaigns. @p of == 0 is treated as 1.
  */
 std::uint32_t shardOfKey(std::string_view key, std::uint32_t of);
 

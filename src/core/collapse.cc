@@ -10,20 +10,6 @@ namespace jscale::core {
 
 namespace {
 
-/** Insert "-<tag>" before the extension of an artifact path. */
-std::string
-tagPath(const std::string &path, const std::string &tag)
-{
-    if (path.empty())
-        return path;
-    const auto dot = path.find_last_of('.');
-    const auto slash = path.find_last_of('/');
-    if (dot == std::string::npos ||
-        (slash != std::string::npos && dot < slash))
-        return path + "-" + tag;
-    return path.substr(0, dot) + "-" + tag + path.substr(dot);
-}
-
 /** Tasks per second of simulated time (0 for failed/empty runs). */
 double
 throughput(const jvm::RunResult &r)
@@ -112,11 +98,7 @@ runCollapseStudy(const CollapseConfig &config)
 
             // Tag per-arm artifacts so the arms never collide.
             const std::string tag = armName(arm);
-            run_cfg.timeline_path = tagPath(run_cfg.timeline_path, tag);
-            run_cfg.metrics_path = tagPath(run_cfg.metrics_path, tag);
-            run_cfg.error_path = tagPath(run_cfg.error_path, tag);
-            run_cfg.checkpoint_path =
-                tagPath(run_cfg.checkpoint_path, tag);
+            tagArtifactPaths(run_cfg, tag);
 
             ExperimentRunner runner(std::move(run_cfg));
             // sweep() routes through the isolated batch executor: an

@@ -12,7 +12,6 @@
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
 #include "check/oracle.hh"
-#include "core/checkpoint.hh"
 #include "core/parallel.hh"
 #include "core/shard.hh"
 #include "fault/injector.hh"
@@ -85,7 +84,29 @@ commitArtifact(std::optional<AtomicFileWriter> &writer,
     return false;
 }
 
+/** Insert "-<tag>" before the extension of an artifact path. */
+std::string
+tagPath(const std::string &path, const std::string &tag)
+{
+    if (path.empty())
+        return path;
+    const auto dot = path.find_last_of('.');
+    const auto slash = path.find_last_of('/');
+    if (dot == std::string::npos ||
+        (slash != std::string::npos && dot < slash))
+        return path + "-" + tag;
+    return path.substr(0, dot) + "-" + tag + path.substr(dot);
+}
+
 } // namespace
+
+void
+tagArtifactPaths(ExperimentConfig &cfg, const std::string &tag)
+{
+    cfg.timeline_path = tagPath(cfg.timeline_path, tag);
+    cfg.metrics_path = tagPath(cfg.metrics_path, tag);
+    cfg.error_path = tagPath(cfg.error_path, tag);
+}
 
 ExperimentRunner::ExperimentRunner(ExperimentConfig config)
     : config_(std::move(config))
@@ -187,7 +208,7 @@ ExperimentRunner::planRun(const AppFactory &factory,
         std::ostringstream key;
         key << plan.app->appName() << "|t" << threads << "|s" << std::hex
             << plan.seed;
-        plan.checkpoint_key = key.str();
+        plan.point_key = key.str();
     }
     return plan;
 }
@@ -399,22 +420,11 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
     const std::size_t jobs =
         std::max<std::size_t>(1, std::min(requested, plans.size()));
 
-    // Checkpoint ledger: skip runs already recorded complete for this
-    // exact campaign configuration. The skip happens here, after
-    // planning, so artifact-path claiming (and therefore de-collision
-    // suffixes) is identical with and without resume.
-    std::optional<CheckpointStore> store;
-    if (!config_.checkpoint_path.empty()) {
-        store.emplace(config_.checkpoint_path, campaignFingerprint());
-        const std::size_t known = store->load();
-        if (config_.resume && known > 0)
-            inform("resume: checkpoint '", store->path(), "' lists ",
-                   known, " completed run(s)");
-    }
-
     // Shard slice and shared result cache. Every process plans the
     // whole campaign (identical artifact claiming everywhere); the
     // slice filter and cache decide per point what actually runs here.
+    // Re-running a campaign over the same cache is its resume: every
+    // completed point comes back as the full result it produced.
     const ShardSpec shard{config_.shard_index, config_.shard_count};
     std::optional<RunCache> cache;
     if (!config_.run_cache_dir.empty()) {
@@ -427,9 +437,7 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
     std::vector<std::function<jvm::RunResult()>> tasks;
     tasks.reserve(plans.size());
     for (std::size_t i = 0; i < plans.size(); ++i) {
-        const bool skip = config_.resume && store &&
-                          store->completed(plans[i].checkpoint_key);
-        tasks.push_back([this, &plans, i, skip, &shard, &cache, &store,
+        tasks.push_back([this, &plans, i, &shard, &cache,
                          &points]() -> jvm::RunResult {
             RunPlan &plan = plans[i];
             // Salvage first: a point persisted by any earlier worker —
@@ -437,7 +445,7 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
             // instead of re-simulating.
             if (cache) {
                 jvm::RunResult cached;
-                if (cache->load(plan.checkpoint_key, cached)) {
+                if (cache->load(plan.point_key, cached)) {
                     ++points.salvaged;
                     return cached;
                 }
@@ -448,13 +456,7 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
                 m.threads = plan.threads;
                 return m;
             };
-            if (!shard.owns(plan.checkpoint_key)) {
-                ++points.skipped;
-                jvm::RunResult m = marker();
-                m.skipped = true;
-                return m;
-            }
-            if (skip) {
+            if (!shard.owns(plan.point_key)) {
                 ++points.skipped;
                 jvm::RunResult m = marker();
                 m.skipped = true;
@@ -477,9 +479,7 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
             // The chaos crash point fires inside store(), right after
             // the record is durable.
             if (cache)
-                cache->store(plan.checkpoint_key, r);
-            if (store)
-                store->record(plan.checkpoint_key);
+                cache->store(plan.point_key, r);
             return r;
         });
     }
@@ -500,13 +500,13 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
             continue;
         }
         ++points.failed;
-        inform("run ", plans[i].checkpoint_key, " failed: ", o.error);
+        inform("run ", plans[i].point_key, " failed: ", o.error);
         if (!plans[i].error_file.empty()) {
             std::vector<std::string> open_errors;
             std::optional<AtomicFileWriter> err_os;
             if (openArtifact(err_os, plans[i].error_file, open_errors)) {
                 err_os->stream()
-                    << "run: " << plans[i].checkpoint_key << '\n'
+                    << "run: " << plans[i].point_key << '\n'
                     << "error: " << o.error << '\n';
                 commitArtifact(err_os, open_errors);
             }
@@ -520,8 +520,8 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
         // Failed runs are cached too: a retry does not repeat a
         // deterministic abort, and the merge renders the failure row
         // exactly as a single-process run would.
-        if (cache && shard.owns(plans[i].checkpoint_key))
-            cache->store(plans[i].checkpoint_key, marker);
+        if (cache && shard.owns(plans[i].point_key))
+            cache->store(plans[i].point_key, marker);
         results.push_back(std::move(marker));
     }
     return results;

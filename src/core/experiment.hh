@@ -76,7 +76,7 @@ struct ExperimentConfig
      */
     std::uint32_t jobs = 0;
 
-    /** @name Robustness: fault injection, watchdog, checkpointing */
+    /** @name Robustness: fault injection, watchdog, result cache */
     /** @{ */
     /**
      * Fault schedule injected into every run (empty = none). The plan
@@ -95,13 +95,6 @@ struct ExperimentConfig
      */
     bool oracles = false;
     /**
-     * Completed-run ledger (empty = no checkpointing). With resume,
-     * runs recorded complete under the same campaign fingerprint are
-     * skipped and returned as RunResult::skipped markers.
-     */
-    std::string checkpoint_path;
-    bool resume = false;
-    /**
      * Per-run error-artifact path template for failed (aborted) runs;
      * "{app}"/"{threads}" placeholders as for timelines. Empty
      * disables error artifacts.
@@ -112,8 +105,8 @@ struct ExperimentConfig
      * every run (so artifact claiming and de-collision are identical in
      * every worker) but executes only the slice hashing to shard_index;
      * out-of-slice runs return skipped markers. Assignment is
-     * position-independent (base/chaos.hh shardOfKey on the checkpoint
-     * key), so all workers and the merge step agree on ownership.
+     * position-independent (base/chaos.hh shardOfKey on the point key),
+     * so all workers and the merge step agree on ownership.
      */
     std::uint32_t shard_index = 0;
     std::uint32_t shard_count = 1;
@@ -121,8 +114,9 @@ struct ExperimentConfig
      * Shared per-point result cache directory (empty = disabled). Every
      * completed run — deterministic failures included — is persisted as
      * an atomic record; any later process re-running the same campaign
-     * salvages cache hits instead of re-simulating, which is both the
-     * crash-retry path and the byte-identical merge mechanism.
+     * salvages cache hits instead of re-simulating. That one mechanism
+     * is the resume path, the crash-retry path and the byte-identical
+     * merge.
      */
     std::string run_cache_dir;
     /**
@@ -174,6 +168,13 @@ struct ExperimentConfig
     Ticks metrics_interval = 0;
     /** @} */
 };
+
+/**
+ * Insert "-<tag>" before the extension of every per-run artifact path
+ * of @p cfg (timeline, metrics, error), so the arms of a multi-arm
+ * study never write the same file.
+ */
+void tagArtifactPaths(ExperimentConfig &cfg, const std::string &tag);
 
 /** Hook to attach observation tools to the VM before a run starts. */
 using VmAttachHook = std::function<void(jvm::JavaVm &)>;
@@ -262,10 +263,10 @@ class ExperimentRunner
     std::vector<std::uint32_t> paperThreadCounts() const;
 
     /**
-     * Campaign-configuration identity string. Keys the checkpoint
-     * ledger and is embedded in golden-run files so a verify against a
-     * differently configured campaign fails fast instead of diffing
-     * unrelated numbers.
+     * Campaign-configuration identity string. Binds run-cache records
+     * to their campaign and is embedded in golden-run files so a verify
+     * against a differently configured campaign fails fast instead of
+     * diffing unrelated numbers.
      */
     std::string campaignFingerprint() const;
 
@@ -286,8 +287,9 @@ class ExperimentRunner
         std::string timeline_file; ///< empty = no timeline
         std::string metrics_file;  ///< empty = no metric sampling
         std::string error_file;    ///< empty = no error artifact
-        /** Checkpoint-ledger identity of this run. */
-        std::string checkpoint_key;
+        /** Identity of this run within its campaign (cache and shard
+         *  key). */
+        std::string point_key;
     };
 
     /** Plan one run: calibrate heap, build the app, claim artifacts. */
@@ -302,8 +304,8 @@ class ExperimentRunner
      * Execute a batch of plans with per-run error isolation: a run
      * that aborts (watchdog, sim-time guard) is written out as an
      * error artifact and returned as a RunResult::failed() marker
-     * while the rest of the batch completes. Honors checkpointing and
-     * resume when configured.
+     * while the rest of the batch completes. Honors the shard slice and
+     * the run cache when configured.
      */
     std::vector<jvm::RunResult> executePlans(std::vector<RunPlan> plans);
 

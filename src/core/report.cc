@@ -20,7 +20,7 @@ threadsLabel(const jvm::RunResult &r)
            "C";
 }
 
-/** Sweep points that actually ran (neither resume-skipped nor failed). */
+/** Sweep points that actually ran (neither out-of-slice nor failed). */
 std::vector<jvm::RunResult>
 measuredRuns(const std::vector<jvm::RunResult> &sweep)
 {
@@ -52,7 +52,7 @@ printScalabilityTable(std::ostream &os, const SweepSet &sweeps)
                        : "non-scalable")
                 : "n/a";
         for (const auto &r : sweep) {
-            // Checkpoint-resumed or failed points have no measurements;
+            // Out-of-slice or failed points have no measurements;
             // show their status instead of fabricating numbers.
             if (r.skipped || r.failed()) {
                 t.row({app, std::to_string(r.threads), "-", "-", "-",

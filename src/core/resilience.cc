@@ -12,20 +12,6 @@ namespace jscale::core {
 
 namespace {
 
-/** Insert "-<tag>" before the extension of an artifact path. */
-std::string
-tagPath(const std::string &path, const std::string &tag)
-{
-    if (path.empty())
-        return path;
-    const auto dot = path.find_last_of('.');
-    const auto slash = path.find_last_of('/');
-    if (dot == std::string::npos ||
-        (slash != std::string::npos && dot < slash))
-        return path + "-" + tag;
-    return path.substr(0, dot) + "-" + tag + path.substr(dot);
-}
-
 /** Tasks per second of simulated time (0 for failed/empty runs). */
 double
 throughput(const jvm::RunResult &r)
@@ -87,7 +73,6 @@ runResilienceStudy(const ResilienceConfig &config)
         probe_cfg.governor.mode = control::GovernorMode::Off;
         probe_cfg.timeline_path.clear();
         probe_cfg.metrics_path.clear();
-        probe_cfg.checkpoint_path.clear();
         ExperimentRunner probe(std::move(probe_cfg));
         const jvm::RunResult r = probe.runApp(config.app, config.threads);
         horizon = std::max<Ticks>(1 * units::MS, r.wall_time * 3 / 4);
@@ -115,10 +100,7 @@ runResilienceStudy(const ResilienceConfig &config)
             const std::string tag =
                 "i" + formatFixed(intensity, 2) +
                 (governed ? "-gov" : "-ungov");
-            arm.timeline_path = tagPath(arm.timeline_path, tag);
-            arm.metrics_path = tagPath(arm.metrics_path, tag);
-            arm.error_path = tagPath(arm.error_path, tag);
-            arm.checkpoint_path = tagPath(arm.checkpoint_path, tag);
+            tagArtifactPaths(arm, tag);
 
             ExperimentRunner runner(std::move(arm));
             // sweep() routes through the isolated batch executor: an

@@ -41,9 +41,10 @@ struct ResilienceConfig
     /** Admission policy of the governed arm. */
     control::GovernorMode governed_mode = control::GovernorMode::HillClimb;
     /**
-     * Base campaign settings (machine, seed, heap, watchdog,
-     * checkpointing). Artifact and checkpoint paths are tagged per
-     * point/arm so the arms never clobber each other.
+     * Base campaign settings (machine, seed, heap, watchdog, run
+     * cache). Artifact paths are tagged per point/arm so the arms never
+     * clobber each other; each arm's distinct campaign fingerprint
+     * keeps its cached records apart.
      */
     ExperimentConfig base;
 };

@@ -1,17 +1,26 @@
 #include "core/run_record.hh"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
+#include <limits>
 #include <ostream>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 
 namespace jscale::core {
 
 namespace {
 
 constexpr const char *kHeader = "jscale-run v1";
+
+/**
+ * Upper bound on any element count a record declares (threads, GC
+ * events, slow-task rows, monitor waits, artifact errors). Real runs
+ * stay orders of magnitude below it; a larger count is corruption, and
+ * the reader rejects it before allocating or looping on it.
+ */
+constexpr std::uint64_t kMaxCount = 1ULL << 20;
 
 std::string
 escape(const std::string &s)
@@ -61,25 +70,230 @@ fmtDouble(double v)
     return buf;
 }
 
+/** Largest value an unsigned (or enum-of-unsigned) field can hold. */
+template <class T>
+constexpr std::uint64_t
+maxOf()
+{
+    if constexpr (std::is_enum_v<T>)
+        return std::numeric_limits<std::underlying_type_t<T>>::max();
+    else
+        return std::numeric_limits<T>::max();
+}
+
 /**
- * Sequential field writer. The reader consumes fields in the exact
- * order the writer emits them, so field names double as a structural
- * checksum: any skew fails the parse instead of mis-assigning values.
+ * The record's field list, declared once. Writer and Reader are its two
+ * visitors: each method takes a const field when writing and a mutable
+ * one when reading, so both directions walk the same list in the same
+ * order. Field names double as a structural checksum: any skew fails
+ * the parse instead of mis-assigning values.
  */
+template <class V, class R>
+void
+visitRunResult(V &v, R &r)
+{
+    v.s("app_name", r.app_name);
+    v.u("threads", r.threads);
+    v.u("cores", r.cores);
+    v.u("heap_capacity", r.heap_capacity);
+    v.u("wall_time", r.wall_time);
+    v.u("gc_time", r.gc_time);
+
+    auto &gc = r.gc;
+    v.u("gc.minor_count", gc.minor_count);
+    v.u("gc.full_count", gc.full_count);
+    v.u("gc.local_count", gc.local_count);
+    v.u("gc.concurrent_cycles", gc.concurrent_cycles);
+    v.u("gc.concurrent_failures", gc.concurrent_failures);
+    v.u("gc.remark_count", gc.remark_count);
+    v.u("gc.local_pause", gc.local_pause);
+    v.u("gc.total_pause", gc.total_pause);
+    v.u("gc.total_ttsp", gc.total_ttsp);
+    v.u("gc.copied_bytes", gc.copied_bytes);
+    v.u("gc.promoted_bytes", gc.promoted_bytes);
+    v.u("gc.reclaimed_bytes", gc.reclaimed_bytes);
+    v.sample("gc.minor_pauses", gc.minor_pauses);
+    v.sample("gc.full_pauses", gc.full_pauses);
+    v.logHist("gc.pause_hist", gc.pause_hist);
+    v.sample("gc.nursery_survival", gc.nursery_survival);
+    v.u("gc.adaptive.grows", gc.adaptive.grows);
+    v.u("gc.adaptive.shrinks", gc.adaptive.shrinks);
+    v.d("gc.adaptive.final_young_fraction",
+        gc.adaptive.final_young_fraction);
+    v.u("gc.young_resizes", gc.young_resizes);
+    // Only the event count is observable after a run (snapshots and
+    // reports never read individual events), so the count suffices for
+    // byte-identical rendering.
+    v.size("gc.events", gc.events);
+
+    auto &heap = r.heap;
+    v.u("heap.objects_allocated", heap.objects_allocated);
+    v.u("heap.objects_died", heap.objects_died);
+    v.u("heap.bytes_allocated", heap.bytes_allocated);
+    v.u("heap.bytes_died", heap.bytes_died);
+    v.u("heap.peak_live_bytes", heap.peak_live_bytes);
+    v.u("heap.tlab_refills", heap.tlab_refills);
+    v.u("heap.tlab_waste", heap.tlab_waste);
+    v.logHist("heap.lifespan", heap.lifespan);
+
+    auto &locks = r.locks;
+    v.u("locks.acquisitions", locks.acquisitions);
+    v.u("locks.contentions", locks.contentions);
+    v.u("locks.block_time", locks.block_time);
+    v.u("locks.monitors", locks.monitors);
+    v.u("locks.biased_acquisitions", locks.biased_acquisitions);
+    v.u("locks.thin_acquisitions", locks.thin_acquisitions);
+    v.u("locks.fat_acquisitions", locks.fat_acquisitions);
+    v.u("locks.bias_revocations", locks.bias_revocations);
+    v.u("locks.inflations", locks.inflations);
+    v.u("locks.waits", locks.waits);
+    v.u("locks.notifies", locks.notifies);
+    v.u("locks.handoffs", locks.handoffs);
+    v.u("locks.barged_grants", locks.barged_grants);
+    v.u("locks.waiters_passivated", locks.waiters_passivated);
+    v.u("locks.waiters_reactivated", locks.waiters_reactivated);
+    v.u("locks.coherence_penalty", locks.coherence_penalty);
+    v.u("locks.circulation_sum", locks.circulation_sum);
+    v.latHist("locks.block_hist", locks.block_hist);
+
+    v.seq("threads.count", r.thread_summaries, [](V &v, auto &t) {
+        v.s("t.name", t.name);
+        v.u("t.kind", t.kind);
+        v.u("t.cpu_time", t.cpu_time);
+        v.u("t.ready_time", t.ready_time);
+        v.u("t.blocked_time", t.blocked_time);
+        v.u("t.sleep_time", t.sleep_time);
+        v.u("t.dispatches", t.dispatches);
+        v.u("t.migrations", t.migrations);
+        v.u("t.tasks_completed", t.tasks_completed);
+        v.u("t.allocations", t.allocations);
+        v.u("t.bytes_allocated", t.bytes_allocated);
+    });
+
+    auto &sc = r.sched;
+    v.u("sched.dispatches", sc.dispatches);
+    v.u("sched.context_switches", sc.context_switches);
+    v.u("sched.migrations", sc.migrations);
+    v.u("sched.steals", sc.steals);
+    v.u("sched.preemptions", sc.preemptions);
+    v.u("sched.admission_parks", sc.admission_parks);
+    v.u("sched.admission_unparks", sc.admission_unparks);
+    v.u("sched.core_offlines", sc.core_offlines);
+    v.u("sched.core_onlines", sc.core_onlines);
+    v.u("sched.displaced_threads", sc.displaced_threads);
+    v.u("sched.forced_preemptions", sc.forced_preemptions);
+    v.u("sched.forced_stalls", sc.forced_stalls);
+    v.u("sched.busy_ticks", sc.busy_ticks);
+    v.u("sched.overhead_ticks", sc.overhead_ticks);
+
+    auto &gov = r.governor;
+    v.u("gov.enabled", gov.enabled);
+    v.s("gov.policy", gov.policy);
+    v.u("gov.final_target", gov.final_target);
+    v.u("gov.min_target", gov.min_target);
+    v.u("gov.max_target", gov.max_target);
+    v.u("gov.decisions", gov.decisions);
+    v.u("gov.parks", gov.parks);
+    v.u("gov.unparks", gov.unparks);
+    v.d("gov.usl_sigma", gov.usl_sigma);
+    v.d("gov.usl_kappa", gov.usl_kappa);
+    v.d("gov.usl_nstar", gov.usl_nstar);
+
+    auto &f = r.faults;
+    v.u("faults.injections", f.injections);
+    v.u("faults.recoveries", f.recoveries);
+    v.u("faults.cores_offlined", f.cores_offlined);
+    v.u("faults.cores_onlined", f.cores_onlined);
+    v.u("faults.slowdowns", f.slowdowns);
+    v.u("faults.preempt_bursts", f.preempt_bursts);
+    v.u("faults.lock_holders_preempted", f.lock_holders_preempted);
+    v.u("faults.mutators_killed", f.mutators_killed);
+    v.u("faults.mutators_stalled", f.mutators_stalled);
+    v.u("faults.heap_spikes", f.heap_spikes);
+    v.u("faults.gc_worker_losses", f.gc_worker_losses);
+    v.u("faults.tasks_reassigned", f.tasks_reassigned);
+
+    auto &p = r.profile;
+    v.u("profile.enabled", p.enabled);
+    v.u("profile.tasks", p.tasks);
+    v.u("profile.tasks_discarded", p.tasks_discarded);
+    v.buckets("profile.bucket_total", p.bucket_total);
+    v.latHist("profile.latency", p.latency);
+    for (auto &h : p.bucket_hist)
+        v.latHist("profile.bucket_hist", h);
+    v.seq("profile.slowest", p.slowest, [](V &v, auto &slow) {
+        v.row({"sl"}, slow.task, slow.thread, slow.start, slow.end,
+              slow.buckets);
+    });
+    v.seq("profile.lock_waits", p.lock_waits, [](V &v, auto &mw) {
+        v.row({"mw"}, mw.monitor, mw.wait, mw.blocks);
+    });
+
+    auto &tr = r.traffic;
+    v.u("traffic.enabled", tr.enabled);
+    v.u("traffic.tenant", tr.tenant);
+    v.s("traffic.arrival_spec", tr.arrival_spec);
+    v.u("traffic.arrivals", tr.arrivals);
+    v.u("traffic.admitted", tr.admitted);
+    v.u("traffic.shed", tr.shed);
+    v.u("traffic.dispatched", tr.dispatched);
+    v.u("traffic.completed", tr.completed);
+    v.u("traffic.max_queue_depth", tr.max_queue_depth);
+    v.latHist("traffic.sojourn", tr.sojourn);
+    v.latHist("traffic.queueing", tr.queueing);
+    v.latHist("traffic.service", tr.service);
+    v.buckets("traffic.service_bucket_total", tr.service_bucket_total);
+
+    v.u("total_tasks", r.total_tasks);
+    v.u("sim_events", r.sim_events);
+    v.s("timeline_file", r.timeline_file);
+    v.s("metrics_file", r.metrics_file);
+    v.u("timeline_events", r.timeline_events);
+    v.u("metric_rows", r.metric_rows);
+    v.seq("artifact_errors", r.artifact_errors,
+          [](V &v, auto &e) { v.s("ae", e); });
+    v.s("run_error", r.run_error);
+    v.u("skipped", r.skipped);
+}
+
+/** The start of one line: a type tag, then the field name if any. */
+struct Head
+{
+    const char *tag;
+    const char *name = nullptr;
+
+    std::string str() const
+    {
+        return name ? std::string(tag) + ' ' + name : std::string(tag);
+    }
+};
+
+/** Strip @p h from the front of @p s; false when @p s starts otherwise. */
+bool
+consumeHead(std::string_view &s, const Head &h)
+{
+    const auto take = [&s](std::string_view prefix) {
+        if (!s.starts_with(prefix))
+            return false;
+        s.remove_prefix(prefix.size());
+        return true;
+    };
+    return take(h.tag) && (!h.name || (take(" ") && take(h.name)));
+}
+
+/** The writing visitor: one text line per field. */
 class Writer
 {
   public:
     explicit Writer(std::ostream &os) : os_(os) {}
 
-    void u(const char *name, std::uint64_t v)
+    template <class T>
+    void u(const char *name, const T &v)
     {
-        os_ << "u " << name << ' ' << v << '\n';
+        row({"u", name}, static_cast<std::uint64_t>(v));
     }
 
-    void d(const char *name, double v)
-    {
-        os_ << "d " << name << ' ' << fmtDouble(v) << '\n';
-    }
+    void d(const char *name, double v) { row({"d", name}, v); }
 
     void s(const char *name, const std::string &v)
     {
@@ -88,48 +302,95 @@ class Writer
 
     void sample(const char *name, const stats::SampleStats &v)
     {
-        os_ << "ss " << name << ' ' << v.count() << ' '
-            << fmtDouble(v.sum()) << ' ' << fmtDouble(v.welfordMean())
-            << ' ' << fmtDouble(v.m2()) << ' ' << fmtDouble(v.min())
-            << ' ' << fmtDouble(v.max()) << '\n';
+        row({"ss", name}, v.count(), v.sum(), v.welfordMean(), v.m2(),
+            v.min(), v.max());
     }
 
     void logHist(const char *name, const stats::LogHistogram &h)
     {
-        std::size_t nonzero = 0;
-        for (std::size_t i = 0; i < stats::LogHistogram::kBuckets; ++i)
-            nonzero += h.bucket(i) != 0;
-        os_ << "lh " << name << ' ' << nonzero << '\n';
-        for (std::size_t i = 0; i < stats::LogHistogram::kBuckets; ++i) {
-            if (h.bucket(i) != 0)
-                os_ << "lb " << i << ' ' << h.bucket(i) << '\n';
-        }
+        row({"lh", name}, nonzero(h));
+        bucketRows("lb", h);
     }
 
     void latHist(const char *name, const stats::LatencyHistogram &h)
     {
-        std::size_t nonzero = 0;
-        for (std::size_t i = 0; i < stats::LatencyHistogram::kBuckets;
-             ++i) {
-            nonzero += h.bucket(i) != 0;
-        }
-        os_ << "ah " << name << ' ' << nonzero << ' ' << h.count() << ' '
-            << h.sum() << ' ' << h.min() << ' ' << h.max() << '\n';
-        for (std::size_t i = 0; i < stats::LatencyHistogram::kBuckets;
-             ++i) {
-            if (h.bucket(i) != 0)
-                os_ << "ab " << i << ' ' << h.bucket(i) << '\n';
-        }
+        row({"ah", name}, nonzero(h), h.count(), h.sum(), h.min(),
+            h.max());
+        bucketRows("ab", h);
+    }
+
+    void buckets(const char *name,
+                 const Ticks (&b)[jvm::kWaitBucketCount])
+    {
+        row({"bk", name}, b);
+    }
+
+    /** "<head> <value>..." (arrays expand in place). */
+    template <class... F>
+    void row(const Head &h, const F &...fields)
+    {
+        os_ << h.tag;
+        if (h.name)
+            os_ << ' ' << h.name;
+        (put(fields), ...);
+        os_ << '\n';
+    }
+
+    /** Only the size of @p items is recorded. */
+    template <class Seq>
+    void size(const char *name, const Seq &items)
+    {
+        u(name, items.size());
+    }
+
+    /** A count line, then each element's fields via @p each. */
+    template <class Seq, class Each>
+    void seq(const char *name, const Seq &items, Each each)
+    {
+        u(name, items.size());
+        for (const auto &item : items)
+            each(*this, item);
     }
 
   private:
+    template <class H>
+    static std::uint64_t nonzero(const H &h)
+    {
+        std::uint64_t n = 0;
+        for (std::size_t i = 0; i < H::kBuckets; ++i)
+            n += h.bucket(i) != 0;
+        return n;
+    }
+
+    template <class H>
+    void bucketRows(const char *tag, const H &h)
+    {
+        for (std::size_t i = 0; i < H::kBuckets; ++i) {
+            if (h.bucket(i) != 0)
+                row({tag}, i, h.bucket(i));
+        }
+    }
+
+    template <class T>
+    void put(const T &v)
+    {
+        if constexpr (std::is_array_v<T>) {
+            for (const auto &x : v)
+                put(x);
+        } else if constexpr (std::is_floating_point_v<T>) {
+            os_ << ' ' << fmtDouble(v);
+        } else {
+            os_ << ' ' << static_cast<std::uint64_t>(v);
+        }
+    }
+
     std::ostream &os_;
 };
 
 /**
- * Sequential field reader, the writer's mirror. The first malformed or
- * out-of-order field latches an error; later calls become no-ops so the
- * call site stays a linear field list with one error check at the end.
+ * The reading visitor. The first malformed, out-of-order or
+ * out-of-range field latches an error; later calls become no-ops, so
+ * the field list needs a single error check at the end. Never throws.
  */
 class Reader
 {
@@ -151,93 +412,109 @@ class Reader
         return true;
     }
 
-    std::uint64_t u(const char *name)
+    /** True when the last line read ended in a newline. */
+    bool terminated() const { return !is_.eof(); }
+
+    template <class T>
+    void u(const char *name, T &v)
     {
-        const std::string rest = tagged("u", name);
-        return parseU64(rest, name);
+        row({"u", name}, v);
     }
 
-    double d(const char *name)
+    void d(const char *name, double &v) { row({"d", name}, v); }
+
+    void s(const char *name, std::string &v)
     {
-        const std::string rest = tagged("d", name);
-        return parseDouble(rest, name);
+        std::string ln;
+        if (!line(ln))
+            return;
+        // A string line with an empty value may lack the trailing space.
+        std::string_view rest(ln);
+        if (!consumeHead(rest, {"s", name}) ||
+            !(rest.empty() || rest.front() == ' '))
+            fail("expected 's " + std::string(name) + "', got '" + ln +
+                 "'");
+        else
+            v = unescape(std::string(rest.substr(rest.empty() ? 0 : 1)));
     }
 
-    std::string s(const char *name)
+    void sample(const char *name, stats::SampleStats &v)
     {
-        return unescape(tagged("s", name));
-    }
-
-    stats::SampleStats sample(const char *name)
-    {
-        std::istringstream ss(tagged("ss", name));
         std::uint64_t count = 0;
-        std::string sum, mean, m2, mn, mx;
-        if (ok() && !(ss >> count >> sum >> mean >> m2 >> mn >> mx))
-            fail(std::string("malformed sample stats '") + name + "'");
-        if (!ok())
-            return {};
-        return stats::SampleStats::restore(
-            count, parseDouble(sum, name), parseDouble(mean, name),
-            parseDouble(m2, name), parseDouble(mn, name),
-            parseDouble(mx, name));
+        double sum = 0, mean = 0, m2 = 0, mn = 0, mx = 0;
+        row({"ss", name}, count, sum, mean, m2, mn, mx);
+        if (ok())
+            v = stats::SampleStats::restore(count, sum, mean, m2, mn, mx);
     }
 
     void logHist(const char *name, stats::LogHistogram &h)
     {
-        std::istringstream ss(tagged("lh", name));
         std::uint64_t nonzero = 0;
-        if (ok() && !(ss >> nonzero))
-            fail(std::string("malformed histogram header '") + name +
-                 "'");
-        for (std::uint64_t n = 0; ok() && n < nonzero; ++n) {
-            std::string ln;
-            if (!line(ln))
-                break;
-            std::istringstream bs(ln);
-            std::string tag;
-            std::uint64_t i = 0, w = 0;
-            if (!(bs >> tag >> i >> w) || tag != "lb" ||
-                i >= stats::LogHistogram::kBuckets) {
-                fail(std::string("malformed histogram bucket in '") +
-                     name + "'");
-                break;
-            }
-            // Re-add at the bucket's lower edge: exact reconstruction,
-            // since bucketing only keeps the index anyway.
-            h.add(i == 0 ? 0 : (1ULL << (i - 1)), w);
-        }
+        row({"lh", name}, nonzero);
+        // Re-add at each bucket's lower edge: exact reconstruction,
+        // since bucketing only keeps the index anyway.
+        bucketRows<stats::LogHistogram>(
+            "lb", nonzero, [&h](std::uint64_t i, std::uint64_t w) {
+                h.add(i == 0 ? 0 : (1ULL << (i - 1)), w);
+            });
     }
 
     void latHist(const char *name, stats::LatencyHistogram &h)
     {
-        std::istringstream ss(tagged("ah", name));
         std::uint64_t nonzero = 0, count = 0, sum = 0, mn = 0, mx = 0;
-        if (ok() && !(ss >> nonzero >> count >> sum >> mn >> mx))
-            fail(std::string("malformed histogram header '") + name +
-                 "'");
+        row({"ah", name}, nonzero, count, sum, mn, mx);
         std::uint64_t restored = 0;
-        for (std::uint64_t n = 0; ok() && n < nonzero; ++n) {
-            std::string ln;
-            if (!line(ln))
-                break;
-            std::istringstream bs(ln);
-            std::string tag;
-            std::uint64_t i = 0, w = 0;
-            if (!(bs >> tag >> i >> w) || tag != "ab" ||
-                i >= stats::LatencyHistogram::kBuckets) {
-                fail(std::string("malformed histogram bucket in '") +
-                     name + "'");
-                break;
-            }
-            h.restoreBucket(static_cast<std::size_t>(i), w);
-            restored += w;
-        }
+        bucketRows<stats::LatencyHistogram>(
+            "ab", nonzero, [&h, &restored](std::uint64_t i, std::uint64_t w) {
+                h.restoreBucket(static_cast<std::size_t>(i), w);
+                restored += w;
+            });
         if (ok() && restored != count)
             fail(std::string("histogram weight mismatch in '") + name +
                  "'");
         if (ok() && count > 0)
             h.restoreAggregates(sum, mn, mx);
+    }
+
+    void buckets(const char *name, Ticks (&b)[jvm::kWaitBucketCount])
+    {
+        row({"bk", name}, b);
+    }
+
+    /** Parse "<head> <value>..." into @p fields, nothing left over. */
+    template <class... F>
+    void row(const Head &h, F &...fields)
+    {
+        std::string ln;
+        if (!line(ln))
+            return;
+        std::string_view rest(ln);
+        if (!consumeHead(rest, h)) {
+            fail("expected '" + h.str() + "', got '" + ln + "'");
+            return;
+        }
+        const char *p = rest.data();
+        if (!(get(p, fields) && ...) || p != ln.c_str() + ln.size())
+            fail("malformed or out-of-range value in '" + h.str() + "'");
+    }
+
+    template <class Seq>
+    void size(const char *name, Seq &items)
+    {
+        const std::uint64_t n = count(name);
+        if (ok())
+            items.resize(static_cast<std::size_t>(n));
+    }
+
+    template <class Seq, class Each>
+    void seq(const char *name, Seq &items, Each each)
+    {
+        const std::uint64_t n = count(name);
+        for (std::uint64_t i = 0; ok() && i < n; ++i) {
+            typename Seq::value_type item{};
+            each(*this, item);
+            items.push_back(std::move(item));
+        }
     }
 
     void fail(const std::string &msg)
@@ -247,87 +524,73 @@ class Reader
     }
 
   private:
-    /** Expect "<tag> <name> "; return the rest of the line. */
-    std::string tagged(const char *tag, const char *name)
+    /** A declared element count, rejected when implausibly large. */
+    std::uint64_t count(const char *name)
     {
-        std::string ln;
-        if (!line(ln))
-            return {};
-        const std::string prefix =
-            std::string(tag) + ' ' + name + ' ';
-        if (ln.compare(0, prefix.size(), prefix) != 0) {
-            // A tag line with an empty value has no trailing space.
-            const std::string bare = std::string(tag) + ' ' + name;
-            if (ln == bare)
-                return {};
-            fail("expected field '" + std::string(name) + "', got '" +
-                 ln + "'");
-            return {};
-        }
-        return ln.substr(prefix.size());
-    }
-
-    std::uint64_t parseU64(const std::string &v, const char *name)
-    {
-        if (!ok())
-            return 0;
-        char *end = nullptr;
-        const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-        if (v.empty() || end != v.c_str() + v.size()) {
-            fail(std::string("malformed integer field '") + name + "'");
+        std::uint64_t n = 0;
+        u(name, n);
+        if (ok() && n > kMaxCount) {
+            fail(std::string("implausible count ") + std::to_string(n) +
+                 " in '" + name + "'");
             return 0;
         }
-        return static_cast<std::uint64_t>(x);
+        return n;
     }
 
-    double parseDouble(const std::string &v, const char *name)
+    /** @p nonzero "<tag> <index> <weight>" rows of a histogram H. */
+    template <class H, class Add>
+    void bucketRows(const char *tag, std::uint64_t nonzero, Add add)
     {
-        if (!ok())
-            return 0.0;
-        char *end = nullptr;
-        const double x = std::strtod(v.c_str(), &end);
-        if (v.empty() || end != v.c_str() + v.size()) {
-            fail(std::string("malformed double field '") + name + "'");
-            return 0.0;
+        if (ok() && nonzero > H::kBuckets)
+            fail(std::string("implausible '") + tag + "' row count");
+        for (std::uint64_t n = 0; ok() && n < nonzero; ++n) {
+            std::uint64_t i = 0, w = 0;
+            row({tag}, i, w);
+            if (ok() && i >= H::kBuckets)
+                fail(std::string("histogram bucket out of range in '") +
+                     tag + "' row");
+            if (ok())
+                add(i, w);
         }
-        return x;
+    }
+
+    /**
+     * Parse " <value>" at @p p (NUL-terminated) and advance past it.
+     * False on a missing separator, no digits, or a value @p v cannot
+     * hold.
+     */
+    template <class T>
+    static bool get(const char *&p, T &v)
+    {
+        if constexpr (std::is_array_v<T>) {
+            for (auto &x : v) {
+                if (!get(p, x))
+                    return false;
+            }
+            return true;
+        } else {
+            if (*p != ' ')
+                return false;
+            ++p;
+            char *end = nullptr;
+            if constexpr (std::is_floating_point_v<T>) {
+                v = std::strtod(p, &end); // reads hexfloats exactly
+            } else {
+                const unsigned long long x = std::strtoull(p, &end, 10);
+                if (x > maxOf<T>())
+                    return false;
+                v = static_cast<T>(x);
+            }
+            if (end == p)
+                return false;
+            p = end;
+            return true;
+        }
     }
 
     std::istream &is_;
     std::string err_;
 };
-
-void
-writeBuckets(std::ostream &os, const char *name,
-             const Ticks (&buckets)[jvm::kWaitBucketCount])
-{
-    os << "bk " << name;
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
-        os << ' ' << buckets[i];
-    os << '\n';
-}
-
-bool
-readBuckets(Reader &in, const char *name,
-            Ticks (&buckets)[jvm::kWaitBucketCount])
-{
-    std::string ln;
-    if (!in.line(ln))
-        return false;
-    std::istringstream ss(ln);
-    std::string tag, got;
-    if (!(ss >> tag >> got) || tag != "bk" || got != name) {
-        in.fail(std::string("expected bucket row '") + name + "'");
-        return false;
-    }
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-        if (!(ss >> buckets[i])) {
-            in.fail(std::string("short bucket row '") + name + "'");
-            return false;
-        }
-    }
-    return true;
-}
 
 } // namespace
 
@@ -338,179 +601,8 @@ writeRunRecord(std::ostream &os, const std::string &key,
     os << kHeader << '\n';
     os << "key " << escape(key) << '\n';
     os << "fp " << escape(fingerprint) << '\n';
-
     Writer w(os);
-    w.s("app_name", r.app_name);
-    w.u("threads", r.threads);
-    w.u("cores", r.cores);
-    w.u("heap_capacity", r.heap_capacity);
-    w.u("wall_time", r.wall_time);
-    w.u("gc_time", r.gc_time);
-
-    const jvm::GcRunStats &gc = r.gc;
-    w.u("gc.minor_count", gc.minor_count);
-    w.u("gc.full_count", gc.full_count);
-    w.u("gc.local_count", gc.local_count);
-    w.u("gc.concurrent_cycles", gc.concurrent_cycles);
-    w.u("gc.concurrent_failures", gc.concurrent_failures);
-    w.u("gc.remark_count", gc.remark_count);
-    w.u("gc.local_pause", gc.local_pause);
-    w.u("gc.total_pause", gc.total_pause);
-    w.u("gc.total_ttsp", gc.total_ttsp);
-    w.u("gc.copied_bytes", gc.copied_bytes);
-    w.u("gc.promoted_bytes", gc.promoted_bytes);
-    w.u("gc.reclaimed_bytes", gc.reclaimed_bytes);
-    w.sample("gc.minor_pauses", gc.minor_pauses);
-    w.sample("gc.full_pauses", gc.full_pauses);
-    w.logHist("gc.pause_hist", gc.pause_hist);
-    w.sample("gc.nursery_survival", gc.nursery_survival);
-    w.u("gc.adaptive.grows", gc.adaptive.grows);
-    w.u("gc.adaptive.shrinks", gc.adaptive.shrinks);
-    w.d("gc.adaptive.final_young_fraction",
-        gc.adaptive.final_young_fraction);
-    w.u("gc.young_resizes", gc.young_resizes);
-    // Only the event count is observable after a run (snapshots and
-    // reports never read individual events), so the count suffices for
-    // byte-identical rendering.
-    w.u("gc.events", gc.events.size());
-
-    const jvm::HeapStats &heap = r.heap;
-    w.u("heap.objects_allocated", heap.objects_allocated);
-    w.u("heap.objects_died", heap.objects_died);
-    w.u("heap.bytes_allocated", heap.bytes_allocated);
-    w.u("heap.bytes_died", heap.bytes_died);
-    w.u("heap.peak_live_bytes", heap.peak_live_bytes);
-    w.u("heap.tlab_refills", heap.tlab_refills);
-    w.u("heap.tlab_waste", heap.tlab_waste);
-    w.logHist("heap.lifespan", heap.lifespan);
-
-    const jvm::LockTotals &locks = r.locks;
-    w.u("locks.acquisitions", locks.acquisitions);
-    w.u("locks.contentions", locks.contentions);
-    w.u("locks.block_time", locks.block_time);
-    w.u("locks.monitors", locks.monitors);
-    w.u("locks.biased_acquisitions", locks.biased_acquisitions);
-    w.u("locks.thin_acquisitions", locks.thin_acquisitions);
-    w.u("locks.fat_acquisitions", locks.fat_acquisitions);
-    w.u("locks.bias_revocations", locks.bias_revocations);
-    w.u("locks.inflations", locks.inflations);
-    w.u("locks.waits", locks.waits);
-    w.u("locks.notifies", locks.notifies);
-    w.u("locks.handoffs", locks.handoffs);
-    w.u("locks.barged_grants", locks.barged_grants);
-    w.u("locks.waiters_passivated", locks.waiters_passivated);
-    w.u("locks.waiters_reactivated", locks.waiters_reactivated);
-    w.u("locks.coherence_penalty", locks.coherence_penalty);
-    w.u("locks.circulation_sum", locks.circulation_sum);
-    w.latHist("locks.block_hist", locks.block_hist);
-
-    w.u("threads.count", r.thread_summaries.size());
-    for (const jvm::ThreadSummary &t : r.thread_summaries) {
-        w.s("t.name", t.name);
-        w.u("t.kind", static_cast<std::uint64_t>(t.kind));
-        w.u("t.cpu_time", t.cpu_time);
-        w.u("t.ready_time", t.ready_time);
-        w.u("t.blocked_time", t.blocked_time);
-        w.u("t.sleep_time", t.sleep_time);
-        w.u("t.dispatches", t.dispatches);
-        w.u("t.migrations", t.migrations);
-        w.u("t.tasks_completed", t.tasks_completed);
-        w.u("t.allocations", t.allocations);
-        w.u("t.bytes_allocated", t.bytes_allocated);
-    }
-
-    const os::SchedulerStats &sc = r.sched;
-    w.u("sched.dispatches", sc.dispatches);
-    w.u("sched.context_switches", sc.context_switches);
-    w.u("sched.migrations", sc.migrations);
-    w.u("sched.steals", sc.steals);
-    w.u("sched.preemptions", sc.preemptions);
-    w.u("sched.admission_parks", sc.admission_parks);
-    w.u("sched.admission_unparks", sc.admission_unparks);
-    w.u("sched.core_offlines", sc.core_offlines);
-    w.u("sched.core_onlines", sc.core_onlines);
-    w.u("sched.displaced_threads", sc.displaced_threads);
-    w.u("sched.forced_preemptions", sc.forced_preemptions);
-    w.u("sched.forced_stalls", sc.forced_stalls);
-    w.u("sched.busy_ticks", sc.busy_ticks);
-    w.u("sched.overhead_ticks", sc.overhead_ticks);
-
-    const jvm::GovernorSummary &gov = r.governor;
-    w.u("gov.enabled", gov.enabled ? 1 : 0);
-    w.s("gov.policy", gov.policy);
-    w.u("gov.final_target", gov.final_target);
-    w.u("gov.min_target", gov.min_target);
-    w.u("gov.max_target", gov.max_target);
-    w.u("gov.decisions", gov.decisions);
-    w.u("gov.parks", gov.parks);
-    w.u("gov.unparks", gov.unparks);
-    w.d("gov.usl_sigma", gov.usl_sigma);
-    w.d("gov.usl_kappa", gov.usl_kappa);
-    w.d("gov.usl_nstar", gov.usl_nstar);
-
-    const jvm::FaultSummary &f = r.faults;
-    w.u("faults.injections", f.injections);
-    w.u("faults.recoveries", f.recoveries);
-    w.u("faults.cores_offlined", f.cores_offlined);
-    w.u("faults.cores_onlined", f.cores_onlined);
-    w.u("faults.slowdowns", f.slowdowns);
-    w.u("faults.preempt_bursts", f.preempt_bursts);
-    w.u("faults.lock_holders_preempted", f.lock_holders_preempted);
-    w.u("faults.mutators_killed", f.mutators_killed);
-    w.u("faults.mutators_stalled", f.mutators_stalled);
-    w.u("faults.heap_spikes", f.heap_spikes);
-    w.u("faults.gc_worker_losses", f.gc_worker_losses);
-    w.u("faults.tasks_reassigned", f.tasks_reassigned);
-
-    const jvm::ProfileSummary &p = r.profile;
-    w.u("profile.enabled", p.enabled ? 1 : 0);
-    w.u("profile.tasks", p.tasks);
-    w.u("profile.tasks_discarded", p.tasks_discarded);
-    writeBuckets(os, "profile.bucket_total", p.bucket_total);
-    w.latHist("profile.latency", p.latency);
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
-        w.latHist("profile.bucket_hist", p.bucket_hist[i]);
-    w.u("profile.slowest", p.slowest.size());
-    for (const jvm::SlowTaskRecord &slow : p.slowest) {
-        os << "sl " << slow.task << ' ' << slow.thread << ' '
-           << slow.start << ' ' << slow.end;
-        for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
-            os << ' ' << slow.buckets[i];
-        os << '\n';
-    }
-    w.u("profile.lock_waits", p.lock_waits.size());
-    for (const jvm::MonitorWaitTotal &mw : p.lock_waits) {
-        os << "mw " << mw.monitor << ' ' << mw.wait << ' ' << mw.blocks
-           << '\n';
-    }
-
-    const jvm::TrafficSummary &tr = r.traffic;
-    w.u("traffic.enabled", tr.enabled ? 1 : 0);
-    w.u("traffic.tenant", tr.tenant);
-    w.s("traffic.arrival_spec", tr.arrival_spec);
-    w.u("traffic.arrivals", tr.arrivals);
-    w.u("traffic.admitted", tr.admitted);
-    w.u("traffic.shed", tr.shed);
-    w.u("traffic.dispatched", tr.dispatched);
-    w.u("traffic.completed", tr.completed);
-    w.u("traffic.max_queue_depth", tr.max_queue_depth);
-    w.latHist("traffic.sojourn", tr.sojourn);
-    w.latHist("traffic.queueing", tr.queueing);
-    w.latHist("traffic.service", tr.service);
-    writeBuckets(os, "traffic.service_bucket_total",
-                 tr.service_bucket_total);
-
-    w.u("total_tasks", r.total_tasks);
-    w.u("sim_events", r.sim_events);
-    w.s("timeline_file", r.timeline_file);
-    w.s("metrics_file", r.metrics_file);
-    w.u("timeline_events", r.timeline_events);
-    w.u("metric_rows", r.metric_rows);
-    w.u("artifact_errors", r.artifact_errors.size());
-    for (const std::string &e : r.artifact_errors)
-        w.s("ae", e);
-    w.s("run_error", r.run_error);
-    w.u("skipped", r.skipped ? 1 : 0);
+    visitRunResult(w, r);
     os << "end\n";
 }
 
@@ -543,205 +635,8 @@ readRunRecord(std::istream &is, const std::string &expect_key,
     }
 
     jvm::RunResult r;
-    r.app_name = in.s("app_name");
-    r.threads = static_cast<std::uint32_t>(in.u("threads"));
-    r.cores = static_cast<std::uint32_t>(in.u("cores"));
-    r.heap_capacity = in.u("heap_capacity");
-    r.wall_time = in.u("wall_time");
-    r.gc_time = in.u("gc_time");
-
-    jvm::GcRunStats &gc = r.gc;
-    gc.minor_count = in.u("gc.minor_count");
-    gc.full_count = in.u("gc.full_count");
-    gc.local_count = in.u("gc.local_count");
-    gc.concurrent_cycles = in.u("gc.concurrent_cycles");
-    gc.concurrent_failures = in.u("gc.concurrent_failures");
-    gc.remark_count = in.u("gc.remark_count");
-    gc.local_pause = in.u("gc.local_pause");
-    gc.total_pause = in.u("gc.total_pause");
-    gc.total_ttsp = in.u("gc.total_ttsp");
-    gc.copied_bytes = in.u("gc.copied_bytes");
-    gc.promoted_bytes = in.u("gc.promoted_bytes");
-    gc.reclaimed_bytes = in.u("gc.reclaimed_bytes");
-    gc.minor_pauses = in.sample("gc.minor_pauses");
-    gc.full_pauses = in.sample("gc.full_pauses");
-    in.logHist("gc.pause_hist", gc.pause_hist);
-    gc.nursery_survival = in.sample("gc.nursery_survival");
-    gc.adaptive.grows = in.u("gc.adaptive.grows");
-    gc.adaptive.shrinks = in.u("gc.adaptive.shrinks");
-    gc.adaptive.final_young_fraction =
-        in.d("gc.adaptive.final_young_fraction");
-    gc.young_resizes = in.u("gc.young_resizes");
-    gc.events.resize(static_cast<std::size_t>(in.u("gc.events")));
-
-    jvm::HeapStats &heap = r.heap;
-    heap.objects_allocated = in.u("heap.objects_allocated");
-    heap.objects_died = in.u("heap.objects_died");
-    heap.bytes_allocated = in.u("heap.bytes_allocated");
-    heap.bytes_died = in.u("heap.bytes_died");
-    heap.peak_live_bytes = in.u("heap.peak_live_bytes");
-    heap.tlab_refills = in.u("heap.tlab_refills");
-    heap.tlab_waste = in.u("heap.tlab_waste");
-    in.logHist("heap.lifespan", heap.lifespan);
-
-    jvm::LockTotals &locks = r.locks;
-    locks.acquisitions = in.u("locks.acquisitions");
-    locks.contentions = in.u("locks.contentions");
-    locks.block_time = in.u("locks.block_time");
-    locks.monitors = in.u("locks.monitors");
-    locks.biased_acquisitions = in.u("locks.biased_acquisitions");
-    locks.thin_acquisitions = in.u("locks.thin_acquisitions");
-    locks.fat_acquisitions = in.u("locks.fat_acquisitions");
-    locks.bias_revocations = in.u("locks.bias_revocations");
-    locks.inflations = in.u("locks.inflations");
-    locks.waits = in.u("locks.waits");
-    locks.notifies = in.u("locks.notifies");
-    locks.handoffs = in.u("locks.handoffs");
-    locks.barged_grants = in.u("locks.barged_grants");
-    locks.waiters_passivated = in.u("locks.waiters_passivated");
-    locks.waiters_reactivated = in.u("locks.waiters_reactivated");
-    locks.coherence_penalty = in.u("locks.coherence_penalty");
-    locks.circulation_sum = in.u("locks.circulation_sum");
-    in.latHist("locks.block_hist", locks.block_hist);
-
-    const std::uint64_t n_threads = in.u("threads.count");
-    for (std::uint64_t i = 0; in.ok() && i < n_threads; ++i) {
-        jvm::ThreadSummary t;
-        t.name = in.s("t.name");
-        t.kind = static_cast<os::ThreadKind>(in.u("t.kind"));
-        t.cpu_time = in.u("t.cpu_time");
-        t.ready_time = in.u("t.ready_time");
-        t.blocked_time = in.u("t.blocked_time");
-        t.sleep_time = in.u("t.sleep_time");
-        t.dispatches = in.u("t.dispatches");
-        t.migrations = in.u("t.migrations");
-        t.tasks_completed = in.u("t.tasks_completed");
-        t.allocations = in.u("t.allocations");
-        t.bytes_allocated = in.u("t.bytes_allocated");
-        r.thread_summaries.push_back(std::move(t));
-    }
-
-    os::SchedulerStats &sc = r.sched;
-    sc.dispatches = in.u("sched.dispatches");
-    sc.context_switches = in.u("sched.context_switches");
-    sc.migrations = in.u("sched.migrations");
-    sc.steals = in.u("sched.steals");
-    sc.preemptions = in.u("sched.preemptions");
-    sc.admission_parks = in.u("sched.admission_parks");
-    sc.admission_unparks = in.u("sched.admission_unparks");
-    sc.core_offlines = in.u("sched.core_offlines");
-    sc.core_onlines = in.u("sched.core_onlines");
-    sc.displaced_threads = in.u("sched.displaced_threads");
-    sc.forced_preemptions = in.u("sched.forced_preemptions");
-    sc.forced_stalls = in.u("sched.forced_stalls");
-    sc.busy_ticks = in.u("sched.busy_ticks");
-    sc.overhead_ticks = in.u("sched.overhead_ticks");
-
-    jvm::GovernorSummary &gov = r.governor;
-    gov.enabled = in.u("gov.enabled") != 0;
-    gov.policy = in.s("gov.policy");
-    gov.final_target = static_cast<std::uint32_t>(in.u("gov.final_target"));
-    gov.min_target = static_cast<std::uint32_t>(in.u("gov.min_target"));
-    gov.max_target = static_cast<std::uint32_t>(in.u("gov.max_target"));
-    gov.decisions = in.u("gov.decisions");
-    gov.parks = in.u("gov.parks");
-    gov.unparks = in.u("gov.unparks");
-    gov.usl_sigma = in.d("gov.usl_sigma");
-    gov.usl_kappa = in.d("gov.usl_kappa");
-    gov.usl_nstar = in.d("gov.usl_nstar");
-
-    jvm::FaultSummary &f = r.faults;
-    f.injections = in.u("faults.injections");
-    f.recoveries = in.u("faults.recoveries");
-    f.cores_offlined = in.u("faults.cores_offlined");
-    f.cores_onlined = in.u("faults.cores_onlined");
-    f.slowdowns = in.u("faults.slowdowns");
-    f.preempt_bursts = in.u("faults.preempt_bursts");
-    f.lock_holders_preempted = in.u("faults.lock_holders_preempted");
-    f.mutators_killed = in.u("faults.mutators_killed");
-    f.mutators_stalled = in.u("faults.mutators_stalled");
-    f.heap_spikes = in.u("faults.heap_spikes");
-    f.gc_worker_losses = in.u("faults.gc_worker_losses");
-    f.tasks_reassigned = in.u("faults.tasks_reassigned");
-
-    jvm::ProfileSummary &p = r.profile;
-    p.enabled = in.u("profile.enabled") != 0;
-    p.tasks = in.u("profile.tasks");
-    p.tasks_discarded = in.u("profile.tasks_discarded");
-    readBuckets(in, "profile.bucket_total", p.bucket_total);
-    in.latHist("profile.latency", p.latency);
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
-        in.latHist("profile.bucket_hist", p.bucket_hist[i]);
-    const std::uint64_t n_slow = in.u("profile.slowest");
-    for (std::uint64_t i = 0; in.ok() && i < n_slow; ++i) {
-        if (!in.line(ln))
-            break;
-        std::istringstream ss(ln);
-        std::string tag;
-        jvm::SlowTaskRecord slow;
-        if (!(ss >> tag >> slow.task >> slow.thread >> slow.start >>
-              slow.end) ||
-            tag != "sl") {
-            in.fail("malformed slow-task row");
-            break;
-        }
-        bool short_row = false;
-        for (std::size_t b = 0; b < jvm::kWaitBucketCount; ++b) {
-            if (!(ss >> slow.buckets[b])) {
-                short_row = true;
-                break;
-            }
-        }
-        if (short_row) {
-            in.fail("short slow-task row");
-            break;
-        }
-        p.slowest.push_back(slow);
-    }
-    const std::uint64_t n_mw = in.u("profile.lock_waits");
-    for (std::uint64_t i = 0; in.ok() && i < n_mw; ++i) {
-        if (!in.line(ln))
-            break;
-        std::istringstream ss(ln);
-        std::string tag;
-        jvm::MonitorWaitTotal mw;
-        if (!(ss >> tag >> mw.monitor >> mw.wait >> mw.blocks) ||
-            tag != "mw") {
-            in.fail("malformed monitor-wait row");
-            break;
-        }
-        p.lock_waits.push_back(mw);
-    }
-
-    jvm::TrafficSummary &tr = r.traffic;
-    tr.enabled = in.u("traffic.enabled") != 0;
-    tr.tenant = static_cast<std::uint32_t>(in.u("traffic.tenant"));
-    tr.arrival_spec = in.s("traffic.arrival_spec");
-    tr.arrivals = in.u("traffic.arrivals");
-    tr.admitted = in.u("traffic.admitted");
-    tr.shed = in.u("traffic.shed");
-    tr.dispatched = in.u("traffic.dispatched");
-    tr.completed = in.u("traffic.completed");
-    tr.max_queue_depth = in.u("traffic.max_queue_depth");
-    in.latHist("traffic.sojourn", tr.sojourn);
-    in.latHist("traffic.queueing", tr.queueing);
-    in.latHist("traffic.service", tr.service);
-    readBuckets(in, "traffic.service_bucket_total",
-                tr.service_bucket_total);
-
-    r.total_tasks = in.u("total_tasks");
-    r.sim_events = in.u("sim_events");
-    r.timeline_file = in.s("timeline_file");
-    r.metrics_file = in.s("metrics_file");
-    r.timeline_events = in.u("timeline_events");
-    r.metric_rows = in.u("metric_rows");
-    const std::uint64_t n_ae = in.u("artifact_errors");
-    for (std::uint64_t i = 0; in.ok() && i < n_ae; ++i)
-        r.artifact_errors.push_back(in.s("ae"));
-    r.run_error = in.s("run_error");
-    r.skipped = in.u("skipped") != 0;
-
-    if (in.ok() && (!in.line(ln) || ln != "end"))
+    visitRunResult(in, r);
+    if (in.ok() && (!in.line(ln) || ln != "end" || !in.terminated()))
         in.fail("record missing 'end' trailer (torn write?)");
     if (!in.ok()) {
         err = in.error();

@@ -11,7 +11,7 @@
  * written as C hexfloats (%a) for lossless round-trips; strings are
  * backslash-escaped one-liners.
  *
- * Records are keyed by the run's checkpoint key and bound to the
+ * Records are keyed by the run's point key and bound to the
  * campaign fingerprint: a reader rejects records from a differently
  * configured campaign instead of silently mixing incompatible results.
  */
@@ -34,8 +34,9 @@ void writeRunRecord(std::ostream &os, const std::string &key,
 /**
  * Parse one record. Fails (returning false with @p err) on a missing
  * or wrong version header, a key or fingerprint mismatch, a malformed
- * field, or a record missing its "end" trailer (torn write). @p out is
- * only valid when true is returned.
+ * or out-of-range field, an implausibly large element count, or a
+ * record missing its newline-terminated "end" trailer (torn write).
+ * Never throws. @p out is only valid when true is returned.
  */
 bool readRunRecord(std::istream &is, const std::string &expect_key,
                    const std::string &expect_fingerprint,

@@ -26,11 +26,14 @@ RunCache::RunCache(std::string dir, std::string fingerprint)
 }
 
 std::string
-RunCache::recordFileName(const std::string &key)
+RunCache::recordFileName(const std::string &key,
+                         const std::string &fingerprint)
 {
-    // Human-readable prefix (filesystem-safe subset of the key) plus
-    // the full key's hash so distinct keys never share a file. The
-    // record itself carries the exact key; load() verifies it.
+    // Human-readable prefix (filesystem-safe subset of the key), then
+    // the full key's hash so distinct keys never share a file, then the
+    // fingerprint's hash so differently configured campaigns (the arms
+    // of one study) never overwrite each other. The record itself
+    // carries the exact key and fingerprint; load() verifies both.
     std::string safe;
     for (const char c : key) {
         const bool keep = (c >= 'a' && c <= 'z') ||
@@ -39,20 +42,25 @@ RunCache::recordFileName(const std::string &key)
                           c == '-' || c == '_';
         safe += keep ? c : '_';
     }
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : key) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
+    const auto fnv1a = [](const std::string &s) {
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        for (const char c : s) {
+            h ^= static_cast<unsigned char>(c);
+            h *= 0x100000001b3ULL;
+        }
+        return h;
+    };
     std::ostringstream name;
-    name << safe << '-' << std::hex << h << ".run";
+    name << safe << '-' << std::hex << fnv1a(key) << '-'
+         << fnv1a(fingerprint) << ".run";
     return name.str();
 }
 
 bool
 RunCache::load(const std::string &key, jvm::RunResult &out) const
 {
-    const std::string path = dir_ + "/" + recordFileName(key);
+    const std::string path =
+        dir_ + "/" + recordFileName(key, fingerprint_);
     std::ifstream in(path);
     if (!in)
         return false;
@@ -67,7 +75,8 @@ RunCache::load(const std::string &key, jvm::RunResult &out) const
 void
 RunCache::store(const std::string &key, const jvm::RunResult &r) const
 {
-    const std::string path = dir_ + "/" + recordFileName(key);
+    const std::string path =
+        dir_ + "/" + recordFileName(key, fingerprint_);
     AtomicFileWriter writer(path);
     if (!writer.ok()) {
         warn("cannot open run cache record '", path, "'");

@@ -4,7 +4,7 @@
  * result cache.
  *
  * A campaign's plans are split into N deterministic, disjoint,
- * position-independent slices by hashing each run's checkpoint key
+ * position-independent slices by hashing each run's point key
  * (base/chaos.hh shardOfKey). A shard worker executes only its slice
  * and persists every completed point — full RunResult, failed markers
  * included — as an atomic "jscale-run v1" record in a shared cache
@@ -16,7 +16,13 @@
  *
  * Records are bound to the campaign fingerprint, so a stale cache from
  * a differently configured campaign reads as a miss, never as silent
- * result mixing.
+ * result mixing. The fingerprint is also part of each record's file
+ * name: the arms of a multi-arm study share point keys but not
+ * fingerprints, so their records live side by side in one directory.
+ *
+ * The same cache is the resume path of every plain campaign command:
+ * re-running it with the same --cache-dir salvages each completed
+ * point as its full result and executes only the rest.
  */
 
 #ifndef JSCALE_CORE_SHARD_HH
@@ -44,7 +50,7 @@ struct ShardSpec
 };
 
 /**
- * Per-point result cache keyed by checkpoint key. Thread-safe: points
+ * Per-point result cache keyed by point key. Thread-safe: points
  * store to distinct files via write-temp-then-rename, so pool workers
  * can commit concurrently and a SIGKILL never publishes a torn record.
  */
@@ -69,8 +75,12 @@ class RunCache
      */
     void store(const std::string &key, const jvm::RunResult &r) const;
 
-    /** Cache file (not path) a key maps to, for tests and tooling. */
-    static std::string recordFileName(const std::string &key);
+    /**
+     * Cache file (not path) a key of the campaign @p fingerprint maps
+     * to, for tests and tooling.
+     */
+    static std::string recordFileName(const std::string &key,
+                                      const std::string &fingerprint);
 
   private:
     std::string dir_;

@@ -4,7 +4,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "base/error.hh"
 #include "base/logging.hh"
 #include "base/output.hh"
 #include "control/governor.hh"
@@ -30,20 +29,16 @@ rungSpec(double rate, std::uint64_t requests)
            ":requests=" + std::to_string(requests);
 }
 
-/** Run one cell with per-run isolation (an abort becomes a marker). */
+/**
+ * Run one cell through the isolated batch executor: an abort becomes
+ * an error artifact plus a failed() marker, and a run cache, when
+ * configured, salvages the cell instead of re-simulating it.
+ */
 jvm::RunResult
 isolatedRun(ExperimentRunner &runner, const std::string &app,
             std::uint32_t threads)
 {
-    try {
-        return runner.runApp(app, threads);
-    } catch (const AbortError &e) {
-        jvm::RunResult marker;
-        marker.app_name = app;
-        marker.threads = threads;
-        marker.run_error = e.what();
-        return marker;
-    }
+    return std::move(runner.sweep(app, {threads}).front());
 }
 
 Ticks

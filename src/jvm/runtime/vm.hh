@@ -369,7 +369,8 @@ struct RunResult
      * app_name/threads are meaningful then.
      */
     std::string run_error;
-    /** The run was skipped because a checkpoint marked it complete. */
+    /** The run belongs to another shard's slice and was not executed
+     *  here (a shard worker's out-of-slice marker). */
     bool skipped = false;
 
     bool failed() const { return !run_error.empty(); }

@@ -8,13 +8,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/fuzz.hh"
+#include "test_tempdir.hh"
 
 namespace {
 
@@ -195,7 +195,8 @@ TEST(Fuzz, ReproducerRoundTripsThroughTheArtifact)
     EXPECT_NE(artifact.find("# violation:"), std::string::npos)
         << artifact;
 
-    const std::string path = "fuzztest-roundtrip.repro";
+    const jscale::testing::TempDir tmp;
+    const std::string path = tmp.file("roundtrip.repro");
     {
         std::ofstream f(path);
         f << artifact;
@@ -204,7 +205,6 @@ TEST(Fuzz, ReproducerRoundTripsThroughTheArtifact)
     std::string err;
     ASSERT_TRUE(check::readReproducer(path, replayed, err)) << err;
     EXPECT_EQ(replayed.describe(), report.shrunk.describe());
-    std::remove(path.c_str());
 }
 
 TEST(Fuzz, ReadReproducerRejectsMissingAndMalformedFiles)
@@ -214,13 +214,13 @@ TEST(Fuzz, ReadReproducerRejectsMissingAndMalformedFiles)
     EXPECT_FALSE(check::readReproducer("no-such-file.repro", out, err));
     EXPECT_FALSE(err.empty());
 
-    const std::string path = "fuzztest-malformed.repro";
+    const jscale::testing::TempDir tmp;
+    const std::string path = tmp.file("malformed.repro");
     {
         std::ofstream f(path);
         f << "jscale-fuzz-repro v1\n# no case line\n";
     }
     EXPECT_FALSE(check::readReproducer(path, out, err));
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -6,12 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "core/plots.hh"
+#include "test_tempdir.hh"
 
 namespace {
 
@@ -53,17 +53,7 @@ slurp(const std::string &path)
     return ss.str();
 }
 
-struct TempDir
-{
-    TempDir() : path(fs::temp_directory_path() / "jscale_plots_test")
-    {
-        fs::create_directories(path);
-    }
-
-    ~TempDir() { fs::remove_all(path); }
-
-    fs::path path;
-};
+using jscale::testing::TempDir;
 
 TEST(Plots, LockFigureHasOneColumnPerApp)
 {

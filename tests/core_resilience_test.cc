@@ -129,7 +129,7 @@ TEST(Resilience, TableRendersFailedAndSkippedArms)
               std::string::npos)
         << table;
 
-    // The skipped (checkpoint-resumed) arm is labelled, too.
+    // The skipped (out-of-slice shard marker) arm is labelled, too.
     EXPECT_NE(table.find("skipped"), std::string::npos) << table;
 }
 

@@ -1,19 +1,24 @@
 /**
  * @file
  * RunResult codec tests: a full simulated result roundtrips through the
- * "jscale-run v1" text record losslessly, and the reader rejects every
- * flavor of bad record — wrong header, foreign key or fingerprint,
- * torn writes, garbage — instead of silently mixing results.
+ * "jscale-run v1" text record losslessly, a committed fixture pins the
+ * record bytes, and the reader rejects every flavor of bad record —
+ * wrong header, foreign key or fingerprint, torn writes, implausible
+ * counts, garbage — instead of silently mixing results or throwing.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "core/run_record.hh"
+#include "fault/fault.hh"
+#include "test_tempdir.hh"
 
 namespace {
 
@@ -143,6 +148,134 @@ TEST(RunRecord, FailedMarkerRoundtrips)
     ASSERT_TRUE(core::readRunRecord(is, "k", "fp", restored, err)) << err;
     EXPECT_EQ(restored.run_error, marker.run_error);
     EXPECT_EQ(record(restored), bytes);
+}
+
+/**
+ * The committed v1 fixture (written before the codec was rewritten),
+ * with the key and fingerprint from its header lines.
+ */
+struct Fixture
+{
+    std::string bytes;
+    std::string key;
+    std::string fp;
+
+    Fixture()
+    {
+        std::ifstream in(std::string(JSCALE_TEST_DATA_DIR) +
+                             "/run_record_v1.run",
+                         std::ios::binary);
+        std::ostringstream os;
+        os << in.rdbuf();
+        bytes = os.str();
+        std::istringstream lines(bytes);
+        std::string header;
+        std::getline(lines, header);
+        std::getline(lines, key);
+        std::getline(lines, fp);
+        key.erase(0, 4); // "key "
+        fp.erase(0, 3);  // "fp "
+    }
+
+    /** Parse @p text as a record of this fixture's key/fingerprint. */
+    bool read(const std::string &text, jvm::RunResult &out,
+              std::string &err) const
+    {
+        std::istringstream is(text);
+        return core::readRunRecord(is, key, fp, out, err);
+    }
+};
+
+TEST(RunRecordFixture, WriterReproducesTheFixtureBytes)
+{
+    // The fixture's run: an open-loop, governed, faulted, profiled h2
+    // sweep point whose timeline cannot be opened, so every section —
+    // slow-task rows, monitor waits and artifact errors included — is
+    // non-empty. The run is re-simulated here and must serialize to
+    // the committed bytes exactly.
+    const Fixture fixture;
+    ASSERT_FALSE(fixture.bytes.empty());
+
+    core::ExperimentConfig cfg;
+    cfg.workload_scale = 0.05;
+    cfg.profile = true;
+    cfg.governor.mode = control::GovernorMode::HillClimb;
+    std::string err;
+    ASSERT_TRUE(fault::FaultPlan::parse("intensity=0.5:horizon=40",
+                                        cfg.faults, err))
+        << err;
+    cfg.arrivals = "poisson:rate=2000:requests=200";
+
+    // Artifact paths are relative, as on the command line: run inside
+    // a scratch directory where "blocker" is a file, not a directory.
+    jscale::testing::TempDir tmp;
+    std::ofstream(tmp.file("blocker")).put('\n');
+    const std::filesystem::path cwd = std::filesystem::current_path();
+    std::filesystem::current_path(tmp.path);
+    cfg.timeline_path = "blocker/t.json";
+    core::ExperimentRunner runner(cfg);
+    const jvm::RunResult r = runner.sweep("h2", {8}).front();
+    const std::string fp = runner.campaignFingerprint();
+    std::filesystem::current_path(cwd);
+
+    EXPECT_EQ(fp, fixture.fp);
+    EXPECT_EQ(record(r, fixture.key, fp), fixture.bytes);
+}
+
+TEST(RunRecordFixture, FixtureRoundtripsToIdenticalBytes)
+{
+    // Decode with the current reader, re-encode with the current
+    // writer: a format change made to both halves together would read
+    // the old bytes wrongly or write different ones, and fail here.
+    const Fixture fixture;
+    jvm::RunResult r;
+    std::string err;
+    ASSERT_TRUE(fixture.read(fixture.bytes, r, err)) << err;
+    EXPECT_FALSE(r.profile.slowest.empty());
+    EXPECT_FALSE(r.profile.lock_waits.empty());
+    EXPECT_FALSE(r.artifact_errors.empty());
+    EXPECT_GT(r.faults.injections, 0u);
+    EXPECT_GT(r.governor.decisions, 0u);
+    EXPECT_GT(r.traffic.completed, 0u);
+    EXPECT_EQ(record(r, fixture.key, fixture.fp), fixture.bytes);
+}
+
+TEST(RunRecordFixture, EveryProperPrefixIsRejectedWithoutThrowing)
+{
+    const Fixture fixture;
+    for (std::size_t n = 0; n < fixture.bytes.size(); ++n) {
+        jvm::RunResult out;
+        std::string err;
+        bool ok = true;
+        EXPECT_NO_THROW(ok = fixture.read(fixture.bytes.substr(0, n), out,
+                                          err))
+            << "prefix " << n;
+        EXPECT_FALSE(ok) << "prefix " << n;
+        EXPECT_FALSE(err.empty()) << "prefix " << n;
+    }
+}
+
+TEST(RunRecordFixture, ImplausibleCountsAreRejectedWithoutThrowing)
+{
+    const Fixture fixture;
+    const std::string &bytes = fixture.bytes;
+    for (const std::string field :
+         {"gc.events", "threads.count", "profile.slowest",
+          "profile.lock_waits", "artifact_errors"}) {
+        const std::string tag = "\nu " + field + " ";
+        const std::size_t at = bytes.find(tag);
+        ASSERT_NE(at, std::string::npos) << field;
+        const std::size_t value = at + tag.size();
+        const std::string bad = bytes.substr(0, value) +
+                                "9223372036854775808" + // 2^63
+                                bytes.substr(bytes.find('\n', value));
+        jvm::RunResult out;
+        std::string err;
+        bool ok = true;
+        EXPECT_NO_THROW(ok = fixture.read(bad, out, err)) << field;
+        EXPECT_FALSE(ok) << field;
+        EXPECT_NE(err.find(field), std::string::npos) << field << ": " << err;
+    }
 }
 
 } // namespace

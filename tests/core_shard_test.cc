@@ -1,8 +1,9 @@
 /**
  * @file
  * Sharded campaign tests: slice assignment (deterministic, disjoint,
- * covering, position-independent) and the per-point run result cache
- * (lossless roundtrip, fingerprint binding, corruption tolerance).
+ * covering, position-independent), the per-point run result cache
+ * (lossless roundtrip, fingerprint binding, corruption tolerance) and
+ * resuming a campaign by re-running it over the same cache.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "core/experiment.hh"
 #include "core/run_record.hh"
 #include "core/shard.hh"
+#include "test_tempdir.hh"
 
 namespace {
 
@@ -89,21 +91,22 @@ TEST(ShardRecordFileName, DistinctAndFilesystemSafe)
 {
     std::set<std::string> names;
     for (const std::string &key : sampleKeys()) {
-        const std::string name = core::RunCache::recordFileName(key);
+        const std::string name = core::RunCache::recordFileName(key, "fp");
         EXPECT_TRUE(names.insert(name).second) << name;
         EXPECT_EQ(name.find('/'), std::string::npos) << name;
         EXPECT_EQ(name.find('|'), std::string::npos) << name;
     }
     // Keys differing only in hash-sensitive characters stay distinct.
-    EXPECT_NE(core::RunCache::recordFileName("h2|t4|s1"),
-              core::RunCache::recordFileName("h2|t4|s2"));
+    EXPECT_NE(core::RunCache::recordFileName("h2|t4|s1", "fp"),
+              core::RunCache::recordFileName("h2|t4|s2", "fp"));
+    // So do campaigns sharing a key (the arms of one study).
+    EXPECT_NE(core::RunCache::recordFileName("h2|t4|s1", "locks=fifo"),
+              core::RunCache::recordFileName("h2|t4|s1", "locks=lcr"));
 }
 
 class RunCacheTest : public ::testing::Test
 {
   protected:
-    void SetUp() override { std::filesystem::remove_all(dir_); }
-    void TearDown() override { std::filesystem::remove_all(dir_); }
 
     jvm::RunResult simulateOnce()
     {
@@ -121,7 +124,8 @@ class RunCacheTest : public ::testing::Test
         return os.str();
     }
 
-    const std::string dir_ = "run_cache_test_dir";
+    jscale::testing::TempDir tmp_;
+    const std::string dir_ = tmp_.path.string();
 };
 
 TEST_F(RunCacheTest, StoreThenLoadIsLossless)
@@ -168,7 +172,8 @@ TEST_F(RunCacheTest, CorruptRecordIsAMissNotAnAbort)
     cache.store(key, simulateOnce());
 
     const std::filesystem::path file =
-        std::filesystem::path(dir_) / core::RunCache::recordFileName(key);
+        std::filesystem::path(dir_) /
+        core::RunCache::recordFileName(key, "fp-1");
     // Truncate the record: the "end" trailer vanishes, as after a torn
     // write that somehow survived the atomic-rename protocol.
     const auto size = std::filesystem::file_size(file);
@@ -199,6 +204,129 @@ TEST_F(RunCacheTest, FailedMarkersRoundtrip)
     EXPECT_EQ(out.run_error, marker.run_error);
     EXPECT_EQ(out.app_name, "h2");
     EXPECT_EQ(out.threads, 8u);
+}
+
+TEST_F(RunCacheTest, CampaignsWithOneKeyKeepSeparateRecords)
+{
+    // The arms of a multi-arm study plan the same point keys under
+    // different fingerprints; one arm's store must not evict another's.
+    const std::string key = "xalan|t4|s11";
+    const jvm::RunResult r = simulateOnce();
+    jvm::RunResult other = r;
+    other.total_tasks += 1;
+    core::RunCache arm_a(dir_, "fp-a");
+    core::RunCache arm_b(dir_, "fp-b");
+    arm_a.store(key, r);
+    arm_b.store(key, other);
+
+    jvm::RunResult out;
+    ASSERT_TRUE(arm_a.load(key, out));
+    EXPECT_EQ(out.total_tasks, r.total_tasks);
+    ASSERT_TRUE(arm_b.load(key, out));
+    EXPECT_EQ(out.total_tasks, other.total_tasks);
+}
+
+/** Resume = re-running a campaign over the same run cache. */
+class CacheResumeTest : public ::testing::Test
+{
+  protected:
+    core::ExperimentConfig config() const
+    {
+        core::ExperimentConfig cfg;
+        cfg.workload_scale = 0.05;
+        cfg.heap_override = 32 * units::MiB; // calibration-free, faster
+        cfg.jobs = 1;
+        cfg.run_cache_dir = tmp_.path.string();
+        return cfg;
+    }
+
+    /** Sweep sunflow once under @p cfg, counting how points resolved. */
+    std::vector<jvm::RunResult>
+    sweep(const core::ExperimentConfig &cfg,
+          const std::vector<std::uint32_t> &threads)
+    {
+        core::resetCampaignPointStats();
+        core::ExperimentRunner runner(cfg);
+        return runner.sweep("sunflow", threads);
+    }
+
+    static std::string bytes(const jvm::RunResult &r)
+    {
+        std::ostringstream os;
+        core::writeRunRecord(os, "k", "fp", r);
+        return os.str();
+    }
+
+    jscale::testing::TempDir tmp_;
+};
+
+TEST_F(CacheResumeTest, ResumeSalvagesCompletedRunsAsRealResults)
+{
+    const auto first = sweep(config(), {2, 4});
+    ASSERT_EQ(first.size(), 2u);
+    EXPECT_EQ(core::campaignPointStats().executed.load(), 2u);
+
+    // Same campaign again: nothing re-runs, and every point comes back
+    // as the full result it produced, not a skipped marker.
+    const auto again = sweep(config(), {2, 4});
+    ASSERT_EQ(again.size(), 2u);
+    EXPECT_EQ(core::campaignPointStats().executed.load(), 0u);
+    EXPECT_EQ(core::campaignPointStats().salvaged.load(), 2u);
+    for (std::size_t i = 0; i < again.size(); ++i) {
+        EXPECT_FALSE(again[i].skipped);
+        EXPECT_GT(again[i].total_tasks, 0u);
+        EXPECT_EQ(bytes(again[i]), bytes(first[i]));
+    }
+
+    // A new point in the same campaign still runs.
+    const auto grown = sweep(config(), {2, 8});
+    EXPECT_EQ(core::campaignPointStats().salvaged.load(), 1u);
+    EXPECT_EQ(core::campaignPointStats().executed.load(), 1u);
+    EXPECT_GT(grown[1].total_tasks, 0u);
+}
+
+TEST_F(CacheResumeTest, ChangedSeedMissesTheCache)
+{
+    sweep(config(), {2});
+    core::ExperimentConfig cfg = config();
+    cfg.seed = 4711; // different campaign fingerprint
+    const auto results = sweep(cfg, {2});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(core::campaignPointStats().salvaged.load(), 0u);
+    EXPECT_EQ(core::campaignPointStats().executed.load(), 1u);
+    EXPECT_GT(results[0].total_tasks, 0u);
+}
+
+TEST_F(CacheResumeTest, CorruptRecordReRunsAndIsReplaced)
+{
+    const auto first = sweep(config(), {2});
+    std::vector<std::filesystem::path> files;
+    for (const auto &e : std::filesystem::directory_iterator(tmp_.path))
+        files.push_back(e.path());
+    ASSERT_EQ(files.size(), 1u);
+
+    // An implausible count must read as a miss, never as a crash or a
+    // permanent failure marker.
+    std::ifstream in(files[0]);
+    std::ostringstream text;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("u gc.events ", 0) == 0)
+            line = "u gc.events 99999999999999";
+        text << line << '\n';
+    }
+    in.close();
+    std::ofstream(files[0], std::ios::trunc) << text.str();
+
+    const auto rerun = sweep(config(), {2});
+    EXPECT_EQ(core::campaignPointStats().executed.load(), 1u);
+    EXPECT_EQ(core::campaignPointStats().failed.load(), 0u);
+    ASSERT_FALSE(rerun[0].failed()) << rerun[0].run_error;
+    EXPECT_EQ(bytes(rerun[0]), bytes(first[0]));
+
+    // The re-run replaced the bad record with a good one.
+    sweep(config(), {2});
+    EXPECT_EQ(core::campaignPointStats().salvaged.load(), 1u);
 }
 
 TEST(CampaignPointStatsTest, ResetZeroesEveryCounter)

@@ -9,13 +9,13 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/supervisor.hh"
+#include "test_tempdir.hh"
 
 namespace {
 
@@ -62,9 +62,6 @@ TEST(BackoffDelay, DoublesPerRetryAndCaps)
 class SuperviseTest : public ::testing::Test
 {
   protected:
-    void SetUp() override { std::filesystem::remove_all(dir_); }
-    void TearDown() override { std::filesystem::remove_all(dir_); }
-
     core::SupervisorConfig fastConfig()
     {
         core::SupervisorConfig cfg;
@@ -81,7 +78,8 @@ class SuperviseTest : public ::testing::Test
         };
     }
 
-    const std::string dir_ = "supervise_test_dir";
+    jscale::testing::TempDir tmp_;
+    const std::string dir_ = tmp_.path.string();
 };
 
 TEST_F(SuperviseTest, CleanWorkersSucceedFirstAttempt)
@@ -99,7 +97,6 @@ TEST_F(SuperviseTest, CleanWorkersSucceedFirstAttempt)
 
 TEST_F(SuperviseTest, CrashedWorkerIsRetriedAndRecovers)
 {
-    std::filesystem::create_directories(dir_);
     // First attempt leaves a marker and dies by SIGKILL — exactly the
     // chaos failure mode; the retry finds the marker and succeeds.
     const std::string marker = dir_ + "/once";

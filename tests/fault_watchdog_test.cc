@@ -20,6 +20,7 @@
 #include "core/experiment.hh"
 #include "core/parallel.hh"
 #include "jvm/runtime/app.hh"
+#include "test_tempdir.hh"
 
 namespace {
 
@@ -153,8 +154,8 @@ TEST(Watchdog, SimTimeGuardAbortsInsteadOfKillingTheProcess)
 
 TEST(Watchdog, SweepIsolatesAbortedRunsAsFailedMarkers)
 {
-    const std::string error_dir = "watchdogtest-errors";
-    std::filesystem::remove_all(error_dir);
+    const jscale::testing::TempDir tmp;
+    const std::string error_dir = tmp.path.string();
 
     core::ExperimentConfig cfg;
     cfg.workload_scale = 0.05;
@@ -183,7 +184,6 @@ TEST(Watchdog, SweepIsolatesAbortedRunsAsFailedMarkers)
                          std::istreambuf_iterator<char>());
     EXPECT_NE(contents.find("did not finish"), std::string::npos)
         << contents;
-    std::filesystem::remove_all(error_dir);
 }
 
 } // namespace

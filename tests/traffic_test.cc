@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -20,6 +19,7 @@
 #include "telemetry/sampler.hh"
 #include "traffic/arrival.hh"
 #include "traffic/tenancy.hh"
+#include "test_tempdir.hh"
 
 namespace {
 
@@ -443,10 +443,9 @@ headerLine(const std::string &path)
 
 TEST(MultiTenant, SamplerSchemaFixedForSingleTenant)
 {
-    const std::string single = "traffic_metrics_single.csv";
-    const std::string dual = "traffic_metrics_dual.csv";
-    std::remove(single.c_str());
-    std::remove(dual.c_str());
+    const jscale::testing::TempDir tmp;
+    const std::string single = tmp.file("metrics_single.csv");
+    const std::string dual = tmp.file("metrics_dual.csv");
 
     ExperimentConfig cfg = fastConfig();
     cfg.metrics_interval = 1 * units::MS;
@@ -480,9 +479,6 @@ TEST(MultiTenant, SamplerSchemaFixedForSingleTenant)
         << header;
     EXPECT_NE(header.find("tenant1_h2_inflight"), std::string::npos)
         << header;
-
-    std::remove(single.c_str());
-    std::remove(dual.c_str());
 }
 
 } // namespace

@@ -18,7 +18,7 @@
  * Common flags: --app <name> --threads <list> --scale <f> --seed <n>
  *               --heap-factor <f> --compartments --biased [--groups g]
  *               --adaptive --governor <policy> --gclog <path> --csv
- *               --faults <spec> --watchdog --checkpoint <path> --resume
+ *               --faults <spec> --watchdog --cache-dir <dir>
  */
 
 #include <algorithm>
@@ -98,8 +98,6 @@ struct CliOptions
     fault::FaultPlan fault_plan;
     bool watchdog = false;
     std::uint64_t watchdog_interval_ms = 1000;
-    std::string checkpoint_path;
-    bool resume = false;
     std::vector<double> intensities = {0.0, 0.25, 0.5, 0.75, 1.0};
     std::uint64_t horizon_ms = 0; // 0 = auto (3/4 of probe run)
     /** Arm the invariant oracle suite on every run. */
@@ -134,7 +132,8 @@ struct CliOptions
     /** @{ */
     std::uint32_t shard_index = 0;
     std::uint32_t shard_count = 1;
-    /** Shared per-point result cache directory (empty = disabled). */
+    /** Shared per-point result cache directory (empty = disabled);
+     *  --cache-dir on a plain command, or set by the wrappers. */
     std::string cache_dir;
     /** Merge mode: cache misses become honest failure rows. */
     bool merge_strict = false;
@@ -230,9 +229,6 @@ usage(int code)
         "  --watchdog          arm the sim-time livelock watchdog\n"
         "  --watchdog-interval-ms <n>  watchdog check interval\n"
         "                      (default 1000 simulated ms)\n"
-        "  --checkpoint <path> record completed runs in a ledger file\n"
-        "  --resume            skip runs already recorded complete\n"
-        "                      (requires --checkpoint)\n"
         "  --intensities <l>   resilience x-axis, comma-separated\n"
         "                      fractions (default 0,0.25,0.5,0.75,1)\n"
         "  --horizon-ms <n>    resilience fault window in simulated ms\n"
@@ -293,9 +289,13 @@ usage(int code)
         "                      traffic study (default 2000)\n"
         "  --index <i> --of <N>  shard identity (shard command)\n"
         "  --shards <n>        campaign worker count (default 2)\n"
-        "  --cache-dir <dir>   shared per-point result cache (default\n"
-        "                      jscale-cache; campaign default\n"
-        "                      jscale-campaign/cache)\n"
+        "  --cache-dir <dir>   per-point result cache: every finished\n"
+        "                      point is stored, and re-running the\n"
+        "                      same command with the same dir salvages\n"
+        "                      it instead of re-simulating (resume).\n"
+        "                      Off for plain commands unless given;\n"
+        "                      shard/merge default jscale-cache,\n"
+        "                      campaign default jscale-campaign/cache\n"
         "  --fill              merge: re-run missing points locally\n"
         "                      instead of marking them failed\n"
         "  --retries <n>       extra attempts per worker after a crash\n"
@@ -446,10 +446,8 @@ parse(int argc, char **argv)
                 std::cerr << "--watchdog-interval-ms must be positive\n";
                 std::exit(2);
             }
-        } else if (arg == "--checkpoint") {
-            o.checkpoint_path = value();
-        } else if (arg == "--resume") {
-            o.resume = true;
+        } else if (arg == "--cache-dir") {
+            o.cache_dir = value();
         } else if (arg == "--intensities") {
             o.intensities.clear();
             std::stringstream ss(value());
@@ -650,10 +648,6 @@ parse(int argc, char **argv)
             usage(2);
         }
     }
-    if (o.resume && o.checkpoint_path.empty()) {
-        std::cerr << "--resume requires --checkpoint <path>\n";
-        std::exit(2);
-    }
     return o;
 }
 
@@ -701,8 +695,6 @@ experimentConfig(const CliOptions &o)
     cfg.faults = o.fault_plan;
     cfg.watchdog = o.watchdog;
     cfg.watchdog_config.interval = o.watchdog_interval_ms * units::MS;
-    cfg.checkpoint_path = o.checkpoint_path;
-    cfg.resume = o.resume;
     cfg.vm.locks = o.locks;
     cfg.oracles = o.oracles;
     cfg.profile = o.profile;
@@ -1909,5 +1901,13 @@ main(int argc, char **argv)
         if (cmd == "supervise")
             return cmdSupervise(argc, argv);
     }
-    return guardedDispatch(parse(argc, argv));
+    const CliOptions o = parse(argc, argv);
+    if (o.cache_dir.empty())
+        return guardedDispatch(o);
+    // Re-running over the same cache is the resume: report how each
+    // point was satisfied.
+    core::resetCampaignPointStats();
+    const int rc = guardedDispatch(o);
+    printPointSummary(o.command.c_str());
+    return rc;
 }
