@@ -19,6 +19,8 @@
 #include "jvm/runtime/vm.hh"
 #include "machine/machine.hh"
 #include "os/scheduler.hh"
+#include "profile/ledger.hh"
+#include "profile/profiler.hh"
 #include "sim/simulation.hh"
 
 namespace jscale::check {
@@ -290,10 +292,14 @@ runFuzzCase(const FuzzCase &c)
                              c.fault_intensity, c.seed, 30 * units::MS));
     }
 
+    profile::ThreadStateLedger ledger;
+    ledger.attach(vm);
+    profile::TaskProfiler profiler;
+    profiler.attach(vm, ledger);
     OracleConfig ocfg;
     ocfg.throw_on_violation = false;
     OracleSuite suite(ocfg);
-    suite.attach(vm);
+    suite.attach(vm, profiler);
 
     Saboteur saboteur(suite, c.sabotage);
     if (c.sabotage != Sabotage::None)

@@ -6,6 +6,7 @@
 #include "jvm/runtime/vm.hh"
 #include "os/policy.hh"
 #include "os/scheduler.hh"
+#include "profile/profiler.hh"
 
 namespace jscale::check {
 
@@ -28,7 +29,7 @@ OracleSuite::~OracleSuite()
 }
 
 void
-OracleSuite::attach(jvm::JavaVm &vm)
+OracleSuite::attach(jvm::JavaVm &vm, profile::TaskProfiler &profiler)
 {
     jscale_assert(!attached_, "OracleSuite attached twice");
     vm_ = &vm;
@@ -50,48 +51,43 @@ OracleSuite::attach(jvm::JavaVm &vm)
     vm.listeners().add(this);
     vm.scheduler().listeners().add(this);
 
-    // The latency-conservation oracle rides its own attribution
+    // The latency-conservation oracle rides the VM's attribution
     // profiler: the sink reconciles each task's bucket sum against the
     // task's wall time, both in integer simulation ticks.
-    if (config_.latency) {
-        profiler_.setTaskSink([this](const jvm::SlowTaskRecord &rec) {
+    profiler.addTaskSink([this](const jvm::SlowTaskRecord &rec) {
+        ++checks_;
+        Ticks sum = 0;
+        for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
+            sum += rec.buckets[i];
+        if (sum != rec.wall()) {
+            std::ostringstream os;
+            os << "task " << rec.task << " (thread " << rec.thread
+               << "): buckets sum to " << formatTicks(sum)
+               << " but wall time is " << formatTicks(rec.wall());
+            report("latency-conservation", os.str(), rec.end);
+        }
+        // Open-loop service-window alignment: when the thread is
+        // serving a dispatched request, the window just closed must
+        // open exactly at the dispatch stamp — that alignment is
+        // what makes sojourn == queueing + attributed buckets.
+        ServingModel &sv = servingModel(rec.thread);
+        if (sv.active) {
             ++checks_;
-            Ticks sum = 0;
-            for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
-                sum += rec.buckets[i];
-            if (sum != rec.wall()) {
+            if (rec.start != sv.dispatch) {
                 std::ostringstream os;
-                os << "task " << rec.task << " (thread " << rec.thread
-                   << "): buckets sum to " << formatTicks(sum)
-                   << " but wall time is " << formatTicks(rec.wall());
-                report("latency-conservation", os.str(), rec.end);
+                os << "request " << sv.request << " (thread "
+                   << rec.thread << "): service window opens at "
+                   << formatTicks(rec.start)
+                   << " but the request was dispatched at "
+                   << formatTicks(sv.dispatch);
+                report("request-conservation", os.str(),
+                       rec.end);
             }
-            // Open-loop service-window alignment: when the thread is
-            // serving a dispatched request, the window just closed must
-            // open exactly at the dispatch stamp — that alignment is
-            // what makes sojourn == queueing + attributed buckets.
-            if (config_.traffic) {
-                ServingModel &sv = servingModel(rec.thread);
-                if (sv.active) {
-                    ++checks_;
-                    if (rec.start != sv.dispatch) {
-                        std::ostringstream os;
-                        os << "request " << sv.request << " (thread "
-                           << rec.thread << "): service window opens at "
-                           << formatTicks(rec.start)
-                           << " but the request was dispatched at "
-                           << formatTicks(sv.dispatch);
-                        report("request-conservation", os.str(),
-                               rec.end);
-                    }
-                    sv.window_seen = true;
-                    sv.window_end = rec.end;
-                    settleServing(rec.thread, rec.end);
-                }
-            }
-        });
-        profiler_.attach(vm);
-    }
+            sv.window_seen = true;
+            sv.window_end = rec.end;
+            settleServing(rec.thread, rec.end);
+        }
+    });
     attached_ = true;
 }
 
@@ -100,7 +96,6 @@ OracleSuite::detach()
 {
     if (!attached_)
         return;
-    profiler_.detach();
     vm_->listeners().remove(this);
     vm_->scheduler().listeners().remove(this);
     attached_ = false;
@@ -123,10 +118,6 @@ OracleSuite::report(const char *oracle, std::string message, Ticks now)
 void
 OracleSuite::observeTime(Ticks now)
 {
-    if (!config_.ordering) {
-        last_now_ = now;
-        return;
-    }
     ++checks_;
     if (now < last_now_) {
         std::ostringstream os;
@@ -243,14 +234,12 @@ void
 OracleSuite::onObjectAlloc(const jvm::ObjectRecord &obj, Ticks now)
 {
     observeTime(now);
-    if (config_.ordering && at_safepoint_) {
+    if (at_safepoint_) {
         std::ostringstream os;
         os << "object " << obj.id << " allocated by thread " << obj.owner
            << " inside a stop-the-world window";
         report("event-ordering", os.str(), now);
     }
-    if (!config_.heap)
-        return;
     ++checks_;
     if (!live_.emplace(obj.id, obj.size).second) {
         std::ostringstream os;
@@ -274,60 +263,56 @@ OracleSuite::onObjectDeath(const jvm::ObjectRecord &obj, Bytes lifespan,
                            Ticks now)
 {
     observeTime(now);
-    if (config_.heap) {
-        ++checks_;
-        auto it = live_.find(obj.id);
-        if (it == live_.end()) {
+    ++checks_;
+    auto it = live_.find(obj.id);
+    if (it == live_.end()) {
+        std::ostringstream os;
+        os << "death of object " << obj.id << " (owner thread "
+           << obj.owner << ") that is not live "
+           << "(double death or unobserved birth)";
+        report("heap-conservation", os.str(), now);
+    } else {
+        if (it->second != obj.size) {
             std::ostringstream os;
-            os << "death of object " << obj.id << " (owner thread "
-               << obj.owner << ") that is not live "
-               << "(double death or unobserved birth)";
+            os << "object " << obj.id << " died with size "
+               << obj.size << " B but was born with " << it->second
+               << " B";
             report("heap-conservation", os.str(), now);
-        } else {
-            if (it->second != obj.size) {
-                std::ostringstream os;
-                os << "object " << obj.id << " died with size "
-                   << obj.size << " B but was born with " << it->second
-                   << " B";
-                report("heap-conservation", os.str(), now);
-            }
-            model_live_bytes_ -= it->second;
-            live_.erase(it);
-            pending_dead_bytes_ += obj.size;
-            if (vm_ != nullptr &&
-                vm_->heap().liveBytes() != model_live_bytes_) {
-                std::ostringstream os;
-                os << "live-byte ledger mismatch after death of object "
-                   << obj.id << ": heap reports "
-                   << vm_->heap().liveBytes() << " B, event ledger "
-                   << model_live_bytes_ << " B";
-                report("heap-conservation", os.str(), now);
-            }
+        }
+        model_live_bytes_ -= it->second;
+        live_.erase(it);
+        pending_dead_bytes_ += obj.size;
+        if (vm_ != nullptr &&
+            vm_->heap().liveBytes() != model_live_bytes_) {
+            std::ostringstream os;
+            os << "live-byte ledger mismatch after death of object "
+               << obj.id << ": heap reports "
+               << vm_->heap().liveBytes() << " B, event ledger "
+               << model_live_bytes_ << " B";
+            report("heap-conservation", os.str(), now);
         }
     }
-    if (config_.lifespan) {
-        ++checks_;
-        const Bytes clock = obj.birth_global_bytes + lifespan;
-        if (death_clock_.size() <= obj.owner)
-            death_clock_.resize(obj.owner + 1, 0);
-        if (clock < death_clock_[obj.owner]) {
-            std::ostringstream os;
-            os << "lifespan clock of owner thread " << obj.owner
-               << " ran backwards: object " << obj.id << " died at "
-               << clock << " allocated-bytes, after a death at "
-               << death_clock_[obj.owner];
-            report("lifespan-monotonic", os.str(), now);
-        } else {
-            death_clock_[obj.owner] = clock;
-        }
-        if (vm_ != nullptr &&
-            clock > vm_->heap().globalAllocatedBytes()) {
-            std::ostringstream os;
-            os << "object " << obj.id << " died at " << clock
-               << " allocated-bytes, beyond the global clock "
-               << vm_->heap().globalAllocatedBytes();
-            report("lifespan-monotonic", os.str(), now);
-        }
+    ++checks_;
+    const Bytes clock = obj.birth_global_bytes + lifespan;
+    if (death_clock_.size() <= obj.owner)
+        death_clock_.resize(obj.owner + 1, 0);
+    if (clock < death_clock_[obj.owner]) {
+        std::ostringstream os;
+        os << "lifespan clock of owner thread " << obj.owner
+           << " ran backwards: object " << obj.id << " died at "
+           << clock << " allocated-bytes, after a death at "
+           << death_clock_[obj.owner];
+        report("lifespan-monotonic", os.str(), now);
+    } else {
+        death_clock_[obj.owner] = clock;
+    }
+    if (vm_ != nullptr &&
+        clock > vm_->heap().globalAllocatedBytes()) {
+        std::ostringstream os;
+        os << "object " << obj.id << " died at " << clock
+           << " allocated-bytes, beyond the global clock "
+           << vm_->heap().globalAllocatedBytes();
+        report("lifespan-monotonic", os.str(), now);
     }
 }
 
@@ -341,8 +326,6 @@ OracleSuite::onMonitorAcquire(jvm::MutatorIndex thread,
                               Ticks now)
 {
     observeTime(now);
-    if (!config_.monitors)
-        return;
     MonitorModel &m = monitorModel(monitor);
     ++checks_;
     if (m.holder >= 0) {
@@ -471,8 +454,6 @@ OracleSuite::onMonitorWaiterPassivated(jvm::MutatorIndex thread,
                                        jvm::MonitorId monitor, Ticks now)
 {
     observeTime(now);
-    if (!config_.monitors)
-        return;
     MonitorModel &m = monitorModel(monitor);
     ++checks_;
     if (locks_.policy != jvm::LockPolicy::Malthusian &&
@@ -512,8 +493,6 @@ OracleSuite::onMonitorWaiterReactivated(jvm::MutatorIndex thread,
                                         Ticks now)
 {
     observeTime(now);
-    if (!config_.monitors)
-        return;
     MonitorModel &m = monitorModel(monitor);
     ++checks_;
     if (m.passive.empty() || m.passive.front().thread != thread) {
@@ -534,8 +513,6 @@ OracleSuite::onMonitorContended(jvm::MutatorIndex thread,
                                 jvm::MonitorId monitor, Ticks now)
 {
     observeTime(now);
-    if (!config_.monitors)
-        return;
     monitorModel(monitor).queue.push_back(thread);
 }
 
@@ -544,8 +521,6 @@ OracleSuite::onMonitorRelease(jvm::MutatorIndex thread,
                               jvm::MonitorId monitor, Ticks now)
 {
     observeTime(now);
-    if (!config_.monitors)
-        return;
     MonitorModel &m = monitorModel(monitor);
     ++checks_;
     if (m.holder != static_cast<std::int64_t>(thread)) {
@@ -564,8 +539,6 @@ OracleSuite::onMonitorWaiterCancelled(jvm::MutatorIndex thread,
                                       jvm::MonitorId monitor, Ticks now)
 {
     observeTime(now);
-    if (!config_.monitors)
-        return;
     MonitorModel &m = monitorModel(monitor);
     ++checks_;
     for (auto it = m.queue.begin(); it != m.queue.end(); ++it) {
@@ -594,8 +567,6 @@ void
 OracleSuite::onSafepointBegin(std::uint64_t sequence, Ticks now)
 {
     observeTime(now);
-    if (!config_.ordering)
-        return;
     ++checks_;
     if (safepoint_pending_) {
         std::ostringstream os;
@@ -614,34 +585,32 @@ OracleSuite::onSafepointReached(std::uint64_t sequence, Ticks ttsp,
                                 Ticks now)
 {
     observeTime(now);
-    if (config_.ordering) {
-        ++checks_;
-        if (safepoint_pending_) {
-            if (sequence != safepoint_seq_) {
-                std::ostringstream os;
-                os << "safepoint #" << sequence
-                   << " reached but #" << safepoint_seq_
-                   << " was requested";
-                report("event-ordering", os.str(), now);
-            }
-            if (ttsp != now - safepoint_begin_at_) {
-                std::ostringstream os;
-                os << "safepoint #" << sequence << " reports ttsp "
-                   << formatTicks(ttsp) << " but "
-                   << formatTicks(now - safepoint_begin_at_)
-                   << " elapsed since the request";
-                report("event-ordering", os.str(), now);
-            }
-        } else if (!world_stopped_) {
-            // Without a pending request, a reached event is only legal
-            // for a collection chained inside a still-stopped world
-            // (remark -> pending minor/full at one safepoint).
+    ++checks_;
+    if (safepoint_pending_) {
+        if (sequence != safepoint_seq_) {
             std::ostringstream os;
             os << "safepoint #" << sequence
-               << " reached without a request and outside a "
-               << "stop-the-world window";
+               << " reached but #" << safepoint_seq_
+               << " was requested";
             report("event-ordering", os.str(), now);
         }
+        if (ttsp != now - safepoint_begin_at_) {
+            std::ostringstream os;
+            os << "safepoint #" << sequence << " reports ttsp "
+               << formatTicks(ttsp) << " but "
+               << formatTicks(now - safepoint_begin_at_)
+               << " elapsed since the request";
+            report("event-ordering", os.str(), now);
+        }
+    } else if (!world_stopped_) {
+        // Without a pending request, a reached event is only legal
+        // for a collection chained inside a still-stopped world
+        // (remark -> pending minor/full at one safepoint).
+        std::ostringstream os;
+        os << "safepoint #" << sequence
+           << " reached without a request and outside a "
+           << "stop-the-world window";
+        report("event-ordering", os.str(), now);
     }
     safepoint_pending_ = false;
     at_safepoint_ = true;
@@ -652,14 +621,12 @@ OracleSuite::onGcStart(jvm::GcKind kind, std::uint64_t sequence, Ticks now)
 {
     (void)kind;
     observeTime(now);
-    if (config_.ordering) {
-        ++checks_;
-        if (in_gc_) {
-            std::ostringstream os;
-            os << "GC #" << sequence << " started while GC #" << gc_seq_
-               << " is still in progress";
-            report("event-ordering", os.str(), now);
-        }
+    ++checks_;
+    if (in_gc_) {
+        std::ostringstream os;
+        os << "GC #" << sequence << " started while GC #" << gc_seq_
+           << " is still in progress";
+        report("event-ordering", os.str(), now);
     }
     in_gc_ = true;
     gc_seq_ = sequence;
@@ -673,8 +640,6 @@ OracleSuite::onGcPhase(std::uint64_t sequence, jvm::GcKind kind,
                        const char *phase, Ticks begin, Ticks end)
 {
     (void)kind;
-    if (!config_.ordering)
-        return;
     ++checks_;
     if (!in_gc_ || sequence != gc_seq_) {
         std::ostringstream os;
@@ -700,32 +665,30 @@ void
 OracleSuite::onGcEnd(const jvm::GcEvent &event, Ticks now)
 {
     observeTime(now);
-    if (config_.ordering) {
-        ++checks_;
-        if (!in_gc_) {
+    ++checks_;
+    if (!in_gc_) {
+        std::ostringstream os;
+        os << "GC #" << event.sequence << " ended without starting";
+        report("event-ordering", os.str(), now);
+    } else {
+        if (event.safepoint_at != gc_started_at_) {
             std::ostringstream os;
-            os << "GC #" << event.sequence << " ended without starting";
+            os << "GC #" << event.sequence << " reports safepoint at "
+               << formatTicks(event.safepoint_at) << " but started at "
+               << formatTicks(gc_started_at_);
             report("event-ordering", os.str(), now);
-        } else {
-            if (event.safepoint_at != gc_started_at_) {
-                std::ostringstream os;
-                os << "GC #" << event.sequence << " reports safepoint at "
-                   << formatTicks(event.safepoint_at) << " but started at "
-                   << formatTicks(gc_started_at_);
-                report("event-ordering", os.str(), now);
-            }
-            if (phases_seen_ > 0 && phase_cursor_ != now) {
-                std::ostringstream os;
-                os << "GC #" << event.sequence << " phases end at "
-                   << formatTicks(phase_cursor_)
-                   << " but the collection finished at "
-                   << formatTicks(now)
-                   << " — phases must partition [safepoint, finish]";
-                report("event-ordering", os.str(), now);
-            }
+        }
+        if (phases_seen_ > 0 && phase_cursor_ != now) {
+            std::ostringstream os;
+            os << "GC #" << event.sequence << " phases end at "
+               << formatTicks(phase_cursor_)
+               << " but the collection finished at "
+               << formatTicks(now)
+               << " — phases must partition [safepoint, finish]";
+            report("event-ordering", os.str(), now);
         }
     }
-    if (config_.heap && reclaim_accounting_) {
+    if (reclaim_accounting_) {
         ++checks_;
         if (event.reclaimed_bytes > pending_dead_bytes_) {
             std::ostringstream os;
@@ -740,7 +703,7 @@ OracleSuite::onGcEnd(const jvm::GcEvent &event, Ticks now)
             pending_dead_bytes_ -= event.reclaimed_bytes;
         }
     }
-    if (config_.heap && config_.deep_heap_checks && vm_ != nullptr) {
+    if (vm_ != nullptr) {
         ++checks_;
         vm_->heap().checkInvariants();
     }
@@ -784,8 +747,6 @@ OracleSuite::onDispatch(const os::OsThread &t, machine::CoreId core,
     (void)overhead;
     (void)stolen;
     observeTime(now);
-    if (!config_.scheduler)
-        return;
     ++checks_;
     if (groupStopped(t.group())) {
         std::ostringstream os;
@@ -813,8 +774,6 @@ OracleSuite::onBurstEnd(const os::OsThread &t, machine::CoreId core,
 {
     (void)preempted;
     observeTime(now);
-    if (!config_.scheduler)
-        return;
     ++checks_;
     CoreModel &c = coreModel(core);
     if (c.running != static_cast<std::uint64_t>(t.id()) + 1) {
@@ -840,8 +799,6 @@ OracleSuite::onThreadState(const os::OsThread &t, os::ThreadState prev,
                            Ticks now)
 {
     observeTime(now);
-    if (!config_.scheduler)
-        return;
     // Foreign-group threads still obey the state machine and core
     // bookkeeping, but their ready waits span neighbours' pauses the
     // stop-credit model cannot see.
@@ -880,13 +837,11 @@ OracleSuite::onWorldStopRequested(std::uint32_t group, Ticks now)
     observeTime(now);
     if (group >= group_stopped_.size())
         group_stopped_.resize(group + 1, false);
-    if (config_.ordering) {
-        ++checks_;
-        if (group_stopped_[group]) {
-            std::ostringstream os;
-            os << "nested stop-the-world request for group " << group;
-            report("event-ordering", os.str(), now);
-        }
+    ++checks_;
+    if (group_stopped_[group]) {
+        std::ostringstream os;
+        os << "nested stop-the-world request for group " << group;
+        report("event-ordering", os.str(), now);
     }
     group_stopped_[group] = true;
     if (group == group_) {
@@ -903,14 +858,12 @@ void
 OracleSuite::onWorldResumed(std::uint32_t group, Ticks now)
 {
     observeTime(now);
-    if (config_.ordering) {
-        ++checks_;
-        if (!groupStopped(group)) {
-            std::ostringstream os;
-            os << "group " << group
-               << " resumed without a stop request";
-            report("event-ordering", os.str(), now);
-        }
+    ++checks_;
+    if (!groupStopped(group)) {
+        std::ostringstream os;
+        os << "group " << group
+           << " resumed without a stop request";
+        report("event-ordering", os.str(), now);
     }
     if (group < group_stopped_.size())
         group_stopped_[group] = false;
@@ -932,8 +885,6 @@ OracleSuite::onRequestArrival(std::uint32_t tenant, std::uint64_t request,
 {
     (void)tenant; // probes arrive on our own VM's chain only
     observeTime(now);
-    if (!config_.traffic)
-        return;
     ++checks_;
     RequestModel r;
     r.arrival = now;
@@ -952,8 +903,6 @@ OracleSuite::onRequestShed(std::uint32_t tenant, std::uint64_t request,
 {
     (void)tenant;
     observeTime(now);
-    if (!config_.traffic)
-        return;
     ++checks_;
     auto it = requests_.find(request);
     if (it == requests_.end()) {
@@ -985,8 +934,6 @@ OracleSuite::onRequestDispatched(std::uint32_t tenant,
 {
     (void)tenant;
     observeTime(now);
-    if (!config_.traffic)
-        return;
     ++checks_;
     auto it = requests_.find(request);
     if (it == requests_.end()) {
@@ -1037,8 +984,6 @@ OracleSuite::onRequestCompleted(std::uint32_t tenant,
 {
     (void)tenant;
     observeTime(now);
-    if (!config_.traffic)
-        return;
     ++checks_;
     auto it = requests_.find(request);
     if (it == requests_.end()) {
@@ -1088,56 +1033,48 @@ OracleSuite::onRequestCompleted(std::uint32_t tenant,
 void
 OracleSuite::finishRun(Ticks now)
 {
-    if (config_.latency)
-        profiler_.finishRun(now);
-    if (config_.heap) {
+    ++checks_;
+    if (!live_.empty()) {
+        std::ostringstream os;
+        os << live_.size() << " object(s) leaked (allocated but "
+           << "never died); first: object " << live_.begin()->first
+           << " of " << live_.begin()->second << " B";
+        report("heap-conservation", os.str(), now);
+    }
+    ++checks_;
+    if (world_stopped_)
+        report("event-ordering",
+               "run ended inside a stop-the-world window", now);
+    if (safepoint_pending_) {
+        std::ostringstream os;
+        os << "run ended with safepoint #" << safepoint_seq_
+           << " still pending";
+        report("event-ordering", os.str(), now);
+    }
+    if (in_gc_) {
+        std::ostringstream os;
+        os << "run ended with GC #" << gc_seq_ << " in progress";
+        report("event-ordering", os.str(), now);
+    }
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
         ++checks_;
-        if (!live_.empty()) {
+        // Helper/daemon bursts may be cut short by VM shutdown
+        // without a closing onBurstEnd; only a mutator left on a
+        // core marks a real accounting hole.
+        if (cores_[c].running != 0 && cores_[c].mutator) {
             std::ostringstream os;
-            os << live_.size() << " object(s) leaked (allocated but "
-               << "never died); first: object " << live_.begin()->first
-               << " of " << live_.begin()->second << " B";
-            report("heap-conservation", os.str(), now);
+            os << "run ended with thread " << (cores_[c].running - 1)
+               << " still running on core " << c;
+            report("sched-conservation", os.str(), now);
         }
     }
-    if (config_.ordering) {
-        ++checks_;
-        if (world_stopped_)
-            report("event-ordering",
-                   "run ended inside a stop-the-world window", now);
-        if (safepoint_pending_) {
-            std::ostringstream os;
-            os << "run ended with safepoint #" << safepoint_seq_
-               << " still pending";
-            report("event-ordering", os.str(), now);
-        }
-        if (in_gc_) {
-            std::ostringstream os;
-            os << "run ended with GC #" << gc_seq_ << " in progress";
-            report("event-ordering", os.str(), now);
+    for (std::size_t i = 0; i < threads_.size(); ++i) {
+        if (threads_[i].seen &&
+            threads_[i].state == os::ThreadState::Ready) {
+            checkReadyWait(i, now, false);
         }
     }
-    if (config_.scheduler) {
-        for (std::size_t c = 0; c < cores_.size(); ++c) {
-            ++checks_;
-            // Helper/daemon bursts may be cut short by VM shutdown
-            // without a closing onBurstEnd; only a mutator left on a
-            // core marks a real accounting hole.
-            if (cores_[c].running != 0 && cores_[c].mutator) {
-                std::ostringstream os;
-                os << "run ended with thread " << (cores_[c].running - 1)
-                   << " still running on core " << c;
-                report("sched-conservation", os.str(), now);
-            }
-        }
-        for (std::size_t i = 0; i < threads_.size(); ++i) {
-            if (threads_[i].seen &&
-                threads_[i].state == os::ThreadState::Ready) {
-                checkReadyWait(i, now, false);
-            }
-        }
-    }
-    if (config_.traffic && !requests_.empty()) {
+    if (!requests_.empty()) {
         ++checks_;
         std::uint64_t undispatched = 0;
         std::uint64_t incomplete = 0;
@@ -1163,15 +1100,13 @@ OracleSuite::finishRun(Ticks now)
             report("request-conservation", os.str(), now);
         }
     }
-    if (config_.monitors) {
-        for (std::size_t m = 0; m < monitors_.size(); ++m) {
-            ++checks_;
-            if (monitors_[m].holder >= 0) {
-                std::ostringstream os;
-                os << "run ended with monitor " << m
-                   << " still held by thread " << monitors_[m].holder;
-                report("monitor-exclusion", os.str(), now);
-            }
+    for (std::size_t m = 0; m < monitors_.size(); ++m) {
+        ++checks_;
+        if (monitors_[m].holder >= 0) {
+            std::ostringstream os;
+            os << "run ended with monitor " << m
+               << " still held by thread " << monitors_[m].holder;
+            report("monitor-exclusion", os.str(), now);
         }
     }
 }

@@ -63,13 +63,15 @@
 #include "jvm/locks/policy.hh"
 #include "jvm/runtime/listener.hh"
 #include "os/sched_listener.hh"
-#include "profile/profiler.hh"
 
 namespace jscale::jvm {
 class JavaVm;
 }
 namespace jscale::os {
 class Scheduler;
+}
+namespace jscale::profile {
+class TaskProfiler;
 }
 
 namespace jscale::check {
@@ -107,33 +109,13 @@ class OracleError : public AbortError
     InvariantViolation violation;
 };
 
-/** Which oracles are armed and how strictly they react. */
+/**
+ * How strictly the suite reacts. Every oracle is always armed; only
+ * the starvation check is gated, by attach(), on configurations where
+ * unbounded ready waits are legitimate.
+ */
 struct OracleConfig
 {
-    bool heap = true;
-    bool monitors = true;
-    bool scheduler = true;
-    bool lifespan = true;
-    bool ordering = true;
-    /**
-     * Latency conservation: attach a TaskProfiler and verify that every
-     * attributed task's wait-state buckets sum to its wall time exactly
-     * (integer sim-time, no slop).
-     */
-    bool latency = true;
-    /**
-     * Request conservation (open-loop traffic): per-request lifecycle
-     * ordering, shed-never-dispatched, one request in flight per
-     * worker, and service-window alignment against the latency
-     * profiler (window == [dispatch, completion] exactly). Inert on
-     * closed-loop runs — no request probes ever fire.
-     */
-    bool traffic = true;
-
-    /** Run Heap::checkInvariants() (deep O(objects) audit) at every
-     *  stop-the-world collection end. */
-    bool deep_heap_checks = true;
-
     /**
      * Arm the starvation-freedom check. attach() clears this on
      * configurations where unbounded ready waits are legitimate
@@ -175,9 +157,11 @@ class OracleSuite final : public jvm::RuntimeListener,
     /**
      * Subscribe to @p vm's runtime and scheduler probe chains and
      * self-configure gates from the VM/scheduler configuration
-     * (compartment mode, TLABs, scheduling policy).
+     * (compartment mode, TLABs, scheduling policy). The latency and
+     * request-conservation oracles add a task sink to @p profiler, the
+     * VM's attribution profiler, which must outlive the run.
      */
-    void attach(jvm::JavaVm &vm);
+    void attach(jvm::JavaVm &vm, profile::TaskProfiler &profiler);
 
     /** Unsubscribe (safe to call twice; the destructor calls it). */
     void detach();
@@ -368,10 +352,6 @@ class OracleSuite final : public jvm::RuntimeListener,
     jvm::JavaVm *vm_ = nullptr;
     const os::Scheduler *sched_ = nullptr;
     bool attached_ = false;
-
-    /** Latency-conservation oracle: an embedded attribution profiler
-     *  whose task sink reconciles bucket sums against wall time. */
-    profile::TaskProfiler profiler_;
 
     /** TLAB reservation makes reclaim exceed dead-object bytes. */
     bool reclaim_accounting_ = true;

@@ -17,6 +17,7 @@
 #include "fault/injector.hh"
 #include "fault/watchdog.hh"
 #include "os/policy.hh"
+#include "profile/ledger.hh"
 #include "profile/profiler.hh"
 #include "sim/event.hh"
 #include "sim/simulation.hh"
@@ -267,13 +268,29 @@ ExperimentRunner::executePlan(RunPlan &plan,
     vm_cfg.heap.capacity = plan.heap_capacity;
     jvm::JavaVm vm(sim, mach, sched, vm_cfg);
 
+    // The VM's one thread-state ledger and one attribution profiler,
+    // built only when a consumer is armed: the profiler feeds the blame
+    // summary, the latency oracle and the traffic engine; the ledger
+    // feeds the profiler and the timeline. Bare runs subscribe nothing.
+    const bool wants_profiler =
+        config_.profile || config_.oracles || !config_.arrivals.empty();
+    std::optional<profile::ThreadStateLedger> ledger;
+    std::optional<profile::TaskProfiler> profiler;
+    if (wants_profiler || !plan.timeline_file.empty()) {
+        ledger.emplace();
+        ledger->attach(vm);
+    }
+    if (wants_profiler) {
+        profiler.emplace();
+        profiler->attach(vm, *ledger);
+    }
+
     // Open-loop traffic: a seeded arrival process injects requests into
     // the engine's admission queue and workers serve them through an
     // accept loop, replacing the closed loop's pre-filled task pool.
-    // The engine is constructed first so its embedded service-window
-    // profiler sits ahead of the oracles on the probe chains (the
+    // The engine adds its task sink before the oracles do (the
     // request-conservation oracle relies on completion probes firing
-    // before its own profiler closes the window).
+    // before it sees the closed service window).
     std::unique_ptr<traffic::RequestModel> request_model;
     std::optional<traffic::TrafficEngine> engine;
     std::optional<traffic::OpenLoopApp> open_loop;
@@ -286,7 +303,7 @@ ExperimentRunner::executePlan(RunPlan &plan,
         request_model =
             traffic::makeRequestModel(app.appName(), err);
         jscale_assert(request_model != nullptr, err);
-        engine.emplace(vm, arrival);
+        engine.emplace(vm, arrival, *profiler);
         open_loop.emplace(*request_model, *engine);
     }
     jvm::ApplicationModel &run_app = open_loop ? *open_loop : app;
@@ -316,17 +333,7 @@ ExperimentRunner::executePlan(RunPlan &plan,
     std::optional<check::OracleSuite> oracles;
     if (config_.oracles) {
         oracles.emplace();
-        oracles->attach(vm);
-    }
-
-    // Wait-state attribution profiler: another pure observer on the
-    // probe chains. Its blame totals, histograms and slowest-task
-    // records land in RunResult::profile; the run's primary stats stay
-    // byte-identical to an unprofiled run.
-    std::optional<profile::TaskProfiler> profiler;
-    if (config_.profile) {
-        profiler.emplace();
-        profiler->attach(vm);
+        oracles->attach(vm, *profiler);
     }
 
     // Telemetry taps: a timeline recorder on the probe chains and/or a
@@ -344,7 +351,7 @@ ExperimentRunner::executePlan(RunPlan &plan,
                      artifact_errors)) {
         timeline.emplace(timeline_writer->stream());
         recorder.emplace(*timeline);
-        recorder->attach(vm);
+        recorder->attach(vm, *ledger);
         if (injector) {
             timeline->processName(telemetry::kFaultsPid, "faults");
             timeline->threadName(telemetry::kFaultsPid, 0, "injections");
@@ -378,10 +385,13 @@ ExperimentRunner::executePlan(RunPlan &plan,
         r.traffic = engine->summary();
     if (oracles)
         oracles->finishRun(sim.now());
-    if (profiler) {
+    // The profiler's blame totals, histograms and slowest-task records
+    // land in RunResult::profile; the run's primary stats stay
+    // byte-identical to an unprofiled run.
+    if (profiler)
         profiler->finishRun(sim.now());
+    if (config_.profile)
         r.profile = profiler->summary(config_.profile_topk);
-    }
     if (injector) {
         r.faults = injector->summary();
         r.faults.tasks_reassigned = vm.tasksReassigned();
@@ -392,7 +402,7 @@ ExperimentRunner::executePlan(RunPlan &plan,
     if (recorder) {
         recorder->finish(sim.now());
         recorder->detach();
-        if (profiler)
+        if (config_.profile)
             telemetry::emitProfileTracks(*timeline, r.profile, sim.now());
         timeline->finish();
         commitArtifact(timeline_writer, artifact_errors);
@@ -597,7 +607,8 @@ ExperimentRunner::runCustom(const AppFactory &factory,
 }
 
 std::vector<jvm::RunResult>
-ExperimentRunner::runTenants(const std::vector<traffic::TenantSpec> &specs)
+ExperimentRunner::runTenants(const std::vector<traffic::TenantSpec> &specs,
+                             const VmAttachHook &attach)
 {
     jscale_assert(!specs.empty(), "need at least one tenant");
     std::uint32_t total_threads = 0;
@@ -629,20 +640,15 @@ ExperimentRunner::runTenants(const std::vector<traffic::TenantSpec> &specs)
         jscale_assert(ok, err);
     }
 
-    // Per-tenant observers: each VM gets its own oracle suite and
-    // attribution profiler — the probe chains are per VM, so neighbour
-    // tenants are invisible to them apart from the shared scheduler
-    // stream (which both filter by scheduling group).
+    // Per-tenant oracle suites on each tenant's own profiler (the host
+    // owns one ledger and one profiler per VM) — the probe chains are
+    // per VM, so neighbour tenants are invisible to them apart from the
+    // shared scheduler stream (which both filter by scheduling group).
     std::vector<std::unique_ptr<check::OracleSuite>> oracles;
-    std::vector<std::unique_ptr<profile::TaskProfiler>> profilers;
-    for (std::size_t i = 0; i < host.tenantCount(); ++i) {
-        if (config_.oracles) {
+    if (config_.oracles) {
+        for (std::size_t i = 0; i < host.tenantCount(); ++i) {
             oracles.push_back(std::make_unique<check::OracleSuite>());
-            oracles.back()->attach(host.vm(i));
-        }
-        if (config_.profile) {
-            profilers.push_back(std::make_unique<profile::TaskProfiler>());
-            profilers.back()->attach(host.vm(i));
+            oracles.back()->attach(host.vm(i), host.profiler(i));
         }
     }
 
@@ -674,13 +680,18 @@ ExperimentRunner::runTenants(const std::vector<traffic::TenantSpec> &specs)
         sampler->start();
     }
 
+    if (attach) {
+        for (std::size_t i = 0; i < host.tenantCount(); ++i)
+            attach(host.vm(i));
+    }
     std::vector<jvm::RunResult> results = host.run();
 
     for (auto &suite : oracles)
         suite->finishRun(sim.now());
-    for (std::size_t i = 0; i < profilers.size(); ++i) {
-        profilers[i]->finishRun(sim.now());
-        results[i].profile = profilers[i]->summary(config_.profile_topk);
+    if (config_.profile) {
+        for (std::size_t i = 0; i < results.size(); ++i)
+            results[i].profile =
+                host.profiler(i).summary(config_.profile_topk);
     }
     if (sampler) {
         sampler->finish(sim.now());

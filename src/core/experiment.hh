@@ -226,10 +226,12 @@ class ExperimentRunner
      * ignored here — every tenant carries its own). Cores enabled =
      * sum of tenant threads, clipped to the machine. Heaps are sized
      * per tenant app exactly like runApp. Returns one result per
-     * tenant, in spec order, traffic summaries filled.
+     * tenant, in spec order, traffic summaries filled. @p attach runs
+     * on every tenant's VM once its observers are attached.
      */
     std::vector<jvm::RunResult>
-    runTenants(const std::vector<traffic::TenantSpec> &specs);
+    runTenants(const std::vector<traffic::TenantSpec> &specs,
+               const VmAttachHook &attach = {});
 
     /** Sweep an app over thread counts. */
     std::vector<jvm::RunResult>

@@ -6,14 +6,19 @@
 
 namespace jscale::profile {
 
+TaskProfiler::~TaskProfiler()
+{
+    detach();
+}
+
 void
-TaskProfiler::attach(jvm::JavaVm &vm)
+TaskProfiler::attach(jvm::JavaVm &vm, ThreadStateLedger &ledger)
 {
     jscale_assert(vm_ == nullptr, "profiler already attached");
     vm_ = &vm;
-    group_ = vm.config().tenant;
+    ledger_ = &ledger;
     vm.listeners().add(this);
-    vm.scheduler().listeners().add(this);
+    ledger.subscribe(this);
 }
 
 void
@@ -22,8 +27,9 @@ TaskProfiler::detach()
     if (vm_ == nullptr)
         return;
     vm_->listeners().remove(this);
-    vm_->scheduler().listeners().remove(this);
+    ledger_->unsubscribe(this);
     vm_ = nullptr;
+    ledger_ = nullptr;
 }
 
 TaskProfiler::MutatorState &
@@ -35,60 +41,34 @@ TaskProfiler::state(jvm::MutatorIndex idx)
 }
 
 void
-TaskProfiler::switchBucket(MutatorState &m, jvm::WaitBucket next,
-                           Ticks now)
+TaskProfiler::charge(MutatorState &m, const LedgerEntry &seg, Ticks end,
+                     bool lock_ends)
 {
-    const Ticks span = now - m.seg_since;
-    const auto cur = static_cast<std::size_t>(m.bucket);
-    m.buckets[cur] += span;
-    if (m.bucket == jvm::WaitBucket::Lock) {
-        auto &[wait, blocks] = lock_waits_[m.block_monitor];
+    const Ticks span = end - m.seg_since;
+    m.buckets[static_cast<std::size_t>(seg.bucket)] += span;
+    if (seg.bucket == jvm::WaitBucket::Lock) {
+        auto &[wait, blocks] = lock_waits_[seg.monitor];
         wait += span;
-        if (next != jvm::WaitBucket::Lock)
+        if (lock_ends)
             ++blocks;
     }
-    m.seg_since = now;
-    m.bucket = next;
-}
-
-jvm::WaitBucket
-TaskProfiler::readyBucket() const
-{
-    switch (stw_) {
-      case StwPhase::Stopping: return jvm::WaitBucket::Ttsp;
-      case StwPhase::Paused: return jvm::WaitBucket::GcStw;
-      case StwPhase::Running: break;
-    }
-    return jvm::WaitBucket::RunQueue;
+    m.seg_since = end;
 }
 
 void
-TaskProfiler::reclassifyReady(Ticks now)
+TaskProfiler::restartWindow(MutatorState &m, Ticks now)
 {
-    const jvm::WaitBucket next = readyBucket();
-    for (MutatorState &m : mutators_) {
-        if (!m.live || m.finished)
-            continue;
-        switch (m.bucket) {
-          case jvm::WaitBucket::RunQueue:
-          case jvm::WaitBucket::Ttsp:
-          case jvm::WaitBucket::GcStw:
-            switchBucket(m, next, now);
-            break;
-          default:
-            break;
-        }
-    }
+    m.task_start = now;
+    std::fill(std::begin(m.buckets), std::end(m.buckets), 0);
 }
 
 void
 TaskProfiler::discardWindow(MutatorState &m, Ticks now)
 {
-    switchBucket(m, m.bucket, now);
     if (now > m.task_start)
         ++tasks_discarded_;
-    m.task_start = now;
-    std::fill(std::begin(m.buckets), std::end(m.buckets), 0);
+    restartWindow(m, now);
+    m.finished = true;
 }
 
 void
@@ -96,9 +76,8 @@ TaskProfiler::onThreadStart(jvm::MutatorIndex thread, Ticks now)
 {
     MutatorState &m = state(thread);
     m.live = true;
-    m.task_start = now;
     m.seg_since = now;
-    m.bucket = jvm::WaitBucket::RunQueue;
+    restartWindow(m, now);
 }
 
 void
@@ -107,8 +86,8 @@ TaskProfiler::onThreadFinish(jvm::MutatorIndex thread, Ticks now)
     MutatorState &m = state(thread);
     if (!m.live || m.finished)
         return;
+    charge(m, ledger_->entry(thread), now, /*lock_ends=*/false);
     discardWindow(m, now);
-    m.finished = true;
 }
 
 void
@@ -118,7 +97,7 @@ TaskProfiler::onTaskEnd(jvm::MutatorIndex thread, std::uint64_t task,
     MutatorState &m = state(thread);
     if (!m.live || m.finished)
         return;
-    switchBucket(m, m.bucket, now); // close the open segment
+    charge(m, ledger_->entry(thread), now, /*lock_ends=*/false);
 
     jvm::SlowTaskRecord rec;
     rec.task = task;
@@ -135,8 +114,8 @@ TaskProfiler::onTaskEnd(jvm::MutatorIndex thread, std::uint64_t task,
         bucket_hist_[i].add(m.buckets[i]);
     }
 
-    if (sink_)
-        sink_(rec);
+    for (const TaskSink &sink : sinks_)
+        sink(rec);
 
     // Keep the slowest records, wall-time descending, sequence-number
     // ascending on ties — a total order, so retention is deterministic.
@@ -152,143 +131,24 @@ TaskProfiler::onTaskEnd(jvm::MutatorIndex thread, std::uint64_t task,
     if (slowest_.size() > kSlowKeep)
         slowest_.resize(kSlowKeep);
 
-    // Open the next window.
-    m.task_start = now;
-    std::fill(std::begin(m.buckets), std::end(m.buckets), 0);
+    restartWindow(m, now);
 }
 
 void
-TaskProfiler::onMonitorContended(jvm::MutatorIndex thread,
-                                 jvm::MonitorId monitor, Ticks now)
+TaskProfiler::onSegment(const os::OsThread &t, const LedgerEntry &closed,
+                        const LedgerEntry &next, SegmentEnd why)
 {
-    MutatorState &m = state(thread);
-    if (!m.live || m.finished)
-        return;
-    if (m.bucket == jvm::WaitBucket::Waitset) {
-        // notify() moved the thread from the wait set to the acquire
-        // queue while it stays Blocked: reclassify mid-block.
-        switchBucket(m, jvm::WaitBucket::Lock, now);
-        m.block_monitor = monitor;
-        return;
-    }
-    m.pending = Cause::Lock;
-    m.pending_monitor = monitor;
-}
-
-void
-TaskProfiler::onMonitorWaitParked(jvm::MutatorIndex thread,
-                                  jvm::MonitorId monitor, Ticks now)
-{
-    (void)now;
-    MutatorState &m = state(thread);
-    m.pending = Cause::Waitset;
-    m.pending_monitor = monitor;
-}
-
-void
-TaskProfiler::onChannelBlocked(jvm::MutatorIndex thread,
-                               jvm::ChannelId channel, Ticks now)
-{
-    (void)channel; (void)now;
-    state(thread).pending = Cause::Channel;
-}
-
-void
-TaskProfiler::onGcWaitBegin(jvm::MutatorIndex thread, bool local,
-                            Ticks now)
-{
-    (void)local; (void)now;
-    state(thread).pending = Cause::AllocStall;
-}
-
-void
-TaskProfiler::onAdmissionParked(jvm::MutatorIndex thread, Ticks now)
-{
-    (void)now;
-    state(thread).pending = Cause::Governor;
-}
-
-void
-TaskProfiler::onSafepointReached(std::uint64_t sequence, Ticks ttsp,
-                                 Ticks now)
-{
-    (void)sequence; (void)ttsp;
-    stw_ = StwPhase::Paused;
-    reclassifyReady(now);
-}
-
-void
-TaskProfiler::onThreadState(const os::OsThread &t, os::ThreadState prev,
-                            Ticks now)
-{
-    (void)prev;
-    if (t.kind() != os::ThreadKind::Mutator || t.group() != group_)
+    (void)why;
+    if (t.kind() != os::ThreadKind::Mutator)
         return;
     MutatorState &m = state(static_cast<jvm::MutatorIndex>(t.localId()));
     if (!m.live || m.finished)
         return;
-
-    jvm::WaitBucket next;
-    switch (t.state()) {
-      case os::ThreadState::Running:
-        next = jvm::WaitBucket::Cpu;
-        break;
-      case os::ThreadState::Ready:
-        next = readyBucket();
-        break;
-      case os::ThreadState::Blocked:
-        switch (m.pending) {
-          case Cause::Lock:
-            next = jvm::WaitBucket::Lock;
-            m.block_monitor = m.pending_monitor;
-            break;
-          case Cause::Waitset: next = jvm::WaitBucket::Waitset; break;
-          case Cause::Channel: next = jvm::WaitBucket::Channel; break;
-          case Cause::AllocStall:
-            next = jvm::WaitBucket::AllocStall;
-            break;
-          case Cause::Governor: next = jvm::WaitBucket::Governor; break;
-          case Cause::None: next = jvm::WaitBucket::Other; break;
-          default: next = jvm::WaitBucket::Other; break;
-        }
-        m.pending = Cause::None;
-        break;
-      case os::ThreadState::Sleeping:
-        // A local (compartment) collection parks its requester in a
-        // timed sleep; anything else sleeping is a generic stall.
-        next = m.pending == Cause::AllocStall
-                   ? jvm::WaitBucket::AllocStall
-                   : jvm::WaitBucket::Stall;
-        m.pending = Cause::None;
-        break;
-      case os::ThreadState::Finished:
-        discardWindow(m, now);
-        m.finished = true;
-        return;
-      case os::ThreadState::New:
-        return;
-      default:
-        return;
-    }
-    switchBucket(m, next, now);
-}
-
-void
-TaskProfiler::onWorldStopRequested(std::uint32_t group, Ticks now)
-{
-    if (group != group_)
-        return;
-    stw_ = StwPhase::Stopping;
-    reclassifyReady(now);
-}
-
-void
-TaskProfiler::onWorldResumed(std::uint32_t group, Ticks now)
-{
-    if (group != group_)
-        return;
-    stw_ = StwPhase::Running;
-    reclassifyReady(now);
+    const bool finished = next.state == os::ThreadState::Finished;
+    charge(m, closed, next.since,
+           !finished && next.bucket != jvm::WaitBucket::Lock);
+    if (finished)
+        discardWindow(m, next.since);
 }
 
 void
@@ -300,23 +160,23 @@ TaskProfiler::onRequestDispatched(std::uint32_t tenant,
     MutatorState &m = state(thread);
     if (!m.live || m.finished)
         return;
-    // Close the open segment, drop the accumulated prelude (queueing,
-    // charged by the traffic engine) and restart the window here. The
-    // current classification carries over: the thread is on-CPU fetching
-    // its next action, so the segment from `now` accumulates as Cpu.
-    switchBucket(m, m.bucket, now);
-    m.task_start = now;
-    std::fill(std::begin(m.buckets), std::end(m.buckets), 0);
+    // Drop the accumulated prelude (queueing, charged by the traffic
+    // engine) and restart the window here; the open segment (on-CPU,
+    // fetching the next action) carries into the new window.
+    charge(m, ledger_->entry(thread), now, /*lock_ends=*/false);
+    restartWindow(m, now);
 }
 
 void
 TaskProfiler::finishRun(Ticks now)
 {
-    for (MutatorState &m : mutators_) {
+    for (std::size_t i = 0; i < mutators_.size(); ++i) {
+        MutatorState &m = mutators_[i];
         if (!m.live || m.finished)
             continue;
+        charge(m, ledger_->entry(static_cast<jvm::MutatorIndex>(i)), now,
+               /*lock_ends=*/false);
         discardWindow(m, now);
-        m.finished = true;
     }
 }
 

@@ -1,22 +1,25 @@
 /**
  * @file
- * TaskProfiler: per-task latency attribution over the probe chains.
+ * TaskProfiler: per-task latency attribution over the thread-state
+ * ledger.
  *
- * Rides the RuntimeListener and SchedulerListener chains as a pure
- * observer — the runtime pays nothing when no profiler is attached and
- * never branches on profiling state. Every mutator's timeline is cut
- * into contiguous segments, each classified into one WaitBucket from
- * the thread's scheduler state plus the most recent cause probe
- * (monitor contention, wait-set park, channel block, GC wait,
- * admission park). Segments are closed and re-opened on every
- * classification change, so the buckets of one task window sum to the
- * window's wall time *by construction* — an integer-exact invariant
- * the check layer's latency-conservation oracle enforces.
+ * A pure observer — the runtime pays nothing when no profiler is
+ * attached and never branches on profiling state. The classification
+ * itself is the VM's ThreadStateLedger: every mutator's timeline
+ * arrives as contiguous ledger segments, each carrying one WaitBucket.
+ * The profiler only cuts them into task windows and aggregates, so the
+ * buckets of one task window sum to the window's wall time *by
+ * construction* — an integer-exact invariant the check layer's
+ * latency-conservation oracle enforces.
  *
  * Task windows run from thread start (or the previous TaskDone) to the
  * next TaskDone. The epilogue after a thread's last task and the
  * in-flight window of a killed mutator are discarded (counted in
  * tasks_discarded), never attributed.
+ *
+ * One profiler serves a whole VM: the harness's blame summary, the
+ * latency oracle and the traffic engine's service decomposition all
+ * hang task sinks off the same instance.
  */
 
 #ifndef JSCALE_PROFILE_PROFILER_HH
@@ -30,37 +33,40 @@
 #include "base/units.hh"
 #include "jvm/runtime/listener.hh"
 #include "jvm/runtime/vm.hh"
-#include "os/sched_listener.hh"
+#include "profile/ledger.hh"
 
 namespace jscale::profile {
 
 /**
- * The attribution observer. Construct, attach(vm) before run(), call
- * finishRun() after, then read summary(). One profiler observes one
- * run, like the tracer and lock profiler it sits beside.
+ * The attribution observer. Construct, attach(vm, ledger) before
+ * run(), call finishRun() after, then read summary(). One profiler
+ * observes one VM's run.
  */
-class TaskProfiler : public jvm::RuntimeListener,
-                     public os::SchedulerListener
+class TaskProfiler : public jvm::RuntimeListener, public SegmentListener
 {
   public:
-    TaskProfiler() = default;
+    using TaskSink = std::function<void(const jvm::SlowTaskRecord &)>;
 
-    /** Subscribe to @p vm's runtime + scheduler probe chains. */
-    void attach(jvm::JavaVm &vm);
+    TaskProfiler() = default;
+    ~TaskProfiler() override;
+
+    TaskProfiler(const TaskProfiler &) = delete;
+    TaskProfiler &operator=(const TaskProfiler &) = delete;
+
+    /** Subscribe to @p vm's runtime chain and to @p ledger, the VM's
+     *  thread-state ledger (which must outlive the subscription). */
+    void attach(jvm::JavaVm &vm, ThreadStateLedger &ledger);
 
     /** Unsubscribe (safe to call repeatedly). */
     void detach();
 
     /**
-     * Install a per-task callback, fired at every attributed task
+     * Add a per-task callback, fired at every attributed task
      * completion with the task's full bucket breakdown — the hook the
-     * conservation oracle and telemetry counter tracks ride.
+     * conservation oracle and the traffic engine ride. Sinks run in
+     * the order they were added.
      */
-    void
-    setTaskSink(std::function<void(const jvm::SlowTaskRecord &)> sink)
-    {
-        sink_ = std::move(sink);
-    }
+    void addTaskSink(TaskSink sink) { sinks_.push_back(std::move(sink)); }
 
     /** Close any open windows (end of run; open windows discard). */
     void finishRun(Ticks now);
@@ -68,23 +74,12 @@ class TaskProfiler : public jvm::RuntimeListener,
     /** Aggregate results; @p topk bounds the slowest-task list. */
     jvm::ProfileSummary summary(std::uint32_t topk = 5) const;
 
-    /** @name RuntimeListener probes (cause + task boundaries) */
+    /** @name RuntimeListener probes (task-window cuts) */
     /** @{ */
     void onThreadStart(jvm::MutatorIndex thread, Ticks now) override;
     void onThreadFinish(jvm::MutatorIndex thread, Ticks now) override;
     void onTaskEnd(jvm::MutatorIndex thread, std::uint64_t task,
                    Ticks now) override;
-    void onMonitorContended(jvm::MutatorIndex thread,
-                            jvm::MonitorId monitor, Ticks now) override;
-    void onMonitorWaitParked(jvm::MutatorIndex thread,
-                             jvm::MonitorId monitor, Ticks now) override;
-    void onChannelBlocked(jvm::MutatorIndex thread,
-                          jvm::ChannelId channel, Ticks now) override;
-    void onGcWaitBegin(jvm::MutatorIndex thread, bool local,
-                       Ticks now) override;
-    void onAdmissionParked(jvm::MutatorIndex thread, Ticks now) override;
-    void onSafepointReached(std::uint64_t sequence, Ticks ttsp,
-                            Ticks now) override;
     /**
      * Open-loop request pickup: restart the serving thread's window at
      * the dispatch stamp, so the window closed by the next TaskDone
@@ -98,68 +93,38 @@ class TaskProfiler : public jvm::RuntimeListener,
                              Ticks now) override;
     /** @} */
 
-    /** @name SchedulerListener probes (state machine + STW phases)
-     * All filtered to the attached VM's scheduling group: co-hosted
-     * tenants' threads and safepoints are invisible to this profiler.
-     */
-    /** @{ */
-    void onThreadState(const os::OsThread &t, os::ThreadState prev,
-                       Ticks now) override;
-    void onWorldStopRequested(std::uint32_t group, Ticks now) override;
-    void onWorldResumed(std::uint32_t group, Ticks now) override;
-    /** @} */
+    /** A ledger segment closed: charge it to the mutator's window. */
+    void onSegment(const os::OsThread &t, const LedgerEntry &closed,
+                   const LedgerEntry &next, SegmentEnd why) override;
 
   private:
-    /** Cause probes remembered until the matching Blocked/Sleeping
-     *  transition consumes them. */
-    enum class Cause : std::uint8_t
-    {
-        None,
-        Lock,
-        Waitset,
-        Channel,
-        AllocStall,
-        Governor,
-    };
-
-    /** Global stop-the-world progress, for classifying Ready time. */
-    enum class StwPhase : std::uint8_t { Running, Stopping, Paused };
-
     struct MutatorState
     {
         bool live = false;
         bool finished = false;
         /** Start of the current task window. */
         Ticks task_start = 0;
-        /** Start of the current (open) segment. */
+        /** Where the open ledger segment's charge starts: its opening
+         *  or the last window cut, whichever is later. */
         Ticks seg_since = 0;
-        /** Classification of the open segment. */
-        jvm::WaitBucket bucket = jvm::WaitBucket::RunQueue;
-        /** Pending block cause announced by the runtime probes. */
-        Cause pending = Cause::None;
-        jvm::MonitorId pending_monitor = 0;
-        /** Monitor charged while the open segment is Lock. */
-        jvm::MonitorId block_monitor = 0;
         /** Per-bucket accumulation of the current window. */
         Ticks buckets[jvm::kWaitBucketCount] = {};
     };
 
     MutatorState &state(jvm::MutatorIndex idx);
 
-    /** Close the open segment at @p now and reclassify to @p next. */
-    void switchBucket(MutatorState &m, jvm::WaitBucket next, Ticks now);
+    /** Charge @p seg from the last cut to @p end; @p lock_ends counts
+     *  one finished block on its monitor. */
+    void charge(MutatorState &m, const LedgerEntry &seg, Ticks end,
+                bool lock_ends);
 
-    /** Bucket for Ready time under the current STW phase. */
-    jvm::WaitBucket readyBucket() const;
+    /** Start @p m's next task window at @p now. */
+    void restartWindow(MutatorState &m, Ticks now);
 
-    /** Re-classify every thread currently in a Ready-class bucket. */
-    void reclassifyReady(Ticks now);
-
-    /** Close the window of @p m at @p now without attributing it. */
+    /** Drop @p m's charged window unattributed; attribution stops. */
     void discardWindow(MutatorState &m, Ticks now);
 
     std::vector<MutatorState> mutators_;
-    StwPhase stw_ = StwPhase::Running;
 
     std::uint64_t tasks_ = 0;
     std::uint64_t tasks_discarded_ = 0;
@@ -173,10 +138,9 @@ class TaskProfiler : public jvm::RuntimeListener,
     /** Bound on slowest_ retention (generous; summary() trims to K). */
     static constexpr std::size_t kSlowKeep = 64;
 
-    std::function<void(const jvm::SlowTaskRecord &)> sink_;
+    std::vector<TaskSink> sinks_;
     jvm::JavaVm *vm_ = nullptr;
-    /** The attached VM's scheduling group (tenant); set by attach(). */
-    std::uint32_t group_ = 0;
+    ThreadStateLedger *ledger_ = nullptr;
 };
 
 } // namespace jscale::profile

@@ -1,9 +1,37 @@
 #include "telemetry/recorder.hh"
 
+#include <utility>
+
 #include "jvm/runtime/vm.hh"
 #include "os/scheduler.hh"
 
 namespace jscale::telemetry {
+
+namespace {
+
+/** Span name of ledger entry @p e; nullptr when no span is shown. */
+const char *
+spanLabel(const profile::LedgerEntry &e)
+{
+    switch (e.state) {
+      case os::ThreadState::Running:
+        return "running";
+      case os::ThreadState::Ready:
+        return e.bucket == jvm::WaitBucket::RunQueue ? "ready-wait"
+                                                     : "at-safepoint";
+      case os::ThreadState::Blocked:
+        return e.bucket == jvm::WaitBucket::Lock ? "lock-blocked"
+                                                 : "blocked";
+      case os::ThreadState::Sleeping:
+        return "sleeping";
+      case os::ThreadState::New:
+      case os::ThreadState::Finished:
+        break;
+    }
+    return nullptr;
+}
+
+} // namespace
 
 TelemetryRecorder::TelemetryRecorder(Timeline &timeline)
     : timeline_(timeline)
@@ -22,12 +50,15 @@ TelemetryRecorder::~TelemetryRecorder()
 }
 
 void
-TelemetryRecorder::attach(jvm::JavaVm &vm)
+TelemetryRecorder::attach(jvm::JavaVm &vm,
+                          profile::ThreadStateLedger &ledger)
 {
     detach();
     vm_ = &vm;
+    ledger_ = &ledger;
     vm_->listeners().add(this);
     vm_->scheduler().listeners().add(this);
+    ledger.subscribe(this);
 }
 
 void
@@ -37,7 +68,9 @@ TelemetryRecorder::detach()
         return;
     vm_->listeners().remove(this);
     vm_->scheduler().listeners().remove(this);
+    ledger_->unsubscribe(this);
     vm_ = nullptr;
+    ledger_ = nullptr;
 }
 
 TelemetryRecorder::ThreadTrack &
@@ -66,17 +99,14 @@ TelemetryRecorder::coreTrack(machine::CoreId core)
 void
 TelemetryRecorder::closeState(ThreadTrack &tr, Ticks now)
 {
-    if (!tr.open) {
-        return;
-    }
-    tr.open = false;
-    if (now == tr.since)
-        return; // zero-length state; skip the noise
+    const char *label = std::exchange(tr.label, nullptr);
+    if (label == nullptr || now == tr.since)
+        return; // nothing open, or a zero-length state (skip the noise)
     TraceArgs args;
     if (tr.monitor != kNoMonitor)
         args.push_back(
             targ("monitor", static_cast<std::uint64_t>(tr.monitor)));
-    timeline_.span(kThreadsPid, tr.tid, tr.label, "state", tr.since, now,
+    timeline_.span(kThreadsPid, tr.tid, label, "state", tr.since, now,
                    args);
 }
 
@@ -131,90 +161,26 @@ TelemetryRecorder::onMigrate(const os::OsThread &t, machine::CoreId from,
 }
 
 void
-TelemetryRecorder::onThreadState(const os::OsThread &t,
-                                 os::ThreadState prev, Ticks now)
+TelemetryRecorder::onSegment(const os::OsThread &t,
+                             const profile::LedgerEntry &closed,
+                             const profile::LedgerEntry &next,
+                             profile::SegmentEnd why)
 {
-    (void)prev;
+    (void)closed;
     ThreadTrack &tr = threadTrack(t);
-    std::string label;
-    std::uint32_t monitor = kNoMonitor;
-    switch (t.state()) {
-      case os::ThreadState::Running:
-        label = "running";
-        break;
-      case os::ThreadState::Ready:
-        label = in_safepoint_ ? "at-safepoint" : "ready-wait";
-        break;
-      case os::ThreadState::Blocked: {
-        label = "blocked";
-        if (t.kind() == os::ThreadKind::Mutator) {
-            // Mutators are registered first, so ThreadId == MutatorIndex.
-            const auto it = pending_monitor_.find(
-                static_cast<jvm::MutatorIndex>(t.id()));
-            if (it != pending_monitor_.end()) {
-                label = "lock-blocked";
-                monitor = it->second;
-                pending_monitor_.erase(it);
-            }
-        }
-        break;
-      }
-      case os::ThreadState::Sleeping:
-        label = "sleeping";
-        break;
-      case os::ThreadState::New:
-      case os::ThreadState::Finished:
-        break;
-    }
-    closeState(tr, now);
-    if (label.empty())
+    const char *label = spanLabel(next);
+    const std::uint32_t monitor =
+        next.bucket == jvm::WaitBucket::Lock ? next.monitor : kNoMonitor;
+    // A reclassification that keeps the label (time-to-safepoint turning
+    // into the pause) continues the open span. spanLabel returns one
+    // pointer per label, so pointers compare as labels.
+    if (why == profile::SegmentEnd::Reclassify && tr.label == label &&
+        tr.monitor == monitor)
         return;
-    tr.label = std::move(label);
-    tr.since = now;
-    tr.open = true;
+    closeState(tr, next.since);
+    tr.label = label;
+    tr.since = next.since;
     tr.monitor = monitor;
-}
-
-void
-TelemetryRecorder::onWorldStopRequested(Ticks now)
-{
-    in_safepoint_ = true;
-    // Threads already queued keep waiting through the safepoint; relabel
-    // the remainder of their wait so safepoint time is visible per thread.
-    for (auto &[id, tr] : threads_) {
-        (void)id;
-        if (tr.open && tr.label == "ready-wait") {
-            closeState(tr, now);
-            tr.label = "at-safepoint";
-            tr.since = now;
-            tr.open = true;
-            tr.monitor = kNoMonitor;
-        }
-    }
-}
-
-void
-TelemetryRecorder::onWorldResumed(Ticks now)
-{
-    in_safepoint_ = false;
-    for (auto &[id, tr] : threads_) {
-        (void)id;
-        if (tr.open && tr.label == "at-safepoint") {
-            closeState(tr, now);
-            tr.label = "ready-wait";
-            tr.since = now;
-            tr.open = true;
-            tr.monitor = kNoMonitor;
-        }
-    }
-}
-
-void
-TelemetryRecorder::onMonitorContended(jvm::MutatorIndex thread,
-                                      jvm::MonitorId monitor, Ticks now)
-{
-    (void)now;
-    pending_monitor_[thread] = monitor;
 }
 
 void

@@ -4,16 +4,19 @@
  * a Chrome-trace timeline.
  *
  * The recorder subscribes to both probe chains (jvm::RuntimeListener and
- * os::SchedulerListener) and emits three track groups:
+ * os::SchedulerListener) plus the VM's profile::ThreadStateLedger, and
+ * emits three track groups:
  *
  *  - pid 1 "cores":   one track per core. CPU bursts as spans named by
  *    the thread that ran (with dispatch overhead / steal / preempt
  *    args), idle gaps as explicit "idle" spans, migrations and
  *    preemptions as instants.
- *  - pid 2 "threads": one track per OS thread. Contiguous state spans:
- *    running, ready-wait, at-safepoint (ready while a stop-the-world is
- *    in progress), lock-blocked (with the contended monitor id),
- *    blocked, sleeping.
+ *  - pid 2 "threads": one track per OS thread. Contiguous state spans,
+ *    rendered from the ledger's segments: running, ready-wait,
+ *    at-safepoint (ready while a stop-the-world is in progress),
+ *    lock-blocked (in a monitor's acquire queue, with the contended
+ *    monitor id), blocked (any other block, the wait set included),
+ *    sleeping.
  *  - pid 3 "vm":      safepoint bring-to-stop spans (track 0), GC
  *    umbrella + component-phase spans (track 1), concurrent-mark cycle
  *    spans (track 2).
@@ -34,6 +37,7 @@
 #include "base/units.hh"
 #include "jvm/runtime/listener.hh"
 #include "os/sched_listener.hh"
+#include "profile/ledger.hh"
 #include "telemetry/timeline.hh"
 
 namespace jscale::jvm {
@@ -65,7 +69,8 @@ enum VmTrack : std::uint32_t
  * VM before run(), call finish() with the run end time afterwards.
  */
 class TelemetryRecorder : public jvm::RuntimeListener,
-                          public os::SchedulerListener
+                          public os::SchedulerListener,
+                          public profile::SegmentListener
 {
   public:
     explicit TelemetryRecorder(Timeline &timeline);
@@ -74,8 +79,9 @@ class TelemetryRecorder : public jvm::RuntimeListener,
     TelemetryRecorder(const TelemetryRecorder &) = delete;
     TelemetryRecorder &operator=(const TelemetryRecorder &) = delete;
 
-    /** Subscribe to @p vm's runtime and scheduler probe chains. */
-    void attach(jvm::JavaVm &vm);
+    /** Subscribe to @p vm's runtime and scheduler probe chains and to
+     *  @p ledger, the VM's thread-state ledger. */
+    void attach(jvm::JavaVm &vm, profile::ThreadStateLedger &ledger);
 
     /** Unsubscribe (idempotent; also run by the destructor). */
     void detach();
@@ -87,8 +93,6 @@ class TelemetryRecorder : public jvm::RuntimeListener,
      */
     void finish(Ticks end);
 
-    Timeline &timeline() { return timeline_; }
-
     /** @name os::SchedulerListener */
     /** @{ */
     void onDispatch(const os::OsThread &t, machine::CoreId core,
@@ -97,16 +101,15 @@ class TelemetryRecorder : public jvm::RuntimeListener,
                     Ticks started, bool preempted, Ticks now) override;
     void onMigrate(const os::OsThread &t, machine::CoreId from,
                    machine::CoreId to, Ticks now) override;
-    void onThreadState(const os::OsThread &t, os::ThreadState prev,
-                       Ticks now) override;
-    void onWorldStopRequested(Ticks now) override;
-    void onWorldResumed(Ticks now) override;
     /** @} */
+
+    /** A ledger segment closed: close its span, open the next one. */
+    void onSegment(const os::OsThread &t, const profile::LedgerEntry &closed,
+                   const profile::LedgerEntry &next,
+                   profile::SegmentEnd why) override;
 
     /** @name jvm::RuntimeListener */
     /** @{ */
-    void onMonitorContended(jvm::MutatorIndex thread,
-                            jvm::MonitorId monitor, Ticks now) override;
     void onSafepointReached(std::uint64_t sequence, Ticks ttsp,
                             Ticks now) override;
     void onGcPhase(std::uint64_t sequence, jvm::GcKind kind,
@@ -135,9 +138,9 @@ class TelemetryRecorder : public jvm::RuntimeListener,
     struct ThreadTrack
     {
         os::ThreadId tid = 0;
-        std::string label;
+        /** Span name; nullptr while no span is open. */
+        const char *label = nullptr;
         Ticks since = 0;
-        bool open = false;
         /** Monitor id attached to the current lock-blocked span. */
         std::uint32_t monitor = kNoMonitor;
     };
@@ -157,26 +160,18 @@ class TelemetryRecorder : public jvm::RuntimeListener,
 
     static constexpr std::uint32_t kNoMonitor = ~0u;
 
-    /** Current-state label for @p t given the safepoint flag. */
-    std::string stateLabel(const os::OsThread &t);
-
     /** Ensure the per-thread track exists and is named. */
     ThreadTrack &threadTrack(const os::OsThread &t);
     CoreTrack &coreTrack(machine::CoreId core);
 
-    /** Close the open state span (if any) and start @p label at @p now. */
-    void switchState(const os::OsThread &t, const std::string &label,
-                     Ticks now);
     void closeState(ThreadTrack &tr, Ticks now);
 
     Timeline &timeline_;
     jvm::JavaVm *vm_ = nullptr;
+    profile::ThreadStateLedger *ledger_ = nullptr;
 
     std::map<os::ThreadId, ThreadTrack> threads_;
     std::map<machine::CoreId, CoreTrack> cores_;
-    /** Monitor a mutator is about to block on (set by contention probe,
-     *  consumed by the matching Blocked transition). */
-    std::map<jvm::MutatorIndex, jvm::MonitorId> pending_monitor_;
 
     /** Emit the "traffic" counter point (queued + in-flight) at @p now. */
     void trafficCounter(Ticks now);
@@ -188,7 +183,6 @@ class TelemetryRecorder : public jvm::RuntimeListener,
     std::uint64_t requests_inflight_ = 0;
     std::uint64_t requests_shed_ = 0;
 
-    bool in_safepoint_ = false;
     bool mark_open_ = false;
     std::uint64_t mark_cycle_ = 0;
     Ticks mark_since_ = 0;

@@ -19,15 +19,15 @@ arrivalStream(std::uint32_t tenant)
 
 } // namespace
 
-TrafficEngine::TrafficEngine(jvm::JavaVm &vm, const ArrivalSpec &spec)
+TrafficEngine::TrafficEngine(jvm::JavaVm &vm, const ArrivalSpec &spec,
+                             profile::TaskProfiler &profiler)
     : vm_(vm), sim_(vm.sim()), spec_(spec),
       process_(spec, vm.sim().forkRng(
                          arrivalStream(vm.config().tenant)))
 {
     arrival_event_ = std::make_unique<sim::CallbackEvent>(
         [this] { onArrival(); }, "traffic-arrival");
-    profiler_.attach(vm_);
-    profiler_.setTaskSink([this](const jvm::SlowTaskRecord &rec) {
+    profiler.addTaskSink([this](const jvm::SlowTaskRecord &rec) {
         onServiceComplete(rec);
     });
 }
@@ -36,7 +36,6 @@ TrafficEngine::~TrafficEngine()
 {
     if (arrival_event_->scheduled())
         sim_.queue().deschedule(arrival_event_.get());
-    profiler_.detach();
 }
 
 void
@@ -133,7 +132,7 @@ TrafficEngine::dispatchNext(jvm::MutatorIndex thread)
     fl.id = q.id;
     fl.arrival = q.arrival;
     fl.dispatch = now;
-    // The probe restarts the embedded profiler's attribution window at
+    // The probe restarts the VM profiler's attribution window at
     // `now`, anchoring the service decomposition to this dispatch.
     vm_.listeners().dispatch([&](jvm::RuntimeListener &l) {
         l.onRequestDispatched(vm_.config().tenant, q.id, thread, now);

@@ -17,8 +17,8 @@
  *                 + service  (dispatch->completion)
  *
  *    with the service half further attributed to the TaskProfiler's
- *    wait-state buckets (cpu, lock, gc-stw, ...). The engine embeds
- *    its own profiler: on every onRequestDispatched probe the profiler
+ *    wait-state buckets (cpu, lock, gc-stw, ...). The engine uses the
+ *    VM's one profiler: on every onRequestDispatched probe the profiler
  *    restarts the serving thread's attribution window, so the window
  *    it closes at TaskDone covers exactly [dispatch, completion] and
  *    its buckets sum to service time by construction.
@@ -51,7 +51,10 @@ namespace jscale::traffic {
 class TrafficEngine
 {
   public:
-    TrafficEngine(jvm::JavaVm &vm, const ArrivalSpec &spec);
+    /** Drive @p vm's request stream; per-request service comes from a
+     *  task sink on @p profiler, the VM's attribution profiler. */
+    TrafficEngine(jvm::JavaVm &vm, const ArrivalSpec &spec,
+                  profile::TaskProfiler &profiler);
     ~TrafficEngine();
 
     TrafficEngine(const TrafficEngine &) = delete;
@@ -106,7 +109,6 @@ class TrafficEngine
     sim::Simulation &sim_;
     ArrivalSpec spec_;
     ArrivalProcess process_;
-    profile::TaskProfiler profiler_;
     std::unique_ptr<sim::CallbackEvent> arrival_event_;
 
     jvm::ChannelId channel_ = 0;

@@ -144,8 +144,10 @@ TenantHost::addTenant(const TenantSpec &spec, jvm::VmConfig config,
     config.tenant = static_cast<std::uint32_t>(tenants_.size());
     tenant->vm = std::make_unique<jvm::JavaVm>(sim_, mach_, sched_,
                                                config);
-    tenant->engine =
-        std::make_unique<TrafficEngine>(*tenant->vm, spec.arrival);
+    tenant->ledger.attach(*tenant->vm);
+    tenant->profiler.attach(*tenant->vm, tenant->ledger);
+    tenant->engine = std::make_unique<TrafficEngine>(
+        *tenant->vm, spec.arrival, tenant->profiler);
     tenant->app = std::make_unique<OpenLoopApp>(*tenant->model,
                                                 *tenant->engine);
     tenants_.push_back(std::move(tenant));
@@ -175,6 +177,7 @@ TenantHost::run()
 
     std::vector<jvm::RunResult> results;
     for (auto &t : tenants_) {
+        t->profiler.finishRun(sim_.now());
         jvm::RunResult r = t->vm->collectResult();
         r.traffic = t->engine->summary();
         results.push_back(std::move(r));

@@ -27,6 +27,8 @@
 #include <vector>
 
 #include "jvm/runtime/vm.hh"
+#include "profile/ledger.hh"
+#include "profile/profiler.hh"
 #include "traffic/arrival.hh"
 #include "traffic/engine.hh"
 #include "traffic/open_loop_app.hh"
@@ -55,8 +57,10 @@ struct TenantSpec
 
 /**
  * Runs N prepared VMs on one shared simulation/machine/scheduler.
- * Add tenants, optionally decorate their VMs (oracles, profilers),
- * then run() once; results come back in tenant order.
+ * Each tenant owns its VM's thread-state ledger and attribution
+ * profiler (its traffic engine needs them). Add tenants, optionally
+ * decorate their VMs (oracles on the tenant's profiler), then run()
+ * once; results come back in tenant order.
  */
 class TenantHost
 {
@@ -84,6 +88,12 @@ class TenantHost
     /** Tenant @p i's engine (live gauges during the run). */
     TrafficEngine &engine(std::size_t i) { return *tenants_[i]->engine; }
 
+    /** Tenant @p i's attribution profiler (finished by run()). */
+    profile::TaskProfiler &profiler(std::size_t i)
+    {
+        return tenants_[i]->profiler;
+    }
+
     /**
      * Prepare every VM, drive the shared simulation until all tenants
      * finish (or the longest max_run_time elapses), and collect one
@@ -97,6 +107,9 @@ class TenantHost
         TenantSpec spec;
         std::unique_ptr<RequestModel> model;
         std::unique_ptr<jvm::JavaVm> vm;
+        /** Declared after vm: they detach from it on destruction. */
+        profile::ThreadStateLedger ledger;
+        profile::TaskProfiler profiler;
         std::unique_ptr<TrafficEngine> engine;
         std::unique_ptr<OpenLoopApp> app;
     };

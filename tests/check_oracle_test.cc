@@ -16,6 +16,8 @@
 #include "check/fuzz.hh"
 #include "check/oracle.hh"
 #include "check/random_app.hh"
+#include "profile/ledger.hh"
+#include "profile/profiler.hh"
 #include "test_apps.hh"
 
 namespace {
@@ -54,8 +56,12 @@ TEST(Oracle, CleanRunPerformsChecksAndReportsNoViolations)
     cfg.heap.capacity = 3 * units::MiB; // small: force collections
     test::VmHarness h(8, cfg, /*seed=*/42);
 
+    profile::ThreadStateLedger ledger;
+    ledger.attach(h.vm);
+    profile::TaskProfiler profiler;
+    profiler.attach(h.vm, ledger);
     check::OracleSuite suite;
-    suite.attach(h.vm);
+    suite.attach(h.vm, profiler);
     check::RandomApp app(42, /*monitors=*/4, /*tasks=*/120);
     const jvm::RunResult r = h.vm.run(app, 8);
     suite.finishRun(h.sim.now());
@@ -76,9 +82,14 @@ TEST(Oracle, ArmedSuiteIsAPureObserver)
         jvm::VmConfig cfg = test::VmHarness::defaultVmConfig();
         cfg.heap.capacity = 3 * units::MiB;
         test::VmHarness h(6, cfg, /*seed=*/7);
+        profile::ThreadStateLedger ledger;
+        profile::TaskProfiler profiler;
         check::OracleSuite suite;
-        if (armed)
-            suite.attach(h.vm);
+        if (armed) {
+            ledger.attach(h.vm);
+            profiler.attach(h.vm, ledger);
+            suite.attach(h.vm, profiler);
+        }
         check::RandomApp app(7, 3, 80);
         const jvm::RunResult r = h.vm.run(app, 6);
         if (armed)
@@ -107,9 +118,10 @@ TEST(Oracle, AttachDisarmsStarvationCheckWhenStealingIsOff)
     os::Scheduler sched(sim, mach, scfg);
     jvm::JavaVm vm(sim, mach, sched, test::VmHarness::defaultVmConfig());
 
+    profile::TaskProfiler profiler;
     check::OracleSuite suite;
     EXPECT_TRUE(suite.config().starvation);
-    suite.attach(vm);
+    suite.attach(vm, profiler);
     EXPECT_FALSE(suite.config().starvation);
 }
 

@@ -8,13 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "core/report.hh"
+#include "core/run_record.hh"
 #include "jvm/locks/policy.hh"
 #include "lockprof/lockprof.hh"
+#include "test_tempdir.hh"
 #include "trace/trace.hh"
 
 namespace {
@@ -68,6 +73,36 @@ TEST(Determinism, ObserversDoNotPerturbTheRun)
     EXPECT_EQ(bare.gc_time, observed.gc_time);
     EXPECT_EQ(bare.sim_events, observed.sim_events);
     EXPECT_EQ(bare.locks.contentions, observed.locks.contentions);
+
+    // The oracles share the VM's ledger and profiler with the blame
+    // summary, the traffic engine and the timeline: arming them changes
+    // no profile, traffic or timeline byte of an open-loop run.
+    jscale::testing::TempDir dir;
+    const auto open_loop = [&dir](bool oracles, std::string &timeline) {
+        core::ExperimentConfig cfg = cfgWith(9);
+        cfg.oracles = oracles;
+        cfg.profile = true;
+        cfg.arrivals = "poisson:rate=2000:requests=200";
+        cfg.timeline_path = dir.file("t.json");
+        core::ExperimentRunner runner(cfg);
+        const jvm::RunResult r = runner.runApp("xalan", 8);
+        EXPECT_FALSE(r.failed()) << r.run_error;
+        std::ifstream in(cfg.timeline_path, std::ios::binary);
+        timeline.assign(std::istreambuf_iterator<char>(in), {});
+        std::ostringstream record;
+        core::writeRunRecord(record, "key", "fingerprint", r);
+        return record.str();
+    };
+    std::string plain_timeline;
+    std::string checked_timeline;
+    const std::string plain = open_loop(false, plain_timeline);
+    const std::string checked = open_loop(true, checked_timeline);
+    EXPECT_NE(plain.find("profile.enabled 1"), std::string::npos);
+    EXPECT_NE(plain.find("traffic.enabled 1"), std::string::npos);
+    EXPECT_EQ(plain, checked);
+    EXPECT_FALSE(plain_timeline.empty());
+    EXPECT_TRUE(plain_timeline == checked_timeline)
+        << "timeline bytes differ with --oracles";
 }
 
 TEST(Determinism, AllAppsReplayExactly)

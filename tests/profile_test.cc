@@ -16,9 +16,12 @@
 #include "core/blame.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
+#include "profile/ledger.hh"
 #include "profile/profiler.hh"
 #include "stats/stats.hh"
 #include "test_apps.hh"
+#include "test_tempdir.hh"
+#include "traffic/tenancy.hh"
 
 namespace {
 
@@ -201,9 +204,10 @@ TEST(TaskProfiler, BucketsSumToWallForEveryTask)
     TinyApp app(params);
 
     VmHarness h(4);
+    profile::ThreadStateLedger ledger;
     profile::TaskProfiler profiler;
     std::uint64_t checked = 0;
-    profiler.setTaskSink([&checked](const jvm::SlowTaskRecord &rec) {
+    profiler.addTaskSink([&checked](const jvm::SlowTaskRecord &rec) {
         Ticks sum = 0;
         for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
             sum += rec.buckets[i];
@@ -211,7 +215,8 @@ TEST(TaskProfiler, BucketsSumToWallForEveryTask)
             << "task " << rec.task << " on thread " << rec.thread;
         ++checked;
     });
-    profiler.attach(h.vm);
+    ledger.attach(h.vm);
+    profiler.attach(h.vm, ledger);
     h.vm.run(app, 4);
     profiler.finishRun(h.sim.now());
 
@@ -237,8 +242,10 @@ TEST(TaskProfiler, ContendedLockDominatesBlame)
     TinyApp app(params);
 
     VmHarness h(8);
+    profile::ThreadStateLedger ledger;
+    ledger.attach(h.vm);
     profile::TaskProfiler profiler;
-    profiler.attach(h.vm);
+    profiler.attach(h.vm, ledger);
     h.vm.run(app, 8);
     profiler.finishRun(h.sim.now());
 
@@ -260,8 +267,10 @@ TEST(TaskProfiler, SlowestTasksAreSortedAndCapped)
     TinyApp app(params);
 
     VmHarness h(2);
+    profile::ThreadStateLedger ledger;
+    ledger.attach(h.vm);
     profile::TaskProfiler profiler;
-    profiler.attach(h.vm);
+    profiler.attach(h.vm, ledger);
     h.vm.run(app, 2);
     profiler.finishRun(h.sim.now());
 
@@ -330,6 +339,93 @@ TEST(ProfiledExperiment, ProfileFillsSummaryAndReports)
     std::ostringstream hist;
     core::writeProfileHistogramCsv(hist, r);
     EXPECT_NE(hist.str().find("lower_edge_ns"), std::string::npos);
+}
+
+/** Ledgers and profilers subscribed to one probe chain. */
+struct ObserverCount
+{
+    int ledgers = 0;
+    int profilers = 0;
+};
+
+template <typename Chain>
+ObserverCount
+countObservers(const Chain &chain)
+{
+    ObserverCount c;
+    for (auto *l : chain.all()) {
+        c.ledgers += dynamic_cast<profile::ThreadStateLedger *>(l) != nullptr;
+        c.profilers += dynamic_cast<profile::TaskProfiler *>(l) != nullptr;
+    }
+    return c;
+}
+
+TEST(ProfiledExperiment, OneLedgerAndOneProfilerPerVm)
+{
+    jscale::testing::TempDir dir;
+    const auto counts = [](core::ExperimentConfig cfg) {
+        std::vector<ObserverCount> seen(2);
+        core::ExperimentRunner runner(cfg);
+        runner.runApp("sunflow", 4, [&seen](jvm::JavaVm &vm) {
+            seen[0] = countObservers(vm.listeners());
+            seen[1] = countObservers(vm.scheduler().listeners());
+        });
+        return seen;
+    };
+
+    // Every consumer at once on an open-loop run: still one of each.
+    core::ExperimentConfig all = fastConfig();
+    all.oracles = true;
+    all.profile = true;
+    all.arrivals = "poisson:rate=2000:requests=50";
+    all.timeline_path = dir.file("t.json");
+    std::vector<ObserverCount> c = counts(all);
+    EXPECT_EQ(c[0].ledgers, 1);
+    EXPECT_EQ(c[0].profilers, 1);
+    EXPECT_EQ(c[1].ledgers, 1);
+    EXPECT_EQ(c[1].profilers, 0) << "the profiler reads the ledger";
+
+    // A timeline alone needs the ledger, not the profiler.
+    core::ExperimentConfig timeline = fastConfig();
+    timeline.timeline_path = dir.file("t2.json");
+    c = counts(timeline);
+    EXPECT_EQ(c[0].ledgers, 1);
+    EXPECT_EQ(c[0].profilers, 0);
+
+    // A bare run subscribes neither.
+    c = counts(fastConfig());
+    EXPECT_EQ(c[0].ledgers + c[0].profilers + c[1].ledgers, 0);
+
+    // Co-hosted tenants: one of each per VM; the scheduler chain is
+    // shared, so it carries one ledger per tenant.
+    core::ExperimentConfig tenants = fastConfig();
+    tenants.oracles = true;
+    tenants.profile = true;
+    std::vector<traffic::TenantSpec> specs;
+    std::string err;
+    ASSERT_TRUE(traffic::TenantSpec::parseList(
+        "h2:threads=2:rate=400:requests=20;"
+        "sunflow:threads=2:rate=400:requests=20",
+        specs, err))
+        << err;
+    std::vector<ObserverCount> per_vm;
+    ObserverCount sched;
+    core::ExperimentRunner runner(tenants);
+    const auto results =
+        runner.runTenants(specs, [&](jvm::JavaVm &vm) {
+            per_vm.push_back(countObservers(vm.listeners()));
+            sched = countObservers(vm.scheduler().listeners());
+        });
+    ASSERT_EQ(results.size(), 2u);
+    ASSERT_EQ(per_vm.size(), 2u);
+    for (const ObserverCount &vm : per_vm) {
+        EXPECT_EQ(vm.ledgers, 1);
+        EXPECT_EQ(vm.profilers, 1);
+    }
+    EXPECT_EQ(sched.ledgers, 2);
+    EXPECT_EQ(sched.profilers, 0);
+    EXPECT_TRUE(results[0].profile.enabled);
+    EXPECT_TRUE(results[1].profile.enabled);
 }
 
 TEST(ProfiledExperiment, BlameStudyIsJobsInvariant)

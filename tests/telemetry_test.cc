@@ -15,6 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "profile/ledger.hh"
+#include "profile/profiler.hh"
 #include "telemetry/json.hh"
 #include "telemetry/recorder.hh"
 #include "telemetry/sampler.hh"
@@ -176,8 +178,10 @@ recordedRun(std::string &text_out, Ticks *end_out = nullptr)
     VmHarness h(4, smallHeapConfig());
     std::ostringstream os;
     telemetry::Timeline tl(os);
+    profile::ThreadStateLedger ledger;
+    ledger.attach(h.vm);
     telemetry::TelemetryRecorder rec(tl);
-    rec.attach(h.vm);
+    rec.attach(h.vm, ledger);
     TinyApp app(busyParams());
     const jvm::RunResult r = h.vm.run(app, 4);
     rec.finish(h.sim.now());
@@ -292,6 +296,76 @@ TEST(Recorder, ThreadStateSpansTileTheRunWithoutOverlap)
         }
         EXPECT_LE(spans.back().second, end);
     }
+}
+
+TEST(Recorder, LockAndWaitSpansMatchTheProfilerBuckets)
+{
+    // Thread 0 parks in the wait set twice; thread 1 notifies it twice.
+    // After each notify thread 0 sits in the acquire queue: that part is
+    // a lock wait, the park before it is not.
+    using jvm::Action;
+    test::ScriptApp app(1, [](std::uint32_t idx, const auto &m) {
+        std::vector<Action> s;
+        for (int round = 0; round < 2; ++round) {
+            if (idx == 0) {
+                s.push_back(Action::monitorEnter(m[0]));
+                s.push_back(Action::monitorWait(m[0]));
+                s.push_back(Action::monitorExit(m[0]));
+            } else {
+                s.push_back(Action::compute(200 * units::US));
+                s.push_back(Action::monitorEnter(m[0]));
+                s.push_back(Action::monitorNotify(m[0]));
+                s.push_back(Action::monitorExit(m[0]));
+            }
+            s.push_back(Action::taskDone());
+        }
+        return s;
+    });
+
+    VmHarness h(2);
+    std::ostringstream os;
+    telemetry::Timeline tl(os);
+    profile::ThreadStateLedger ledger;
+    ledger.attach(h.vm);
+    profile::TaskProfiler profiler;
+    profiler.attach(h.vm, ledger);
+    std::uint64_t tasks = 0;
+    Ticks lock = 0;
+    Ticks waitset = 0;
+    profiler.addTaskSink([&](const jvm::SlowTaskRecord &rec) {
+        if (rec.thread != 0)
+            return;
+        ++tasks;
+        lock += rec.buckets[static_cast<std::size_t>(jvm::WaitBucket::Lock)];
+        waitset +=
+            rec.buckets[static_cast<std::size_t>(jvm::WaitBucket::Waitset)];
+    });
+    telemetry::TelemetryRecorder rec(tl);
+    rec.attach(h.vm, ledger);
+    const jvm::RunResult r = h.vm.run(app, 2);
+    rec.finish(h.sim.now());
+    rec.detach();
+    tl.finish();
+    profiler.finishRun(h.sim.now());
+
+    ASSERT_EQ(r.locks.waits, 2u);
+    ASSERT_EQ(r.locks.notifies, 2u);
+    ASSERT_EQ(tasks, 2u) << "both of thread 0's windows must be attributed";
+    ASSERT_GT(lock, 0u);
+    ASSERT_GT(waitset, 0u);
+
+    Ticks lock_spans = 0;
+    Ticks blocked_spans = 0;
+    for (const Ev &e : eventLines(os.str())) {
+        if (!e.has("\"cat\":\"state\",\"ph\":\"X\",\"pid\":2,\"tid\":0,"))
+            continue;
+        if (e.has("\"name\":\"lock-blocked\""))
+            lock_spans += e.dur;
+        else if (e.has("\"name\":\"blocked\""))
+            blocked_spans += e.dur;
+    }
+    EXPECT_EQ(lock_spans, lock);
+    EXPECT_EQ(blocked_spans, waitset);
 }
 
 TEST(Recorder, IdenticalRunsProduceIdenticalTimelines)

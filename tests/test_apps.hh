@@ -6,6 +6,7 @@
 #ifndef JSCALE_TESTS_TEST_APPS_HH
 #define JSCALE_TESTS_TEST_APPS_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -127,6 +128,64 @@ struct VmHarness
     machine::Machine mach;
     os::Scheduler sched;
     jvm::JavaVm vm;
+};
+
+/** Scripted app: explicit per-thread action lists. */
+class ScriptApp : public jvm::ApplicationModel
+{
+  public:
+    using Script =
+        std::function<std::vector<jvm::Action>(std::uint32_t,
+                                               const std::vector<
+                                                   jvm::MonitorId> &)>;
+
+    ScriptApp(std::uint32_t monitors, Script script)
+        : n_monitors_(monitors), script_(std::move(script))
+    {}
+
+    std::string appName() const override { return "script-app"; }
+
+    void
+    setup(jvm::AppContext &ctx) override
+    {
+        monitors_.clear();
+        for (std::uint32_t i = 0; i < n_monitors_; ++i) {
+            monitors_.push_back(
+                ctx.createMonitor("m" + std::to_string(i)));
+        }
+    }
+
+    std::unique_ptr<jvm::ActionSource>
+    threadSource(std::uint32_t idx, jvm::AppContext &) override
+    {
+        return std::make_unique<Src>(script_(idx, monitors_));
+    }
+
+  private:
+    class Src : public jvm::ActionSource
+    {
+      public:
+        explicit Src(std::vector<jvm::Action> script)
+            : script_(std::move(script))
+        {
+            script_.push_back(jvm::Action::end());
+        }
+
+        jvm::Action
+        next() override
+        {
+            return script_[pos_ < script_.size() ? pos_++
+                                                 : script_.size() - 1];
+        }
+
+      private:
+        std::vector<jvm::Action> script_;
+        std::size_t pos_ = 0;
+    };
+
+    std::uint32_t n_monitors_;
+    Script script_;
+    std::vector<jvm::MonitorId> monitors_;
 };
 
 } // namespace jscale::test
