@@ -21,10 +21,10 @@ main(int argc, char **argv)
               << ")\n";
     const std::uint32_t threads = 48;
 
-    TextTable t;
-    t.header({"scheduler", "wall", "mutator", "gc", "survival",
-              "lifespan<1KiB", "promoted"});
-    CsvWriter csv(std::cout);
+    TextTable t({{"scheduler", "scheduler"}, {"wall", "wall_ns"},
+                 {"mutator", "mutator_ns"}, {"gc", "gc_ns"},
+                 {"survival", "survival"}, {"lifespan<1KiB", "lifespan_lt_1k"},
+                 {"promoted", "promoted_bytes"}});
 
     std::vector<std::pair<std::string, jvm::RunResult>> rows;
     {
@@ -41,11 +41,11 @@ main(int argc, char **argv)
     }
 
     for (const auto &[name, r] : rows) {
-        t.row({name, formatTicks(r.wall_time),
-               formatTicks(r.mutatorTime()), formatTicks(r.gc_time),
-               formatPercent(r.gc.nursery_survival.mean()),
-               formatPercent(r.heap.lifespan.fractionBelow(1024)),
-               formatBytes(r.gc.promoted_bytes)});
+        t.row({name, Cell::ticks(r.wall_time), Cell::ticks(r.mutatorTime()),
+               Cell::ticks(r.gc_time),
+               Cell::share(r.gc.nursery_survival.mean()),
+               Cell::share(r.heap.lifespan.fractionBelow(1024)),
+               Cell::bytes(r.gc.promoted_bytes)});
     }
     std::cout << "E9: biased scheduling on xalan @ " << threads
               << " threads (paper Sec. IV proposal (i))\n";
@@ -54,17 +54,7 @@ main(int argc, char **argv)
                  "interference) and trims GC work, at the cost of gated "
                  "mutator parallelism on a CPU-bound balanced workload.\n";
 
-    if (opts.csv) {
-        csv.row({"scheduler", "wall_ns", "mutator_ns", "gc_ns",
-                 "survival", "lifespan_lt_1k", "promoted_bytes"});
-        for (const auto &[name, r] : rows) {
-            csv.row({name, std::to_string(r.wall_time),
-                     std::to_string(r.mutatorTime()),
-                     std::to_string(r.gc_time),
-                     formatFixed(r.gc.nursery_survival.mean(), 4),
-                     formatFixed(r.heap.lifespan.fractionBelow(1024), 4),
-                     std::to_string(r.gc.promoted_bytes)});
-        }
-    }
+    if (opts.csv)
+        t.writeCsv(std::cout);
     return 0;
 }

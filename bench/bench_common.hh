@@ -1,105 +1,73 @@
 /**
  * @file
  * Shared plumbing for the experiment benches: flag parsing (--scale,
- * --seed, --csv), the standard sweep driver, and CSV emission next to
- * the console tables so every figure/table is regenerated in both
- * human- and machine-readable form.
+ * --seed, --csv, ... through the jscale flag table) and the standard
+ * sweep driver.
  */
 
 #ifndef JSCALE_BENCH_BENCH_COMMON_HH
 #define JSCALE_BENCH_BENCH_COMMON_HH
 
-#include <cstdint>
+#include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "workload/dacapo.hh"
 
 namespace jscale::bench {
 
-/** Common bench options. */
+/**
+ * Common bench options: a subset of the jscale flags, read by the CLI's
+ * own flag table, so a bad value exits 2 with the same diagnosis.
+ */
 struct BenchOptions
 {
     double scale = 1.0;
-    std::uint64_t seed = 42;
     bool csv = false;
-    /** Chrome-trace timeline path ({app}/{threads} placeholders). */
-    std::string timeline_path;
-    /** Metric-sampler CSV path. */
-    std::string metrics_path;
-    /** Metric sampling period in ms (0 = off). */
-    std::uint64_t metrics_interval_ms = 0;
-    /** Host workers for sweeps (0 = one per core, 1 = sequential). */
-    std::uint32_t jobs = 0;
+    core::ExperimentConfig config;
 
-    /** Parse argv; unknown flags are fatal. */
+    /** Parse argv; an unknown flag or bad value exits 2. */
     static BenchOptions
     parse(int argc, char **argv)
     {
-        BenchOptions o;
+        static const char *const flags[] = {
+            "--scale",   "--seed", "--csv", "--timeline",
+            "--metrics", "--metrics-interval-ms", "--jobs"};
+        cli::CliOptions o;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
-            auto value = [&](const char *flag) -> const char * {
-                if (i + 1 >= argc) {
-                    std::cerr << "missing value for " << flag << "\n";
-                    std::exit(2);
+            const cli::Flag *flag = cli::findFlag(arg);
+            if (arg == "--help" || arg == "-h") {
+                for (const char *name : flags) {
+                    const cli::Flag *f = cli::findFlag(name);
+                    std::cout << "  " << name << " "
+                              << (f->value.arg ? f->value.arg : "")
+                              << "  " << f->help << "\n";
                 }
-                return argv[++i];
-            };
-            if (arg == "--scale") {
-                o.scale = std::atof(value("--scale"));
-            } else if (arg == "--seed") {
-                o.seed = static_cast<std::uint64_t>(
-                    std::atoll(value("--seed")));
-            } else if (arg == "--csv") {
-                o.csv = true;
-            } else if (arg == "--timeline") {
-                o.timeline_path = value("--timeline");
-            } else if (arg == "--metrics") {
-                o.metrics_path = value("--metrics");
-            } else if (arg == "--metrics-interval-ms") {
-                o.metrics_interval_ms = static_cast<std::uint64_t>(
-                    std::atoll(value("--metrics-interval-ms")));
-            } else if (arg == "--jobs") {
-                // 0 legitimately means "one worker per host core", so
-                // a mistyped value must not alias to it via atoi.
-                const std::string v = value("--jobs");
-                if (v.empty() || v.find_first_not_of("0123456789") !=
-                                     std::string::npos) {
-                    std::cerr << "bad --jobs value '" << v << "'\n";
-                    std::exit(2);
-                }
-                o.jobs = static_cast<std::uint32_t>(std::stoul(v));
-            } else if (arg == "--help" || arg == "-h") {
-                std::cout << "flags: --scale <f> --seed <n> --csv"
-                             " --timeline <path> --metrics <path>"
-                             " --metrics-interval-ms <n> --jobs <n>\n";
                 std::exit(0);
-            } else {
-                std::cerr << "unknown flag '" << arg << "'\n";
+            }
+            std::string err;
+            if (std::find(std::begin(flags), std::end(flags), arg) ==
+                std::end(flags))
+                err = "unknown flag '" + arg + "'";
+            else if (flag->value.arg != nullptr && ++i == argc)
+                err = "missing value for " + arg;
+            else
+                err = cli::setFlag(o, arg, flag->value.arg ? argv[i] : "");
+            if (!err.empty()) {
+                std::cerr << argv[0] << ": " << err << "\n";
                 std::exit(2);
             }
         }
-        return o;
+        return {o.config.workload_scale, o.csv, o.config};
     }
 
-    core::ExperimentConfig
-    experimentConfig() const
-    {
-        core::ExperimentConfig cfg;
-        cfg.seed = seed;
-        cfg.workload_scale = scale;
-        cfg.timeline_path = timeline_path;
-        cfg.metrics_path = metrics_path;
-        cfg.metrics_interval = metrics_interval_ms * units::MS;
-        cfg.jobs = jobs;
-        return cfg;
-    }
+    core::ExperimentConfig experimentConfig() const { return config; }
 };
 
 /** Sweep every DaCapo app over the paper's thread counts. */

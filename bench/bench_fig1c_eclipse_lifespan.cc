@@ -46,7 +46,7 @@ main(int argc, char **argv)
               << " (paper: almost no change)\n";
     if (opts.csv) {
         std::cout << "\n";
-        core::writeLifespanCdfCsv(std::cout, "eclipse", sweep);
+        core::lifespanCdfTable("eclipse", sweep).writeCsv(std::cout);
     }
     return 0;
 }

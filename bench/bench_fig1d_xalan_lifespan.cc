@@ -32,7 +32,7 @@ main(int argc, char **argv)
               << " @ 48 threads (paper: ~50%)\n";
     if (opts.csv) {
         std::cout << "\n";
-        core::writeLifespanCdfCsv(std::cout, "xalan", sweep);
+        core::lifespanCdfTable("xalan", sweep).writeCsv(std::cout);
     }
     return 0;
 }

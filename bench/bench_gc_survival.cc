@@ -36,7 +36,7 @@ main(int argc, char **argv)
                  "nursery as threads scale)\n";
     if (opts.csv) {
         std::cout << "\n";
-        core::writeGcSurvivalCsv(std::cout, sweeps);
+        core::gcSurvivalTable(sweeps).writeCsv(std::cout);
     }
     return 0;
 }

@@ -56,7 +56,7 @@ main(int argc, char **argv)
               << " (the paper's interference mechanism).\n";
     if (opts.csv) {
         std::cout << "\n";
-        core::writeSuspendWaitCsv(std::cout, sweeps);
+        core::suspendWaitTable(sweeps).writeCsv(std::cout);
     }
     return 0;
 }

@@ -43,6 +43,6 @@ main(int argc, char **argv)
     const auto points = core::runResilienceStudy(cfg);
     core::printResilienceTable(std::cout, points);
     std::cout << "\n";
-    core::writeResilienceCsv(std::cout, points);
+    core::resilienceTable(points).writeCsv(std::cout);
     return 0;
 }

@@ -125,6 +125,16 @@ ScalabilityAnalyzer::gcShare(const jvm::RunResult &r)
                                   static_cast<double>(r.wall_time);
 }
 
+double
+ScalabilityAnalyzer::throughput(const jvm::RunResult &r)
+{
+    if (r.wall_time == 0)
+        return 0.0;
+    return static_cast<double>(r.total_tasks) /
+           (static_cast<double>(r.wall_time) /
+            static_cast<double>(units::SEC));
+}
+
 control::UslFit
 ScalabilityAnalyzer::uslFit(const std::vector<jvm::RunResult> &sweep)
 {

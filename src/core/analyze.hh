@@ -61,6 +61,9 @@ class ScalabilityAnalyzer
     /** GC share of wall time. */
     static double gcShare(const jvm::RunResult &r);
 
+    /** Tasks per second of simulated time (0 for failed/empty runs). */
+    static double throughput(const jvm::RunResult &r);
+
     /**
      * Fit the Universal Scalability Law to a sweep's wall-clock
      * speedups (relative to the sweep's first, lowest-thread point).

@@ -23,16 +23,6 @@ bucketShare(const jvm::ProfileSummary &p, jvm::WaitBucket b)
            static_cast<double>(total);
 }
 
-std::string
-cellStatus(const jvm::RunResult &r)
-{
-    if (r.failed())
-        return "failed";
-    if (r.skipped)
-        return "skipped";
-    return "ok";
-}
-
 } // namespace
 
 BlameStudy
@@ -103,48 +93,77 @@ runBlameStudy(const BlameConfig &config)
     return study;
 }
 
+TextTable
+blameStudyTable(const BlameStudy &study)
+{
+    std::vector<TextTable::Column> cols = {
+        {"app", "app"}, {"threads", "threads"}, {"status", "status"},
+        {"", "wall_ticks"}, {"", "tasks"}};
+    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
+        cols.push_back({"", std::string("share_") +
+                                jvm::waitBucketName(
+                                    static_cast<jvm::WaitBucket>(i))});
+    }
+    for (const char *fold :
+         {"cpu", "runq", "lock", "gc-stw", "ttsp", "alloc", "gov", "other"})
+        cols.push_back({fold, ""});
+    cols.insert(cols.end(), {{"dominant", "dominant"}, {"p50", "p50_ns"},
+                             {"", "p90_ns"}, {"p99", "p99_ns"},
+                             {"", "p999_ns"}, {"", "max_ns"},
+                             {"", "usl_n_star"}});
+    TextTable t(std::move(cols));
+
+    for (const BlamePoint &p : study.points) {
+        const jvm::RunResult &r = p.run;
+        const jvm::ProfileSummary &prof = r.profile;
+        const bool measured = !r.skipped && !r.failed() && prof.enabled;
+        double n_star = 0.0;
+        for (const BlameAppFit &fit : study.fits) {
+            if (fit.app == p.app && fit.usl.valid) {
+                n_star = fit.usl.n_star;
+                break;
+            }
+        }
+        const auto share = [&prof](jvm::WaitBucket b) {
+            return bucketShare(prof, b);
+        };
+        std::vector<Cell> row = {p.app, std::to_string(p.threads),
+                                 runStatus(r), Cell::ticks(r.wall_time),
+                                 Cell::count(prof.tasks)};
+        for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
+            row.push_back(
+                Cell::fixed(share(static_cast<jvm::WaitBucket>(i)), 6, 6));
+        // "runq" folds pure run-queue wait with waitset/channel parks
+        // and "other" collects the residual buckets.
+        using B = jvm::WaitBucket;
+        for (const double v :
+             {share(B::Cpu),
+              share(B::RunQueue) + share(B::Waitset) + share(B::Channel),
+              share(B::Lock), share(B::GcStw), share(B::Ttsp),
+              share(B::AllocStall), share(B::Governor),
+              share(B::Stall) + share(B::Other)})
+            row.push_back(Cell::share(v));
+        row.insert(row.end(),
+                   {measured ? jvm::waitBucketName(prof.dominantWait())
+                             : "-",
+                    Cell::ticks(prof.latency.quantile(0.5)),
+                    Cell::ticks(prof.latency.quantile(0.9)),
+                    Cell::ticks(prof.latency.quantile(0.99)),
+                    Cell::ticks(prof.latency.quantile(0.999)),
+                    Cell::ticks(prof.latency.max()),
+                    Cell::fixed(n_star, 2, 2)});
+        t.row(std::move(row), measured ? TextTable::RowKind::Measured
+                                       : TextTable::RowKind::Unmeasured);
+    }
+    return t;
+}
+
 void
 printBlameStudyTable(std::ostream &os, const BlameStudy &study)
 {
     os << "E20 — blame decomposition vs. threads (shares of aggregate "
           "task wall time)\n";
-    TextTable t;
-    t.header({"app", "threads", "status", "cpu", "runq", "lock", "gc-stw",
-              "ttsp", "alloc", "gov", "other", "dominant", "p50", "p99"});
-    for (const BlamePoint &p : study.points) {
-        const jvm::RunResult &r = p.run;
-        if (r.skipped || r.failed() || !r.profile.enabled) {
-            t.row({p.app, std::to_string(p.threads), cellStatus(r), "-",
-                   "-", "-", "-", "-", "-", "-", "-", "-", "-", "-"});
-            continue;
-        }
-        const jvm::ProfileSummary &prof = r.profile;
-        // "runq" folds pure run-queue wait with waitset/channel parks
-        // and "other" collects the residual buckets, keeping the table
-        // readable; the CSV carries every bucket separately.
-        const double runq =
-            bucketShare(prof, jvm::WaitBucket::RunQueue) +
-            bucketShare(prof, jvm::WaitBucket::Waitset) +
-            bucketShare(prof, jvm::WaitBucket::Channel);
-        const double other =
-            bucketShare(prof, jvm::WaitBucket::Stall) +
-            bucketShare(prof, jvm::WaitBucket::Other);
-        t.row({p.app, std::to_string(p.threads), cellStatus(r),
-               formatPercent(bucketShare(prof, jvm::WaitBucket::Cpu)),
-               formatPercent(runq),
-               formatPercent(bucketShare(prof, jvm::WaitBucket::Lock)),
-               formatPercent(bucketShare(prof, jvm::WaitBucket::GcStw)),
-               formatPercent(bucketShare(prof, jvm::WaitBucket::Ttsp)),
-               formatPercent(
-                   bucketShare(prof, jvm::WaitBucket::AllocStall)),
-               formatPercent(
-                   bucketShare(prof, jvm::WaitBucket::Governor)),
-               formatPercent(other),
-               jvm::waitBucketName(prof.dominantWait()),
-               formatTicks(prof.latency.quantile(0.5)),
-               formatTicks(prof.latency.quantile(0.99))});
-    }
-    t.print(os);
+    blameStudyTable(study).print(os);
 
     os << "USL cross-reference (E17): fitted knee vs. the wait state "
           "dominating at the largest sweep point\n";
@@ -160,48 +179,6 @@ printBlameStudyTable(std::ostream &os, const BlameStudy &study)
                jvm::waitBucketName(fit.dominant)});
     }
     f.print(os);
-}
-
-void
-writeBlameStudyCsv(std::ostream &os, const BlameStudy &study)
-{
-    os << "app,threads,status,wall_ticks,tasks";
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-        os << ",share_"
-           << jvm::waitBucketName(static_cast<jvm::WaitBucket>(i));
-    }
-    os << ",dominant,p50_ns,p90_ns,p99_ns,p999_ns,max_ns,usl_n_star\n";
-
-    for (const BlamePoint &p : study.points) {
-        const jvm::RunResult &r = p.run;
-        double n_star = 0.0;
-        for (const BlameAppFit &fit : study.fits) {
-            if (fit.app == p.app && fit.usl.valid) {
-                n_star = fit.usl.n_star;
-                break;
-            }
-        }
-        os << p.app << ',' << p.threads << ',' << cellStatus(r) << ','
-           << r.wall_time << ',' << r.profile.tasks;
-        for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-            os << ','
-               << formatFixed(
-                      bucketShare(r.profile,
-                                  static_cast<jvm::WaitBucket>(i)),
-                      6);
-        }
-        const bool measured =
-            !r.skipped && !r.failed() && r.profile.enabled;
-        os << ','
-           << (measured ? jvm::waitBucketName(r.profile.dominantWait())
-                        : "-")
-           << ',' << r.profile.latency.quantile(0.5) << ','
-           << r.profile.latency.quantile(0.9) << ','
-           << r.profile.latency.quantile(0.99) << ','
-           << r.profile.latency.quantile(0.999) << ','
-           << r.profile.latency.max() << ',' << formatFixed(n_star, 2)
-           << '\n';
-    }
 }
 
 } // namespace jscale::core

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "base/output.hh"
 #include "control/usl.hh"
 #include "core/experiment.hh"
 #include "jvm/runtime/vm.hh"
@@ -81,8 +82,12 @@ BlameStudy runBlameStudy(const BlameConfig &config);
 /** Aligned-text report: per-cell blame shares, tails and USL knees. */
 void printBlameStudyTable(std::ostream &os, const BlameStudy &study);
 
-/** Machine-readable report: one row per (app, threads) cell. */
-void writeBlameStudyCsv(std::ostream &os, const BlameStudy &study);
+/**
+ * The study's table, one row per (app, threads) cell: the text folds
+ * the wait buckets into eight columns the CSV carries separately, and
+ * an unmeasured cell's text shows only its key and status.
+ */
+TextTable blameStudyTable(const BlameStudy &study);
 
 } // namespace jscale::core
 

@@ -5,21 +5,12 @@
 
 #include "base/logging.hh"
 #include "base/output.hh"
+#include "core/analyze.hh"
+#include "core/report.hh"
 
 namespace jscale::core {
 
 namespace {
-
-/** Tasks per second of simulated time (0 for failed/empty runs). */
-double
-throughput(const jvm::RunResult &r)
-{
-    if (r.wall_time == 0)
-        return 0.0;
-    return static_cast<double>(r.total_tasks) /
-           (static_cast<double>(r.wall_time) /
-            static_cast<double>(units::SEC));
-}
 
 /** Average distinct-recent-owner count per contended handoff. */
 double
@@ -38,16 +29,6 @@ armName(const CollapseArm &arm)
     if (arm.governed)
         name += "+gov";
     return name;
-}
-
-std::string
-pointStatus(const jvm::RunResult &r)
-{
-    if (r.failed())
-        return "failed";
-    if (r.skipped)
-        return "skipped";
-    return "ok";
 }
 
 } // namespace
@@ -125,7 +106,7 @@ summarizeCollapseArm(const CollapseStudy &study, const CollapseArm &arm)
         const jvm::RunResult &r = arm.runs[i];
         if (r.failed())
             continue;
-        const double tput = throughput(r);
+        const double tput = ScalabilityAnalyzer::throughput(r);
         if (tput > s.peak_throughput) {
             s.peak_throughput = tput;
             s.peak_threads = study.threads[i];
@@ -137,41 +118,51 @@ summarizeCollapseArm(const CollapseStudy &study, const CollapseArm &arm)
     return s;
 }
 
+TextTable
+collapseTable(const CollapseStudy &study)
+{
+    TextTable t({{"policy", "policy"}, {"", "governed"},
+                 {"threads", "threads"}, {"status", "status"},
+                 {"wall", "wall_ticks"}, {"tput", "throughput"}, {"circ", ""},
+                 {"", "handoffs"}, {"barged", "barged_grants"},
+                 {"passiv", "waiters_passivated"},
+                 {"react", "waiters_reactivated"}, {"", "circulation_avg"},
+                 {"penalty", "coherence_penalty_ticks"},
+                 {"", "block_p50_ticks"}, {"blk-p99", "block_p99_ticks"},
+                 {"target", "gov_target"}});
+    for (const CollapseArm &arm : study.arms) {
+        for (std::size_t i = 0; i < arm.runs.size(); ++i) {
+            const jvm::RunResult &r = arm.runs[i];
+            t.row({Cell::label(armName(arm), jvm::lockPolicyName(arm.policy)),
+                   Cell::count(arm.governed ? 1 : 0),
+                   std::to_string(study.threads[i]), runStatus(r),
+                   Cell::ticks(r.wall_time),
+                   Cell::fixed(ScalabilityAnalyzer::throughput(r), 1, 3),
+                   Cell::fixed(circulation(r), 2, 2),
+                   Cell::count(r.locks.handoffs),
+                   Cell::count(r.locks.barged_grants),
+                   Cell::count(r.locks.waiters_passivated),
+                   Cell::count(r.locks.waiters_reactivated),
+                   Cell::fixed(circulation(r), 3, 3),
+                   Cell::ticks(r.locks.coherence_penalty),
+                   Cell::ticks(r.locks.block_hist.quantile(0.50)),
+                   Cell::ticks(r.locks.block_hist.quantile(0.99)),
+                   r.governor.enabled
+                       ? std::to_string(r.governor.final_target)
+                       : "-"},
+                  r.failed() ? TextTable::RowKind::Unmeasured
+                             : TextTable::RowKind::Measured);
+        }
+    }
+    return t;
+}
+
 void
 printCollapseTable(std::ostream &os, const CollapseStudy &study)
 {
     os << "E19 — scalability collapse by admission policy "
           "(throughput in ops/s of simulated time)\n";
-    TextTable t;
-    t.header({"policy", "threads", "status", "wall", "tput", "circ",
-              "barged", "passiv", "react", "penalty", "blk-p99",
-              "target"});
-    for (const CollapseArm &arm : study.arms) {
-        for (std::size_t i = 0; i < arm.runs.size(); ++i) {
-            const jvm::RunResult &r = arm.runs[i];
-            const std::string target =
-                r.governor.enabled
-                    ? std::to_string(r.governor.final_target)
-                    : "-";
-            if (r.failed()) {
-                t.row({armName(arm), std::to_string(study.threads[i]),
-                       "failed", "-", "-", "-", "-", "-", "-", "-", "-",
-                       target});
-                continue;
-            }
-            t.row({armName(arm), std::to_string(study.threads[i]),
-                   pointStatus(r), formatTicks(r.wall_time),
-                   formatFixed(throughput(r), 1),
-                   formatFixed(circulation(r), 2),
-                   std::to_string(r.locks.barged_grants),
-                   std::to_string(r.locks.waiters_passivated),
-                   std::to_string(r.locks.waiters_reactivated),
-                   formatTicks(r.locks.coherence_penalty),
-                   formatTicks(r.locks.block_hist.quantile(0.99)),
-                   target});
-        }
-    }
-    t.print(os);
+    collapseTable(study).print(os);
 
     os << "\narm summaries (retention = throughput at max threads / "
           "peak):\n";
@@ -191,35 +182,6 @@ printCollapseTable(std::ostream &os, const CollapseStudy &study)
                 os << "failed: " << armName(arm) << " t"
                    << study.threads[i] << ": " << arm.runs[i].run_error
                    << "\n";
-        }
-    }
-}
-
-void
-writeCollapseCsv(std::ostream &os, const CollapseStudy &study)
-{
-    os << "policy,governed,threads,status,wall_ticks,throughput,"
-          "handoffs,barged_grants,waiters_passivated,"
-          "waiters_reactivated,circulation_avg,coherence_penalty_ticks,"
-          "block_p50_ticks,block_p99_ticks,gov_target\n";
-    for (const CollapseArm &arm : study.arms) {
-        for (std::size_t i = 0; i < arm.runs.size(); ++i) {
-            const jvm::RunResult &r = arm.runs[i];
-            os << jvm::lockPolicyName(arm.policy) << ','
-               << (arm.governed ? 1 : 0) << ',' << study.threads[i]
-               << ',' << pointStatus(r) << ',' << r.wall_time << ','
-               << formatFixed(throughput(r), 3) << ','
-               << r.locks.handoffs << ',' << r.locks.barged_grants
-               << ',' << r.locks.waiters_passivated << ','
-               << r.locks.waiters_reactivated << ','
-               << formatFixed(circulation(r), 3) << ','
-               << r.locks.coherence_penalty << ','
-               << r.locks.block_hist.quantile(0.50) << ','
-               << r.locks.block_hist.quantile(0.99) << ','
-               << (r.governor.enabled
-                       ? std::to_string(r.governor.final_target)
-                       : std::string("-"))
-               << '\n';
         }
     }
 }

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "base/output.hh"
 #include "core/experiment.hh"
 #include "jvm/locks/policy.hh"
 #include "jvm/runtime/vm.hh"
@@ -97,8 +98,11 @@ CollapseSummary summarizeCollapseArm(const CollapseStudy &study,
 /** Aligned-text study report (throughput, circulation, tails). */
 void printCollapseTable(std::ostream &os, const CollapseStudy &study);
 
-/** Machine-readable report: one row per (arm, threads) point. */
-void writeCollapseCsv(std::ostream &os, const CollapseStudy &study);
+/**
+ * The study's table, one row per (arm, threads) point; a failed point's
+ * text shows only its key, status and governor target.
+ */
+TextTable collapseTable(const CollapseStudy &study);
 
 } // namespace jscale::core
 

@@ -217,23 +217,67 @@ ExperimentRunner::planRun(const AppFactory &factory,
 std::string
 ExperimentRunner::campaignFingerprint() const
 {
+    // Every setting that can change a run record. Left out on purpose:
+    // host parallelism (jobs), the shard slice, the cache directory,
+    // merge mode and the artifact paths (timeline, metrics, errors).
     std::ostringstream os;
-    os << "seed=" << config_.seed << " scale=" << config_.workload_scale
-       << " heap=" << config_.heap_factor << "/" << config_.heap_override
-       << " machine=" << config_.machine.sockets << "x"
-       << config_.machine.cores_per_socket
-       << " place=" << static_cast<int>(config_.placement)
-       << " gov=" << control::governorModeName(config_.governor.mode)
-       << " faults="
-       << (config_.faults.spec.empty() ? "-" : config_.faults.spec)
-       << " watchdog=" << (config_.watchdog ? 1 : 0)
-       << " oracles=" << (config_.oracles ? 1 : 0)
-       << " profile=" << (config_.profile ? 1 : 0)
-       << " compart=" << (config_.vm.heap.compartmentalized ? 1 : 0)
-       << " biased=" << (config_.biased_scheduling ? 1 : 0)
-       << " locks=" << jvm::describeLockPolicyConfig(config_.vm.locks)
-       << " arrivals="
-       << (config_.arrivals.empty() ? "-" : config_.arrivals);
+    os.precision(17);
+    const auto kv = [&os](const char *key, const auto &...vs) {
+        os << (os.tellp() > 0 ? " " : "") << key;
+        const char *sep = "=";
+        ((os << sep << vs, sep = "/"), ...);
+    };
+    const ExperimentConfig &c = config_;
+    kv("seed", c.seed);
+    kv("scale", c.workload_scale);
+    kv("heap", c.heap_factor, c.heap_override, c.calibration_threads);
+    kv("place", static_cast<int>(c.placement));
+    kv("biased", c.biased_scheduling, c.bias_groups, c.bias_quantum);
+    const machine::MachineConfig &m = c.machine;
+    kv("machine", m.name, m.sockets, m.cores_per_socket, m.freq_ghz,
+       m.mem_per_node, m.numa_remote_factor, m.mem_bandwidth_bytes_per_ns,
+       m.context_switch_cost, m.migration_cost);
+    kv("sched", c.sched.quantum, c.sched.min_poll_latency,
+       c.sched.max_poll_latency, c.sched.stealing);
+    const jvm::VmConfig &vm = c.vm;
+    const jvm::HeapConfig &h = vm.heap;
+    kv("heap_geometry", h.capacity, h.young_fraction, h.survivor_fraction,
+       int{h.tenure_threshold}, h.full_gc_trigger, h.tlab_size);
+    kv("compart", h.compartmentalized);
+    const jvm::GcCostParams &g = vm.gc_costs;
+    kv("gc_costs", g.minor_base, g.root_scan_per_thread, g.copy_bw_per_thread,
+       g.parallel_alpha, g.full_base, g.mark_bw_per_thread,
+       g.compact_bw_per_thread, g.scan_cost_per_object, g.local_base);
+    kv("collector", static_cast<int>(vm.collector), vm.concurrent.initiating_occupancy,
+       vm.concurrent.mark_bw, vm.concurrent.mark_chunk,
+       vm.concurrent.remark_base);
+    const jvm::AdaptiveSizeConfig &ad = vm.adaptive;
+    kv("adaptive", ad.enabled, ad.gc_time_ratio_target, ad.min_young_fraction,
+       ad.max_young_fraction, ad.step, ad.old_headroom);
+    const jvm::VmCosts &vc = vm.costs;
+    kv("vm_costs", vc.alloc_base, vc.alloc_per_byte, vc.monitor_enter,
+       vc.monitor_exit, vc.channel_op, vc.task_done, vc.gc_retry,
+       vc.thread_end);
+    const jvm::LockPolicyConfig &l = vm.locks;
+    kv("locks", jvm::lockPolicyName(l.policy), l.barge_window,
+       l.active_target, l.rotation_period, l.lcr_min_active, l.lcr_max_active,
+       l.handoff_base, l.coherence_cost, l.circulation_window);
+    const jvm::HelperConfig &hc = vm.helpers;
+    kv("helpers", vm.enable_helpers, hc.jit_threads, hc.periodic_daemon,
+       hc.jit_burst_mean, hc.jit_sleep_mean_initial, hc.jit_backoff,
+       hc.periodic_interval, hc.periodic_burst);
+    kv("vm", vm.gc_threads, vm.tenant, vm.max_run_time);
+    const control::GovernorConfig &gov = c.governor;
+    kv("gov", control::governorModeName(gov.mode), gov.interval,
+       gov.min_active, gov.tolerance, gov.pressure_limit,
+       gov.calib_ticks_per_level);
+    kv("faults", c.faults.spec);
+    kv("watchdog", c.watchdog, c.watchdog_config.interval,
+       c.watchdog_config.stalled_limit);
+    kv("oracles", c.oracles);
+    kv("profile", c.profile, c.profile_topk);
+    kv("metrics", c.metrics_interval);
+    kv("arrivals", c.arrivals);
     return os.str();
 }
 

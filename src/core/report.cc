@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "base/logging.hh"
 #include "base/output.hh"
@@ -12,13 +11,6 @@
 namespace jscale::core {
 
 namespace {
-
-std::string
-threadsLabel(const jvm::RunResult &r)
-{
-    return std::to_string(r.threads) + "T/" + std::to_string(r.cores) +
-           "C";
-}
 
 /** Sweep points that actually ran (neither out-of-slice nor failed). */
 std::vector<jvm::RunResult>
@@ -32,425 +24,115 @@ measuredRuns(const std::vector<jvm::RunResult> &sweep)
     return out;
 }
 
-} // namespace
+using Column = TextTable::Column;
+using RowKind = TextTable::RowKind;
 
-void
-printScalabilityTable(std::ostream &os, const SweepSet &sweeps)
+/** E1: unmeasured points keep a text row that shows their status. */
+TextTable
+scalabilityTable(const SweepSet &sweeps)
 {
-    os << "E1: execution time and speedup vs. threads "
-          "(threads == enabled cores, heap = 3x min)\n";
-    TextTable t;
-    t.header({"app", "threads", "wall", "speedup", "mutator", "gc",
-              "gc-share", "class"});
+    TextTable t({{"app", "app"}, {"threads", "threads"}, {"wall", "wall_ns"},
+                 {"speedup", "speedup"}, {"mutator", "mutator_ns"},
+                 {"gc", "gc_ns"}, {"gc-share", "gc_share"},
+                 {"class", "scalable"}});
+    // `usl --in` fits every CSV row; an unmeasured point would read as
+    // zeros, so the machine-readable form carries measured points only.
+    t.dropUnmeasuredFromCsv();
     for (const auto &[app, sweep] : sweeps) {
         jscale_assert(!sweep.empty(), "empty sweep for ", app);
         const auto measured = measuredRuns(sweep);
-        const char *cls =
-            measured.size() >= 2
-                ? (ScalabilityAnalyzer::isScalable(measured)
-                       ? "scalable"
-                       : "non-scalable")
-                : "n/a";
+        const bool classed = measured.size() >= 2;
+        const bool scalable =
+            classed && ScalabilityAnalyzer::isScalable(measured);
+        const Cell cls = Cell::label(
+            classed ? (scalable ? "scalable" : "non-scalable") : "n/a",
+            scalable ? "1" : "0");
         for (const auto &r : sweep) {
-            // Out-of-slice or failed points have no measurements;
-            // show their status instead of fabricating numbers.
-            if (r.skipped || r.failed()) {
-                t.row({app, std::to_string(r.threads), "-", "-", "-",
-                       "-", "-", r.skipped ? "skipped" : "failed"});
-                continue;
-            }
-            t.row({app, std::to_string(r.threads),
-                   formatTicks(r.wall_time),
-                   formatFixed(ScalabilityAnalyzer::speedup(
-                                   measured.front(), r),
-                               2),
-                   formatTicks(r.mutatorTime()), formatTicks(r.gc_time),
-                   formatPercent(ScalabilityAnalyzer::gcShare(r)), cls});
+            const bool ok = !r.skipped && !r.failed();
+            t.row({app, std::to_string(r.threads), Cell::ticks(r.wall_time),
+                   ok ? Cell::fixed(ScalabilityAnalyzer::speedup(
+                                        measured.front(), r),
+                                    2, 4)
+                      : Cell::missing(),
+                   Cell::ticks(r.mutatorTime()), Cell::ticks(r.gc_time),
+                   Cell::share(ScalabilityAnalyzer::gcShare(r)),
+                   ok ? cls : Cell(runStatus(r))},
+                  ok ? RowKind::Measured : RowKind::Unmeasured);
         }
     }
-    t.print(os);
+    return t;
 }
 
-void
-writeScalabilityCsv(std::ostream &os, const SweepSet &sweeps)
+/** E2. */
+TextTable
+workloadDistributionTable(const SweepSet &sweeps)
 {
-    CsvWriter csv(os);
-    csv.row({"app", "threads", "wall_ns", "speedup", "mutator_ns",
-             "gc_ns", "gc_share", "scalable"});
-    for (const auto &[app, sweep] : sweeps) {
-        // Machine-readable output carries measured points only:
-        // skipped/failed runs have no numbers downstream tools could use.
-        const auto measured = measuredRuns(sweep);
-        if (measured.empty())
-            continue;
-        const bool scalable = measured.size() >= 2 &&
-                              ScalabilityAnalyzer::isScalable(measured);
-        for (const auto &r : measured) {
-            csv.row({app, std::to_string(r.threads),
-                     std::to_string(r.wall_time),
-                     formatFixed(ScalabilityAnalyzer::speedup(
-                                     measured.front(), r),
-                                 4),
-                     std::to_string(r.mutatorTime()),
-                     std::to_string(r.gc_time),
-                     formatFixed(ScalabilityAnalyzer::gcShare(r), 4),
-                     scalable ? "1" : "0"});
-        }
-    }
-}
-
-void
-printWorkloadDistributionTable(std::ostream &os, const SweepSet &sweeps)
-{
-    os << "E2: workload distribution across threads "
-          "(effective workers cover 90% of tasks)\n";
-    TextTable t;
-    t.header({"app", "threads", "tasks", "eff-workers", "top-share",
-              "task-cv"});
+    TextTable t({{"app", "app"}, {"threads", "threads"}, {"tasks", "tasks"},
+                 {"eff-workers", "effective_workers"},
+                 {"top-share", "top_share"}, {"task-cv", "task_cv"}});
     for (const auto &[app, sweep] : sweeps) {
         for (const auto &r : sweep) {
             t.row({app, std::to_string(r.threads),
-                   std::to_string(r.total_tasks),
-                   std::to_string(
-                       ScalabilityAnalyzer::effectiveWorkers(r)),
-                   formatPercent(ScalabilityAnalyzer::topThreadShare(r)),
-                   formatFixed(
-                       ScalabilityAnalyzer::taskDistributionCv(r), 2)});
+                   Cell::count(r.total_tasks),
+                   Cell::count(ScalabilityAnalyzer::effectiveWorkers(r)),
+                   Cell::share(ScalabilityAnalyzer::topThreadShare(r)),
+                   Cell::fixed(ScalabilityAnalyzer::taskDistributionCv(r),
+                               2, 4)});
         }
     }
-    t.print(os);
+    return t;
 }
 
-void
-writeWorkloadDistributionCsv(std::ostream &os, const SweepSet &sweeps)
+/** E3/E4: one lock counter per point, relative to the smallest sweep
+ *  point in the text. */
+TextTable
+lockTable(const SweepSet &sweeps, bool contentions)
 {
-    CsvWriter csv(os);
-    csv.row({"app", "threads", "tasks", "effective_workers", "top_share",
-             "task_cv"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
-            csv.row({app, std::to_string(r.threads),
-                     std::to_string(r.total_tasks),
-                     std::to_string(
-                         ScalabilityAnalyzer::effectiveWorkers(r)),
-                     formatFixed(
-                         ScalabilityAnalyzer::topThreadShare(r), 4),
-                     formatFixed(
-                         ScalabilityAnalyzer::taskDistributionCv(r),
-                         4)});
-        }
-    }
-}
-
-namespace {
-
-void
-printLockSeries(std::ostream &os, const SweepSet &sweeps,
-                bool contentions, const char *title)
-{
-    os << title << '\n';
-    TextTable t;
-    t.header({"app", "threads", contentions ? "contentions"
-                                            : "acquisitions",
-              "vs-min-threads"});
+    const char *what = contentions ? "contentions" : "acquisitions";
+    TextTable t({{"app", "app"}, {"threads", "threads"}, {what, what},
+                 {"vs-min-threads", ""}});
+    const auto value = [contentions](const jvm::RunResult &r) {
+        return contentions ? r.locks.contentions : r.locks.acquisitions;
+    };
     for (const auto &[app, sweep] : sweeps) {
         jscale_assert(!sweep.empty(), "empty sweep for ", app);
         const double base = std::max<double>(
-            1.0, static_cast<double>(
-                     contentions ? sweep.front().locks.contentions
-                                 : sweep.front().locks.acquisitions));
+            1.0, static_cast<double>(value(sweep.front())));
         for (const auto &r : sweep) {
-            const std::uint64_t v = contentions ? r.locks.contentions
-                                                : r.locks.acquisitions;
-            t.row({app, std::to_string(r.threads), std::to_string(v),
+            const std::uint64_t v = value(r);
+            t.row({app, std::to_string(r.threads), Cell::count(v),
                    formatFixed(static_cast<double>(v) / base, 2) + "x"});
         }
     }
-    t.print(os);
+    return t;
 }
 
-void
-writeLockSeriesCsv(std::ostream &os, const SweepSet &sweeps,
-                   bool contentions)
+/** E7: unmeasured points (a shard's skipped slice) read "-". */
+TextTable
+mutatorGcTable(const SweepSet &sweeps)
 {
-    CsvWriter csv(os);
-    csv.row({"app", "threads",
-             contentions ? "contentions" : "acquisitions"});
+    TextTable t({{"app", "app"}, {"threads", "threads"}, {"wall", "wall_ns"},
+                 {"mutator", "mutator_ns"}, {"gc", "gc_ns"},
+                 {"gc-share", "gc_share"}, {"mutator-speedup", ""},
+                 {"minor-gcs", "minor_gcs"}, {"full-gcs", "full_gcs"}});
     for (const auto &[app, sweep] : sweeps) {
+        const auto measured = measuredRuns(sweep);
         for (const auto &r : sweep) {
-            csv.row({app, std::to_string(r.threads),
-                     std::to_string(contentions ? r.locks.contentions
-                                                : r.locks.acquisitions)});
+            const bool ok = !r.skipped && !r.failed();
+            t.row({app, std::to_string(r.threads), Cell::ticks(r.wall_time),
+                   Cell::ticks(r.mutatorTime()), Cell::ticks(r.gc_time),
+                   Cell::share(ScalabilityAnalyzer::gcShare(r)),
+                   ok ? Cell::fixed(ScalabilityAnalyzer::mutatorSpeedup(
+                                        measured.front(), r),
+                                    2, 2)
+                      : Cell::missing(),
+                   Cell::count(r.gc.minor_count),
+                   Cell::count(r.gc.full_count)},
+                  ok ? RowKind::Measured : RowKind::Unmeasured);
         }
     }
+    return t;
 }
-
-} // namespace
-
-void
-printLockAcquisitionTable(std::ostream &os, const SweepSet &sweeps)
-{
-    printLockSeries(os, sweeps, false,
-                    "E3 (Fig. 1a): lock acquisitions vs. threads");
-}
-
-void
-writeLockAcquisitionCsv(std::ostream &os, const SweepSet &sweeps)
-{
-    writeLockSeriesCsv(os, sweeps, false);
-}
-
-void
-printLockContentionTable(std::ostream &os, const SweepSet &sweeps)
-{
-    printLockSeries(os, sweeps, true,
-                    "E4 (Fig. 1b): lock contention instances vs. threads");
-}
-
-void
-writeLockContentionCsv(std::ostream &os, const SweepSet &sweeps)
-{
-    writeLockSeriesCsv(os, sweeps, true);
-}
-
-void
-printLifespanCdfTable(std::ostream &os, const std::string &app,
-                      const std::vector<jvm::RunResult> &sweep)
-{
-    os << "Object-lifespan CDF for " << app
-       << " (fraction of objects with lifespan < threshold; lifespan = "
-          "bytes allocated between birth and death)\n";
-    TextTable t;
-    std::vector<std::string> header = {"lifespan <"};
-    for (const auto &r : sweep)
-        header.push_back(threadsLabel(r));
-    t.header(header);
-    for (const auto threshold : trace::paperLifespanThresholds()) {
-        std::vector<std::string> row = {formatBytes(threshold)};
-        for (const auto &r : sweep) {
-            row.push_back(
-                formatPercent(r.heap.lifespan.fractionBelow(threshold)));
-        }
-        t.row(row);
-    }
-    t.print(os);
-}
-
-void
-writeLifespanCdfCsv(std::ostream &os, const std::string &app,
-                    const std::vector<jvm::RunResult> &sweep)
-{
-    CsvWriter csv(os);
-    csv.row({"app", "threads", "threshold_bytes", "fraction_below"});
-    for (const auto &r : sweep) {
-        for (const auto threshold : trace::paperLifespanThresholds()) {
-            csv.row({app, std::to_string(r.threads),
-                     std::to_string(threshold),
-                     formatFixed(
-                         r.heap.lifespan.fractionBelow(threshold), 4)});
-        }
-    }
-}
-
-void
-printMutatorGcTable(std::ostream &os, const SweepSet &sweeps)
-{
-    os << "E7 (Fig. 2): distribution of mutator and GC times\n";
-    TextTable t;
-    t.header({"app", "threads", "wall", "mutator", "gc", "gc-share",
-              "mutator-speedup", "minor-gcs", "full-gcs"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
-            t.row({app, std::to_string(r.threads),
-                   formatTicks(r.wall_time), formatTicks(r.mutatorTime()),
-                   formatTicks(r.gc_time),
-                   formatPercent(ScalabilityAnalyzer::gcShare(r)),
-                   formatFixed(ScalabilityAnalyzer::mutatorSpeedup(
-                                   sweep.front(), r),
-                               2),
-                   std::to_string(r.gc.minor_count),
-                   std::to_string(r.gc.full_count)});
-        }
-    }
-    t.print(os);
-}
-
-void
-writeMutatorGcCsv(std::ostream &os, const SweepSet &sweeps)
-{
-    CsvWriter csv(os);
-    csv.row({"app", "threads", "wall_ns", "mutator_ns", "gc_ns",
-             "gc_share", "minor_gcs", "full_gcs"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
-            csv.row({app, std::to_string(r.threads),
-                     std::to_string(r.wall_time),
-                     std::to_string(r.mutatorTime()),
-                     std::to_string(r.gc_time),
-                     formatFixed(ScalabilityAnalyzer::gcShare(r), 4),
-                     std::to_string(r.gc.minor_count),
-                     std::to_string(r.gc.full_count)});
-        }
-    }
-}
-
-void
-printGcSurvivalTable(std::ostream &os, const SweepSet &sweeps)
-{
-    os << "E8: GC effectiveness vs. threads (nursery survival drives "
-          "copy cost and promotions)\n";
-    TextTable t;
-    t.header({"app", "threads", "survival", "copied", "promoted",
-              "minor-gcs", "full-gcs", "mean-pause", "ttsp"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
-            t.row({app, std::to_string(r.threads),
-                   formatPercent(r.gc.nursery_survival.mean()),
-                   formatBytes(r.gc.copied_bytes),
-                   formatBytes(r.gc.promoted_bytes),
-                   std::to_string(r.gc.minor_count),
-                   std::to_string(r.gc.full_count),
-                   formatTicks(static_cast<Ticks>(
-                       r.gc.minor_pauses.mean())),
-                   formatTicks(r.gc.total_ttsp)});
-        }
-    }
-    t.print(os);
-    os << "(p50/p99 pauses per app at the largest setting: ";
-    bool first = true;
-    for (const auto &[app, sweep] : sweeps) {
-        const auto &hist = sweep.back().gc.pause_hist;
-        if (hist.totalWeight() == 0)
-            continue;
-        os << (first ? "" : "; ") << app << " "
-           << formatTicks(hist.percentile(0.5)) << "/"
-           << formatTicks(hist.percentile(0.99));
-        first = false;
-    }
-    os << ")\n";
-}
-
-void
-writeGcSurvivalCsv(std::ostream &os, const SweepSet &sweeps)
-{
-    CsvWriter csv(os);
-    csv.row({"app", "threads", "survival", "copied_bytes",
-             "promoted_bytes", "minor_gcs", "full_gcs", "mean_pause_ns",
-             "ttsp_ns"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
-            csv.row({app, std::to_string(r.threads),
-                     formatFixed(r.gc.nursery_survival.mean(), 4),
-                     std::to_string(r.gc.copied_bytes),
-                     std::to_string(r.gc.promoted_bytes),
-                     std::to_string(r.gc.minor_count),
-                     std::to_string(r.gc.full_count),
-                     formatFixed(r.gc.minor_pauses.mean(), 0),
-                     std::to_string(r.gc.total_ttsp)});
-        }
-    }
-}
-
-namespace {
-
-/** Mean per-mutator suspend components of one run. */
-struct SuspendMeans
-{
-    double ready = 0.0;
-    double blocked = 0.0;
-    double cpu = 0.0;
-};
-
-SuspendMeans
-suspendMeans(const jvm::RunResult &r)
-{
-    SuspendMeans m;
-    std::size_t n = 0;
-    for (const auto &ts : r.thread_summaries) {
-        if (ts.kind != os::ThreadKind::Mutator)
-            continue;
-        m.ready += static_cast<double>(ts.ready_time);
-        m.blocked += static_cast<double>(ts.blocked_time);
-        m.cpu += static_cast<double>(ts.cpu_time);
-        ++n;
-    }
-    if (n > 0) {
-        m.ready /= static_cast<double>(n);
-        m.blocked /= static_cast<double>(n);
-        m.cpu /= static_cast<double>(n);
-    }
-    return m;
-}
-
-} // namespace
-
-void
-printSuspendWaitTable(std::ostream &os, const SweepSet &sweeps)
-{
-    os << "E14: per-mutator suspend wait vs. threads (the Sec. III-B "
-          "interference mechanism)\n";
-    TextTable t;
-    t.header({"app", "threads", "mean-ready-wait", "mean-lock-block",
-              "suspend/cpu", "lifespan<1KiB"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
-            const SuspendMeans m = suspendMeans(r);
-            const double suspend = m.ready + m.blocked;
-            t.row({app, std::to_string(r.threads),
-                   formatTicks(static_cast<Ticks>(m.ready)),
-                   formatTicks(static_cast<Ticks>(m.blocked)),
-                   formatFixed(m.cpu > 0 ? suspend / m.cpu : 0.0, 3),
-                   formatPercent(
-                       r.heap.lifespan.fractionBelow(1024))});
-        }
-    }
-    t.print(os);
-}
-
-void
-writeSuspendWaitCsv(std::ostream &os, const SweepSet &sweeps)
-{
-    CsvWriter csv(os);
-    csv.row({"app", "threads", "mean_ready_ns", "mean_blocked_ns",
-             "suspend_over_cpu", "lifespan_lt_1k"});
-    for (const auto &[app, sweep] : sweeps) {
-        for (const auto &r : sweep) {
-            const SuspendMeans m = suspendMeans(r);
-            csv.row({app, std::to_string(r.threads),
-                     formatFixed(m.ready, 0), formatFixed(m.blocked, 0),
-                     formatFixed(m.cpu > 0 ? (m.ready + m.blocked) / m.cpu
-                                           : 0.0,
-                                 4),
-                     formatFixed(r.heap.lifespan.fractionBelow(1024),
-                                 4)});
-        }
-    }
-}
-
-void
-printThreadTable(std::ostream &os, const jvm::RunResult &r)
-{
-    TextTable t;
-    t.header({"thread", "kind", "tasks", "cpu", "ready-wait",
-              "lock-block", "sleep", "allocs", "alloc-bytes",
-              "dispatches"});
-    for (const auto &ts : r.thread_summaries) {
-        const char *kind = ts.kind == os::ThreadKind::Mutator
-                               ? "mutator"
-                               : ts.kind == os::ThreadKind::Helper
-                                     ? "helper"
-                                     : "daemon";
-        t.row({ts.name, kind, std::to_string(ts.tasks_completed),
-               formatTicks(ts.cpu_time), formatTicks(ts.ready_time),
-               formatTicks(ts.blocked_time), formatTicks(ts.sleep_time),
-               std::to_string(ts.allocations),
-               formatBytes(ts.bytes_allocated),
-               std::to_string(ts.dispatches)});
-    }
-    t.print(os);
-}
-
-namespace {
 
 /** Absolute-thread-count speedup points of one sweep. */
 std::vector<control::UslPoint>
@@ -512,37 +194,255 @@ sweepUslSeries(const SweepSet &sweeps)
     series.reserve(sweeps.size());
     for (const auto &[app, sweep] : sweeps) {
         jscale_assert(!sweep.empty(), "empty sweep for ", app);
-        series.push_back({app, sweepUslPoints(sweep)});
+        series.push_back({app, sweepUslPoints(measuredRuns(sweep))});
     }
     return series;
 }
 
+/** E17: an unfit series keeps only its observed knee and peak. */
+TextTable
+uslTable(const std::vector<UslSeries> &series)
+{
+    TextTable t({{"app", "app"}, {"sigma", "sigma"}, {"kappa", "kappa"},
+                 {"n*", "n_star"}, {"rec-threads", "recommended_threads"},
+                 {"peak-pred", "predicted_peak"},
+                 {"knee-obs", "observed_knee"}, {"peak-obs", "observed_peak"},
+                 {"rms", "rms_residual"}, {"knee-class", "knee_class"}});
+    for (const auto &s : series) {
+        const UslRowData d = uslRowData(s.points);
+        const control::UslFit &f = d.fit;
+        const auto fitted = [&f](Cell c) {
+            return f.valid ? std::move(c) : Cell::missing();
+        };
+        t.row({s.app, fitted(Cell::fixed(f.sigma, 4, 6)),
+               fitted(Cell::fixed(f.kappa, 6, 6)),
+               fitted(f.n_star > 0.0
+                          ? Cell::fixed(f.n_star, 1, 2)
+                          : Cell::label("-", formatFixed(f.n_star, 2))),
+               fitted(Cell::count(d.rec)),
+               fitted(Cell::fixed(f.peak_speedup, 2, 4)),
+               Cell::fixed(d.knee, 0, 0), Cell::fixed(d.peak, 2, 4),
+               fitted(Cell::fixed(f.rms_residual, 3, 4)), d.cls});
+    }
+    return t;
+}
+
 } // namespace
+
+void
+printScalabilityTable(std::ostream &os, const SweepSet &sweeps)
+{
+    os << "E1: execution time and speedup vs. threads "
+          "(threads == enabled cores, heap = 3x min)\n";
+    scalabilityTable(sweeps).print(os);
+}
+
+void
+writeScalabilityCsv(std::ostream &os, const SweepSet &sweeps)
+{
+    scalabilityTable(sweeps).writeCsv(os);
+}
+
+void
+printWorkloadDistributionTable(std::ostream &os, const SweepSet &sweeps)
+{
+    os << "E2: workload distribution across threads "
+          "(effective workers cover 90% of tasks)\n";
+    workloadDistributionTable(sweeps).print(os);
+}
+
+void
+writeWorkloadDistributionCsv(std::ostream &os, const SweepSet &sweeps)
+{
+    workloadDistributionTable(sweeps).writeCsv(os);
+}
+
+void
+printLockAcquisitionTable(std::ostream &os, const SweepSet &sweeps)
+{
+    os << "E3 (Fig. 1a): lock acquisitions vs. threads\n";
+    lockTable(sweeps, false).print(os);
+}
+
+void
+writeLockAcquisitionCsv(std::ostream &os, const SweepSet &sweeps)
+{
+    lockTable(sweeps, false).writeCsv(os);
+}
+
+void
+printLockContentionTable(std::ostream &os, const SweepSet &sweeps)
+{
+    os << "E4 (Fig. 1b): lock contention instances vs. threads\n";
+    lockTable(sweeps, true).print(os);
+}
+
+void
+writeLockContentionCsv(std::ostream &os, const SweepSet &sweeps)
+{
+    lockTable(sweeps, true).writeCsv(os);
+}
+
+/** E5/E6 in long form (one row per run and threshold); the text shows
+ *  it wide, thresholds down and thread counts across. */
+TextTable
+lifespanCdfTable(const std::string &app,
+                 const std::vector<jvm::RunResult> &sweep)
+{
+    TextTable t({{"", "app"}, {"", "threads"},
+                 {"lifespan <", "threshold_bytes"}, {"", "fraction_below"}});
+    for (const auto &r : sweep) {
+        for (const auto threshold : trace::paperLifespanThresholds()) {
+            t.row({app,
+                   Cell::label(std::to_string(r.threads) + "T/" +
+                                   std::to_string(r.cores) + "C",
+                               std::to_string(r.threads)),
+                   Cell::bytes(threshold),
+                   Cell::share(r.heap.lifespan.fractionBelow(threshold))});
+        }
+    }
+    return t;
+}
+
+void
+printLifespanCdfTable(std::ostream &os, const std::string &app,
+                      const std::vector<jvm::RunResult> &sweep)
+{
+    os << "Object-lifespan CDF for " << app
+       << " (fraction of objects with lifespan < threshold; lifespan = "
+          "bytes allocated between birth and death)\n";
+    lifespanCdfTable(app, sweep).printPivot(os, 2, 1, 3);
+}
+
+void
+printMutatorGcTable(std::ostream &os, const SweepSet &sweeps)
+{
+    os << "E7 (Fig. 2): distribution of mutator and GC times\n";
+    mutatorGcTable(sweeps).print(os);
+}
+
+void
+writeMutatorGcCsv(std::ostream &os, const SweepSet &sweeps)
+{
+    mutatorGcTable(sweeps).writeCsv(os);
+}
+
+/** E8. */
+TextTable
+gcSurvivalTable(const SweepSet &sweeps)
+{
+    TextTable t({{"app", "app"}, {"threads", "threads"},
+                 {"survival", "survival"}, {"copied", "copied_bytes"},
+                 {"promoted", "promoted_bytes"}, {"minor-gcs", "minor_gcs"},
+                 {"full-gcs", "full_gcs"}, {"mean-pause", "mean_pause_ns"},
+                 {"ttsp", "ttsp_ns"}});
+    for (const auto &[app, sweep] : sweeps) {
+        for (const auto &r : sweep) {
+            t.row({app, std::to_string(r.threads),
+                   Cell::share(r.gc.nursery_survival.mean()),
+                   Cell::bytes(r.gc.copied_bytes),
+                   Cell::bytes(r.gc.promoted_bytes),
+                   Cell::count(r.gc.minor_count),
+                   Cell::count(r.gc.full_count),
+                   Cell::meanTicks(r.gc.minor_pauses.mean()),
+                   Cell::ticks(r.gc.total_ttsp)});
+        }
+    }
+    return t;
+}
+
+void
+printGcSurvivalTable(std::ostream &os, const SweepSet &sweeps)
+{
+    os << "E8: GC effectiveness vs. threads (nursery survival drives "
+          "copy cost and promotions)\n";
+    gcSurvivalTable(sweeps).print(os);
+    os << "(p50/p99 pauses per app at the largest setting: ";
+    bool first = true;
+    for (const auto &[app, sweep] : sweeps) {
+        const auto &hist = sweep.back().gc.pause_hist;
+        if (hist.totalWeight() == 0)
+            continue;
+        os << (first ? "" : "; ") << app << " "
+           << formatTicks(hist.percentile(0.5)) << "/"
+           << formatTicks(hist.percentile(0.99));
+        first = false;
+    }
+    os << ")\n";
+}
+
+/** E14. */
+TextTable
+suspendWaitTable(const SweepSet &sweeps)
+{
+    TextTable t({{"app", "app"}, {"threads", "threads"},
+                 {"mean-ready-wait", "mean_ready_ns"},
+                 {"mean-lock-block", "mean_blocked_ns"},
+                 {"suspend/cpu", "suspend_over_cpu"},
+                 {"lifespan<1KiB", "lifespan_lt_1k"}});
+    for (const auto &[app, sweep] : sweeps) {
+        for (const auto &r : sweep) {
+            // Means over the mutator threads.
+            double ready = 0.0, blocked = 0.0, cpu = 0.0, n = 0.0;
+            for (const auto &ts : r.thread_summaries) {
+                if (ts.kind != os::ThreadKind::Mutator)
+                    continue;
+                ready += static_cast<double>(ts.ready_time);
+                blocked += static_cast<double>(ts.blocked_time);
+                cpu += static_cast<double>(ts.cpu_time);
+                ++n;
+            }
+            if (n > 0) {
+                ready /= n;
+                blocked /= n;
+                cpu /= n;
+            }
+            t.row({app, std::to_string(r.threads), Cell::meanTicks(ready),
+                   Cell::meanTicks(blocked),
+                   Cell::fixed(cpu > 0 ? (ready + blocked) / cpu : 0.0, 3, 4),
+                   Cell::share(r.heap.lifespan.fractionBelow(1024))});
+        }
+    }
+    return t;
+}
+
+void
+printSuspendWaitTable(std::ostream &os, const SweepSet &sweeps)
+{
+    os << "E14: per-mutator suspend wait vs. threads (the Sec. III-B "
+          "interference mechanism)\n";
+    suspendWaitTable(sweeps).print(os);
+}
+
+void
+printThreadTable(std::ostream &os, const jvm::RunResult &r)
+{
+    TextTable t;
+    t.header({"thread", "kind", "tasks", "cpu", "ready-wait",
+              "lock-block", "sleep", "allocs", "alloc-bytes",
+              "dispatches"});
+    for (const auto &ts : r.thread_summaries) {
+        const char *kind = ts.kind == os::ThreadKind::Mutator
+                               ? "mutator"
+                               : ts.kind == os::ThreadKind::Helper
+                                     ? "helper"
+                                     : "daemon";
+        t.row({ts.name, kind, std::to_string(ts.tasks_completed),
+               formatTicks(ts.cpu_time), formatTicks(ts.ready_time),
+               formatTicks(ts.blocked_time), formatTicks(ts.sleep_time),
+               std::to_string(ts.allocations),
+               formatBytes(ts.bytes_allocated),
+               std::to_string(ts.dispatches)});
+    }
+    t.print(os);
+}
 
 void
 printUslSeriesTable(std::ostream &os, const std::vector<UslSeries> &series)
 {
     os << "E17: USL fit per app: "
           "S(n) = n / (1 + sigma*(n-1) + kappa*n*(n-1))\n";
-    TextTable t;
-    t.header({"app", "sigma", "kappa", "n*", "rec-threads", "peak-pred",
-              "knee-obs", "peak-obs", "rms", "knee-class"});
-    for (const auto &s : series) {
-        const UslRowData d = uslRowData(s.points);
-        if (!d.fit.valid) {
-            t.row({s.app, "-", "-", "-", "-", "-",
-                   formatFixed(d.knee, 0), formatFixed(d.peak, 2), "-",
-                   d.cls});
-            continue;
-        }
-        t.row({s.app, formatFixed(d.fit.sigma, 4),
-               formatFixed(d.fit.kappa, 6),
-               d.fit.n_star > 0.0 ? formatFixed(d.fit.n_star, 1) : "-",
-               std::to_string(d.rec), formatFixed(d.fit.peak_speedup, 2),
-               formatFixed(d.knee, 0), formatFixed(d.peak, 2),
-               formatFixed(d.fit.rms_residual, 3), d.cls});
-    }
-    t.print(os);
+    uslTable(series).print(os);
 }
 
 void
@@ -554,24 +454,7 @@ printUslTable(std::ostream &os, const SweepSet &sweeps)
 void
 writeUslCsv(std::ostream &os, const SweepSet &sweeps)
 {
-    CsvWriter csv(os);
-    csv.row({"app", "sigma", "kappa", "n_star", "recommended_threads",
-             "predicted_peak", "observed_knee", "observed_peak",
-             "rms_residual", "knee_class"});
-    for (const auto &s : sweepUslSeries(sweeps)) {
-        const UslRowData d = uslRowData(s.points);
-        if (!d.fit.valid) {
-            csv.row({s.app, "", "", "", "", "", formatFixed(d.knee, 0),
-                     formatFixed(d.peak, 4), "", d.cls});
-            continue;
-        }
-        csv.row({s.app, formatFixed(d.fit.sigma, 6),
-                 formatFixed(d.fit.kappa, 6),
-                 formatFixed(d.fit.n_star, 2), std::to_string(d.rec),
-                 formatFixed(d.fit.peak_speedup, 4),
-                 formatFixed(d.knee, 0), formatFixed(d.peak, 4),
-                 formatFixed(d.fit.rms_residual, 4), d.cls});
-    }
+    uslTable(sweepUslSeries(sweeps)).writeCsv(os);
 }
 
 void
@@ -747,20 +630,46 @@ runStatSnapshot(const jvm::RunResult &r)
     return s;
 }
 
-namespace {
-
-/** Tail-quantile cells (p50/p90/p99/p999/max) of one histogram. */
-std::vector<std::string>
-quantileCells(const stats::LatencyHistogram &h)
+/**
+ * Wait-state blame of one run: every bucket in the CSV (zero rows
+ * included, so the row set is configuration-independent), the
+ * non-empty ones in the text.
+ */
+TextTable
+blameTable(const jvm::RunResult &r)
 {
-    if (h.count() == 0)
-        return {"-", "-", "-", "-", "-"};
-    return {formatTicks(h.quantile(0.50)), formatTicks(h.quantile(0.90)),
-            formatTicks(h.quantile(0.99)), formatTicks(h.quantile(0.999)),
-            formatTicks(h.max())};
+    const jvm::ProfileSummary &p = r.profile;
+    const Ticks total = p.total();
+    const double denom = total > 0 ? static_cast<double>(total) : 1.0;
+    TextTable t({{"", "app"}, {"", "threads"}, {"bucket", "bucket"},
+                 {"total", "total_ns"}, {"share", "share"}, {"", "tasks"},
+                 {"p50", "p50_ns"}, {"p90", "p90_ns"}, {"p99", "p99_ns"},
+                 {"p999", "p999_ns"}, {"max", "max_ns"}});
+    const auto add = [&](Cell bucket, Ticks sum,
+                         const stats::LatencyHistogram &h, double share,
+                         RowKind kind) {
+        // Tails of an empty distribution read "-" in the text.
+        const auto tail = [&h](std::uint64_t v) {
+            return h.count() > 0 ? Cell::ticks(v)
+                                 : Cell::label("-", std::to_string(v));
+        };
+        t.row({r.app_name, std::to_string(r.threads), std::move(bucket),
+               Cell::ticks(sum), Cell::share(share, 6), Cell::count(h.count()),
+               tail(h.quantile(0.50)), tail(h.quantile(0.90)),
+               tail(h.quantile(0.99)), tail(h.quantile(0.999)),
+               tail(h.max())},
+              kind);
+    };
+    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
+        add(jvm::waitBucketName(static_cast<jvm::WaitBucket>(i)),
+            p.bucket_total[i], p.bucket_hist[i],
+            static_cast<double>(p.bucket_total[i]) / denom,
+            p.bucket_total[i] == 0 ? RowKind::CsvOnly : RowKind::Measured);
+    }
+    add(Cell::label("task wall", "task-wall"), total, p.latency,
+        total > 0 ? 1.0 : 0.0, RowKind::Measured);
+    return t;
 }
-
-} // namespace
 
 void
 printBlameTable(std::ostream &os, const jvm::RunResult &r)
@@ -772,31 +681,7 @@ printBlameTable(std::ostream &os, const jvm::RunResult &r)
         os << "  (profiling disabled; run with --profile)\n";
         return;
     }
-    const Ticks total = p.total();
-    const double denom = total > 0 ? static_cast<double>(total) : 1.0;
-    TextTable t;
-    t.header({"bucket", "total", "share", "p50", "p90", "p99", "p999",
-              "max"});
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-        if (p.bucket_total[i] == 0)
-            continue;
-        std::vector<std::string> row = {
-            jvm::waitBucketName(static_cast<jvm::WaitBucket>(i)),
-            formatTicks(p.bucket_total[i]),
-            formatPercent(static_cast<double>(p.bucket_total[i]) / denom)};
-        for (auto &cell : quantileCells(p.bucket_hist[i]))
-            row.push_back(std::move(cell));
-        t.row(std::move(row));
-    }
-    {
-        std::vector<std::string> row = {"task wall", formatTicks(total),
-                                        formatPercent(total > 0 ? 1.0
-                                                                : 0.0)};
-        for (auto &cell : quantileCells(p.latency))
-            row.push_back(std::move(cell));
-        t.row(std::move(row));
-    }
-    t.print(os);
+    blameTable(r).print(os);
     os << "  tasks " << p.tasks << " (" << p.tasks_discarded
        << " discarded), dominant wait: "
        << jvm::waitBucketName(p.dominantWait()) << "\n";
@@ -839,52 +724,90 @@ printBlameTable(std::ostream &os, const jvm::RunResult &r)
     }
 }
 
-void
-writeBlameCsv(std::ostream &os, const jvm::RunResult &r)
+TextTable
+profileHistogramTable(const jvm::RunResult &r)
 {
     const jvm::ProfileSummary &p = r.profile;
-    const Ticks total = p.total();
-    const double denom = total > 0 ? static_cast<double>(total) : 1.0;
-    os << "app,threads,bucket,total_ns,share,tasks,p50_ns,p90_ns,p99_ns,"
-          "p999_ns,max_ns\n";
-    const auto emit = [&](const char *name, Ticks bucket_total,
-                          const stats::LatencyHistogram &h,
-                          double share) {
-        os << r.app_name << "," << r.threads << "," << name << ","
-           << bucket_total << "," << formatFixed(share, 6) << ","
-           << h.count() << "," << h.quantile(0.50) << ","
-           << h.quantile(0.90) << "," << h.quantile(0.99) << ","
-           << h.quantile(0.999) << "," << h.max() << "\n";
-    };
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-        emit(jvm::waitBucketName(static_cast<jvm::WaitBucket>(i)),
-             p.bucket_total[i], p.bucket_hist[i],
-             static_cast<double>(p.bucket_total[i]) / denom);
-    }
-    emit("task-wall", total, p.latency, total > 0 ? 1.0 : 0.0);
-}
-
-void
-writeProfileHistogramCsv(std::ostream &os, const jvm::RunResult &r)
-{
-    const jvm::ProfileSummary &p = r.profile;
-    os << "app,threads,histogram,bucket_index,lower_edge_ns,count\n";
-    const auto emit = [&](const char *name,
-                          const stats::LatencyHistogram &h) {
+    TextTable t({{"", "app"}, {"", "threads"}, {"", "histogram"},
+                 {"", "bucket_index"}, {"", "lower_edge_ns"}, {"", "count"}});
+    const auto add = [&](const char *name,
+                         const stats::LatencyHistogram &h) {
         for (std::size_t i = 0; i < stats::LatencyHistogram::kBuckets;
              ++i) {
             if (h.bucket(i) == 0)
                 continue;
-            os << r.app_name << "," << r.threads << "," << name << ","
-               << i << "," << stats::LatencyHistogram::bucketLowerEdge(i)
-               << "," << h.bucket(i) << "\n";
+            t.row({r.app_name, std::to_string(r.threads), name,
+                   Cell::count(i),
+                   Cell::count(stats::LatencyHistogram::bucketLowerEdge(i)),
+                   Cell::count(h.bucket(i))});
         }
     };
-    emit("task-wall", p.latency);
+    add("task-wall", p.latency);
     for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-        emit(jvm::waitBucketName(static_cast<jvm::WaitBucket>(i)),
-             p.bucket_hist[i]);
+        add(jvm::waitBucketName(static_cast<jvm::WaitBucket>(i)),
+            p.bucket_hist[i]);
     }
+    return t;
+}
+
+/**
+ * Open-loop traffic of several runs. Text panel 0 is the arrival
+ * accounting and tails, panel 1 the service-time decomposition; the
+ * CSV carries both, with raw per-bucket service totals.
+ */
+TextTable
+trafficTable(const std::vector<jvm::RunResult> &runs)
+{
+    std::vector<Column> cols = {{"app", "app", 3}, {"tenant", "tenant", 3},
+                                {"threads", "threads"},
+                                {"arrival spec", "arrival_spec", 2},
+                                {"arrivals", "arrivals"}, {"", "admitted"},
+                                {"shed", "shed"}, {"", "dispatched"},
+                                {"done", "completed"},
+                                {"maxq", "max_queue_depth"},
+                                {"p50", "sojourn_p50_ns"},
+                                {"p99", "sojourn_p99_ns"},
+                                {"p999", "sojourn_p999_ns"},
+                                {"queue p99", "queueing_p99_ns"},
+                                {"svc p99", "service_p99_ns"}};
+    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
+        const auto b = static_cast<jvm::WaitBucket>(i);
+        const std::string name = jvm::waitBucketName(b);
+        // The decomposition panel leaves out the rarely-charged buckets.
+        const bool shown = b != jvm::WaitBucket::Waitset &&
+                           b != jvm::WaitBucket::AllocStall &&
+                           b != jvm::WaitBucket::Stall &&
+                           b != jvm::WaitBucket::Other;
+        cols.push_back({shown ? name : "", "svc_" + name + "_ns", 2});
+    }
+    TextTable t(std::move(cols));
+    for (const jvm::RunResult &r : runs) {
+        if (!r.traffic.enabled)
+            continue;
+        const jvm::TrafficSummary &s = r.traffic;
+        std::vector<Cell> row = {
+            r.app_name, std::to_string(s.tenant), std::to_string(r.threads),
+            s.arrival_spec, Cell::count(s.arrivals), Cell::count(s.admitted),
+            Cell::count(s.shed), Cell::count(s.dispatched),
+            Cell::count(s.completed), Cell::count(s.max_queue_depth),
+            Cell::ticks(s.sojourn.quantile(0.50)),
+            Cell::ticks(s.sojourn.quantile(0.99)),
+            Cell::ticks(s.sojourn.quantile(0.999)),
+            Cell::ticks(s.queueing.quantile(0.99)),
+            Cell::ticks(s.service.quantile(0.99))};
+        const Ticks svc = s.serviceBucketTotal();
+        for (const Ticks v : s.service_bucket_total) {
+            row.push_back(Cell::label(
+                svc == 0 ? "-"
+                         : formatFixed(100.0 * static_cast<double>(v) /
+                                           static_cast<double>(svc),
+                                       1) +
+                               "%",
+                std::to_string(v)));
+        }
+        t.row(std::move(row));
+    }
+    return t;
 }
 
 void
@@ -893,91 +816,16 @@ printTrafficTable(std::ostream &os,
 {
     os << "open-loop traffic: per-request sojourn = queueing + "
           "attributed service\n";
-    TextTable t;
-    t.header({"app", "tenant", "threads", "arrivals", "shed", "done",
-              "maxq", "p50", "p99", "p999", "queue p99", "svc p99"});
-    for (const jvm::RunResult &r : runs) {
-        if (!r.traffic.enabled)
-            continue;
-        const jvm::TrafficSummary &s = r.traffic;
-        t.row({r.app_name, std::to_string(s.tenant),
-               std::to_string(r.threads), std::to_string(s.arrivals),
-               std::to_string(s.shed), std::to_string(s.completed),
-               std::to_string(s.max_queue_depth),
-               formatTicks(s.sojourn.quantile(0.50)),
-               formatTicks(s.sojourn.quantile(0.99)),
-               formatTicks(s.sojourn.quantile(0.999)),
-               formatTicks(s.queueing.quantile(0.99)),
-               formatTicks(s.service.quantile(0.99))});
-    }
-    t.print(os);
-
+    const TextTable t = trafficTable(runs);
+    t.print(os, 0);
     os << "\nservice-time decomposition (share of attributed service)\n";
-    TextTable d;
-    d.header({"app", "tenant", "arrival spec", "cpu", "runq", "ttsp",
-              "gc-stw", "lock", "channel", "governor"});
-    const auto share = [](const jvm::TrafficSummary &s,
-                          jvm::WaitBucket b) {
-        const Ticks total = s.serviceBucketTotal();
-        if (total == 0)
-            return std::string("-");
-        const double v =
-            100.0 *
-            static_cast<double>(
-                s.service_bucket_total[static_cast<std::size_t>(b)]) /
-            static_cast<double>(total);
-        std::ostringstream str;
-        str.setf(std::ios::fixed);
-        str.precision(1);
-        str << v << "%";
-        return str.str();
-    };
-    for (const jvm::RunResult &r : runs) {
-        if (!r.traffic.enabled)
-            continue;
-        const jvm::TrafficSummary &s = r.traffic;
-        d.row({r.app_name, std::to_string(s.tenant), s.arrival_spec,
-               share(s, jvm::WaitBucket::Cpu),
-               share(s, jvm::WaitBucket::RunQueue),
-               share(s, jvm::WaitBucket::Ttsp),
-               share(s, jvm::WaitBucket::GcStw),
-               share(s, jvm::WaitBucket::Lock),
-               share(s, jvm::WaitBucket::Channel),
-               share(s, jvm::WaitBucket::Governor)});
-    }
-    d.print(os);
+    t.print(os, 1);
 }
 
-void
-writeTrafficCsv(std::ostream &os,
-                const std::vector<jvm::RunResult> &runs)
+const char *
+runStatus(const jvm::RunResult &r)
 {
-    os << "app,tenant,threads,arrival_spec,arrivals,admitted,shed,"
-          "dispatched,completed,max_queue_depth,sojourn_p50_ns,"
-          "sojourn_p99_ns,sojourn_p999_ns,queueing_p99_ns,"
-          "service_p99_ns";
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-        os << ",svc_"
-           << jvm::waitBucketName(static_cast<jvm::WaitBucket>(i))
-           << "_ns";
-    }
-    os << "\n";
-    for (const jvm::RunResult &r : runs) {
-        if (!r.traffic.enabled)
-            continue;
-        const jvm::TrafficSummary &s = r.traffic;
-        os << r.app_name << "," << s.tenant << "," << r.threads << ","
-           << s.arrival_spec << "," << s.arrivals << "," << s.admitted
-           << "," << s.shed << "," << s.dispatched << "," << s.completed
-           << "," << s.max_queue_depth << ","
-           << s.sojourn.quantile(0.50) << "," << s.sojourn.quantile(0.99)
-           << "," << s.sojourn.quantile(0.999) << ","
-           << s.queueing.quantile(0.99) << ","
-           << s.service.quantile(0.99);
-        for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
-            os << "," << s.service_bucket_total[i];
-        os << "\n";
-    }
+    return r.failed() ? "failed" : r.skipped ? "skipped" : "ok";
 }
 
 void
@@ -988,7 +836,6 @@ printRunSummary(std::ostream &os, const jvm::RunResult &r)
        << " ==\n";
     TextTable t;
     t.header({"metric", "value"});
-    t.align(1, TextTable::Align::Right);
     t.row({"wall time", formatTicks(r.wall_time)});
     t.row({"mutator time", formatTicks(r.mutatorTime())});
     t.row({"gc time", formatTicks(r.gc_time)});

@@ -1,9 +1,13 @@
 /**
  * @file
- * Report writers: render the paper's tables and figures from RunResults,
- * as aligned text (console) and CSV (machine-readable). One function per
- * experiment artifact; the bench binaries are thin wrappers around
- * these.
+ * Report writers: the paper's tables and figures, rendered from
+ * RunResults. Each report is declared once, in report.cc or next to its
+ * study, as a TextTable: a column list (text header, CSV header) and one
+ * loop that fills rows of typed cells. The text and the CSV are that
+ * table's two emitters (print, writeCsv), so they cannot disagree.
+ * print*Table adds the report's title and any text-only notes;
+ * write*Csv remains for the six reports bench/e2e renders by name. The
+ * bench binaries are thin wrappers around these.
  */
 
 #ifndef JSCALE_CORE_REPORT_HH
@@ -14,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "base/output.hh"
 #include "control/usl.hh"
 #include "jvm/runtime/vm.hh"
 #include "stats/stats.hh"
@@ -52,8 +57,8 @@ void writeLockContentionCsv(std::ostream &os, const SweepSet &sweeps);
  */
 void printLifespanCdfTable(std::ostream &os, const std::string &app,
                            const std::vector<jvm::RunResult> &sweep);
-void writeLifespanCdfCsv(std::ostream &os, const std::string &app,
-                         const std::vector<jvm::RunResult> &sweep);
+TextTable lifespanCdfTable(const std::string &app,
+                           const std::vector<jvm::RunResult> &sweep);
 
 /**
  * E7 — Fig. 2: mutator time vs. GC time per app and thread count (the
@@ -67,7 +72,7 @@ void writeMutatorGcCsv(std::ostream &os, const SweepSet &sweeps);
  * minor/full GC counts and mean pauses vs. threads.
  */
 void printGcSurvivalTable(std::ostream &os, const SweepSet &sweeps);
-void writeGcSurvivalCsv(std::ostream &os, const SweepSet &sweeps);
+TextTable gcSurvivalTable(const SweepSet &sweeps);
 
 /**
  * E14 — the Sec. III-B mechanism: per-mutator suspend wait (time
@@ -75,7 +80,7 @@ void writeGcSurvivalCsv(std::ostream &os, const SweepSet &sweeps);
  * count, next to the lifespan CDF it inflates.
  */
 void printSuspendWaitTable(std::ostream &os, const SweepSet &sweeps);
-void writeSuspendWaitCsv(std::ostream &os, const SweepSet &sweeps);
+TextTable suspendWaitTable(const SweepSet &sweeps);
 
 /** One app's speedup curve as raw points (e.g. re-read from a CSV). */
 struct UslSeries
@@ -118,14 +123,14 @@ void printGovernedComparisonTable(std::ostream &os, const SweepSet &off,
  * column/row set is configuration-independent.
  */
 void printBlameTable(std::ostream &os, const jvm::RunResult &r);
-void writeBlameCsv(std::ostream &os, const jvm::RunResult &r);
+TextTable blameTable(const jvm::RunResult &r);
 
 /**
- * Raw log-bucketed histogram dump of a profiled run: one row per
- * non-empty histogram bucket, for the end-to-end task latency
+ * Raw log-bucketed histogram dump of a profiled run (CSV only): one row
+ * per non-empty histogram bucket, for the end-to-end task latency
  * distribution and each wait bucket's per-task distribution.
  */
-void writeProfileHistogramCsv(std::ostream &os, const jvm::RunResult &r);
+TextTable profileHistogramTable(const jvm::RunResult &r);
 
 /**
  * Flatten every deterministic counter of one run into a named stat
@@ -143,8 +148,10 @@ stats::StatSnapshot runStatSnapshot(const jvm::RunResult &r);
  */
 void printTrafficTable(std::ostream &os,
                        const std::vector<jvm::RunResult> &runs);
-void writeTrafficCsv(std::ostream &os,
-                     const std::vector<jvm::RunResult> &runs);
+TextTable trafficTable(const std::vector<jvm::RunResult> &runs);
+
+/** A point's status word in the studies' tables: ok, skipped or failed. */
+const char *runStatus(const jvm::RunResult &r);
 
 /** Free-form one-run summary (quickstart/example output). */
 void printRunSummary(std::ostream &os, const jvm::RunResult &r);

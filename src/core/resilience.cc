@@ -6,22 +6,12 @@
 #include "base/logging.hh"
 #include "base/output.hh"
 #include "core/analyze.hh"
+#include "core/report.hh"
 #include "fault/fault.hh"
 
 namespace jscale::core {
 
 namespace {
-
-/** Tasks per second of simulated time (0 for failed/empty runs). */
-double
-throughput(const jvm::RunResult &r)
-{
-    if (r.wall_time == 0)
-        return 0.0;
-    return static_cast<double>(r.total_tasks) /
-           (static_cast<double>(r.wall_time) /
-            static_cast<double>(units::SEC));
-}
 
 /** Share of total thread-time spent blocked on locks. */
 double
@@ -32,16 +22,6 @@ lockShare(const jvm::RunResult &r)
     return static_cast<double>(r.locks.block_time) /
            (static_cast<double>(r.wall_time) *
             static_cast<double>(r.threads));
-}
-
-std::string
-armStatus(const jvm::RunResult &r)
-{
-    if (r.failed())
-        return "failed";
-    if (r.skipped)
-        return "skipped";
-    return "ok";
 }
 
 } // namespace
@@ -114,11 +94,45 @@ runResilienceStudy(const ResilienceConfig &config)
                 point.ungoverned = std::move(r);
         }
         inform("resilience: intensity ", formatFixed(intensity, 2),
-               " done (ungoverned ", armStatus(point.ungoverned),
-               ", governed ", armStatus(point.governed), ")");
+               " done (ungoverned ", runStatus(point.ungoverned),
+               ", governed ", runStatus(point.governed), ")");
         points.push_back(std::move(point));
     }
     return points;
+}
+
+TextTable
+resilienceTable(const std::vector<ResiliencePoint> &points)
+{
+    TextTable t({{"intensity", "intensity"}, {"arm", "arm"},
+                 {"status", "status"}, {"wall", "wall_ticks"},
+                 {"tput", "throughput"}, {"gc-share", "gc_share"},
+                 {"lock-share", "lock_share"}, {"inject", "injections"},
+                 {"recover", "recoveries"}, {"", "cores_offlined"},
+                 {"killed", "mutators_killed"}, {"", "tasks_reassigned"},
+                 {"target", "gov_target"}});
+    for (const auto &p : points) {
+        for (const bool governed : {false, true}) {
+            const jvm::RunResult &r =
+                governed ? p.governed : p.ungoverned;
+            t.row({formatFixed(p.intensity, 2), governed ? "gov" : "ungov",
+                   runStatus(r), Cell::ticks(r.wall_time),
+                   Cell::fixed(ScalabilityAnalyzer::throughput(r), 1, 3),
+                   Cell::share(ScalabilityAnalyzer::gcShare(r)),
+                   Cell::share(lockShare(r)),
+                   Cell::count(r.faults.injections),
+                   Cell::count(r.faults.recoveries),
+                   Cell::count(r.faults.cores_offlined),
+                   Cell::count(r.faults.mutators_killed),
+                   Cell::count(r.faults.tasks_reassigned),
+                   r.governor.enabled
+                       ? std::to_string(r.governor.final_target)
+                       : "-"},
+                  r.failed() ? TextTable::RowKind::Unmeasured
+                             : TextTable::RowKind::Measured);
+        }
+    }
+    return t;
 }
 
 void
@@ -127,35 +141,7 @@ printResilienceTable(std::ostream &os,
 {
     os << "E18 — resilience under fault injection "
           "(throughput in tasks/s of simulated time)\n";
-    TextTable t;
-    t.header({"intensity", "arm", "status", "wall", "tput", "gc-share",
-              "lock-share", "inject", "recover", "killed", "target"});
-    for (const auto &p : points) {
-        for (const bool governed : {false, true}) {
-            const jvm::RunResult &r =
-                governed ? p.governed : p.ungoverned;
-            const std::string target =
-                r.governor.enabled
-                    ? std::to_string(r.governor.final_target)
-                    : "-";
-            if (r.failed()) {
-                t.row({formatFixed(p.intensity, 2),
-                       governed ? "gov" : "ungov", "failed", "-", "-",
-                       "-", "-", "-", "-", "-", target});
-                continue;
-            }
-            t.row({formatFixed(p.intensity, 2),
-                   governed ? "gov" : "ungov", armStatus(r),
-                   formatTicks(r.wall_time),
-                   formatFixed(throughput(r), 1),
-                   formatPercent(ScalabilityAnalyzer::gcShare(r)),
-                   formatPercent(lockShare(r)),
-                   std::to_string(r.faults.injections),
-                   std::to_string(r.faults.recoveries),
-                   std::to_string(r.faults.mutators_killed), target});
-        }
-    }
-    t.print(os);
+    resilienceTable(points).print(os);
     for (const auto &p : points) {
         if (p.ungoverned.failed())
             os << "failed: intensity " << formatFixed(p.intensity, 2)
@@ -163,35 +149,6 @@ printResilienceTable(std::ostream &os,
         if (p.governed.failed())
             os << "failed: intensity " << formatFixed(p.intensity, 2)
                << " governed: " << p.governed.run_error << "\n";
-    }
-}
-
-void
-writeResilienceCsv(std::ostream &os,
-                   const std::vector<ResiliencePoint> &points)
-{
-    os << "intensity,arm,status,wall_ticks,throughput,gc_share,"
-          "lock_share,injections,recoveries,cores_offlined,"
-          "mutators_killed,tasks_reassigned,gov_target\n";
-    for (const auto &p : points) {
-        for (const bool governed : {false, true}) {
-            const jvm::RunResult &r =
-                governed ? p.governed : p.ungoverned;
-            os << formatFixed(p.intensity, 2) << ','
-               << (governed ? "gov" : "ungov") << ',' << armStatus(r)
-               << ',' << r.wall_time << ','
-               << formatFixed(throughput(r), 3) << ','
-               << formatFixed(ScalabilityAnalyzer::gcShare(r), 4) << ','
-               << formatFixed(lockShare(r), 4) << ','
-               << r.faults.injections << ',' << r.faults.recoveries
-               << ',' << r.faults.cores_offlined << ','
-               << r.faults.mutators_killed << ','
-               << r.faults.tasks_reassigned << ','
-               << (r.governor.enabled
-                       ? std::to_string(r.governor.final_target)
-                       : std::string("-"))
-               << '\n';
-        }
     }
 }
 

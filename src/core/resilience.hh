@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "base/output.hh"
 #include "control/governor.hh"
 #include "core/experiment.hh"
 #include "jvm/runtime/vm.hh"
@@ -71,9 +72,11 @@ runResilienceStudy(const ResilienceConfig &config);
 void printResilienceTable(std::ostream &os,
                           const std::vector<ResiliencePoint> &points);
 
-/** Machine-readable study report: one row per (point, arm). */
-void writeResilienceCsv(std::ostream &os,
-                        const std::vector<ResiliencePoint> &points);
+/**
+ * The study's table, one row per (intensity, arm); a failed arm's text
+ * shows only its key, status and governor target.
+ */
+TextTable resilienceTable(const std::vector<ResiliencePoint> &points);
 
 } // namespace jscale::core
 

@@ -7,6 +7,7 @@
 #include "base/logging.hh"
 #include "base/output.hh"
 #include "control/governor.hh"
+#include "core/report.hh"
 
 namespace jscale::core {
 
@@ -45,14 +46,6 @@ Ticks
 p99(const jvm::RunResult &r)
 {
     return r.traffic.sojourn.quantile(0.99);
-}
-
-std::string
-pointStatus(const jvm::RunResult &r)
-{
-    if (r.failed())
-        return "failed";
-    return "ok";
 }
 
 /** Dominant service bucket of one traffic summary. */
@@ -204,6 +197,58 @@ runTrafficStudy(const TrafficStudyConfig &config)
     return study;
 }
 
+TextTable
+trafficStudyTable(const TrafficStudy &study)
+{
+    std::vector<TextTable::Column> cols = {
+        {"app", "app"},
+        {"threads", "threads"},
+        {"arm", "arm"},
+        {"load", "load_factor"},
+        {"req/s", "offered_rate"},
+        {"status", ""},
+        {"", "arrivals"},
+        {"", "admitted"},
+        {"shed", "shed"},
+        {"", "completed"},
+        {"", "max_queue_depth"},
+        {"p50", "sojourn_p50_ns"},
+        {"p99", "sojourn_p99_ns"},
+        {"p999", "sojourn_p999_ns"},
+        {"queue p99", "queueing_p99_ns"},
+        {"svc p99", "service_p99_ns"},
+        {"svc dominant", ""}};
+    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
+        cols.push_back({"", std::string("svc_") +
+                                jvm::waitBucketName(
+                                    static_cast<jvm::WaitBucket>(i)) +
+                                "_ns"});
+    }
+    TextTable t(std::move(cols));
+    for (const TrafficPoint &p : study.points) {
+        const jvm::RunResult &r = p.run;
+        const jvm::TrafficSummary &s = r.traffic;
+        const bool measured = !r.failed() && s.enabled;
+        std::vector<Cell> row = {
+            p.app, std::to_string(p.threads), p.arm,
+            formatRate(p.load_factor), formatRate(p.offered_rate),
+            runStatus(r), Cell::count(s.arrivals), Cell::count(s.admitted),
+            Cell::count(s.shed), Cell::count(s.completed),
+            Cell::count(s.max_queue_depth),
+            Cell::ticks(s.sojourn.quantile(0.50)),
+            Cell::ticks(s.sojourn.quantile(0.99)),
+            Cell::ticks(s.sojourn.quantile(0.999)),
+            Cell::ticks(s.queueing.quantile(0.99)),
+            Cell::ticks(s.service.quantile(0.99)),
+            measured ? dominantServiceBucket(s) : "-"};
+        for (const Ticks v : s.service_bucket_total)
+            row.push_back(Cell::count(v));
+        t.row(std::move(row), measured ? TextTable::RowKind::Measured
+                                       : TextTable::RowKind::Unmeasured);
+    }
+    return t;
+}
+
 void
 printTrafficStudyTable(std::ostream &os, const TrafficStudy &study)
 {
@@ -219,30 +264,7 @@ printTrafficStudyTable(std::ostream &os, const TrafficStudy &study)
     cap.print(os);
 
     os << "\nper-request sojourn tails by offered load\n";
-    TextTable t;
-    t.header({"app", "threads", "arm", "load", "req/s", "status",
-              "shed", "p50", "p99", "p999", "queue p99", "svc p99",
-              "svc dominant"});
-    for (const TrafficPoint &p : study.points) {
-        const jvm::RunResult &r = p.run;
-        if (r.failed() || !r.traffic.enabled) {
-            t.row({p.app, std::to_string(p.threads), p.arm,
-                   formatRate(p.load_factor), formatRate(p.offered_rate),
-                   pointStatus(r), "-", "-", "-", "-", "-", "-", "-"});
-            continue;
-        }
-        const jvm::TrafficSummary &s = r.traffic;
-        t.row({p.app, std::to_string(p.threads), p.arm,
-               formatRate(p.load_factor), formatRate(p.offered_rate),
-               pointStatus(r), std::to_string(s.shed),
-               formatTicks(s.sojourn.quantile(0.50)),
-               formatTicks(s.sojourn.quantile(0.99)),
-               formatTicks(s.sojourn.quantile(0.999)),
-               formatTicks(s.queueing.quantile(0.99)),
-               formatTicks(s.service.quantile(0.99)),
-               dominantServiceBucket(s)});
-    }
-    t.print(os);
+    trafficStudyTable(study).print(os);
 
     os << "\noffered-load knee (p99 growth >= ratio across one rung)\n";
     TextTable k;
@@ -266,35 +288,6 @@ printTrafficStudyTable(std::ostream &os, const TrafficStudy &study)
                formatTicks(kn.p99_at_knee), growth.str()});
     }
     k.print(os);
-}
-
-void
-writeTrafficStudyCsv(std::ostream &os, const TrafficStudy &study)
-{
-    os << "app,threads,arm,load_factor,offered_rate,arrivals,admitted,"
-          "shed,completed,max_queue_depth,sojourn_p50_ns,sojourn_p99_ns,"
-          "sojourn_p999_ns,queueing_p99_ns,service_p99_ns";
-    for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i) {
-        os << ",svc_"
-           << jvm::waitBucketName(static_cast<jvm::WaitBucket>(i))
-           << "_ns";
-    }
-    os << "\n";
-    for (const TrafficPoint &p : study.points) {
-        const jvm::TrafficSummary &s = p.run.traffic;
-        os << p.app << "," << p.threads << "," << p.arm << ","
-           << formatRate(p.load_factor) << ","
-           << formatRate(p.offered_rate) << "," << s.arrivals << ","
-           << s.admitted << "," << s.shed << "," << s.completed << ","
-           << s.max_queue_depth << "," << s.sojourn.quantile(0.50) << ","
-           << s.sojourn.quantile(0.99) << ","
-           << s.sojourn.quantile(0.999) << ","
-           << s.queueing.quantile(0.99) << ","
-           << s.service.quantile(0.99);
-        for (std::size_t i = 0; i < jvm::kWaitBucketCount; ++i)
-            os << "," << s.service_bucket_total[i];
-        os << "\n";
-    }
 }
 
 } // namespace jscale::core

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "base/output.hh"
 #include "core/experiment.hh"
 #include "jvm/runtime/vm.hh"
 
@@ -114,8 +115,11 @@ TrafficStudy runTrafficStudy(const TrafficStudyConfig &config);
 /** Aligned-text report: capacities, the ladder and the knees. */
 void printTrafficStudyTable(std::ostream &os, const TrafficStudy &study);
 
-/** Machine-readable report: one row per open-loop run. */
-void writeTrafficStudyCsv(std::ostream &os, const TrafficStudy &study);
+/**
+ * The ladder's table, one row per open-loop run; a point without
+ * traffic data shows only its key and status in the text.
+ */
+TextTable trafficStudyTable(const TrafficStudy &study);
 
 } // namespace jscale::core
 

@@ -1,6 +1,9 @@
 #include "telemetry/sampler.hh"
 
+#include <sstream>
+
 #include "base/logging.hh"
+#include "base/output.hh"
 #include "jvm/runtime/vm.hh"
 #include "sim/simulation.hh"
 #include "telemetry/recorder.hh"
@@ -113,22 +116,28 @@ MetricSampler::csvHeader()
 void
 MetricSampler::writeCsv(std::ostream &os) const
 {
-    os << csvHeader();
+    std::vector<TextTable::Column> cols;
+    std::istringstream fixed(csvHeader());
+    for (std::string name; std::getline(fixed, name, ',');)
+        cols.push_back({"", name});
     for (const auto &[name, poll] : gauges_)
-        os << "," << name;
-    os << "\n";
+        cols.push_back({"", name});
+    TextTable t(std::move(cols));
     for (std::size_t i = 0; i < samples_.size(); ++i) {
         const MetricSample &s = samples_[i];
-        os << s.at << "," << s.eden_used << "," << s.survivor_used << ","
-           << s.old_used << "," << s.live_bytes << "," << s.run_queue
-           << "," << s.running << "," << s.lock_blocked << ","
-           << s.gov_target << "," << s.gov_parked;
+        std::vector<Cell> row;
+        for (const std::uint64_t v :
+             {s.at, s.eden_used, s.survivor_used, s.old_used, s.live_bytes,
+              s.run_queue, s.running, s.lock_blocked, s.gov_target,
+              s.gov_parked})
+            row.push_back(Cell::count(v));
         if (!gauges_.empty()) {
             for (const std::uint64_t v : gauge_rows_[i])
-                os << "," << v;
+                row.push_back(Cell::count(v));
         }
-        os << "\n";
+        t.row(std::move(row));
     }
+    t.writeCsv(os);
 }
 
 } // namespace jscale::telemetry

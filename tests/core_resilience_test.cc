@@ -136,7 +136,7 @@ TEST(Resilience, TableRendersFailedAndSkippedArms)
 TEST(Resilience, CsvReportsOneRowPerArmWithStatusColumn)
 {
     std::ostringstream os;
-    core::writeResilienceCsv(os, syntheticPoints());
+    core::resilienceTable(syntheticPoints()).writeCsv(os);
     const std::string csv = os.str();
 
     std::istringstream lines(csv);

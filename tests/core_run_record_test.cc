@@ -74,10 +74,10 @@ TEST(RunRecord, RestoredResultRendersIdentically)
     const core::SweepSet sb{{restored.app_name, {restored}}};
     core::printScalabilityTable(a, sa);
     core::printBlameTable(a, original);
-    core::writeBlameCsv(a, original);
+    core::blameTable(original).writeCsv(a);
     core::printScalabilityTable(b, sb);
     core::printBlameTable(b, restored);
-    core::writeBlameCsv(b, restored);
+    core::blameTable(restored).writeCsv(b);
     EXPECT_EQ(a.str(), b.str());
 }
 

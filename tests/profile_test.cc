@@ -334,10 +334,10 @@ TEST(ProfiledExperiment, ProfileFillsSummaryAndReports)
     core::printBlameTable(table, r);
     EXPECT_NE(table.str().find("task wall"), std::string::npos);
     std::ostringstream csv;
-    core::writeBlameCsv(csv, r);
+    core::blameTable(r).writeCsv(csv);
     EXPECT_NE(csv.str().find("p99_ns"), std::string::npos);
     std::ostringstream hist;
-    core::writeProfileHistogramCsv(hist, r);
+    core::profileHistogramTable(r).writeCsv(hist);
     EXPECT_NE(hist.str().find("lower_edge_ns"), std::string::npos);
 }
 
@@ -443,8 +443,8 @@ TEST(ProfiledExperiment, BlameStudyIsJobsInvariant)
 
     std::ostringstream ca;
     std::ostringstream cb;
-    core::writeBlameStudyCsv(ca, a);
-    core::writeBlameStudyCsv(cb, b);
+    core::blameStudyTable(a).writeCsv(ca);
+    core::blameStudyTable(b).writeCsv(cb);
     EXPECT_EQ(ca.str(), cb.str());
     EXPECT_FALSE(ca.str().empty());
 }

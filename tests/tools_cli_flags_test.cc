@@ -182,3 +182,53 @@ TEST(CliHelp, ListsEveryCommandAndFlag)
             << f.names.front();
     }
 }
+
+TEST(CliFlags, EveryConfigFlagChangesTheCampaignFingerprint)
+{
+    // Flags that must not reach the fingerprint, which names the run
+    // records a --cache-dir may salvage.
+    const std::set<std::string> excluded = {
+        // Where and how a point runs, never what it computes: host
+        // parallelism, the shard slice and the cache location.
+        "--jobs", "--index", "--of", "--cache-dir",
+        // Artifact paths.
+        "--timeline", "--metrics",
+        // The point key (a record's file name carries app and threads).
+        "--app", "--threads",
+        // CLI-side options that never write config: study axes, output
+        // switches and paths, fuzz and campaign-wrapper settings.
+        "--replicas", "--per-thread", "--gclog", "--intensities",
+        "--horizon-ms", "--seeds", "--shrink-budget", "--sabotage",
+        "--replay", "--out", "--in", "--plots", "--csv", "--tenants",
+        "--loads", "--requests", "--fill", "--shards", "--retries",
+        "--backoff-ms", "--timeout-s", "--log-dir", "--chaos",
+        "--chaos-seed", "--chaos-kill-after"};
+    const std::vector<std::string> values = {
+        "1", "2", "0.5", "hill", "lcr", "kill@1", "poisson:rate=5"};
+    const std::string base =
+        jscale::core::ExperimentRunner(CliOptions{}.config)
+            .campaignFingerprint();
+    const CliOptions defaults;
+    for (const Flag &f : flagTable()) {
+        const std::string &flag = f.names.front();
+        if (excluded.count(flag))
+            continue;
+        // The first accepted value that differs from the default.
+        CliOptions o;
+        bool moved = f.value.arg == nullptr &&
+                     setFlag(o, flag, "").empty();
+        for (const std::string &v : values) {
+            if (moved)
+                break;
+            o = CliOptions{};
+            moved = setFlag(o, flag, v).empty() &&
+                    (!f.value.show || f.value.show(o) !=
+                                          f.value.show(defaults));
+        }
+        ASSERT_TRUE(moved) << flag << ": no non-default test value";
+        EXPECT_NE(jscale::core::ExperimentRunner(o.config)
+                      .campaignFingerprint(),
+                  base)
+            << flag << " changes results but not the fingerprint";
+    }
+}

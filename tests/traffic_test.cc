@@ -227,8 +227,8 @@ TEST(OpenLoop, SweepByteIdenticalAcrossJobs)
 
     std::ostringstream cs;
     std::ostringstream cp;
-    core::writeTrafficCsv(cs, rs);
-    core::writeTrafficCsv(cp, rp);
+    core::trafficTable(rs).writeCsv(cs);
+    core::trafficTable(rp).writeCsv(cp);
     EXPECT_EQ(cs.str(), cp.str());
     for (std::size_t i = 0; i < rs.size(); ++i) {
         const auto ss = core::runStatSnapshot(rs[i]);

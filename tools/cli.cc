@@ -17,16 +17,6 @@ namespace jscale::cli {
 
 namespace {
 
-/** Whole-string number: no sign, blanks, trailing bytes or overflow. */
-template <class T>
-bool
-parseNumber(const std::string &text, T &out)
-{
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-    return !text.empty() && ec == std::errc() && ptr == end;
-}
-
 /** Shortest text that parses back to @p v. */
 template <class T>
 std::string

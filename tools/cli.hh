@@ -7,6 +7,7 @@
 #ifndef JSCALE_TOOLS_CLI_HH
 #define JSCALE_TOOLS_CLI_HH
 
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -103,6 +104,17 @@ struct Flag
 
     bool readBy(std::string_view command) const;
 };
+
+/** Whole-string number: no plus sign, blanks, trailing bytes or
+ *  overflow (std::from_chars). */
+template <class T>
+bool
+parseNumber(const std::string &text, T &out)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return !text.empty() && ec == std::errc() && ptr == end;
+}
 
 /** Defined next to the command entry points (jscale_cli.cc). */
 const std::vector<Command> &commandTable();

@@ -5,6 +5,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -55,7 +56,7 @@ runTenantHost(const CliOptions &o)
     std::cout << "\n";
     core::printTrafficTable(std::cout, results);
     if (o.csv)
-        core::writeTrafficCsv(std::cout << "\n", results);
+        core::trafficTable(results).writeCsv(std::cout << "\n");
     for (const jvm::RunResult &r : results) {
         if (r.failed()) {
             std::cerr << "tenant " << r.app_name
@@ -122,7 +123,7 @@ cmdRun(const CliOptions &o)
         std::cout << "\n";
         core::printTrafficTable(std::cout, {r});
         if (o.csv)
-            core::writeTrafficCsv(std::cout << "\n", {r});
+            core::trafficTable({r}).writeCsv(std::cout << "\n");
     }
     if (o.per_thread) {
         std::cout << "\n";
@@ -132,8 +133,8 @@ cmdRun(const CliOptions &o)
         std::cout << "\n";
         core::printBlameTable(std::cout, r);
         if (o.csv) {
-            core::writeBlameCsv(std::cout << "\n", r);
-            core::writeProfileHistogramCsv(std::cout << "\n", r);
+            core::blameTable(r).writeCsv(std::cout << "\n");
+            core::profileHistogramTable(r).writeCsv(std::cout << "\n");
         }
     }
     if (r.locks.acquisitions > 0) {
@@ -218,7 +219,7 @@ cmdSweep(const CliOptions &o)
         std::cout << "\n";
         core::printTrafficTable(std::cout, sweeps[o.app]);
         if (o.csv)
-            core::writeTrafficCsv(std::cout << "\n", sweeps[o.app]);
+            core::trafficTable(sweeps[o.app]).writeCsv(std::cout << "\n");
     }
     for (const auto &r : sweeps[o.app]) {
         if (!r.timeline_file.empty()) {
@@ -268,7 +269,7 @@ cmdLifespan(const CliOptions &o)
     std::vector<jvm::RunResult> sweep = runner.sweep(o.app, o.threads);
     core::printLifespanCdfTable(std::cout, o.app, sweep);
     if (o.csv)
-        core::writeLifespanCdfCsv(std::cout << "\n", o.app, sweep);
+        core::lifespanCdfTable(o.app, sweep).writeCsv(std::cout << "\n");
     return 0;
 }
 
@@ -348,7 +349,7 @@ cmdAnalyze(const CliOptions &o)
     return 0;
 }
 
-/** Split one CSV line on commas (no quoting in our CSVs). */
+/** Split one CSV line on commas (our CSVs quote no number). */
 std::vector<std::string>
 splitCsvLine(const std::string &line)
 {
@@ -360,15 +361,13 @@ splitCsvLine(const std::string &line)
     return fields;
 }
 
-/** Parse a strictly-numeric field; exit(2) with context on garbage. */
+/** A finite number, nothing else; exit(2) with context on garbage. */
 double
 parseCsvNumber(const std::string &field, const char *what,
                std::size_t line_no)
 {
-    const char *begin = field.c_str();
-    char *end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (field.empty() || end != begin + field.size()) {
+    double v = 0.0;
+    if (!parseNumber(field, v) || !std::isfinite(v)) {
         std::cerr << "bad " << what << " '" << field << "' on line "
                   << line_no << "\n";
         std::exit(2);
@@ -484,7 +483,7 @@ cmdResilience(const CliOptions &o)
     const auto points = core::runResilienceStudy(cfg);
     core::printResilienceTable(std::cout, points);
     if (o.csv)
-        core::writeResilienceCsv(std::cout << "\n", points);
+        core::resilienceTable(points).writeCsv(std::cout << "\n");
     return 0;
 }
 
@@ -505,7 +504,7 @@ cmdProfile(const CliOptions &o)
     const core::BlameStudy study = core::runBlameStudy(cfg);
     core::printBlameStudyTable(std::cout, study);
     if (o.csv)
-        core::writeBlameStudyCsv(std::cout << "\n", study);
+        core::blameStudyTable(study).writeCsv(std::cout << "\n");
     if (!o.plots_dir.empty()) {
         std::vector<std::string> files;
         for (const std::string &app : cfg.apps) {
@@ -619,7 +618,7 @@ cmdTraffic(const CliOptions &o)
     const core::TrafficStudy study = core::runTrafficStudy(cfg);
     core::printTrafficStudyTable(std::cout, study);
     if (o.csv)
-        core::writeTrafficStudyCsv(std::cout << "\n", study);
+        core::trafficStudyTable(study).writeCsv(std::cout << "\n");
     return 0;
 }
 
@@ -645,7 +644,7 @@ cmdCollapse(const CliOptions &o)
     const core::CollapseStudy study = core::runCollapseStudy(cfg);
     core::printCollapseTable(std::cout, study);
     if (o.csv)
-        core::writeCollapseCsv(std::cout << "\n", study);
+        core::collapseTable(study).writeCsv(std::cout << "\n");
     return 0;
 }
 
