@@ -4,12 +4,14 @@
  *
  * The simulated clock counts Ticks; one tick is one nanosecond. Memory
  * quantities are plain byte counts. Formatting helpers render both in
- * human-friendly units for reports.
+ * human-friendly units for reports; parseNumber() is the one strict
+ * reader of numbers typed by a user or read back from a file.
  */
 
 #ifndef JSCALE_BASE_UNITS_HH
 #define JSCALE_BASE_UNITS_HH
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 
@@ -51,6 +53,17 @@ std::string formatPercent(double fraction);
 
 /** Render a double with the given number of decimals. */
 std::string formatFixed(double value, int decimals = 2);
+
+/** Whole-string number: no plus sign, blanks, trailing bytes or
+ *  overflow (std::from_chars). */
+template <class T>
+bool
+parseNumber(const std::string &text, T &out)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return !text.empty() && ec == std::errc() && ptr == end;
+}
 
 } // namespace jscale
 

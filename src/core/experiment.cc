@@ -1,9 +1,7 @@
 #include "core/experiment.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <sstream>
 
@@ -11,20 +9,9 @@
 #include "base/error.hh"
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
-#include "check/oracle.hh"
 #include "core/parallel.hh"
+#include "core/rig.hh"
 #include "core/shard.hh"
-#include "fault/injector.hh"
-#include "fault/watchdog.hh"
-#include "os/policy.hh"
-#include "profile/ledger.hh"
-#include "profile/profiler.hh"
-#include "sim/event.hh"
-#include "sim/simulation.hh"
-#include "telemetry/profile_tracks.hh"
-#include "telemetry/recorder.hh"
-#include "telemetry/sampler.hh"
-#include "telemetry/timeline.hh"
 #include "workload/dacapo.hh"
 
 namespace jscale::core {
@@ -46,43 +33,6 @@ substitutePlaceholders(std::string path, const std::string &app,
     replaceAll("{app}", app);
     replaceAll("{threads}", std::to_string(threads));
     return path;
-}
-
-/**
- * Open an atomic writer for @p path. Failure is per-artifact, not
- * fatal: the message lands in @p errors and the run (and the rest of
- * the sweep) continues without it.
- */
-bool
-openArtifact(std::optional<AtomicFileWriter> &writer,
-             const std::string &path, std::vector<std::string> &errors)
-{
-    writer.emplace(path);
-    if (!writer->ok()) {
-        writer.reset();
-        errors.push_back("cannot open artifact '" + path + "'");
-        return false;
-    }
-    return true;
-}
-
-/**
- * Publish a finished artifact (flush + fsync + rename). A mid-write
- * stream failure or a failed rename lands in @p errors; a killed
- * process never leaves a torn file under the final name.
- */
-bool
-commitArtifact(std::optional<AtomicFileWriter> &writer,
-               std::vector<std::string> &errors)
-{
-    std::string err;
-    if (writer->commit(err)) {
-        writer.reset();
-        return true;
-    }
-    errors.push_back("artifact '" + writer->path() + "': " + err);
-    writer.reset();
-    return false;
 }
 
 /** Insert "-<tag>" before the extension of an artifact path. */
@@ -177,41 +127,38 @@ ExperimentRunner::planRun(const AppFactory &factory,
                           std::uint32_t threads)
 {
     RunPlan plan;
-    plan.threads = threads;
-    plan.heap_capacity =
-        config_.heap_override != 0
-            ? config_.heap_override
-            : static_cast<Bytes>(config_.heap_factor *
-                                 static_cast<double>(
-                                     minHeapFor(factory, cache_key)));
+    const Bytes heap = heapCapacity(factory, cache_key);
     plan.app = factory();
-    plan.seed = runSeed(plan.app->appName(), threads,
-                        /*calibration=*/false);
-    if (!config_.timeline_path.empty()) {
-        plan.timeline_file = claimArtifactPath(
-            config_.timeline_path, plan.app->appName(), threads);
+    const std::string app = plan.app->appName();
+    RigInputs &in = plan.inputs;
+    in.seed = runSeed(app, threads, /*calibration=*/false);
+    in.vms.push_back({plan.app.get(), app, threads, heap, std::nullopt});
+    if (!config_.arrivals.empty()) {
+        std::string err;
+        const bool ok = traffic::ArrivalSpec::parse(
+            config_.arrivals, in.vms.back().arrival.emplace(), err);
+        jscale_assert(ok, "bad arrival spec: ", err);
     }
-    if (config_.metrics_interval > 0) {
-        std::string templ = config_.metrics_path;
-        if (templ.empty()) {
-            templ = config_.timeline_path.empty()
-                        ? "metrics-{app}-t{threads}.csv"
-                        : config_.timeline_path + ".metrics.csv";
-        }
-        plan.metrics_file =
-            claimArtifactPath(templ, plan.app->appName(), threads);
-    }
-    if (!config_.error_path.empty()) {
-        plan.error_file = claimArtifactPath(config_.error_path,
-                                            plan.app->appName(), threads);
-    }
-    {
-        std::ostringstream key;
-        key << plan.app->appName() << "|t" << threads << "|s" << std::hex
-            << plan.seed;
-        plan.point_key = key.str();
-    }
+    if (!config_.timeline_path.empty())
+        in.timeline_file = claimArtifactPath(config_.timeline_path, app,
+                                             threads);
+    if (config_.metrics_interval > 0)
+        in.metrics_file = claimArtifactPath(metricsTemplate(), app, threads);
+    if (!config_.error_path.empty())
+        plan.error_file = claimArtifactPath(config_.error_path, app, threads);
+    std::ostringstream key;
+    key << app << "|t" << threads << "|s" << std::hex << in.seed;
+    plan.point_key = key.str();
     return plan;
+}
+
+jvm::RunResult
+ExperimentRunner::RunPlan::marker() const
+{
+    jvm::RunResult m;
+    m.app_name = app->appName();
+    m.threads = inputs.vms.front().threads;
+    return m;
 }
 
 std::string
@@ -282,187 +229,15 @@ ExperimentRunner::campaignFingerprint() const
 }
 
 jvm::RunResult
-ExperimentRunner::executePlan(RunPlan &plan,
+ExperimentRunner::executePlan(const RunPlan &plan,
                               const VmAttachHook &attach) const
 {
-    const std::uint32_t threads = plan.threads;
-    jscale_assert(threads >= 1 &&
-                      threads <= config_.machine.totalCores(),
+    const std::uint32_t threads = plan.inputs.vms.front().threads;
+    jscale_assert(threads >= 1 && threads <= config_.machine.totalCores(),
                   "thread count ", threads, " exceeds machine cores");
-    jvm::ApplicationModel &app = *plan.app;
-
-    sim::Simulation sim(plan.seed);
-    machine::Machine mach(config_.machine);
-    mach.enableCores(threads, config_.placement);
-    os::Scheduler sched(sim, mach, config_.sched);
-    // Declared after sched so it is descheduled before the queue dies.
-    std::optional<sim::RecurringEvent> rotator;
-    if (config_.biased_scheduling) {
-        sched.setPolicy(std::make_unique<os::BiasedPolicy>(
-            config_.bias_groups, config_.bias_quantum));
-        // Phase rotations must re-kick idle cores: one pooled event
-        // fires at every phase edge for the whole run.
-        rotator.emplace(
-            sim.queue(), static_cast<TickDelta>(config_.bias_quantum),
-            [&sched] { sched.kickAll(); }, "bias-phase-rotate");
-        rotator->start(sim.now() + config_.bias_quantum);
-    }
-
-    jvm::VmConfig vm_cfg = config_.vm;
-    vm_cfg.heap.capacity = plan.heap_capacity;
-    jvm::JavaVm vm(sim, mach, sched, vm_cfg);
-
-    // The VM's one thread-state ledger and one attribution profiler,
-    // built only when a consumer is armed: the profiler feeds the blame
-    // summary, the latency oracle and the traffic engine; the ledger
-    // feeds the profiler and the timeline. Bare runs subscribe nothing.
-    const bool wants_profiler =
-        config_.profile || config_.oracles || !config_.arrivals.empty();
-    std::optional<profile::ThreadStateLedger> ledger;
-    std::optional<profile::TaskProfiler> profiler;
-    if (wants_profiler || !plan.timeline_file.empty()) {
-        ledger.emplace();
-        ledger->attach(vm);
-    }
-    if (wants_profiler) {
-        profiler.emplace();
-        profiler->attach(vm, *ledger);
-    }
-
-    // Open-loop traffic: a seeded arrival process injects requests into
-    // the engine's admission queue and workers serve them through an
-    // accept loop, replacing the closed loop's pre-filled task pool.
-    // The engine adds its task sink before the oracles do (the
-    // request-conservation oracle relies on completion probes firing
-    // before it sees the closed service window).
-    std::unique_ptr<traffic::RequestModel> request_model;
-    std::optional<traffic::TrafficEngine> engine;
-    std::optional<traffic::OpenLoopApp> open_loop;
-    if (!config_.arrivals.empty()) {
-        traffic::ArrivalSpec arrival;
-        std::string err;
-        const bool ok =
-            traffic::ArrivalSpec::parse(config_.arrivals, arrival, err);
-        jscale_assert(ok, "bad arrival spec: ", err);
-        request_model =
-            traffic::makeRequestModel(app.appName(), err);
-        jscale_assert(request_model != nullptr, err);
-        engine.emplace(vm, arrival, *profiler);
-        open_loop.emplace(*request_model, *engine);
-    }
-    jvm::ApplicationModel &run_app = open_loop ? *open_loop : app;
-
-    // Concurrency governor (admission control). Unlike the telemetry
-    // taps below it *does* steer the run — that is its job — but its
-    // decisions depend only on simulation state, never on host timing.
-    std::optional<control::ConcurrencyGovernor> governor;
-    if (config_.governor.mode != control::GovernorMode::Off) {
-        governor.emplace(sim, vm, config_.governor);
-        vm.setTaskAdmission(&*governor);
-    }
-
-    // Fault injection and the livelock watchdog run as ordinary sim
-    // events, so a faulted run is as deterministic as a clean one.
-    std::optional<fault::FaultInjector> injector;
-    if (!config_.faults.empty())
-        injector.emplace(sim, mach, vm, config_.faults);
-    std::optional<fault::RunWatchdog> watchdog;
-    if (config_.watchdog)
-        watchdog.emplace(sim, vm, config_.watchdog_config);
-
-    // Invariant oracles: pure observers on the probe chains that abort
-    // the run (OracleError, an AbortError) at the first violated
-    // simulator contract. Armed before any attach hook so test taps
-    // see the same chain order as production tools.
-    std::optional<check::OracleSuite> oracles;
-    if (config_.oracles) {
-        oracles.emplace();
-        oracles->attach(vm, *profiler);
-    }
-
-    // Telemetry taps: a timeline recorder on the probe chains and/or a
-    // periodic metric sampler. Both are pure observers — attaching them
-    // never changes the run's schedule or results. An artifact that
-    // cannot be opened (or fails mid-write) is reported per-run and the
-    // run continues without it.
-    std::vector<std::string> artifact_errors;
-    std::optional<AtomicFileWriter> timeline_writer;
-    std::optional<telemetry::Timeline> timeline;
-    std::optional<telemetry::TelemetryRecorder> recorder;
-    std::optional<telemetry::MetricSampler> sampler;
-    if (!plan.timeline_file.empty() &&
-        openArtifact(timeline_writer, plan.timeline_file,
-                     artifact_errors)) {
-        timeline.emplace(timeline_writer->stream());
-        recorder.emplace(*timeline);
-        recorder->attach(vm, *ledger);
-        if (injector) {
-            timeline->processName(telemetry::kFaultsPid, "faults");
-            timeline->threadName(telemetry::kFaultsPid, 0, "injections");
-            telemetry::Timeline *tl = &*timeline;
-            injector->setProbe([tl](const char *kind, bool recovery,
-                                    const std::string &detail, Ticks now) {
-                tl->instant(telemetry::kFaultsPid, 0,
-                            std::string(kind) +
-                                (recovery ? ".recover" : ".inject"),
-                            "fault", now,
-                            {telemetry::targ("detail", detail)});
-            });
-        }
-    }
-    if (!plan.metrics_file.empty()) {
-        sampler.emplace(sim, vm, config_.metrics_interval);
-        if (timeline)
-            sampler->attachTimeline(&*timeline);
-        sampler->start();
-    }
-
-    if (attach)
-        attach(vm);
-    if (injector)
-        injector->arm(sim.now());
-    if (watchdog)
-        watchdog->start(sim.now());
-    jvm::RunResult r = vm.run(run_app, threads);
-
-    if (engine)
-        r.traffic = engine->summary();
-    if (oracles)
-        oracles->finishRun(sim.now());
-    // The profiler's blame totals, histograms and slowest-task records
-    // land in RunResult::profile; the run's primary stats stay
-    // byte-identical to an unprofiled run.
-    if (profiler)
-        profiler->finishRun(sim.now());
-    if (config_.profile)
-        r.profile = profiler->summary(config_.profile_topk);
-    if (injector) {
-        r.faults = injector->summary();
-        r.faults.tasks_reassigned = vm.tasksReassigned();
-    }
-    // Final sampler row before the timeline closes (it mirrors there).
-    if (sampler)
-        sampler->finish(sim.now());
-    if (recorder) {
-        recorder->finish(sim.now());
-        recorder->detach();
-        if (config_.profile)
-            telemetry::emitProfileTracks(*timeline, r.profile, sim.now());
-        timeline->finish();
-        commitArtifact(timeline_writer, artifact_errors);
-        r.timeline_file = plan.timeline_file;
-        r.timeline_events = timeline->events();
-    }
-    if (sampler) {
-        std::optional<AtomicFileWriter> csv;
-        if (openArtifact(csv, plan.metrics_file, artifact_errors)) {
-            sampler->writeCsv(csv->stream());
-            commitArtifact(csv, artifact_errors);
-            r.metrics_file = plan.metrics_file;
-            r.metric_rows = sampler->samples().size();
-        }
-    }
-    r.artifact_errors = std::move(artifact_errors);
+    RunRig rig(config_, plan.inputs);
+    jvm::RunResult r;
+    rig.run({&r, 1}, attach);
     return r;
 }
 
@@ -493,7 +268,7 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
     for (std::size_t i = 0; i < plans.size(); ++i) {
         tasks.push_back([this, &plans, i, &shard, &cache,
                          &points]() -> jvm::RunResult {
-            RunPlan &plan = plans[i];
+            const RunPlan &plan = plans[i];
             // Salvage first: a point persisted by any earlier worker —
             // deterministic failures included — renders from the cache
             // instead of re-simulating.
@@ -504,15 +279,9 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
                     return cached;
                 }
             }
-            const auto marker = [&plan]() {
-                jvm::RunResult m;
-                m.app_name = plan.app->appName();
-                m.threads = plan.threads;
-                return m;
-            };
             if (!shard.owns(plan.point_key)) {
                 ++points.skipped;
-                jvm::RunResult m = marker();
+                jvm::RunResult m = plan.marker();
                 m.skipped = true;
                 return m;
             }
@@ -520,7 +289,7 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
                 // Assembling a partial campaign: a gap is an honest
                 // failure row, never a silent multi-minute re-run.
                 ++points.missing;
-                jvm::RunResult m = marker();
+                jvm::RunResult m = plan.marker();
                 m.run_error =
                     "missing from shard result cache (incomplete "
                     "campaign)";
@@ -567,9 +336,7 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
             for (const std::string &e : open_errors)
                 inform(e);
         }
-        jvm::RunResult marker;
-        marker.app_name = plans[i].app->appName();
-        marker.threads = plans[i].threads;
+        jvm::RunResult marker = plans[i].marker();
         marker.run_error = o.error;
         // Failed runs are cached too: a retry does not repeat a
         // deterministic abort, and the merge renders the failure row
@@ -589,23 +356,25 @@ ExperimentRunner::minHeapFor(const AppFactory &factory,
     if (it != min_heap_cache_.end())
         return it->second;
 
-    // Calibration: generous heap, reference thread count, helpers off
-    // for speed. The minimum requirement is the smallest heap whose old
-    // generation holds the peak live footprint.
+    // Calibration: a generous flat heap, the reference thread count and
+    // the default placement, with nothing attached that observes or
+    // steers the run. The minimum requirement is the smallest heap
+    // whose old generation holds the peak live footprint.
     const std::uint32_t threads = std::min(
         config_.calibration_threads, config_.machine.totalCores());
-
-    sim::Simulation sim(runSeed(cache_key, threads, /*calibration=*/true));
-    machine::Machine mach(config_.machine);
-    mach.enableCores(threads);
-    os::Scheduler sched(sim, mach, config_.sched);
-
-    jvm::VmConfig vm_cfg = config_.vm;
-    vm_cfg.heap.capacity = 512 * units::MiB;
-    vm_cfg.heap.compartmentalized = false;
-    jvm::JavaVm vm(sim, mach, sched, vm_cfg);
-    auto app = factory();
-    const jvm::RunResult r = vm.run(*app, threads);
+    ExperimentConfig calib = config_;
+    calib.placement = machine::Machine::EnablePolicy::Compact;
+    calib.vm.heap.compartmentalized = false;
+    calib.biased_scheduling = false;
+    calib.governor.mode = control::GovernorMode::Off;
+    calib.faults = {};
+    calib.watchdog = calib.oracles = calib.profile = false;
+    const auto app = factory();
+    RunRig rig(calib, {runSeed(cache_key, threads, /*calibration=*/true),
+                       {{app.get(), app->appName(), threads,
+                         512 * units::MiB, std::nullopt}}});
+    jvm::RunResult r;
+    rig.run({&r, 1});
 
     const double old_fraction = 1.0 - config_.vm.heap.young_fraction;
     Bytes min_heap = static_cast<Bytes>(
@@ -620,24 +389,44 @@ ExperimentRunner::minHeapFor(const AppFactory &factory,
 Bytes
 ExperimentRunner::minHeapRequirement(const std::string &app_name)
 {
+    return minHeapFor(dacapoFactory(app_name), app_name);
+}
+
+Bytes
+ExperimentRunner::heapCapacity(const AppFactory &factory,
+                               const std::string &cache_key)
+{
+    if (config_.heap_override != 0)
+        return config_.heap_override;
+    return static_cast<Bytes>(
+        config_.heap_factor *
+        static_cast<double>(minHeapFor(factory, cache_key)));
+}
+
+AppFactory
+ExperimentRunner::dacapoFactory(const std::string &app_name) const
+{
     const double scale = config_.workload_scale;
-    return minHeapFor(
-        [&app_name, scale] {
-            return workload::makeDacapoApp(app_name, scale);
-        },
-        app_name);
+    return [app_name, scale] {
+        return workload::makeDacapoApp(app_name, scale);
+    };
+}
+
+std::string
+ExperimentRunner::metricsTemplate() const
+{
+    if (!config_.metrics_path.empty())
+        return config_.metrics_path;
+    return config_.timeline_path.empty()
+               ? "metrics-{app}-t{threads}.csv"
+               : config_.timeline_path + ".metrics.csv";
 }
 
 jvm::RunResult
 ExperimentRunner::runApp(const std::string &app_name,
                          std::uint32_t threads, const VmAttachHook &attach)
 {
-    const double scale = config_.workload_scale;
-    return runCustom(
-        [&app_name, scale] {
-            return workload::makeDacapoApp(app_name, scale);
-        },
-        app_name, threads, attach);
+    return runCustom(dacapoFactory(app_name), app_name, threads, attach);
 }
 
 jvm::RunResult
@@ -655,102 +444,28 @@ ExperimentRunner::runTenants(const std::vector<traffic::TenantSpec> &specs,
                              const VmAttachHook &attach)
 {
     jscale_assert(!specs.empty(), "need at least one tenant");
+    jscale_assert(!config_.biased_scheduling && config_.faults.empty() &&
+                      config_.timeline_path.empty(),
+                  "tenant runs take no bias rotation, fault plan or "
+                  "timeline");
+    RigInputs in;
     std::uint32_t total_threads = 0;
     std::ostringstream ident;
     for (const traffic::TenantSpec &spec : specs) {
         total_threads += spec.threads;
         ident << spec.describe() << ";";
+        in.vms.push_back({nullptr, spec.app, spec.threads,
+                          heapCapacity(dacapoFactory(spec.app), spec.app),
+                          spec.arrival});
     }
-    const std::uint32_t cores =
-        std::min(total_threads, config_.machine.totalCores());
-
-    sim::Simulation sim(runSeed(ident.str(), total_threads,
-                                /*calibration=*/false));
-    machine::Machine mach(config_.machine);
-    mach.enableCores(cores, config_.placement);
-    os::Scheduler sched(sim, mach, config_.sched);
-
-    traffic::TenantHost host(sim, mach, sched);
-    for (const traffic::TenantSpec &spec : specs) {
-        jvm::VmConfig vm_cfg = config_.vm;
-        vm_cfg.heap.capacity =
-            config_.heap_override != 0
-                ? config_.heap_override
-                : static_cast<Bytes>(config_.heap_factor *
-                                     static_cast<double>(
-                                         minHeapRequirement(spec.app)));
-        std::string err;
-        const bool ok = host.addTenant(spec, vm_cfg, err);
-        jscale_assert(ok, err);
-    }
-
-    // Per-tenant oracle suites on each tenant's own profiler (the host
-    // owns one ledger and one profiler per VM) — the probe chains are
-    // per VM, so neighbour tenants are invisible to them apart from the
-    // shared scheduler stream (which both filter by scheduling group).
-    std::vector<std::unique_ptr<check::OracleSuite>> oracles;
-    if (config_.oracles) {
-        for (std::size_t i = 0; i < host.tenantCount(); ++i) {
-            oracles.push_back(std::make_unique<check::OracleSuite>());
-            oracles.back()->attach(host.vm(i), host.profiler(i));
-        }
-    }
-
-    // Metric sampling: one sampler on tenant 0's VM, with per-tenant
-    // queue-depth and in-flight gauges appended — the columns exist
-    // only on multi-tenant runs, so single-tenant CSV schemas never
-    // change shape.
-    std::vector<std::string> artifact_errors;
-    std::optional<telemetry::MetricSampler> sampler;
-    std::string metrics_file;
+    in.seed = runSeed(ident.str(), total_threads, /*calibration=*/false);
     if (config_.metrics_interval > 0) {
-        std::string templ = config_.metrics_path;
-        if (templ.empty())
-            templ = "metrics-{app}-t{threads}.csv";
-        metrics_file =
-            claimArtifactPath(templ, "tenants", total_threads);
-        sampler.emplace(sim, host.vm(0), config_.metrics_interval);
-        if (host.tenantCount() > 1) {
-            for (std::size_t i = 0; i < host.tenantCount(); ++i) {
-                traffic::TrafficEngine *eng = &host.engine(i);
-                const std::string prefix =
-                    "tenant" + std::to_string(i) + "_" + specs[i].app;
-                sampler->addGauge(prefix + "_queued",
-                                  [eng] { return eng->queueDepth(); });
-                sampler->addGauge(prefix + "_inflight",
-                                  [eng] { return eng->inflightCount(); });
-            }
-        }
-        sampler->start();
+        in.metrics_file =
+            claimArtifactPath(metricsTemplate(), "tenants", total_threads);
     }
-
-    if (attach) {
-        for (std::size_t i = 0; i < host.tenantCount(); ++i)
-            attach(host.vm(i));
-    }
-    std::vector<jvm::RunResult> results = host.run();
-
-    for (auto &suite : oracles)
-        suite->finishRun(sim.now());
-    if (config_.profile) {
-        for (std::size_t i = 0; i < results.size(); ++i)
-            results[i].profile =
-                host.profiler(i).summary(config_.profile_topk);
-    }
-    if (sampler) {
-        sampler->finish(sim.now());
-        std::optional<AtomicFileWriter> csv;
-        if (openArtifact(csv, metrics_file, artifact_errors)) {
-            sampler->writeCsv(csv->stream());
-            commitArtifact(csv, artifact_errors);
-            for (jvm::RunResult &r : results) {
-                r.metrics_file = metrics_file;
-                r.metric_rows = sampler->samples().size();
-            }
-        }
-    }
-    for (jvm::RunResult &r : results)
-        r.artifact_errors = artifact_errors;
+    std::vector<jvm::RunResult> results(in.vms.size());
+    RunRig rig(config_, std::move(in));
+    rig.run(results, attach);
     return results;
 }
 
@@ -758,10 +473,7 @@ std::vector<jvm::RunResult>
 ExperimentRunner::sweep(const std::string &app_name,
                         const std::vector<std::uint32_t> &threads)
 {
-    const double scale = config_.workload_scale;
-    const AppFactory factory = [&app_name, scale] {
-        return workload::makeDacapoApp(app_name, scale);
-    };
+    const AppFactory factory = dacapoFactory(app_name);
     std::vector<RunPlan> plans;
     plans.reserve(threads.size());
     for (const auto t : threads)
@@ -778,15 +490,12 @@ ExperimentRunner::sweepApps(const std::vector<std::string> &apps,
     // calibration runs and artifact claims happen here, on this thread,
     // in the same order the sequential per-app sweeps would do them —
     // then execute the whole batch on the worker pool at once.
-    const double scale = config_.workload_scale;
     std::vector<RunPlan> plans;
     plans.reserve(apps.size() * threads.size());
     for (const auto &app_name : apps) {
         if (progress)
             progress(app_name);
-        const AppFactory factory = [&app_name, scale] {
-            return workload::makeDacapoApp(app_name, scale);
-        };
+        const AppFactory factory = dacapoFactory(app_name);
         for (const auto t : threads)
             plans.push_back(planRun(factory, app_name, t));
     }
@@ -808,10 +517,7 @@ ExperimentRunner::runReplicated(const std::string &app_name,
                                 std::uint32_t replicas)
 {
     jscale_assert(replicas >= 1, "need at least one replica");
-    const double scale = config_.workload_scale;
-    const AppFactory factory = [&app_name, scale] {
-        return workload::makeDacapoApp(app_name, scale);
-    };
+    const AppFactory factory = dacapoFactory(app_name);
     std::vector<RunPlan> plans;
     plans.reserve(replicas);
     const std::uint64_t base_seed = config_.seed;

@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "jvm/runtime/vm.hh"
 #include "machine/machine.hh"
 #include "os/scheduler.hh"
+#include "traffic/arrival.hh"
 #include "traffic/tenancy.hh"
 
 namespace jscale::core {
@@ -183,6 +185,30 @@ using VmAttachHook = std::function<void(jvm::JavaVm &)>;
 using AppFactory =
     std::function<std::unique_ptr<jvm::ApplicationModel>()>;
 
+/** One VM of a run. */
+struct RigVm
+{
+    /** Closed-loop application (not owned; unused when `arrival` is
+     *  set: the VM then serves `app_name`'s request model). */
+    jvm::ApplicationModel *app = nullptr;
+    std::string app_name;
+    std::uint32_t threads = 1;
+    Bytes heap_capacity = 0;
+    /** Open-loop arrival stream (empty = closed loop). */
+    std::optional<traffic::ArrivalSpec> arrival;
+};
+
+/** Everything one run needs besides its ExperimentConfig. */
+struct RigInputs
+{
+    std::uint64_t seed = 0;
+    /** One entry per VM; several VMs share the machine as tenants. */
+    std::vector<RigVm> vms;
+    /** Telemetry of VM 0 (empty = off); a timeline needs one VM. */
+    std::string timeline_file = {};
+    std::string metrics_file = {};
+};
+
 /** Drives single runs and thread sweeps per the paper's methodology. */
 class ExperimentRunner
 {
@@ -223,11 +249,14 @@ class ExperimentRunner
      * Run @p specs as co-hosted tenants of one simulated machine: one
      * JavaVm per tenant, all contending on one shared scheduler, each
      * fed by its own arrival stream (the config's `arrivals` field is
-     * ignored here — every tenant carries its own). Cores enabled =
-     * sum of tenant threads, clipped to the machine. Heaps are sized
-     * per tenant app exactly like runApp. Returns one result per
-     * tenant, in spec order, traffic summaries filled. @p attach runs
-     * on every tenant's VM once its observers are attached.
+     * ignored here — every tenant carries its own). Every per-VM part
+     * of the run rig (profiler, governor, watchdog, oracles) is built
+     * per tenant; a bias rotation, a fault plan or a timeline cannot
+     * be split between tenants and must be off. Cores enabled = sum
+     * of tenant threads, clipped to the machine. Heaps are sized per
+     * tenant app exactly like runApp. Returns one result per tenant,
+     * in spec order, traffic summaries filled. @p attach runs on every
+     * tenant's VM once its observers are attached.
      */
     std::vector<jvm::RunResult>
     runTenants(const std::vector<traffic::TenantSpec> &specs,
@@ -283,15 +312,15 @@ class ExperimentRunner
     struct RunPlan
     {
         std::unique_ptr<jvm::ApplicationModel> app;
-        std::uint32_t threads = 0;
-        Bytes heap_capacity = 0;
-        std::uint64_t seed = 0;
-        std::string timeline_file; ///< empty = no timeline
-        std::string metrics_file;  ///< empty = no metric sampling
-        std::string error_file;    ///< empty = no error artifact
+        /** Seed, the one VM, timeline and metrics paths. */
+        RigInputs inputs;
+        std::string error_file; ///< empty = no error artifact
         /** Identity of this run within its campaign (cache and shard
          *  key). */
         std::string point_key;
+
+        /** A result row naming this run, with nothing measured. */
+        jvm::RunResult marker() const;
     };
 
     /** Plan one run: calibrate heap, build the app, claim artifacts. */
@@ -299,7 +328,7 @@ class ExperimentRunner
                     const std::string &cache_key, std::uint32_t threads);
 
     /** Execute a planned run; const and safe to call concurrently. */
-    jvm::RunResult executePlan(RunPlan &plan,
+    jvm::RunResult executePlan(const RunPlan &plan,
                                const VmAttachHook &attach) const;
 
     /**
@@ -317,6 +346,16 @@ class ExperimentRunner
 
     Bytes minHeapFor(const AppFactory &factory,
                      const std::string &cache_key);
+
+    /** Heap of one run: the override, or heap_factor x the minimum. */
+    Bytes heapCapacity(const AppFactory &factory,
+                       const std::string &cache_key);
+
+    /** Factory of DaCapo app @p app_name at the campaign's scale. */
+    AppFactory dacapoFactory(const std::string &app_name) const;
+
+    /** Metrics CSV path template (before placeholder substitution). */
+    std::string metricsTemplate() const;
 
     /**
      * Resolve an artifact path template for one run: substitute

@@ -1,8 +1,8 @@
-#include "check/fuzz.hh"
+#include "core/fuzz.hh"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -13,17 +13,13 @@
 #include "base/logging.hh"
 #include "base/random.hh"
 #include "check/random_app.hh"
-#include "control/governor.hh"
-#include "fault/fault.hh"
-#include "fault/injector.hh"
-#include "jvm/runtime/vm.hh"
-#include "machine/machine.hh"
-#include "os/scheduler.hh"
-#include "profile/ledger.hh"
-#include "profile/profiler.hh"
-#include "sim/simulation.hh"
+#include "core/rig.hh"
+#include "core/run_record.hh"
 
-namespace jscale::check {
+namespace jscale::core {
+
+using check::InvariantViolation;
+using check::OracleSuite;
 
 const char *
 sabotageName(Sabotage s)
@@ -66,6 +62,29 @@ FuzzCase::describe() const
     return os.str();
 }
 
+namespace {
+
+/** Field bounds: every value caseForSeed() draws and shrinkCase()
+ *  derives from it (the shrinker only halves towards 1). */
+constexpr std::uint32_t kMaxThreads = 8;
+constexpr std::uint32_t kMinDrawnTasks = 20;
+constexpr std::uint32_t kMaxTasks = 140;
+constexpr std::uint32_t kMaxMonitors = 5;
+
+/** Read @p val whole into @p out when it lies in [lo, hi]. */
+template <class T>
+bool
+readBounded(const std::string &val, T &out, T lo, T hi)
+{
+    T x{};
+    if (!parseNumber(val, x) || !(x >= lo && x <= hi))
+        return false;
+    out = x;
+    return true;
+}
+
+} // namespace
+
 bool
 FuzzCase::parse(const std::string &line, FuzzCase &out, std::string &err)
 {
@@ -81,41 +100,36 @@ FuzzCase::parse(const std::string &line, FuzzCase &out, std::string &err)
         }
         const std::string key = tok.substr(0, eq);
         const std::string val = tok.substr(eq + 1);
-        try {
-            if (key == "seed") {
-                c.seed = std::stoull(val);
-                saw_seed = true;
-            } else if (key == "threads") {
-                c.threads = static_cast<std::uint32_t>(std::stoul(val));
-            } else if (key == "tasks") {
-                c.tasks = static_cast<std::uint32_t>(std::stoul(val));
-            } else if (key == "monitors") {
-                c.monitors = static_cast<std::uint32_t>(std::stoul(val));
-            } else if (key == "heap") {
-                c.heap = std::stoull(val);
-            } else if (key == "tlab") {
-                c.tlab = std::stoull(val);
-            } else if (key == "intensity") {
-                c.fault_intensity = std::stod(val);
-            } else if (key == "governed") {
-                c.governed = val != "0";
-            } else if (key == "policy") {
-                // Absent on pre-policy case lines; defaults to fifo.
-                if (!jvm::parseLockPolicy(val, c.policy)) {
-                    err = "unknown lock policy '" + val + "'";
-                    return false;
-                }
-            } else if (key == "sabotage") {
-                if (!parseSabotage(val, c.sabotage)) {
-                    err = "unknown sabotage '" + val + "'";
-                    return false;
-                }
-            } else {
-                err = "unknown key '" + key + "'";
-                return false;
-            }
-        } catch (const std::exception &) {
-            err = "bad value for '" + key + "': " + val;
+        bool ok = false;
+        if (key == "seed") {
+            ok = saw_seed = parseNumber(val, c.seed);
+        } else if (key == "threads") {
+            ok = readBounded(val, c.threads, 1u, kMaxThreads);
+        } else if (key == "tasks") {
+            ok = readBounded(val, c.tasks, 1u, kMaxTasks);
+        } else if (key == "monitors") {
+            ok = readBounded(val, c.monitors, 1u, kMaxMonitors);
+        } else if (key == "heap") {
+            ok = readBounded(val, c.heap, units::MiB,
+                             std::numeric_limits<Bytes>::max());
+        } else if (key == "tlab") {
+            ok = parseNumber(val, c.tlab);
+        } else if (key == "intensity") {
+            ok = readBounded(val, c.fault_intensity, 0.0, 1.0);
+        } else if (key == "governed") {
+            ok = val == "0" || val == "1";
+            c.governed = val == "1";
+        } else if (key == "policy") {
+            // Absent on pre-policy case lines; defaults to fifo.
+            ok = jvm::parseLockPolicy(val, c.policy);
+        } else if (key == "sabotage") {
+            ok = parseSabotage(val, c.sabotage);
+        } else {
+            err = "unknown key '" + key + "'";
+            return false;
+        }
+        if (!ok) {
+            err = "bad value for '" + key + "': '" + val + "'";
             return false;
         }
     }
@@ -123,10 +137,8 @@ FuzzCase::parse(const std::string &line, FuzzCase &out, std::string &err)
         err = "case line has no seed";
         return false;
     }
-    if (c.threads == 0 || c.tasks == 0 || c.monitors == 0 ||
-        c.heap < units::MiB) {
-        err = "degenerate case (threads/tasks/monitors must be >= 1, "
-              "heap >= 1 MiB)";
+    if (c.tlab > c.heap) {
+        err = "bad value for 'tlab': larger than the heap";
         return false;
     }
     out = c;
@@ -139,9 +151,10 @@ caseForSeed(std::uint64_t seed)
     Rng rng(seed * 7919 + 17);
     FuzzCase c;
     c.seed = seed;
-    c.threads = 1 + static_cast<std::uint32_t>(rng.below(8));
-    c.tasks = 20 + static_cast<std::uint32_t>(rng.below(121));
-    c.monitors = 1 + static_cast<std::uint32_t>(rng.below(5));
+    c.threads = 1 + static_cast<std::uint32_t>(rng.below(kMaxThreads));
+    c.tasks = kMinDrawnTasks + static_cast<std::uint32_t>(rng.below(
+                                   kMaxTasks - kMinDrawnTasks + 1));
+    c.monitors = 1 + static_cast<std::uint32_t>(rng.below(kMaxMonitors));
     c.heap = (3 + rng.below(4)) * units::MiB;
     c.tlab = rng.chance(0.3) ? 8 * units::KiB : 0;
     c.fault_intensity = rng.chance(0.4) ? (rng.chance(0.5) ? 0.3 : 0.6)
@@ -158,8 +171,9 @@ namespace {
 
 /**
  * Event-stream saboteur: re-delivers or fabricates one event directly
- * into the oracle suite. Registered after the suite on the listener
- * chain, so the suite always observes the genuine event first.
+ * into the oracle suite. It is the run's attach hook, so it sits after
+ * the suite on the listener chain and the suite always observes the
+ * genuine event first.
  */
 class Saboteur : public jvm::RuntimeListener
 {
@@ -253,64 +267,58 @@ FuzzOutcome::diagnosis() const
     return "clean";
 }
 
+namespace {
+
+/** The experiment a case runs: the 2-socket test machine without VM
+ *  helper threads, every oracle armed. */
+ExperimentConfig
+fuzzConfig(const FuzzCase &c)
+{
+    ExperimentConfig cfg;
+    cfg.machine = machine::Machine::testMachine_2p8c();
+    cfg.vm.heap.tlab_size = c.tlab;
+    cfg.vm.enable_helpers = false;
+    cfg.vm.locks.policy = c.policy;
+    // Nonzero handoff costs so the coherence-penalty accounting runs
+    // under oracle scrutiny too.
+    cfg.vm.locks.handoff_base = 250;
+    cfg.vm.locks.coherence_cost = 500;
+    if (c.governed) {
+        cfg.governor.mode = control::GovernorMode::HillClimb;
+        cfg.governor.interval = units::MS;
+    }
+    if (c.fault_intensity > 0.0) {
+        cfg.faults = fault::FaultPlan::fromIntensity(c.fault_intensity,
+                                                     c.seed, 30 * units::MS);
+    }
+    cfg.oracles = true;
+    return cfg;
+}
+
+} // namespace
+
 FuzzOutcome
 runFuzzCase(const FuzzCase &c)
 {
     FuzzOutcome out;
     out.fuzz_case = c;
 
-    sim::Simulation sim(c.seed);
-    machine::Machine mach(machine::Machine::testMachine_2p8c());
-    mach.enableCores(std::min<std::uint32_t>(c.threads, 8));
-    os::Scheduler sched(sim, mach);
-
-    jvm::VmConfig cfg;
-    cfg.heap.capacity = c.heap;
-    cfg.heap.tlab_size = c.tlab;
-    cfg.enable_helpers = false;
-    cfg.locks.policy = c.policy;
-    // Nonzero handoff costs so the coherence-penalty accounting runs
-    // under oracle scrutiny too.
-    cfg.locks.handoff_base = 250;
-    cfg.locks.coherence_cost = 500;
-
-    jvm::JavaVm vm(sim, mach, sched, cfg);
-
-    std::optional<control::ConcurrencyGovernor> governor;
-    if (c.governed) {
-        control::GovernorConfig gc;
-        gc.mode = control::GovernorMode::HillClimb;
-        gc.interval = units::MS;
-        governor.emplace(sim, vm, gc);
-        vm.setTaskAdmission(&*governor);
-    }
-
-    std::optional<fault::FaultInjector> injector;
-    if (c.fault_intensity > 0.0) {
-        injector.emplace(sim, mach, vm,
-                         fault::FaultPlan::fromIntensity(
-                             c.fault_intensity, c.seed, 30 * units::MS));
-    }
-
-    profile::ThreadStateLedger ledger;
-    ledger.attach(vm);
-    profile::TaskProfiler profiler;
-    profiler.attach(vm, ledger);
-    OracleConfig ocfg;
+    const ExperimentConfig cfg = fuzzConfig(c);
+    check::RandomApp app(c.seed, c.monitors, c.tasks);
+    check::OracleConfig ocfg;
     ocfg.throw_on_violation = false;
-    OracleSuite suite(ocfg);
-    suite.attach(vm, profiler);
-
+    RunRig rig(cfg,
+               {c.seed,
+                {{&app, app.appName(), c.threads, c.heap, std::nullopt}}},
+               ocfg);
+    OracleSuite &suite = *rig.oracles(0);
     Saboteur saboteur(suite, c.sabotage);
-    if (c.sabotage != Sabotage::None)
-        vm.listeners().add(&saboteur);
-
-    RandomApp app(c.seed, c.monitors, c.tasks);
     try {
-        if (injector)
-            injector->arm(sim.now());
-        const jvm::RunResult r = vm.run(app, c.threads);
-        suite.finishRun(sim.now());
+        jvm::RunResult r;
+        rig.run({&r, 1}, [&](jvm::JavaVm &vm) {
+            if (c.sabotage != Sabotage::None)
+                vm.listeners().add(&saboteur);
+        });
         if (r.failed()) {
             out.run_failed = true;
             out.run_error = r.run_error;
@@ -319,14 +327,12 @@ runFuzzCase(const FuzzCase &c)
         out.run_failed = true;
         out.run_error = e.what();
     }
-
     if (c.sabotage != Sabotage::None)
-        vm.listeners().remove(&saboteur);
-    suite.detach();
+        rig.vm(0).listeners().remove(&saboteur);
 
     out.violations = suite.violations();
     out.checks = suite.checksPerformed();
-    out.sim_time = sim.now();
+    out.sim_time = rig.sim().now();
     return out;
 }
 
@@ -403,40 +409,6 @@ shrinkCase(const FuzzCase &c, std::uint32_t budget,
 
 namespace {
 
-/** One-line escape for cache records: newlines and backslashes only
- *  (values sit last on their line, so spaces need no quoting). */
-std::string
-escapeLine(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '\\')
-            out += "\\\\";
-        else if (c == '\n')
-            out += "\\n";
-        else
-            out += c;
-    }
-    return out;
-}
-
-std::string
-unescapeLine(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] == '\\' && i + 1 < s.size()) {
-            ++i;
-            out += s[i] == 'n' ? '\n' : s[i];
-        } else {
-            out += s[i];
-        }
-    }
-    return out;
-}
-
 std::string
 outcomePath(const std::string &dir, std::uint64_t seed)
 {
@@ -501,18 +473,19 @@ loadOutcome(const FuzzCampaignIo &io, std::uint64_t seed, FuzzOutcome &out)
     if (!std::getline(in, line) || line.rfind("case ", 0) != 0 ||
         !FuzzCase::parse(line.substr(5), o.fuzz_case, err))
         return miss("bad case line");
-    if (!std::getline(in, line) || line.rfind("run_failed ", 0) != 0)
+    if (!std::getline(in, line) || line.rfind("run_failed ", 0) != 0 ||
+        (line.substr(11) != "0" && line.substr(11) != "1"))
         return miss("bad run_failed line");
     o.run_failed = line.substr(11) == "1";
     if (!std::getline(in, line) || line.rfind("run_error ", 0) != 0)
         return miss("bad run_error line");
     o.run_error = unescapeLine(line.substr(10));
-    if (!std::getline(in, line) || line.rfind("checks ", 0) != 0)
+    if (!std::getline(in, line) || line.rfind("checks ", 0) != 0 ||
+        !parseNumber(line.substr(7), o.checks))
         return miss("bad checks line");
-    o.checks = std::strtoull(line.c_str() + 7, nullptr, 10);
-    if (!std::getline(in, line) || line.rfind("sim_time ", 0) != 0)
+    if (!std::getline(in, line) || line.rfind("sim_time ", 0) != 0 ||
+        !parseNumber(line.substr(9), o.sim_time))
         return miss("bad sim_time line");
-    o.sim_time = std::strtoull(line.c_str() + 9, nullptr, 10);
 
     bool ended = false;
     while (std::getline(in, line)) {
@@ -627,4 +600,4 @@ readReproducer(const std::string &path, FuzzCase &out, std::string &err)
     return false;
 }
 
-} // namespace jscale::check
+} // namespace jscale::core

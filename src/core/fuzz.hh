@@ -2,6 +2,9 @@
  * @file
  * Deterministic fuzz driver: seeded random workloads x fault schedules
  * x governor configurations, executed with the full oracle suite armed.
+ * A case maps onto an ExperimentConfig and runs through the run rig
+ * (core/rig.hh), so it is built exactly like every other run; the
+ * oracles and the random application stay in src/check.
  *
  * Every case is derived from a single integer seed, so a campaign is a
  * seed list and a failure is a one-line reproducer. When a case fails
@@ -17,8 +20,8 @@
  * end-to-end; it is the fuzz harness's own test fixture.
  */
 
-#ifndef JSCALE_CHECK_FUZZ_HH
-#define JSCALE_CHECK_FUZZ_HH
+#ifndef JSCALE_CORE_FUZZ_HH
+#define JSCALE_CORE_FUZZ_HH
 
 #include <cstdint>
 #include <iosfwd>
@@ -29,7 +32,7 @@
 #include "check/oracle.hh"
 #include "jvm/locks/policy.hh"
 
-namespace jscale::check {
+namespace jscale::core {
 
 /**
  * Event-stream perturbations used to prove the oracles detect seeded
@@ -79,7 +82,9 @@ struct FuzzCase
     /** One-line key=value form, parseable by parse(). */
     std::string describe() const;
 
-    /** Parse a describe() line. Returns false (with @p err) on junk. */
+    /** Parse a describe() line, each number read whole and bounded to
+     *  what caseForSeed() and shrinkCase() produce. Returns false with
+     *  @p err naming the field on anything else. */
     static bool parse(const std::string &line, FuzzCase &out,
                       std::string &err);
 };
@@ -94,7 +99,7 @@ struct FuzzOutcome
     /** The run itself aborted (watchdog, deadlock, runaway). */
     bool run_failed = false;
     std::string run_error;
-    std::vector<InvariantViolation> violations;
+    std::vector<check::InvariantViolation> violations;
     /** Invariant evaluations performed. */
     std::uint64_t checks = 0;
     /** Simulated time the case covered. */
@@ -179,6 +184,6 @@ void writeReproducer(std::ostream &os, const FuzzReport &report);
 bool readReproducer(const std::string &path, FuzzCase &out,
                     std::string &err);
 
-} // namespace jscale::check
+} // namespace jscale::core
 
-#endif // JSCALE_CHECK_FUZZ_HH
+#endif // JSCALE_CORE_FUZZ_HH

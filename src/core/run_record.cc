@@ -22,45 +22,6 @@ constexpr const char *kHeader = "jscale-run v1";
  */
 constexpr std::uint64_t kMaxCount = 1ULL << 20;
 
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '\\')
-            out += "\\\\";
-        else if (c == '\n')
-            out += "\\n";
-        else if (c == '\r')
-            out += "\\r";
-        else
-            out += c;
-    }
-    return out;
-}
-
-std::string
-unescape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\' || i + 1 >= s.size()) {
-            out += s[i];
-            continue;
-        }
-        const char next = s[++i];
-        if (next == 'n')
-            out += '\n';
-        else if (next == 'r')
-            out += '\r';
-        else
-            out += next;
-    }
-    return out;
-}
-
 /** Lossless double rendering: C hexfloat (inf/nan print as names). */
 std::string
 fmtDouble(double v)
@@ -297,7 +258,7 @@ class Writer
 
     void s(const char *name, const std::string &v)
     {
-        os_ << "s " << name << ' ' << escape(v) << '\n';
+        os_ << "s " << name << ' ' << escapeLine(v) << '\n';
     }
 
     void sample(const char *name, const stats::SampleStats &v)
@@ -435,7 +396,7 @@ class Reader
             fail("expected 's " + std::string(name) + "', got '" + ln +
                  "'");
         else
-            v = unescape(std::string(rest.substr(rest.empty() ? 0 : 1)));
+            v = unescapeLine(std::string(rest.substr(rest.empty() ? 0 : 1)));
     }
 
     void sample(const char *name, stats::SampleStats &v)
@@ -594,13 +555,52 @@ class Reader
 
 } // namespace
 
+std::string
+escapeLine(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (const char c : s) {
+        if (c == '\\')
+            out += "\\\\";
+        else if (c == '\n')
+            out += "\\n";
+        else if (c == '\r')
+            out += "\\r";
+        else
+            out += c;
+    }
+    return out;
+}
+
+std::string
+unescapeLine(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        if (s[i] != '\\' || i + 1 >= s.size()) {
+            out += s[i];
+            continue;
+        }
+        const char next = s[++i];
+        if (next == 'n')
+            out += '\n';
+        else if (next == 'r')
+            out += '\r';
+        else
+            out += next;
+    }
+    return out;
+}
+
 void
 writeRunRecord(std::ostream &os, const std::string &key,
                const std::string &fingerprint, const jvm::RunResult &r)
 {
     os << kHeader << '\n';
-    os << "key " << escape(key) << '\n';
-    os << "fp " << escape(fingerprint) << '\n';
+    os << "key " << escapeLine(key) << '\n';
+    os << "fp " << escapeLine(fingerprint) << '\n';
     Writer w(os);
     visitRunResult(w, r);
     os << "end\n";
@@ -621,7 +621,7 @@ readRunRecord(std::istream &is, const std::string &expect_key,
         err = "record missing key line";
         return false;
     }
-    if (unescape(ln.substr(4)) != expect_key) {
+    if (unescapeLine(ln.substr(4)) != expect_key) {
         err = "record key mismatch";
         return false;
     }
@@ -629,7 +629,7 @@ readRunRecord(std::istream &is, const std::string &expect_key,
         err = "record missing fingerprint line";
         return false;
     }
-    if (unescape(ln.substr(3)) != expect_fingerprint) {
+    if (unescapeLine(ln.substr(3)) != expect_fingerprint) {
         err = "record belongs to a different campaign configuration";
         return false;
     }

@@ -26,6 +26,13 @@
 
 namespace jscale::core {
 
+/** Backslash-escape newlines, carriage returns and backslashes, so
+ *  @p s fits on one record line. */
+std::string escapeLine(const std::string &s);
+
+/** Inverse of escapeLine(). */
+std::string unescapeLine(const std::string &s);
+
 /** Serialize @p r as a complete "jscale-run v1" record. */
 void writeRunRecord(std::ostream &os, const std::string &key,
                     const std::string &fingerprint,

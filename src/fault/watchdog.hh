@@ -43,7 +43,8 @@ struct WatchdogConfig
     std::uint32_t stalled_limit = 3;
 };
 
-/** The detector. Construct after the VM, start() before run(). */
+/** The detector. Construct after the VM, start() before run(),
+ *  stop() once the VM's run completes. */
 class RunWatchdog
 {
   public:
@@ -55,6 +56,10 @@ class RunWatchdog
 
     /** Arm the periodic check; first sample at @p now + interval. */
     void start(Ticks now);
+
+    /** Disarm the check: the VM's run is over, so its gauges stop
+     *  moving while a co-hosted VM may still be running. */
+    void stop() { tick_.stop(); }
 
     /** Samples taken so far. */
     std::uint64_t checks() const { return checks_; }

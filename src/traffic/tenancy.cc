@@ -1,11 +1,8 @@
 #include "traffic/tenancy.hh"
 
-#include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
-#include "base/logging.hh"
-#include "sim/simulation.hh"
+#include "base/units.hh"
 #include "workload/dacapo.hh"
 
 namespace jscale::traffic {
@@ -64,18 +61,13 @@ TenantSpec::parse(const std::string &text, TenantSpec &out,
                 err = "tenant '" + text + "': duplicate key 'threads'";
                 return false;
             }
-            char *end = nullptr;
             const std::string value = field.substr(eq + 1);
-            const long n =
-                value.empty() ? 0 : std::strtol(value.c_str(), &end, 10);
-            if (value.empty() || end != value.c_str() + value.size() ||
-                n < 1) {
+            if (!parseNumber(value, out.threads) || out.threads < 1) {
                 err = "tenant '" + text +
                       "': threads needs a count >= 1, got '" + value +
                       "'";
                 return false;
             }
-            out.threads = static_cast<std::uint32_t>(n);
             have_threads = true;
         } else if (key == "process") {
             process = field.substr(eq + 1);
@@ -122,67 +114,6 @@ TenantSpec::describe() const
     std::ostringstream os;
     os << app << ":threads=" << threads << ":" << arrival.describe();
     return os.str();
-}
-
-TenantHost::TenantHost(sim::Simulation &sim, machine::Machine &mach,
-                       os::Scheduler &sched)
-    : sim_(sim), mach_(mach), sched_(sched)
-{}
-
-TenantHost::~TenantHost() = default;
-
-bool
-TenantHost::addTenant(const TenantSpec &spec, jvm::VmConfig config,
-                      std::string &err)
-{
-    jscale_assert(!ran_, "host already ran");
-    auto tenant = std::make_unique<Tenant>();
-    tenant->spec = spec;
-    tenant->model = makeRequestModel(spec.app, err);
-    if (tenant->model == nullptr)
-        return false;
-    config.tenant = static_cast<std::uint32_t>(tenants_.size());
-    tenant->vm = std::make_unique<jvm::JavaVm>(sim_, mach_, sched_,
-                                               config);
-    tenant->ledger.attach(*tenant->vm);
-    tenant->profiler.attach(*tenant->vm, tenant->ledger);
-    tenant->engine = std::make_unique<TrafficEngine>(
-        *tenant->vm, spec.arrival, tenant->profiler);
-    tenant->app = std::make_unique<OpenLoopApp>(*tenant->model,
-                                                *tenant->engine);
-    tenants_.push_back(std::move(tenant));
-    return true;
-}
-
-std::vector<jvm::RunResult>
-TenantHost::run()
-{
-    jscale_assert(!ran_, "host already ran");
-    jscale_assert(!tenants_.empty(), "host has no tenants");
-    ran_ = true;
-
-    finished_ = 0;
-    Ticks budget = 0;
-    for (auto &t : tenants_) {
-        t->vm->setRunCompletedCallback([this](Ticks) {
-            if (++finished_ == tenants_.size())
-                sim_.requestStop();
-        });
-        budget = std::max(budget, t->vm->config().max_run_time);
-    }
-    const Ticks start = sim_.now();
-    for (auto &t : tenants_)
-        t->vm->prepare(*t->app, t->spec.threads);
-    sim_.run(start + budget);
-
-    std::vector<jvm::RunResult> results;
-    for (auto &t : tenants_) {
-        t->profiler.finishRun(sim_.now());
-        jvm::RunResult r = t->vm->collectResult();
-        r.traffic = t->engine->summary();
-        results.push_back(std::move(r));
-    }
-    return results;
 }
 
 } // namespace jscale::traffic

@@ -1,8 +1,8 @@
 /**
  * @file
- * Multi-tenant hosting: several JVMs sharing one simulated machine.
+ * Multi-tenant specs: several JVMs sharing one simulated machine.
  *
- * Each tenant is one JavaVm with its own heap, GC, monitors, helper
+ * The run rig (core/rig.hh) hosts each tenant as one JavaVm with its own heap, GC, monitors, helper
  * threads and arrival stream, all registered against the *same*
  * scheduler and core set — so tenants contend for CPUs exactly like
  * co-located server JVMs do, while safepoints stay per-tenant (a
@@ -22,17 +22,10 @@
 #define JSCALE_TRAFFIC_TENANCY_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "jvm/runtime/vm.hh"
-#include "profile/ledger.hh"
-#include "profile/profiler.hh"
 #include "traffic/arrival.hh"
-#include "traffic/engine.hh"
-#include "traffic/open_loop_app.hh"
-#include "traffic/request_model.hh"
 
 namespace jscale::traffic {
 
@@ -53,73 +46,6 @@ struct TenantSpec
 
     /** Canonical one-line description. */
     std::string describe() const;
-};
-
-/**
- * Runs N prepared VMs on one shared simulation/machine/scheduler.
- * Each tenant owns its VM's thread-state ledger and attribution
- * profiler (its traffic engine needs them). Add tenants, optionally
- * decorate their VMs (oracles on the tenant's profiler), then run()
- * once; results come back in tenant order.
- */
-class TenantHost
-{
-  public:
-    TenantHost(sim::Simulation &sim, machine::Machine &mach,
-               os::Scheduler &sched);
-    ~TenantHost();
-
-    TenantHost(const TenantHost &) = delete;
-    TenantHost &operator=(const TenantHost &) = delete;
-
-    /**
-     * Build tenant @p spec with VM configuration @p config (its tenant
-     * field is overwritten with the new tenant's index). Returns false
-     * and sets @p err for an unknown application.
-     */
-    bool addTenant(const TenantSpec &spec, jvm::VmConfig config,
-                   std::string &err);
-
-    std::size_t tenantCount() const { return tenants_.size(); }
-
-    /** Tenant @p i's VM (attach observers before run()). */
-    jvm::JavaVm &vm(std::size_t i) { return *tenants_[i]->vm; }
-
-    /** Tenant @p i's engine (live gauges during the run). */
-    TrafficEngine &engine(std::size_t i) { return *tenants_[i]->engine; }
-
-    /** Tenant @p i's attribution profiler (finished by run()). */
-    profile::TaskProfiler &profiler(std::size_t i)
-    {
-        return tenants_[i]->profiler;
-    }
-
-    /**
-     * Prepare every VM, drive the shared simulation until all tenants
-     * finish (or the longest max_run_time elapses), and collect one
-     * RunResult per tenant, traffic summaries included. Call once.
-     */
-    std::vector<jvm::RunResult> run();
-
-  private:
-    struct Tenant
-    {
-        TenantSpec spec;
-        std::unique_ptr<RequestModel> model;
-        std::unique_ptr<jvm::JavaVm> vm;
-        /** Declared after vm: they detach from it on destruction. */
-        profile::ThreadStateLedger ledger;
-        profile::TaskProfiler profiler;
-        std::unique_ptr<TrafficEngine> engine;
-        std::unique_ptr<OpenLoopApp> app;
-    };
-
-    sim::Simulation &sim_;
-    machine::Machine &mach_;
-    os::Scheduler &sched_;
-    std::vector<std::unique_ptr<Tenant>> tenants_;
-    std::size_t finished_ = 0;
-    bool ran_ = false;
 };
 
 } // namespace jscale::traffic

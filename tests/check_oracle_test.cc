@@ -13,7 +13,7 @@
 
 #include "base/error.hh"
 #include "base/units.hh"
-#include "check/fuzz.hh"
+#include "core/fuzz.hh"
 #include "check/oracle.hh"
 #include "check/random_app.hh"
 #include "profile/ledger.hh"
@@ -129,23 +129,23 @@ TEST(Oracle, SabotagedEventStreamsAreCaughtAndDiagnosed)
 {
     const struct
     {
-        check::Sabotage sabotage;
+        core::Sabotage sabotage;
         const char *oracle;
         const char *needle;
     } kinds[] = {
-        {check::Sabotage::DupAlloc, "heap-conservation",
+        {core::Sabotage::DupAlloc, "heap-conservation",
          "allocated twice"},
-        {check::Sabotage::PhantomDeath, "heap-conservation", "object"},
-        {check::Sabotage::DoubleRelease, "monitor-exclusion",
+        {core::Sabotage::PhantomDeath, "heap-conservation", "object"},
+        {core::Sabotage::DoubleRelease, "monitor-exclusion",
          "released"},
     };
     for (const auto &k : kinds) {
-        check::FuzzCase c = check::caseForSeed(42);
+        core::FuzzCase c = core::caseForSeed(42);
         c.sabotage = k.sabotage;
-        const check::FuzzOutcome out = check::runFuzzCase(c);
-        ASSERT_FALSE(out.clean()) << check::sabotageName(k.sabotage);
+        const core::FuzzOutcome out = core::runFuzzCase(c);
+        ASSERT_FALSE(out.clean()) << core::sabotageName(k.sabotage);
         ASSERT_FALSE(out.violations.empty())
-            << check::sabotageName(k.sabotage) << ": " << out.run_error;
+            << core::sabotageName(k.sabotage) << ": " << out.run_error;
         EXPECT_EQ(out.violations[0].oracle, k.oracle)
             << out.violations[0].format();
         EXPECT_NE(out.violations[0].message.find(k.needle),
@@ -159,8 +159,8 @@ TEST(Oracle, UnsabotagedCaseIsCleanAcrossConfigurationSpace)
     // TLABs, faults and the governor all change the event stream the
     // oracles observe; none of them may trip a false alarm.
     for (const std::uint64_t seed : {1ULL, 9ULL, 23ULL, 77ULL}) {
-        const check::FuzzOutcome out =
-            check::runFuzzCase(check::caseForSeed(seed));
+        const core::FuzzOutcome out =
+            core::runFuzzCase(core::caseForSeed(seed));
         EXPECT_TRUE(out.clean()) << "seed " << seed << ": "
                                  << out.diagnosis();
         EXPECT_GT(out.checks, 0u);
@@ -176,11 +176,11 @@ TEST(Oracle, EveryAdmissionPolicyRunsOracleClean)
     // heavily contended monitor.
     for (const jvm::LockPolicy p : jvm::kAllLockPolicies) {
         for (const std::uint64_t seed : {5ULL, 42ULL, 91ULL}) {
-            check::FuzzCase c = check::caseForSeed(seed);
+            core::FuzzCase c = core::caseForSeed(seed);
             c.threads = 6;
             c.monitors = 1;
             c.policy = p;
-            const check::FuzzOutcome out = check::runFuzzCase(c);
+            const core::FuzzOutcome out = core::runFuzzCase(c);
             EXPECT_TRUE(out.clean())
                 << jvm::lockPolicyName(p) << " seed " << seed << ": "
                 << out.diagnosis();

@@ -13,12 +13,14 @@
 #include <string>
 #include <vector>
 
+#include "check/oracle.hh"
 #include "core/blame.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "profile/ledger.hh"
 #include "profile/profiler.hh"
 #include "stats/stats.hh"
+#include "telemetry/recorder.hh"
 #include "test_apps.hh"
 #include "test_tempdir.hh"
 #include "traffic/tenancy.hh"
@@ -426,6 +428,81 @@ TEST(ProfiledExperiment, OneLedgerAndOneProfilerPerVm)
     EXPECT_EQ(sched.profilers, 0);
     EXPECT_TRUE(results[0].profile.enabled);
     EXPECT_TRUE(results[1].profile.enabled);
+}
+
+/** The caller's attach hook, as seen on the probe chain. */
+struct HookProbe : jvm::RuntimeListener
+{};
+
+/**
+ * The rig's parts on @p chain, in subscription order: L(edger),
+ * P(rofiler), O(racles), R(ecorder), H(ook); anything else is left out.
+ */
+template <typename Chain>
+std::string
+chainOrder(const Chain &chain)
+{
+    std::string order;
+    for (auto *l : chain.all()) {
+        if (dynamic_cast<profile::ThreadStateLedger *>(l) != nullptr)
+            order += 'L';
+        else if (dynamic_cast<profile::TaskProfiler *>(l) != nullptr)
+            order += 'P';
+        else if (dynamic_cast<check::OracleSuite *>(l) != nullptr)
+            order += 'O';
+        else if (dynamic_cast<telemetry::TelemetryRecorder *>(l) != nullptr)
+            order += 'R';
+        else if (dynamic_cast<HookProbe *>(l) != nullptr)
+            order += 'H';
+    }
+    return order;
+}
+
+TEST(RunRig, ChainOrderIsLedgerProfilerOraclesRecorderHook)
+{
+    jscale::testing::TempDir dir;
+    core::ExperimentConfig all = fastConfig();
+    all.oracles = true;
+    all.profile = true;
+    all.watchdog = true;
+    all.governor.mode = control::GovernorMode::HillClimb;
+
+    // One VM with every observer armed, a timeline included.
+    core::ExperimentConfig one = all;
+    one.arrivals = "poisson:rate=2000:requests=50";
+    one.timeline_path = dir.file("t.json");
+    one.metrics_interval = 1 * units::MS;
+    HookProbe probe;
+    std::string runtime;
+    core::ExperimentRunner runner(one);
+    const jvm::RunResult r =
+        runner.runApp("sunflow", 4, [&](jvm::JavaVm &vm) {
+            vm.listeners().add(&probe);
+            runtime = chainOrder(vm.listeners());
+        });
+    ASSERT_FALSE(r.failed()) << r.run_error;
+    EXPECT_EQ(runtime, "LPORH");
+
+    // Two co-hosted tenants (no timeline): the same order on each VM.
+    std::vector<traffic::TenantSpec> specs;
+    std::string err;
+    ASSERT_TRUE(traffic::TenantSpec::parseList(
+        "h2:threads=2:rate=400:requests=20;"
+        "sunflow:threads=2:rate=400:requests=20",
+        specs, err))
+        << err;
+    HookProbe probes[2];
+    std::vector<std::string> per_vm;
+    core::ExperimentRunner tenants(all);
+    const auto results =
+        tenants.runTenants(specs, [&](jvm::JavaVm &vm) {
+            vm.listeners().add(&probes[per_vm.size()]);
+            per_vm.push_back(chainOrder(vm.listeners()));
+        });
+    ASSERT_EQ(results.size(), 2u);
+    ASSERT_EQ(per_vm.size(), 2u);
+    EXPECT_EQ(per_vm[0], "LPOH");
+    EXPECT_EQ(per_vm[1], "LPOH");
 }
 
 TEST(ProfiledExperiment, BlameStudyIsJobsInvariant)

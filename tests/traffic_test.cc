@@ -112,6 +112,7 @@ TEST(TenantSpec, ParsesListAndRejectsGarbage)
 
     for (const char *bad :
          {"", "h2", "h2:rate=5", "h2:threads=0:rate=5",
+          "h2:threads=4294967297:rate=5", "h2:threads=+2:rate=5",
           "nosuchapp:threads=2:rate=5",
           "h2:threads=2:rate=5;;h2:threads=2:rate=5"}) {
         EXPECT_FALSE(TenantSpec::parseList(bad, tenants, err)) << bad;
@@ -425,6 +426,56 @@ TEST(MultiTenant, OraclesCleanUnderSharedScheduler)
     const auto results = runner.runTenants(specs);
     for (const jvm::RunResult &r : results)
         EXPECT_FALSE(r.failed()) << r.run_error;
+}
+
+TEST(MultiTenant, EveryTenantGetsItsOwnGovernor)
+{
+    // The governor is a per-VM part of the run rig, so a governed
+    // tenant run steers each tenant's admission on its own.
+    ExperimentConfig cfg = fastConfig();
+    cfg.governor.mode = control::GovernorMode::HillClimb;
+    cfg.governor.interval = 1 * units::MS;
+    std::vector<TenantSpec> specs;
+    std::string err;
+    ASSERT_TRUE(TenantSpec::parseList(
+        "h2:threads=4:rate=2000:requests=200;"
+        "jython:threads=4:rate=1500:requests=200",
+        specs, err))
+        << err;
+    ExperimentRunner runner(cfg);
+    const auto results = runner.runTenants(specs);
+    ASSERT_EQ(results.size(), 2u);
+    for (const jvm::RunResult &r : results) {
+        ASSERT_FALSE(r.failed()) << r.run_error;
+        EXPECT_TRUE(r.governor.enabled) << r.app_name;
+        EXPECT_EQ(r.governor.policy, "hill") << r.app_name;
+        EXPECT_GT(r.governor.decisions, 0u) << r.app_name;
+    }
+}
+
+TEST(MultiTenant, FinishedTenantDisarmsItsWatchdog)
+{
+    // A finished tenant's progress gauges stop moving while its
+    // neighbour runs on for far longer than the watchdog tolerates a
+    // stall (10 x 1 ms here); only the running tenant may be watched.
+    ExperimentConfig cfg = fastConfig();
+    cfg.watchdog = true;
+    cfg.watchdog_config.interval = 1 * units::MS;
+    cfg.watchdog_config.stalled_limit = 10;
+    std::vector<TenantSpec> specs;
+    std::string err;
+    ASSERT_TRUE(TenantSpec::parseList(
+        "h2:threads=4:rate=4000:requests=40;"
+        "jython:threads=4:rate=1500:requests=300",
+        specs, err))
+        << err;
+    ExperimentRunner runner(cfg);
+    const auto results = runner.runTenants(specs);
+    ASSERT_EQ(results.size(), 2u);
+    for (const jvm::RunResult &r : results)
+        ASSERT_FALSE(r.failed()) << r.run_error;
+    EXPECT_GT(results[1].wall_time,
+              results[0].wall_time + 20 * cfg.watchdog_config.interval);
 }
 
 // ---------------------------------------------------------------------

@@ -234,6 +234,8 @@ printFlags(std::ostream &os, const Command *cmd)
         const std::string def = f.value.show ? f.value.show(defaults) : "";
         if (!def.empty())
             text += " (default " + def + ")";
+        for (std::size_t i = 0; i < f.excludes.size(); ++i)
+            text += (i == 0 ? "; not with " : ", ") + f.excludes[i].first;
         printEntry(os, label, text, 28);
         any = true;
     }
@@ -360,7 +362,7 @@ flagTable()
         {{"--shrink-budget"}, numberValue(OPT(shrink_budget), 1, 10000),
          "max re-runs spent shrinking a fuzz failure", "fuzz"},
         {{"--sabotage"},
-         enumValue(OPT(sabotage), check::parseSabotage, check::sabotageName,
+         enumValue(OPT(sabotage), core::parseSabotage, core::sabotageName,
                    "expect none, dup-alloc, phantom-death, double-release "
                    "or illegal-handoff"),
          "seed a bug into the fuzz event stream (oracle self-test)", "fuzz"},
@@ -417,7 +419,13 @@ flagTable()
             traffic::TenantSpec::parseList(text, o.tenants, err);
             return err;
         }),
-         "co-located JVMs: \"<app>:threads=<n>:rate=<r>[...];...\"", "run"},
+         "co-located JVMs: \"<app>:threads=<n>:rate=<r>[...];...\"", "run",
+         {{"--biased", "one bias rotation cannot be split between tenants"},
+          {"--faults", "one fault plan cannot be split between tenants"},
+          {"--timeline", "one timeline cannot be split between tenants"},
+          {"--gclog", "the GC log has one writer"},
+          {"--per-thread", "the per-thread table covers one VM"},
+          {"--arrivals", "each tenant carries its own arrivals"}}},
         {{"--loads"}, listValue(OPT(loads), kPositive, 1000),
          "offered loads as fractions of capacity", "traffic"},
         {{"--requests"}, numberValue(OPT(requests), 1),
@@ -551,6 +559,13 @@ parseCommandLine(const std::vector<std::string> &args, CliOptions &o)
         if (!err.empty())
             return where + err;
         o.given_flags.push_back(flag->names.front());
+    }
+    for (const std::string &name : o.given_flags) {
+        for (const auto &[other, why] : findFlag(name)->excludes) {
+            if (o.given(other))
+                return where + other + " cannot combine with " + name +
+                       ": " + why;
+        }
     }
     if (nests && o.nested.empty() && !o.help)
         return where + "missing the command to run";

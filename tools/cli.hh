@@ -7,16 +7,16 @@
 #ifndef JSCALE_TOOLS_CLI_HH
 #define JSCALE_TOOLS_CLI_HH
 
-#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "check/fuzz.hh"
 #include "core/experiment.hh"
+#include "core/fuzz.hh"
 #include "core/supervisor.hh"
 
 namespace jscale::cli {
@@ -49,7 +49,7 @@ struct CliOptions
     Ticks horizon = 0; // 0 = auto (3/4 of probe run)
     std::uint64_t fuzz_seeds = 20;
     std::uint64_t shrink_budget = 64;
-    check::Sabotage sabotage = check::Sabotage::None;
+    core::Sabotage sabotage = core::Sabotage::None;
     std::string replay_path;
     std::vector<traffic::TenantSpec> tenants;
     std::vector<double> loads = {0.25, 0.5, 1.0, 2.0};
@@ -101,20 +101,11 @@ struct Flag
     const char *help;
     /** Space-separated names of the commands whose code reads it. */
     std::string commands;
+    /** Flags it cannot combine with, each with the reason why. */
+    std::vector<std::pair<std::string, std::string>> excludes = {};
 
     bool readBy(std::string_view command) const;
 };
-
-/** Whole-string number: no plus sign, blanks, trailing bytes or
- *  overflow (std::from_chars). */
-template <class T>
-bool
-parseNumber(const std::string &text, T &out)
-{
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-    return !text.empty() && ec == std::errc() && ptr == end;
-}
 
 /** Defined next to the command entry points (jscale_cli.cc). */
 const std::vector<Command> &commandTable();

@@ -39,7 +39,7 @@ namespace {
 
 /** Multi-tenant run: N JVMs co-located on one simulated machine. */
 int
-runTenantHost(const CliOptions &o)
+runTenants(const CliOptions &o)
 {
     core::ExperimentRunner runner(o.config);
     const auto results = runner.runTenants(o.tenants);
@@ -112,7 +112,7 @@ int
 cmdRun(const CliOptions &o)
 {
     if (!o.tenants.empty())
-        return runTenantHost(o);
+        return runTenants(o);
     core::ExperimentRunner runner(o.config);
     std::unique_ptr<std::ofstream> log_stream;
     std::unique_ptr<jvm::GcLogWriter> writer;
@@ -527,14 +527,14 @@ int
 cmdFuzz(const CliOptions &o)
 {
     if (!o.replay_path.empty()) {
-        check::FuzzCase c;
+        core::FuzzCase c;
         std::string err;
-        if (!check::readReproducer(o.replay_path, c, err)) {
+        if (!core::readReproducer(o.replay_path, c, err)) {
             std::cerr << "bad reproducer: " << err << "\n";
             return 2;
         }
         std::cout << "replaying " << c.describe() << "\n";
-        const check::FuzzOutcome out = check::runFuzzCase(c);
+        const core::FuzzOutcome out = core::runFuzzCase(c);
         for (const auto &v : out.violations)
             std::cout << "violation: " << v.format() << "\n";
         if (out.run_failed)
@@ -553,17 +553,17 @@ cmdFuzz(const CliOptions &o)
     // with the same flags cover the same cases.
     for (std::uint64_t i = 0; i < o.fuzz_seeds; ++i)
         seeds.push_back(o.config.seed + i);
-    check::FuzzCampaignIo io;
+    core::FuzzCampaignIo io;
     io.shard_index = o.config.shard_index;
     io.shard_count = o.config.shard_count;
     if (!o.config.run_cache_dir.empty()) {
         io.cache_dir = o.config.run_cache_dir;
         std::ostringstream fp;
         fp << "fuzz seeds=" << o.fuzz_seeds << " base=" << o.config.seed
-           << " sabotage=" << check::sabotageName(o.sabotage);
+           << " sabotage=" << core::sabotageName(o.sabotage);
         io.fingerprint = fp.str();
     }
-    const check::FuzzReport report = check::runFuzzCampaign(
+    const core::FuzzReport report = core::runFuzzCampaign(
         seeds, o.sabotage, static_cast<std::uint32_t>(o.shrink_budget),
         &std::cerr, io);
     std::cout << report.cases_run << " case(s), " << report.total_checks
@@ -572,7 +572,7 @@ cmdFuzz(const CliOptions &o)
     if (!report.failed())
         return 0;
 
-    const check::FuzzOutcome &first = report.failures.front();
+    const core::FuzzOutcome &first = report.failures.front();
     std::cout << "first failure: " << first.fuzz_case.describe() << "\n"
               << "  " << first.diagnosis() << "\n"
               << "shrunk (" << report.shrink_runs
@@ -584,7 +584,7 @@ cmdFuzz(const CliOptions &o)
     if (!repro.ok()) {
         std::cerr << "cannot open '" << path << "'\n";
     } else {
-        check::writeReproducer(repro.stream(), report);
+        core::writeReproducer(repro.stream(), report);
         if (!repro.commit(werr)) {
             std::cerr << "cannot write '" << path << "': " << werr
                       << "\n";
