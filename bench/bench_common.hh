@@ -74,12 +74,10 @@ struct BenchOptions
 inline core::SweepSet
 sweepAllApps(core::ExperimentRunner &runner)
 {
+    for (const std::string &app : workload::dacapoAppNames())
+        std::cerr << "  sweeping " << app << "...\n";
     return runner.sweepApps(workload::dacapoAppNames(),
-                            runner.paperThreadCounts(),
-                            [](const std::string &app) {
-                                std::cerr << "  sweeping " << app
-                                          << "...\n";
-                            });
+                            runner.paperThreadCounts());
 }
 
 } // namespace jscale::bench

@@ -1,6 +1,7 @@
 #include "base/units.hh"
 
 #include <array>
+#include <cmath>
 #include <cstdio>
 
 namespace jscale {
@@ -51,6 +52,37 @@ formatFixed(double value, int decimals)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
     return buf;
+}
+
+bool
+parseNonNegative(const std::string &text, double &out)
+{
+    return parseNumber(text, out) && std::isfinite(out) && out >= 0.0;
+}
+
+bool
+msToTicks(double ms, Ticks &out)
+{
+    // 2^64 is exact as a double; anything at or above it overflows.
+    const double ticks = std::round(ms * static_cast<double>(units::MS));
+    if (!(ticks >= 0.0 && ticks < 18446744073709551616.0))
+        return false;
+    out = static_cast<Ticks>(ticks);
+    return true;
+}
+
+std::vector<std::string>
+splitFields(const std::string &s, char sep)
+{
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    for (std::size_t pos = s.find(sep); pos != std::string::npos;
+         pos = s.find(sep, start)) {
+        out.push_back(s.substr(start, pos - start));
+        start = pos + 1;
+    }
+    out.push_back(s.substr(start));
+    return out;
 }
 
 } // namespace jscale

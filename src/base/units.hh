@@ -5,7 +5,9 @@
  * The simulated clock counts Ticks; one tick is one nanosecond. Memory
  * quantities are plain byte counts. Formatting helpers render both in
  * human-friendly units for reports; parseNumber() is the one strict
- * reader of numbers typed by a user or read back from a file.
+ * reader of numbers typed by a user or read back from a file, and the
+ * spec grammars (faults, arrivals, tenants) read their fields through
+ * splitFields(), parseNonNegative() and msToTicks().
  */
 
 #ifndef JSCALE_BASE_UNITS_HH
@@ -14,6 +16,7 @@
 #include <charconv>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace jscale {
 
@@ -64,6 +67,18 @@ parseNumber(const std::string &text, T &out)
     const auto [ptr, ec] = std::from_chars(text.data(), end, out);
     return !text.empty() && ec == std::errc() && ptr == end;
 }
+
+/** parseNumber() of a finite, non-negative decimal. */
+bool parseNonNegative(const std::string &text, double &out);
+
+/**
+ * Convert @p ms milliseconds to ticks, rounded to the nearest tick;
+ * false when the result does not fit in Ticks.
+ */
+bool msToTicks(double ms, Ticks &out);
+
+/** Split @p s on @p sep (no empty-field collapsing). */
+std::vector<std::string> splitFields(const std::string &s, char sep);
 
 } // namespace jscale
 

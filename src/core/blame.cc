@@ -39,10 +39,7 @@ runBlameStudy(const BlameConfig &config)
 
     // One batch over the whole (app x threads) cross product, so the
     // study parallelizes across cells exactly like an E1 sweep.
-    const SweepSet sweeps = runner.sweepApps(
-        config.apps, threads, [](const std::string &app) {
-            inform("blame study: planning ", app);
-        });
+    const SweepSet sweeps = runner.sweepApps(config.apps, threads);
 
     BlameStudy study;
     for (const std::string &app : config.apps) {

@@ -36,12 +36,10 @@ armName(const CollapseArm &arm)
 CollapseStudy
 runCollapseStudy(const CollapseConfig &config)
 {
+    ExperimentRunner runner(config.base);
     CollapseStudy study;
-    study.threads = config.threads;
-    if (study.threads.empty()) {
-        ExperimentRunner ladder(config.base);
-        study.threads = ladder.paperThreadCounts();
-    }
+    study.threads = config.threads.empty() ? runner.paperThreadCounts()
+                                           : config.threads;
 
     // A costless handoff cannot collapse; zero-cost base configs get
     // the study's coherence cost model.
@@ -53,14 +51,10 @@ runCollapseStudy(const CollapseConfig &config)
 
     // Calibrate the heap once; every arm then runs with the same fixed
     // capacity, so policy is the only thing that varies between arms.
-    Bytes heap = config.base.heap_override;
-    if (heap == 0) {
-        ExperimentRunner calib(config.base);
-        heap = static_cast<Bytes>(
-            config.base.heap_factor *
-            static_cast<double>(calib.minHeapRequirement(config.app)));
-    }
+    const Bytes heap = runner.heapCapacity(config.app);
 
+    // Every (arm, threads) point as one batch.
+    std::vector<CampaignPoint> runs;
     for (const jvm::LockPolicy policy : config.policies) {
         for (const bool governed :
              config.governed_arms
@@ -76,24 +70,27 @@ runCollapseStudy(const CollapseConfig &config)
             run_cfg.vm.locks.policy = policy;
             if (governed)
                 run_cfg.governor.mode = control::GovernorMode::HillClimb;
-
             // Tag per-arm artifacts so the arms never collide.
-            const std::string tag = armName(arm);
-            tagArtifactPaths(run_cfg, tag);
-
-            ExperimentRunner runner(std::move(run_cfg));
-            // sweep() routes through the isolated batch executor: an
-            // aborted point becomes an error artifact + failed()
-            // marker and the study continues.
-            arm.runs = runner.sweep(config.app, study.threads);
-
-            std::size_t ok = 0;
-            for (const jvm::RunResult &r : arm.runs)
-                ok += r.failed() ? 0 : 1;
-            inform("collapse: arm ", tag, " done (", ok, "/",
-                   arm.runs.size(), " points ok)");
+            tagArtifactPaths(run_cfg, armName(arm));
+            const ArmConfig shared =
+                std::make_shared<const ExperimentConfig>(std::move(run_cfg));
+            for (const std::uint32_t t : study.threads)
+                runs.push_back({config.app, t, shared});
             study.arms.push_back(std::move(arm));
         }
+    }
+    // An aborted point becomes an error artifact + failed() marker and
+    // the study continues.
+    std::vector<jvm::RunResult> results = runner.runPoints(runs);
+    std::size_t next = 0;
+    for (CollapseArm &arm : study.arms) {
+        for (std::size_t i = 0; i < study.threads.size(); ++i)
+            arm.runs.push_back(std::move(results[next++]));
+        std::size_t ok = 0;
+        for (const jvm::RunResult &r : arm.runs)
+            ok += r.failed() ? 0 : 1;
+        inform("collapse: arm ", armName(arm), " done (", ok, "/",
+               arm.runs.size(), " points ok)");
     }
     return study;
 }

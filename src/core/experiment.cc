@@ -49,28 +49,22 @@ tagPath(const std::string &path, const std::string &tag)
     return path.substr(0, dot) + "-" + tag + path.substr(dot);
 }
 
-} // namespace
-
-void
-tagArtifactPaths(ExperimentConfig &cfg, const std::string &tag)
+/** Metrics CSV path template of @p cfg (placeholders unresolved). */
+std::string
+metricsTemplate(const ExperimentConfig &cfg)
 {
-    cfg.timeline_path = tagPath(cfg.timeline_path, tag);
-    cfg.metrics_path = tagPath(cfg.metrics_path, tag);
-    cfg.error_path = tagPath(cfg.error_path, tag);
+    if (!cfg.metrics_path.empty())
+        return cfg.metrics_path;
+    return cfg.timeline_path.empty() ? "metrics-{app}-t{threads}.csv"
+                                     : cfg.timeline_path + ".metrics.csv";
 }
 
-ExperimentRunner::ExperimentRunner(ExperimentConfig config)
-    : config_(std::move(config))
-{
-    jscale_assert(config_.heap_factor >= 1.0,
-                  "heap factor below the minimum heap requirement");
-}
-
+/** Per-run seed derived from the arm's seed, app and thread count. */
 std::uint64_t
-ExperimentRunner::runSeed(const std::string &app, std::uint32_t threads,
-                          bool calibration) const
+runSeed(const ExperimentConfig &cfg, const std::string &app,
+        std::uint32_t threads, bool calibration)
 {
-    std::uint64_t s = config_.seed;
+    std::uint64_t s = cfg.seed;
     for (const char c : app)
         s = s * 0x100000001b3ULL + static_cast<unsigned char>(c);
     s ^= static_cast<std::uint64_t>(threads) << 32;
@@ -79,90 +73,17 @@ ExperimentRunner::runSeed(const std::string &app, std::uint32_t threads,
     return splitMix64(state);
 }
 
-std::vector<std::uint32_t>
-ExperimentRunner::paperThreadCounts() const
+/** Factory of DaCapo app @p app_name at the arm's scale. */
+AppFactory
+dacapoFactory(const ExperimentConfig &cfg, const std::string &app_name)
 {
-    const std::vector<std::uint32_t> paper = {1, 2, 4, 8, 16, 24, 32, 48};
-    std::vector<std::uint32_t> out;
-    for (const auto t : paper) {
-        if (t <= config_.machine.totalCores())
-            out.push_back(t);
-    }
-    return out;
+    return [app_name, scale = cfg.workload_scale] {
+        return workload::makeDacapoApp(app_name, scale);
+    };
 }
 
 std::string
-ExperimentRunner::claimArtifactPath(const std::string &templ,
-                                    const std::string &app,
-                                    std::uint32_t threads)
-{
-    const std::string resolved = substitutePlaceholders(templ, app, threads);
-    if (used_artifact_paths_.insert(resolved).second)
-        return resolved;
-
-    // Collision (e.g. a sweep with a placeholder-free path): suffix the
-    // run identity before the extension, then a serial if still taken.
-    std::string stem = resolved;
-    std::string ext;
-    const auto dot = resolved.find_last_of('.');
-    const auto slash = resolved.find_last_of('/');
-    if (dot != std::string::npos &&
-        (slash == std::string::npos || dot > slash)) {
-        stem = resolved.substr(0, dot);
-        ext = resolved.substr(dot);
-    }
-    const std::string base =
-        stem + "-" + app + "-t" + std::to_string(threads);
-    std::string candidate = base + ext;
-    for (int serial = 2; !used_artifact_paths_.insert(candidate).second;
-         ++serial) {
-        candidate = base + "-" + std::to_string(serial) + ext;
-    }
-    return candidate;
-}
-
-ExperimentRunner::RunPlan
-ExperimentRunner::planRun(const AppFactory &factory,
-                          const std::string &cache_key,
-                          std::uint32_t threads)
-{
-    RunPlan plan;
-    const Bytes heap = heapCapacity(factory, cache_key);
-    plan.app = factory();
-    const std::string app = plan.app->appName();
-    RigInputs &in = plan.inputs;
-    in.seed = runSeed(app, threads, /*calibration=*/false);
-    in.vms.push_back({plan.app.get(), app, threads, heap, std::nullopt});
-    if (!config_.arrivals.empty()) {
-        std::string err;
-        const bool ok = traffic::ArrivalSpec::parse(
-            config_.arrivals, in.vms.back().arrival.emplace(), err);
-        jscale_assert(ok, "bad arrival spec: ", err);
-    }
-    if (!config_.timeline_path.empty())
-        in.timeline_file = claimArtifactPath(config_.timeline_path, app,
-                                             threads);
-    if (config_.metrics_interval > 0)
-        in.metrics_file = claimArtifactPath(metricsTemplate(), app, threads);
-    if (!config_.error_path.empty())
-        plan.error_file = claimArtifactPath(config_.error_path, app, threads);
-    std::ostringstream key;
-    key << app << "|t" << threads << "|s" << std::hex << in.seed;
-    plan.point_key = key.str();
-    return plan;
-}
-
-jvm::RunResult
-ExperimentRunner::RunPlan::marker() const
-{
-    jvm::RunResult m;
-    m.app_name = app->appName();
-    m.threads = inputs.vms.front().threads;
-    return m;
-}
-
-std::string
-ExperimentRunner::campaignFingerprint() const
+fingerprintOf(const ExperimentConfig &c)
 {
     // Every setting that can change a run record. Left out on purpose:
     // host parallelism (jobs), the shard slice, the cache directory,
@@ -174,7 +95,6 @@ ExperimentRunner::campaignFingerprint() const
         const char *sep = "=";
         ((os << sep << vs, sep = "/"), ...);
     };
-    const ExperimentConfig &c = config_;
     kv("seed", c.seed);
     kv("scale", c.workload_scale);
     kv("heap", c.heap_factor, c.heap_override, c.calibration_threads);
@@ -228,14 +148,127 @@ ExperimentRunner::campaignFingerprint() const
     return os.str();
 }
 
+} // namespace
+
+void
+tagArtifactPaths(ExperimentConfig &cfg, const std::string &tag)
+{
+    // Left implicit, the metrics default would be the same for every arm.
+    if (cfg.timeline_path.empty())
+        cfg.metrics_path = metricsTemplate(cfg);
+    cfg.timeline_path = tagPath(cfg.timeline_path, tag);
+    cfg.metrics_path = tagPath(cfg.metrics_path, tag);
+    cfg.error_path = tagPath(cfg.error_path, tag);
+}
+
+ExperimentRunner::ExperimentRunner(ExperimentConfig config)
+    : config_(std::make_shared<const ExperimentConfig>(std::move(config)))
+{
+    jscale_assert(config_->heap_factor >= 1.0,
+                  "heap factor below the minimum heap requirement");
+}
+
+std::vector<std::uint32_t>
+ExperimentRunner::paperThreadCounts() const
+{
+    const std::vector<std::uint32_t> paper = {1, 2, 4, 8, 16, 24, 32, 48};
+    std::vector<std::uint32_t> out;
+    for (const auto t : paper) {
+        if (t <= config_->machine.totalCores())
+            out.push_back(t);
+    }
+    return out;
+}
+
+std::string
+ExperimentRunner::claimArtifactPath(const std::string &templ,
+                                    const std::string &app,
+                                    std::uint32_t threads)
+{
+    const std::string resolved = substitutePlaceholders(templ, app, threads);
+    if (used_artifact_paths_.insert(resolved).second)
+        return resolved;
+
+    // Collision (e.g. a sweep with a placeholder-free path): suffix the
+    // run identity before the extension, then a serial if still taken.
+    std::string stem = resolved;
+    std::string ext;
+    const auto dot = resolved.find_last_of('.');
+    const auto slash = resolved.find_last_of('/');
+    if (dot != std::string::npos &&
+        (slash == std::string::npos || dot > slash)) {
+        stem = resolved.substr(0, dot);
+        ext = resolved.substr(dot);
+    }
+    const std::string base =
+        stem + "-" + app + "-t" + std::to_string(threads);
+    std::string candidate = base + ext;
+    for (int serial = 2; !used_artifact_paths_.insert(candidate).second;
+         ++serial) {
+        candidate = base + "-" + std::to_string(serial) + ext;
+    }
+    return candidate;
+}
+
+ExperimentRunner::RunPlan
+ExperimentRunner::planRun(const ArmConfig &arm, std::string fingerprint,
+                          const AppFactory &factory,
+                          const std::string &cache_key,
+                          std::uint32_t threads)
+{
+    const ExperimentConfig &cfg = *arm;
+    RunPlan plan;
+    plan.arm = arm;
+    plan.fingerprint = std::move(fingerprint);
+    const Bytes heap = heapCapacity(cfg, factory, cache_key);
+    plan.app = factory();
+    const std::string app = plan.app->appName();
+    RigInputs &in = plan.inputs;
+    in.seed = runSeed(cfg, app, threads, /*calibration=*/false);
+    in.vms.push_back({plan.app.get(), app, threads, heap, std::nullopt});
+    if (!cfg.arrivals.empty()) {
+        std::string err;
+        const bool ok = traffic::ArrivalSpec::parse(
+            cfg.arrivals, in.vms.back().arrival.emplace(), err);
+        jscale_assert(ok, "bad arrival spec: ", err);
+    }
+    if (!cfg.timeline_path.empty())
+        in.timeline_file = claimArtifactPath(cfg.timeline_path, app, threads);
+    if (cfg.metrics_interval > 0)
+        in.metrics_file =
+            claimArtifactPath(metricsTemplate(cfg), app, threads);
+    if (!cfg.error_path.empty())
+        plan.error_file = claimArtifactPath(cfg.error_path, app, threads);
+    std::ostringstream key;
+    key << app << "|t" << threads << "|s" << std::hex << in.seed;
+    plan.point_key = key.str();
+    return plan;
+}
+
+jvm::RunResult
+ExperimentRunner::RunPlan::marker() const
+{
+    jvm::RunResult m;
+    m.app_name = app->appName();
+    m.threads = inputs.vms.front().threads;
+    return m;
+}
+
+std::string
+ExperimentRunner::campaignFingerprint() const
+{
+    return fingerprintOf(*config_);
+}
+
+
 jvm::RunResult
 ExperimentRunner::executePlan(const RunPlan &plan,
-                              const VmAttachHook &attach) const
+                              const VmAttachHook &attach)
 {
     const std::uint32_t threads = plan.inputs.vms.front().threads;
-    jscale_assert(threads >= 1 && threads <= config_.machine.totalCores(),
+    jscale_assert(threads >= 1 && threads <= plan.arm->machine.totalCores(),
                   "thread count ", threads, " exceeds machine cores");
-    RunRig rig(config_, plan.inputs);
+    RunRig rig(*plan.arm, plan.inputs);
     jvm::RunResult r;
     rig.run({&r, 1}, attach);
     return r;
@@ -244,8 +277,10 @@ ExperimentRunner::executePlan(const RunPlan &plan,
 std::vector<jvm::RunResult>
 ExperimentRunner::executePlans(std::vector<RunPlan> plans)
 {
+    // Execution settings are the runner's; each plan brings its arm.
+    const ExperimentConfig &exec = *config_;
     const std::size_t requested =
-        config_.jobs != 0 ? config_.jobs : ThreadPool::hardwareConcurrency();
+        exec.jobs != 0 ? exec.jobs : ThreadPool::hardwareConcurrency();
     const std::size_t jobs =
         std::max<std::size_t>(1, std::min(requested, plans.size()));
 
@@ -253,30 +288,32 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
     // whole campaign (identical artifact claiming everywhere); the
     // slice filter and cache decide per point what actually runs here.
     // Re-running a campaign over the same cache is its resume: every
-    // completed point comes back as the full result it produced.
-    const ShardSpec shard{config_.shard_index, config_.shard_count};
-    std::optional<RunCache> cache;
-    if (!config_.run_cache_dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(config_.run_cache_dir, ec);
-        cache.emplace(config_.run_cache_dir, campaignFingerprint());
-    }
+    // completed point comes back as the full result it produced. Each
+    // point's record is bound to its own arm's fingerprint.
+    const ShardSpec shard{exec.shard_index, exec.shard_count};
+    const bool cached = !exec.run_cache_dir.empty();
+    std::error_code ec;
+    if (cached)
+        std::filesystem::create_directories(exec.run_cache_dir, ec);
+    const auto cacheOf = [&exec](const RunPlan &plan) {
+        return RunCache(exec.run_cache_dir, plan.fingerprint);
+    };
     CampaignPointStats &points = campaignPointStats();
 
     std::vector<std::function<jvm::RunResult()>> tasks;
     tasks.reserve(plans.size());
     for (std::size_t i = 0; i < plans.size(); ++i) {
-        tasks.push_back([this, &plans, i, &shard, &cache,
+        tasks.push_back([&exec, &plans, i, &shard, cached, &cacheOf,
                          &points]() -> jvm::RunResult {
             const RunPlan &plan = plans[i];
             // Salvage first: a point persisted by any earlier worker —
             // deterministic failures included — renders from the cache
             // instead of re-simulating.
-            if (cache) {
-                jvm::RunResult cached;
-                if (cache->load(plan.point_key, cached)) {
+            if (cached) {
+                jvm::RunResult hit;
+                if (cacheOf(plan).load(plan.point_key, hit)) {
                     ++points.salvaged;
-                    return cached;
+                    return hit;
                 }
             }
             if (!shard.owns(plan.point_key)) {
@@ -285,7 +322,7 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
                 m.skipped = true;
                 return m;
             }
-            if (config_.merge_strict) {
+            if (exec.merge_strict) {
                 // Assembling a partial campaign: a gap is an honest
                 // failure row, never a silent multi-minute re-run.
                 ++points.missing;
@@ -301,8 +338,8 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
             // point still contributes it to a later retry or merge.
             // The chaos crash point fires inside store(), right after
             // the record is durable.
-            if (cache)
-                cache->store(plan.point_key, r);
+            if (cached)
+                cacheOf(plan).store(plan.point_key, r);
             return r;
         });
     }
@@ -341,15 +378,16 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
         // Failed runs are cached too: a retry does not repeat a
         // deterministic abort, and the merge renders the failure row
         // exactly as a single-process run would.
-        if (cache && shard.owns(plans[i].point_key))
-            cache->store(plans[i].point_key, marker);
+        if (cached && shard.owns(plans[i].point_key))
+            cacheOf(plans[i]).store(plans[i].point_key, marker);
         results.push_back(std::move(marker));
     }
     return results;
 }
 
 Bytes
-ExperimentRunner::minHeapFor(const AppFactory &factory,
+ExperimentRunner::minHeapFor(const ExperimentConfig &arm,
+                             const AppFactory &factory,
                              const std::string &cache_key)
 {
     auto it = min_heap_cache_.find(cache_key);
@@ -359,10 +397,11 @@ ExperimentRunner::minHeapFor(const AppFactory &factory,
     // Calibration: a generous flat heap, the reference thread count and
     // the default placement, with nothing attached that observes or
     // steers the run. The minimum requirement is the smallest heap
-    // whose old generation holds the peak live footprint.
-    const std::uint32_t threads = std::min(
-        config_.calibration_threads, config_.machine.totalCores());
-    ExperimentConfig calib = config_;
+    // whose old generation holds the peak live footprint. So every arm
+    // that differs only in what is cleared here gets the same heap.
+    const std::uint32_t threads =
+        std::min(arm.calibration_threads, arm.machine.totalCores());
+    ExperimentConfig calib = arm;
     calib.placement = machine::Machine::EnablePolicy::Compact;
     calib.vm.heap.compartmentalized = false;
     calib.biased_scheduling = false;
@@ -370,13 +409,13 @@ ExperimentRunner::minHeapFor(const AppFactory &factory,
     calib.faults = {};
     calib.watchdog = calib.oracles = calib.profile = false;
     const auto app = factory();
-    RunRig rig(calib, {runSeed(cache_key, threads, /*calibration=*/true),
+    RunRig rig(calib, {runSeed(arm, cache_key, threads, /*calibration=*/true),
                        {{app.get(), app->appName(), threads,
                          512 * units::MiB, std::nullopt}}});
     jvm::RunResult r;
     rig.run({&r, 1});
 
-    const double old_fraction = 1.0 - config_.vm.heap.young_fraction;
+    const double old_fraction = 1.0 - arm.vm.heap.young_fraction;
     Bytes min_heap = static_cast<Bytes>(
         static_cast<double>(r.heap.peak_live_bytes) / old_fraction * 1.10);
     min_heap = std::max<Bytes>(min_heap, 1 * units::MiB);
@@ -389,44 +428,35 @@ ExperimentRunner::minHeapFor(const AppFactory &factory,
 Bytes
 ExperimentRunner::minHeapRequirement(const std::string &app_name)
 {
-    return minHeapFor(dacapoFactory(app_name), app_name);
+    return minHeapFor(*config_, dacapoFactory(*config_, app_name),
+                      app_name);
 }
 
 Bytes
-ExperimentRunner::heapCapacity(const AppFactory &factory,
+ExperimentRunner::heapCapacity(const std::string &app_name)
+{
+    return heapCapacity(*config_, dacapoFactory(*config_, app_name),
+                        app_name);
+}
+
+Bytes
+ExperimentRunner::heapCapacity(const ExperimentConfig &arm,
+                               const AppFactory &factory,
                                const std::string &cache_key)
 {
-    if (config_.heap_override != 0)
-        return config_.heap_override;
+    if (arm.heap_override != 0)
+        return arm.heap_override;
     return static_cast<Bytes>(
-        config_.heap_factor *
-        static_cast<double>(minHeapFor(factory, cache_key)));
-}
-
-AppFactory
-ExperimentRunner::dacapoFactory(const std::string &app_name) const
-{
-    const double scale = config_.workload_scale;
-    return [app_name, scale] {
-        return workload::makeDacapoApp(app_name, scale);
-    };
-}
-
-std::string
-ExperimentRunner::metricsTemplate() const
-{
-    if (!config_.metrics_path.empty())
-        return config_.metrics_path;
-    return config_.timeline_path.empty()
-               ? "metrics-{app}-t{threads}.csv"
-               : config_.timeline_path + ".metrics.csv";
+        arm.heap_factor *
+        static_cast<double>(minHeapFor(arm, factory, cache_key)));
 }
 
 jvm::RunResult
 ExperimentRunner::runApp(const std::string &app_name,
                          std::uint32_t threads, const VmAttachHook &attach)
 {
-    return runCustom(dacapoFactory(app_name), app_name, threads, attach);
+    return runCustom(dacapoFactory(*config_, app_name), app_name, threads,
+                     attach);
 }
 
 jvm::RunResult
@@ -435,17 +465,19 @@ ExperimentRunner::runCustom(const AppFactory &factory,
                             std::uint32_t threads,
                             const VmAttachHook &attach)
 {
-    RunPlan plan = planRun(factory, cache_key, threads);
-    return executePlan(plan, attach);
+    // A single run never touches the cache, so it needs no fingerprint.
+    return executePlan(planRun(config_, {}, factory, cache_key, threads),
+                       attach);
 }
 
 std::vector<jvm::RunResult>
 ExperimentRunner::runTenants(const std::vector<traffic::TenantSpec> &specs,
                              const VmAttachHook &attach)
 {
+    const ExperimentConfig &cfg = *config_;
     jscale_assert(!specs.empty(), "need at least one tenant");
-    jscale_assert(!config_.biased_scheduling && config_.faults.empty() &&
-                      config_.timeline_path.empty(),
+    jscale_assert(!cfg.biased_scheduling && cfg.faults.empty() &&
+                      cfg.timeline_path.empty(),
                   "tenant runs take no bias rotation, fault plan or "
                   "timeline");
     RigInputs in;
@@ -455,52 +487,50 @@ ExperimentRunner::runTenants(const std::vector<traffic::TenantSpec> &specs,
         total_threads += spec.threads;
         ident << spec.describe() << ";";
         in.vms.push_back({nullptr, spec.app, spec.threads,
-                          heapCapacity(dacapoFactory(spec.app), spec.app),
-                          spec.arrival});
+                          heapCapacity(spec.app), spec.arrival});
     }
-    in.seed = runSeed(ident.str(), total_threads, /*calibration=*/false);
-    if (config_.metrics_interval > 0) {
+    in.seed = runSeed(cfg, ident.str(), total_threads, /*calibration=*/false);
+    if (cfg.metrics_interval > 0) {
         in.metrics_file =
-            claimArtifactPath(metricsTemplate(), "tenants", total_threads);
+            claimArtifactPath(metricsTemplate(cfg), "tenants", total_threads);
     }
     std::vector<jvm::RunResult> results(in.vms.size());
-    RunRig rig(config_, std::move(in));
+    RunRig rig(cfg, std::move(in));
     rig.run(results, attach);
     return results;
+}
+
+std::vector<jvm::RunResult>
+ExperimentRunner::runPoints(const std::vector<CampaignPoint> &points)
+{
+    std::vector<RunPlan> plans;
+    plans.reserve(points.size());
+    for (const CampaignPoint &p : points) {
+        plans.push_back(planRun(p.arm, fingerprintOf(*p.arm),
+                                dacapoFactory(*p.arm, p.app), p.app,
+                                p.threads));
+    }
+    return executePlans(std::move(plans));
 }
 
 std::vector<jvm::RunResult>
 ExperimentRunner::sweep(const std::string &app_name,
                         const std::vector<std::uint32_t> &threads)
 {
-    const AppFactory factory = dacapoFactory(app_name);
-    std::vector<RunPlan> plans;
-    plans.reserve(threads.size());
-    for (const auto t : threads)
-        plans.push_back(planRun(factory, app_name, t));
-    return executePlans(std::move(plans));
+    return sweepApps({app_name}, threads).at(app_name);
 }
 
 std::map<std::string, std::vector<jvm::RunResult>>
 ExperimentRunner::sweepApps(const std::vector<std::string> &apps,
-                            const std::vector<std::uint32_t> &threads,
-                            const SweepProgress &progress)
+                            const std::vector<std::uint32_t> &threads)
 {
-    // Plan the full (app x threads) cross product up front — the
-    // calibration runs and artifact claims happen here, on this thread,
-    // in the same order the sequential per-app sweeps would do them —
-    // then execute the whole batch on the worker pool at once.
-    std::vector<RunPlan> plans;
-    plans.reserve(apps.size() * threads.size());
+    std::vector<CampaignPoint> points;
+    points.reserve(apps.size() * threads.size());
     for (const auto &app_name : apps) {
-        if (progress)
-            progress(app_name);
-        const AppFactory factory = dacapoFactory(app_name);
         for (const auto t : threads)
-            plans.push_back(planRun(factory, app_name, t));
+            points.push_back({app_name, t, config_});
     }
-
-    std::vector<jvm::RunResult> flat = executePlans(std::move(plans));
+    std::vector<jvm::RunResult> flat = runPoints(points);
     std::map<std::string, std::vector<jvm::RunResult>> by_app;
     std::size_t next = 0;
     for (const auto &app_name : apps) {
@@ -517,16 +547,19 @@ ExperimentRunner::runReplicated(const std::string &app_name,
                                 std::uint32_t replicas)
 {
     jscale_assert(replicas >= 1, "need at least one replica");
-    const AppFactory factory = dacapoFactory(app_name);
+    // Each replica is an arm with its own derived seed; all of them
+    // keep the campaign's fingerprint, so their records share it.
+    const std::string fingerprint = campaignFingerprint();
+    const AppFactory factory = dacapoFactory(*config_, app_name);
     std::vector<RunPlan> plans;
     plans.reserve(replicas);
-    const std::uint64_t base_seed = config_.seed;
     for (std::uint32_t i = 0; i < replicas; ++i) {
-        // Derive a distinct campaign seed per replica; restore after.
-        config_.seed = base_seed + 0x9e3779b97f4a7c15ULL * (i + 1);
-        plans.push_back(planRun(factory, app_name, threads));
+        ExperimentConfig replica = *config_;
+        replica.seed = config_->seed + 0x9e3779b97f4a7c15ULL * (i + 1);
+        plans.push_back(planRun(
+            std::make_shared<const ExperimentConfig>(std::move(replica)),
+            fingerprint, factory, app_name, threads));
     }
-    config_.seed = base_seed;
     return executePlans(std::move(plans));
 }
 

@@ -209,30 +209,36 @@ struct RigInputs
     std::string metrics_file = {};
 };
 
-/** Drives single runs and thread sweeps per the paper's methodology. */
+/** The config of one campaign arm, shared by all of its points. */
+using ArmConfig = std::shared_ptr<const ExperimentConfig>;
+
+/** One point of a batch: an app at a thread count under one arm. */
+struct CampaignPoint
+{
+    std::string app;
+    std::uint32_t threads = 1;
+    ArmConfig arm;
+};
+
+/**
+ * Drives single runs, sweeps and multi-arm batches per the paper's
+ * methodology. Its own config is the default arm and supplies a batch's
+ * execution settings (jobs, shard slice, cache directory, merge mode).
+ */
 class ExperimentRunner
 {
   public:
     explicit ExperimentRunner(ExperimentConfig config = {});
 
-    const ExperimentConfig &config() const { return config_; }
-
-    /**
-     * Swap the campaign's arrival spec between runs (the E21 study
-     * walks one runner over an offered-load ladder, reusing the heap
-     * calibration cache across rungs). Affects future plans only.
-     */
-    void setArrivals(std::string spec)
-    {
-        config_.arrivals = std::move(spec);
-    }
-
     /**
      * Minimum heap requirement of @p app_name (smallest heap in which
      * the live data fits the old generation), measured by a calibration
-     * run and cached.
+     * run and cached per app.
      */
     Bytes minHeapRequirement(const std::string &app_name);
+
+    /** Heap of a run of @p app_name: override or heap_factor x minimum. */
+    Bytes heapCapacity(const std::string &app_name);
 
     /** Run a DaCapo app with threads == enabled cores (paper setup). */
     jvm::RunResult runApp(const std::string &app_name,
@@ -262,13 +268,19 @@ class ExperimentRunner
     runTenants(const std::vector<traffic::TenantSpec> &specs,
                const VmAttachHook &attach = {});
 
+    /**
+     * Run @p points, each under its own arm, as one batch: plan every
+     * point (an app's heap is calibrated once per runner, under the arm
+     * of its first point), then fan the batch out across host workers.
+     * Results come back in point order.
+     */
+    std::vector<jvm::RunResult>
+    runPoints(const std::vector<CampaignPoint> &points);
+
     /** Sweep an app over thread counts. */
     std::vector<jvm::RunResult>
     sweep(const std::string &app_name,
           const std::vector<std::uint32_t> &threads);
-
-    /** Called before an app's sweep points start executing. */
-    using SweepProgress = std::function<void(const std::string &app)>;
 
     /**
      * Sweep several apps over the same thread counts as one batch, so
@@ -278,8 +290,7 @@ class ExperimentRunner
      */
     std::map<std::string, std::vector<jvm::RunResult>>
     sweepApps(const std::vector<std::string> &apps,
-              const std::vector<std::uint32_t> &threads,
-              const SweepProgress &progress = {});
+              const std::vector<std::uint32_t> &threads);
 
     /**
      * Run @p replicas independent repetitions (distinct derived seeds)
@@ -294,23 +305,25 @@ class ExperimentRunner
     std::vector<std::uint32_t> paperThreadCounts() const;
 
     /**
-     * Campaign-configuration identity string. Binds run-cache records
-     * to their campaign and is embedded in golden-run files so a verify
-     * against a differently configured campaign fails fast instead of
-     * diffing unrelated numbers.
+     * Campaign-configuration identity string of the default arm. Binds
+     * run-cache records to their arm and is embedded in golden-run
+     * files so a verify against a differently configured campaign
+     * fails fast instead of diffing unrelated numbers.
      */
     std::string campaignFingerprint() const;
 
   private:
     /**
      * Everything one run needs, resolved up front on the main thread:
-     * the application model, derived seed, heap size and claimed
-     * artifact paths. Once planned, executing the run touches no
-     * runner state, so plans can execute on any host thread in any
+     * the arm, the application model, derived seed, heap size and
+     * claimed artifact paths. Once planned, executing the run touches
+     * no runner state, so plans can execute on any host thread in any
      * order without changing what they compute.
      */
     struct RunPlan
     {
+        ArmConfig arm;
+        std::string fingerprint; ///< binds the run's cache record
         std::unique_ptr<jvm::ApplicationModel> app;
         /** Seed, the one VM, timeline and metrics paths. */
         RigInputs inputs;
@@ -323,13 +336,15 @@ class ExperimentRunner
         jvm::RunResult marker() const;
     };
 
-    /** Plan one run: calibrate heap, build the app, claim artifacts. */
-    RunPlan planRun(const AppFactory &factory,
+    /** Plan one run of @p arm: calibrate heap, build the app, claim
+     *  artifacts. */
+    RunPlan planRun(const ArmConfig &arm, std::string fingerprint,
+                    const AppFactory &factory,
                     const std::string &cache_key, std::uint32_t threads);
 
-    /** Execute a planned run; const and safe to call concurrently. */
-    jvm::RunResult executePlan(const RunPlan &plan,
-                               const VmAttachHook &attach) const;
+    /** Execute a planned run; touches no runner state (thread-safe). */
+    static jvm::RunResult executePlan(const RunPlan &plan,
+                                      const VmAttachHook &attach);
 
     /**
      * Execute a batch of plans with per-run error isolation: a run
@@ -340,22 +355,13 @@ class ExperimentRunner
      */
     std::vector<jvm::RunResult> executePlans(std::vector<RunPlan> plans);
 
-    /** Per-run seed derived from campaign seed, app and thread count. */
-    std::uint64_t runSeed(const std::string &app, std::uint32_t threads,
-                          bool calibration) const;
-
-    Bytes minHeapFor(const AppFactory &factory,
+    /** Minimum heap of an app, calibrated under @p arm on first use. */
+    Bytes minHeapFor(const ExperimentConfig &arm, const AppFactory &factory,
                      const std::string &cache_key);
 
-    /** Heap of one run: the override, or heap_factor x the minimum. */
-    Bytes heapCapacity(const AppFactory &factory,
+    /** heapCapacity() of an app under @p arm. */
+    Bytes heapCapacity(const ExperimentConfig &arm, const AppFactory &factory,
                        const std::string &cache_key);
-
-    /** Factory of DaCapo app @p app_name at the campaign's scale. */
-    AppFactory dacapoFactory(const std::string &app_name) const;
-
-    /** Metrics CSV path template (before placeholder substitution). */
-    std::string metricsTemplate() const;
 
     /**
      * Resolve an artifact path template for one run: substitute
@@ -366,7 +372,7 @@ class ExperimentRunner
                                   const std::string &app,
                                   std::uint32_t threads);
 
-    ExperimentConfig config_;
+    ArmConfig config_;
     std::map<std::string, Bytes> min_heap_cache_;
     std::set<std::string> used_artifact_paths_;
 };

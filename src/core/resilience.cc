@@ -29,18 +29,11 @@ lockShare(const jvm::RunResult &r)
 std::vector<ResiliencePoint>
 runResilienceStudy(const ResilienceConfig &config)
 {
-    std::vector<ResiliencePoint> points;
-    points.reserve(config.intensities.size());
+    ExperimentRunner runner(config.base);
 
     // Calibrate the heap once; every arm then runs with the same fixed
     // capacity, so the intensity axis is the only thing that varies.
-    Bytes heap = config.base.heap_override;
-    if (heap == 0) {
-        ExperimentRunner calib(config.base);
-        heap = static_cast<Bytes>(
-            config.base.heap_factor *
-            static_cast<double>(calib.minHeapRequirement(config.app)));
-    }
+    const Bytes heap = runner.heapCapacity(config.app);
 
     // Auto-horizon: measure an unfaulted run and fire every schedule
     // within 3/4 of its wall time. A fixed default would silently land
@@ -61,42 +54,37 @@ runResilienceStudy(const ResilienceConfig &config)
                " run)");
     }
 
+    // Every (intensity, arm) run, ungoverned first, as one batch.
+    std::vector<ResiliencePoint> points;
+    std::vector<CampaignPoint> runs;
     for (const double intensity : config.intensities) {
-        ResiliencePoint point;
-        point.intensity = intensity;
-
         const fault::FaultPlan plan = fault::FaultPlan::fromIntensity(
             intensity, config.base.seed, horizon);
-        point.plan = plan.describe();
-
+        points.push_back({intensity, plan.describe(), {}, {}});
         for (const bool governed : {false, true}) {
             ExperimentConfig arm = config.base;
             arm.heap_override = heap;
             arm.faults = plan;
             arm.governor.mode = governed ? config.governed_mode
                                          : control::GovernorMode::Off;
-
             // Tag every per-arm artifact so the arms never collide.
-            const std::string tag =
-                "i" + formatFixed(intensity, 2) +
-                (governed ? "-gov" : "-ungov");
-            tagArtifactPaths(arm, tag);
-
-            ExperimentRunner runner(std::move(arm));
-            // sweep() routes through the isolated batch executor: an
-            // aborted run becomes an error artifact + failed() marker
-            // and the study continues.
-            jvm::RunResult r =
-                std::move(runner.sweep(config.app, {config.threads})[0]);
-            if (governed)
-                point.governed = std::move(r);
-            else
-                point.ungoverned = std::move(r);
+            tagArtifactPaths(arm, "i" + formatFixed(intensity, 2) +
+                                      (governed ? "-gov" : "-ungov"));
+            runs.push_back({config.app, config.threads,
+                            std::make_shared<const ExperimentConfig>(
+                                std::move(arm))});
         }
-        inform("resilience: intensity ", formatFixed(intensity, 2),
+    }
+    // An aborted run becomes an error artifact + failed() marker and
+    // the study continues.
+    std::vector<jvm::RunResult> results = runner.runPoints(runs);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        ResiliencePoint &point = points[i];
+        point.ungoverned = std::move(results[2 * i]);
+        point.governed = std::move(results[2 * i + 1]);
+        inform("resilience: intensity ", formatFixed(point.intensity, 2),
                " done (ungoverned ", runStatus(point.ungoverned),
                ", governed ", runStatus(point.governed), ")");
-        points.push_back(std::move(point));
     }
     return points;
 }

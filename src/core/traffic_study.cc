@@ -30,18 +30,6 @@ rungSpec(double rate, std::uint64_t requests)
            ":requests=" + std::to_string(requests);
 }
 
-/**
- * Run one cell through the isolated batch executor: an abort becomes
- * an error artifact plus a failed() marker, and a run cache, when
- * configured, salvages the cell instead of re-simulating it.
- */
-jvm::RunResult
-isolatedRun(ExperimentRunner &runner, const std::string &app,
-            std::uint32_t threads)
-{
-    return std::move(runner.sweep(app, {threads}).front());
-}
-
 Ticks
 p99(const jvm::RunResult &r)
 {
@@ -60,6 +48,14 @@ dominantServiceBucket(const jvm::TrafficSummary &t)
     return jvm::waitBucketName(static_cast<jvm::WaitBucket>(best));
 }
 
+/** @p cfg as an arm of its own, its artifacts tagged @p tag. */
+ArmConfig
+taggedArm(ExperimentConfig cfg, const std::string &tag)
+{
+    tagArtifactPaths(cfg, tag);
+    return std::make_shared<const ExperimentConfig>(std::move(cfg));
+}
+
 } // namespace
 
 TrafficStudy
@@ -69,26 +65,20 @@ runTrafficStudy(const TrafficStudyConfig &config)
     jscale_assert(!config.threads.empty(), "study needs thread counts");
     jscale_assert(!config.load_factors.empty(), "study needs a ladder");
 
-    // One runner per arm: the closed-loop capacity probe, the
-    // ungoverned open loop, and the two remedy arms. Separate runners
-    // keep per-arm campaign fingerprints distinct while sharing each
-    // arm's heap-calibration cache across all of its rungs.
+    // One runner for every arm: it calibrates each app's heap once.
+    ExperimentRunner runner(config.base);
+
     ExperimentConfig closed_cfg = config.base;
     closed_cfg.arrivals.clear();
-    ExperimentRunner closed(closed_cfg);
+    const ArmConfig closed = taggedArm(closed_cfg, "closed");
 
     ExperimentConfig open_cfg = config.base;
     open_cfg.governor.mode = control::GovernorMode::Off;
     open_cfg.biased_scheduling = false;
-    ExperimentRunner open(open_cfg);
-
     ExperimentConfig gov_cfg = open_cfg;
     gov_cfg.governor.mode = control::GovernorMode::HillClimb;
-    ExperimentRunner governed(gov_cfg);
-
     ExperimentConfig bias_cfg = open_cfg;
     bias_cfg.biased_scheduling = true;
-    ExperimentRunner biased(bias_cfg);
 
     // The remedy arms run the top two rungs — where the tail is sick
     // enough for admission control to matter.
@@ -97,102 +87,89 @@ runTrafficStudy(const TrafficStudyConfig &config)
     if (top_rungs.size() > 2)
         top_rungs.erase(top_rungs.begin(), top_rungs.end() - 2);
 
+    // Batch 1. Closed-loop capacity of every cell: the service rate at
+    // its thread count with the task pool always full.
     TrafficStudy study;
+    std::vector<CampaignPoint> cap_runs;
     for (const std::string &app : config.apps) {
         for (const std::uint32_t threads : config.threads) {
             if (threads > config.base.machine.totalCores())
                 continue;
+            study.capacities.push_back({app, threads, 0.0});
+            cap_runs.push_back({app, threads, closed});
+        }
+    }
+    const std::vector<jvm::RunResult> cap_results =
+        runner.runPoints(cap_runs);
 
-            // 1. Closed-loop capacity: the service rate at this thread
-            // count with the task pool always full.
-            const jvm::RunResult cap_run =
-                isolatedRun(closed, app, threads);
-            TrafficCapacity cap;
-            cap.app = app;
-            cap.threads = threads;
-            if (!cap_run.failed() && cap_run.wall_time > 0) {
-                cap.rate = static_cast<double>(cap_run.total_tasks) *
-                           static_cast<double>(units::SEC) /
-                           static_cast<double>(cap_run.wall_time);
-            }
-            study.capacities.push_back(cap);
-            if (cap.rate <= 0.0) {
-                inform("traffic study: no capacity for ", app, " t",
-                       threads, ", skipping cell");
+    // Batch 2. The offered-load ladder and the remedy arms of every
+    // cell with a capacity, in (cell, arm, ascending load) order: each
+    // cell's open rungs lead its points.
+    std::vector<CampaignPoint> runs;
+    for (std::size_t c = 0; c < study.capacities.size(); ++c) {
+        TrafficCapacity &cap = study.capacities[c];
+        const jvm::RunResult &cap_run = cap_results[c];
+        if (!cap_run.failed() && cap_run.wall_time > 0) {
+            cap.rate = static_cast<double>(cap_run.total_tasks) *
+                       static_cast<double>(units::SEC) /
+                       static_cast<double>(cap_run.wall_time);
+        }
+        if (cap.rate <= 0.0) {
+            inform("traffic study: no capacity for ", cap.app, " t",
+                   cap.threads, ", skipping cell");
+            continue;
+        }
+        inform("traffic study: ", cap.app, " t", cap.threads, " capacity ",
+               formatRate(cap.rate), " req/s");
+
+        const auto add = [&](const char *arm, ExperimentConfig cfg,
+                             double factor) {
+            const double rate = factor * cap.rate;
+            cfg.arrivals = rungSpec(rate, config.requests);
+            study.points.push_back(
+                {cap.app, cap.threads, factor, rate, arm, {}});
+            runs.push_back(
+                {cap.app, cap.threads,
+                 taggedArm(std::move(cfg),
+                           std::string(arm) + "-" + formatRate(factor))});
+        };
+        for (const double factor : config.load_factors)
+            add("open", open_cfg, factor);
+        for (const double factor : top_rungs) {
+            if (config.governed_arm)
+                add("governed", gov_cfg, factor);
+            if (config.biased_arm)
+                add("biased", bias_cfg, factor);
+        }
+    }
+    std::vector<jvm::RunResult> results = runner.runPoints(runs);
+    for (std::size_t i = 0; i < results.size(); ++i)
+        study.points[i].run = std::move(results[i]);
+
+    // Knee detection on each ungoverned ladder: smallest rung whose p99
+    // is knee_ratio x the rung below.
+    const std::size_t rungs = config.load_factors.size();
+    const std::size_t per_cell =
+        rungs + top_rungs.size() * (std::size_t{config.governed_arm} +
+                                    std::size_t{config.biased_arm});
+    for (std::size_t first = 0; first < study.points.size();
+         first += per_cell) {
+        const TrafficPoint *ladder = &study.points[first];
+        TrafficKnee knee{ladder->app, ladder->threads};
+        for (std::size_t i = 1; i < rungs; ++i) {
+            const jvm::RunResult &lo = ladder[i - 1].run;
+            const jvm::RunResult &hi = ladder[i].run;
+            if (lo.failed() || hi.failed() || p99(lo) == 0)
                 continue;
-            }
-            inform("traffic study: ", app, " t", threads, " capacity ",
-                   formatRate(cap.rate), " req/s");
-
-            // 2. The ungoverned offered-load ladder.
-            std::vector<const TrafficPoint *> ladder;
-            for (const double factor : config.load_factors) {
-                const double rate = factor * cap.rate;
-                open.setArrivals(rungSpec(rate, config.requests));
-                TrafficPoint p;
-                p.app = app;
-                p.threads = threads;
-                p.load_factor = factor;
-                p.offered_rate = rate;
-                p.arm = "open";
-                p.run = isolatedRun(open, app, threads);
-                study.points.push_back(std::move(p));
-            }
-            for (const TrafficPoint &p : study.points) {
-                if (p.app == app && p.threads == threads &&
-                    p.arm == "open") {
-                    ladder.push_back(&p);
-                }
-            }
-
-            // 3. Knee detection on the ungoverned ladder: smallest rung
-            // whose p99 is knee_ratio x the rung below.
-            TrafficKnee knee;
-            knee.app = app;
-            knee.threads = threads;
-            for (std::size_t i = 1; i < ladder.size(); ++i) {
-                const jvm::RunResult &lo = ladder[i - 1]->run;
-                const jvm::RunResult &hi = ladder[i]->run;
-                if (lo.failed() || hi.failed() || p99(lo) == 0)
-                    continue;
-                if (static_cast<double>(p99(hi)) >=
-                    config.knee_ratio * static_cast<double>(p99(lo))) {
-                    knee.knee_factor = ladder[i]->load_factor;
-                    knee.p99_at_knee = p99(hi);
-                    knee.p99_below = p99(lo);
-                    break;
-                }
-            }
-            study.knees.push_back(knee);
-
-            // 4. Remedy arms at the top rungs.
-            for (const double factor : top_rungs) {
-                const double rate = factor * cap.rate;
-                const std::string spec = rungSpec(rate, config.requests);
-                if (config.governed_arm) {
-                    governed.setArrivals(spec);
-                    TrafficPoint p;
-                    p.app = app;
-                    p.threads = threads;
-                    p.load_factor = factor;
-                    p.offered_rate = rate;
-                    p.arm = "governed";
-                    p.run = isolatedRun(governed, app, threads);
-                    study.points.push_back(std::move(p));
-                }
-                if (config.biased_arm) {
-                    biased.setArrivals(spec);
-                    TrafficPoint p;
-                    p.app = app;
-                    p.threads = threads;
-                    p.load_factor = factor;
-                    p.offered_rate = rate;
-                    p.arm = "biased";
-                    p.run = isolatedRun(biased, app, threads);
-                    study.points.push_back(std::move(p));
-                }
+            if (static_cast<double>(p99(hi)) >=
+                config.knee_ratio * static_cast<double>(p99(lo))) {
+                knee.knee_factor = ladder[i].load_factor;
+                knee.p99_at_knee = p99(hi);
+                knee.p99_below = p99(lo);
+                break;
             }
         }
+        study.knees.push_back(knee);
     }
     return study;
 }

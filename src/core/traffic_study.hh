@@ -109,7 +109,8 @@ struct TrafficStudy
     std::vector<TrafficKnee> knees;
 };
 
-/** Run the study (sequential; every run is seeded independently). */
+/** Run the study: every cell's capacity run as one batch, then every
+ *  rung and remedy arm of the cells with a capacity as a second. */
 TrafficStudy runTrafficStudy(const TrafficStudyConfig &config);
 
 /** Aligned-text report: capacities, the ladder and the knees. */

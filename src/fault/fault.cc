@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "base/random.hh"
@@ -58,40 +57,6 @@ kindFromName(const std::string &name, FaultKind &out)
     return false;
 }
 
-/** Parse a non-negative decimal number; false on any trailing junk. */
-bool
-parseNumber(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(s.c_str(), &end);
-    return end == s.c_str() + s.size() && out >= 0.0 &&
-           std::isfinite(out);
-}
-
-Ticks
-msToTicks(double ms)
-{
-    return static_cast<Ticks>(
-        std::llround(ms * static_cast<double>(units::MS)));
-}
-
-/** Split @p s on @p sep (no empty-field collapsing). */
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t pos = s.find(sep); pos != std::string::npos;
-         pos = s.find(sep, start)) {
-        out.push_back(s.substr(start, pos - start));
-        start = pos + 1;
-    }
-    out.push_back(s.substr(start));
-    return out;
-}
-
 /** Set per-kind defaults not expressible as static initializers. */
 void
 applyDefaults(FaultSpec &f)
@@ -128,14 +93,14 @@ parseEvent(const std::string &text, FaultSpec &out, std::string &err)
     applyDefaults(out);
 
     const std::vector<std::string> parts =
-        split(text.substr(at_pos + 1), ':');
+        splitFields(text.substr(at_pos + 1), ':');
     double time_ms = 0;
-    if (!parseNumber(parts[0], time_ms)) {
+    if (!parseNonNegative(parts[0], time_ms) ||
+        !msToTicks(time_ms, out.at)) {
         err = "fault '" + text + "': bad injection time '" + parts[0] +
               "'";
         return false;
     }
-    out.at = msToTicks(time_ms);
 
     for (std::size_t i = 1; i < parts.size(); ++i) {
         const auto eq = parts[i].find('=');
@@ -146,21 +111,23 @@ parseEvent(const std::string &text, FaultSpec &out, std::string &err)
         }
         const std::string key = parts[i].substr(0, eq);
         double value = 0;
-        if (!parseNumber(parts[i].substr(eq + 1), value)) {
+        Ticks *const ms = key == "for"     ? &out.duration
+                          : key == "every" ? &out.period
+                                           : nullptr;
+        if (!parseNonNegative(parts[i].substr(eq + 1), value) ||
+            (ms != nullptr && !msToTicks(value, *ms))) {
             err = "fault '" + text + "': bad value in '" + parts[i] +
                   "'";
             return false;
         }
-        if (key == "n") {
+        if (ms != nullptr) {
+            // A duration, converted above.
+        } else if (key == "n") {
             if (value < 1) {
                 err = "fault '" + text + "': n must be >= 1";
                 return false;
             }
             out.count = static_cast<std::uint32_t>(value);
-        } else if (key == "for") {
-            out.duration = msToTicks(value);
-        } else if (key == "every") {
-            out.period = msToTicks(value);
         } else if (key == "factor") {
             if (value <= 0.0 || value > 1.0) {
                 err = "fault '" + text +
@@ -198,14 +165,15 @@ parseIntensity(const std::string &text, FaultPlan &out, std::string &err)
     double intensity = -1.0;
     std::uint64_t seed = 1;
     Ticks horizon = 2000 * units::MS;
-    for (const std::string &part : split(text, ':')) {
+    for (const std::string &part : splitFields(text, ':')) {
         const auto eq = part.find('=');
         const std::string key =
             eq == std::string::npos ? part : part.substr(0, eq);
         const std::string val =
             eq == std::string::npos ? "" : part.substr(eq + 1);
         double value = 0;
-        if (!parseNumber(val, value)) {
+        if (!parseNonNegative(val, value) ||
+            (key == "horizon" && !msToTicks(value, horizon))) {
             err = "intensity spec: bad value in '" + part + "'";
             return false;
         }
@@ -213,9 +181,7 @@ parseIntensity(const std::string &text, FaultPlan &out, std::string &err)
             intensity = value;
         } else if (key == "seed") {
             seed = static_cast<std::uint64_t>(value);
-        } else if (key == "horizon") {
-            horizon = msToTicks(value);
-        } else {
+        } else if (key != "horizon") {
             err = "intensity spec: unknown option '" + key + "'";
             return false;
         }
@@ -294,7 +260,7 @@ FaultPlan::parse(const std::string &spec, FaultPlan &out,
         out.spec = spec;
         return ok;
     }
-    for (const std::string &part : split(spec, ',')) {
+    for (const std::string &part : splitFields(spec, ',')) {
         FaultSpec f;
         if (!parseEvent(part, f, err))
             return false;
@@ -363,7 +329,8 @@ FaultPlan::fromIntensity(double intensity, std::uint64_t seed,
             f.count = 2 + static_cast<std::uint32_t>(
                               std::llround(intensity * 6.0));
             f.period = 5 * units::MS;
-            f.duration = msToTicks(0.5 + 1.5 * intensity);
+            f.duration = static_cast<Ticks>(std::llround(
+                (0.5 + 1.5 * intensity) * static_cast<double>(units::MS)));
             break;
           case FaultKind::HeapPressure:
             f.bytes = static_cast<Bytes>(
@@ -374,7 +341,8 @@ FaultPlan::fromIntensity(double intensity, std::uint64_t seed,
           case FaultKind::MutatorStall:
             f.count = 1 + static_cast<std::uint32_t>(
                               std::llround(intensity * 2.0));
-            f.duration = msToTicks(5.0 + 20.0 * intensity);
+            f.duration = static_cast<Ticks>(std::llround(
+                (5.0 + 20.0 * intensity) * static_cast<double>(units::MS)));
             break;
           case FaultKind::CoreOffline:
             f.count = 1 + static_cast<std::uint32_t>(

@@ -1,7 +1,5 @@
 #include "traffic/arrival.hh"
 
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -23,50 +21,12 @@ arrivalKindName(ArrivalKind kind)
     return "?";
 }
 
-namespace {
-
-/** Parse a non-negative decimal number; false on any trailing junk. */
-bool
-parseNumber(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(s.c_str(), &end);
-    return end == s.c_str() + s.size() && out >= 0.0 &&
-           std::isfinite(out);
-}
-
-Ticks
-msToTicks(double ms)
-{
-    return static_cast<Ticks>(
-        std::llround(ms * static_cast<double>(units::MS)));
-}
-
-/** Split @p s on @p sep (no empty-field collapsing). */
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t pos = s.find(sep); pos != std::string::npos;
-         pos = s.find(sep, start)) {
-        out.push_back(s.substr(start, pos - start));
-        start = pos + 1;
-    }
-    out.push_back(s.substr(start));
-    return out;
-}
-
-} // namespace
-
 bool
 ArrivalSpec::parse(const std::string &spec, ArrivalSpec &out,
                    std::string &err)
 {
     out = ArrivalSpec{};
-    const std::vector<std::string> fields = split(spec, ':');
+    const std::vector<std::string> fields = splitFields(spec, ':');
     const std::string &kind = fields[0];
     if (kind == "poisson") {
         out.kind = ArrivalKind::Poisson;
@@ -102,7 +62,7 @@ ArrivalSpec::parse(const std::string &spec, ArrivalSpec &out,
         seen.push_back(key);
 
         double num = 0.0;
-        const bool numeric = parseNumber(value, num);
+        const bool numeric = parseNonNegative(value, num);
         const auto need = [&](bool ok, const char *what) {
             if (!ok)
                 err = "arrivals '" + spec + "': " + key + " needs " +
@@ -138,22 +98,22 @@ ArrivalSpec::parse(const std::string &spec, ArrivalSpec &out,
                 return false;
             out.burst_factor = num;
         } else if (key == "on_ms" && out.kind == ArrivalKind::Bursty) {
-            if (!need(numeric && num > 0.0, "a positive ms duration"))
+            if (!need(numeric && num > 0.0 && msToTicks(num, out.on_mean),
+                      "a positive ms duration"))
                 return false;
-            out.on_mean = msToTicks(num);
         } else if (key == "off_ms" && out.kind == ArrivalKind::Bursty) {
-            if (!need(numeric && num > 0.0, "a positive ms duration"))
+            if (!need(numeric && num > 0.0 && msToTicks(num, out.off_mean),
+                      "a positive ms duration"))
                 return false;
-            out.off_mean = msToTicks(num);
         } else if (key == "peak" && out.kind == ArrivalKind::Diurnal) {
             if (!need(numeric && num >= 1.0, "a multiplier >= 1"))
                 return false;
             out.peak_factor = num;
         } else if (key == "period_ms" &&
                    out.kind == ArrivalKind::Diurnal) {
-            if (!need(numeric && num > 0.0, "a positive ms period"))
+            if (!need(numeric && num > 0.0 && msToTicks(num, out.period),
+                      "a positive ms period"))
                 return false;
-            out.period = msToTicks(num);
         } else {
             err = "arrivals '" + spec + "': unknown key '" + key +
                   "' for process '" + kind + "'";

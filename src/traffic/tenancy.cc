@@ -7,31 +7,12 @@
 
 namespace jscale::traffic {
 
-namespace {
-
-/** Split @p s on @p sep (no empty-field collapsing). */
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t pos = s.find(sep); pos != std::string::npos;
-         pos = s.find(sep, start)) {
-        out.push_back(s.substr(start, pos - start));
-        start = pos + 1;
-    }
-    out.push_back(s.substr(start));
-    return out;
-}
-
-} // namespace
-
 bool
 TenantSpec::parse(const std::string &text, TenantSpec &out,
                   std::string &err)
 {
     out = TenantSpec{};
-    const std::vector<std::string> fields = split(text, ':');
+    const std::vector<std::string> fields = splitFields(text, ':');
     out.app = fields[0];
     if (out.app.empty()) {
         err = "tenant '" + text + "': missing application name";
@@ -99,7 +80,7 @@ TenantSpec::parseList(const std::string &text,
         err = "tenants: empty spec";
         return false;
     }
-    for (const std::string &entry : split(text, ';')) {
+    for (const std::string &entry : splitFields(text, ';')) {
         TenantSpec spec;
         if (!parse(entry, spec, err))
             return false;

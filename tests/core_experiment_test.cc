@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+
 #include "core/analyze.hh"
 #include "core/experiment.hh"
+#include "core/run_record.hh"
 #include "workload/task_queue_app.hh"
 
 namespace {
@@ -146,11 +150,54 @@ TEST(ExperimentRunner, ReplicatedRunsVaryBySeedOnly)
     EXPECT_EQ(reps[0].total_tasks, reps[1].total_tasks);
     EXPECT_EQ(reps[1].total_tasks, reps[2].total_tasks);
     EXPECT_NE(reps[0].wall_time, reps[1].wall_time);
-    // Replication restores the campaign seed: a fresh run matches the
-    // original configuration exactly.
+    // Replicas carry their own seeds; the campaign's stays untouched,
+    // so a fresh run matches the original configuration exactly.
     ExperimentRunner fresh(fastConfig());
     EXPECT_EQ(runner.runApp("sunflow", 4).wall_time,
               fresh.runApp("sunflow", 4).wall_time);
+}
+
+/** A run's full record (every field, histograms included) as bytes. */
+std::string
+recordBytes(const jvm::RunResult &r)
+{
+    std::ostringstream os;
+    core::writeRunRecord(os, "point", "arm", r);
+    return os.str();
+}
+
+TEST(ExperimentRunner, MixedArmBatchMatchesPerArmRunners)
+{
+    // One batch whose points alternate between a governed and an
+    // ungoverned arm must give each point exactly what that arm's own
+    // runner gives it: config, heap and seed come from the point's arm.
+    ExperimentConfig plain = fastConfig();
+    plain.jobs = 4;
+    ExperimentConfig governed = plain;
+    governed.governor.mode = control::GovernorMode::HillClimb;
+    const core::ArmConfig plain_arm =
+        std::make_shared<const ExperimentConfig>(plain);
+    const core::ArmConfig gov_arm =
+        std::make_shared<const ExperimentConfig>(governed);
+
+    ExperimentRunner mixed(plain);
+    const auto batch = mixed.runPoints({{"h2", 4, gov_arm},
+                                        {"h2", 4, plain_arm},
+                                        {"jython", 2, plain_arm},
+                                        {"h2", 8, gov_arm}});
+    ASSERT_EQ(batch.size(), 4u);
+
+    ExperimentRunner plain_runner(plain);
+    ExperimentRunner gov_runner(governed);
+    const auto gov_h2 = gov_runner.sweep("h2", {4, 8});
+    const auto plain_h2 = plain_runner.sweep("h2", {4});
+    const auto plain_jython = plain_runner.sweep("jython", {2});
+    EXPECT_TRUE(batch[0].governor.enabled);
+    EXPECT_FALSE(batch[1].governor.enabled);
+    EXPECT_EQ(recordBytes(batch[0]), recordBytes(gov_h2[0]));
+    EXPECT_EQ(recordBytes(batch[1]), recordBytes(plain_h2[0]));
+    EXPECT_EQ(recordBytes(batch[2]), recordBytes(plain_jython[0]));
+    EXPECT_EQ(recordBytes(batch[3]), recordBytes(gov_h2[1]));
 }
 
 TEST(ExperimentRunner, ScatterPlacementRuns)

@@ -14,9 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "core/collapse.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
+#include "core/resilience.hh"
 #include "core/run_record.hh"
+#include "core/traffic_study.hh"
 #include "jvm/locks/policy.hh"
 #include "lockprof/lockprof.hh"
 #include "test_tempdir.hh"
@@ -328,6 +331,42 @@ TEST(ParallelEquivalence, EveryAdmissionPolicyMatchesSequential)
                                 " t" + std::to_string(seq[i].threads));
         }
     }
+}
+
+TEST(ParallelEquivalence, StudiesMatchSequential)
+{
+    // Each multi-arm study submits all its arms' points as one batch
+    // (traffic: one per phase), so its CSV must not depend on --jobs.
+    const auto csvs = [](std::uint32_t jobs) {
+        core::ExperimentConfig base = cfgWith(37);
+        base.jobs = jobs;
+        base.error_path.clear();
+
+        core::ResilienceConfig res;
+        res.app = "sunflow";
+        res.threads = 4;
+        res.intensities = {0.0, 0.6};
+        res.base = base;
+
+        core::CollapseConfig col;
+        col.threads = {2, 4};
+        col.governed_arms = true;
+        col.base = base;
+
+        core::TrafficStudyConfig traf;
+        traf.apps = {"sunflow", "h2"};
+        traf.threads = {4};
+        traf.load_factors = {0.5, 2.0};
+        traf.requests = 60;
+        traf.base = base;
+
+        std::ostringstream os;
+        core::resilienceTable(core::runResilienceStudy(res)).writeCsv(os);
+        core::collapseTable(core::runCollapseStudy(col)).writeCsv(os);
+        core::trafficStudyTable(core::runTrafficStudy(traf)).writeCsv(os);
+        return os.str();
+    };
+    EXPECT_EQ(csvs(1), csvs(4));
 }
 
 TEST(ParallelEquivalence, JobsZeroUsesAllCoresAndStillMatches)

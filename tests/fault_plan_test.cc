@@ -93,6 +93,35 @@ TEST(FaultPlanParse, RejectsMalformedSpecs)
     EXPECT_FALSE(FaultPlan::parse("kill@-3", plan, err));
 }
 
+TEST(FaultPlanParse, RejectsTimesBeyondTheTickClock)
+{
+    FaultPlan plan;
+    std::string err;
+    // 2^64 ns is about 1.8e13 ms: the largest whole-ms time that fits
+    // parses, anything whose ticks overflow is refused by field.
+    ASSERT_TRUE(FaultPlan::parse("kill@18446744073709", plan, err)) << err;
+    EXPECT_EQ(plan.faults.front().at / units::MS, 18446744073709ULL);
+    EXPECT_FALSE(FaultPlan::parse("coreoff@1e300:n=2", plan, err));
+    EXPECT_NE(err.find("injection time"), std::string::npos) << err;
+    EXPECT_FALSE(FaultPlan::parse("coreoff@18446744073710", plan, err));
+    EXPECT_FALSE(FaultPlan::parse("stall@5:for=1e14", plan, err));
+    EXPECT_NE(err.find("for=1e14"), std::string::npos) << err;
+    EXPECT_FALSE(FaultPlan::parse("intensity=0.5:horizon=1e300", plan, err));
+    EXPECT_NE(err.find("horizon"), std::string::npos) << err;
+}
+
+TEST(FaultPlanParse, NumbersAreReadStrictly)
+{
+    // strtod spellings the strict reader refuses: a plus sign, leading
+    // blanks, hex and non-finite values.
+    FaultPlan plan;
+    std::string err;
+    for (const char *spec : {"kill@+5", "kill@ 5", "kill@0x10", "kill@inf",
+                             "kill@nan", "coreoff@5:n=+2"})
+        EXPECT_FALSE(FaultPlan::parse(spec, plan, err)) << spec;
+    EXPECT_TRUE(FaultPlan::parse("kill@.5", plan, err)) << err;
+}
+
 TEST(FaultPlanIntensity, IdenticalArgumentsYieldIdenticalPlans)
 {
     const auto a = FaultPlan::fromIntensity(0.6, 7, 400 * units::MS);

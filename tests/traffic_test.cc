@@ -90,7 +90,10 @@ TEST(ArrivalSpec, RejectsMalformedSpecs)
           "poisson:rate=-5", "poisson:rate=1:rate=2",
           "poisson:rate=1:bananas=3", "poisson:rate=1:requests=0",
           "burst:rate=100:factor=0", "diurnal:rate=100:peak=0.5",
-          "poisson:rate=1:shed=sometimes"}) {
+          "poisson:rate=1:shed=sometimes", "poisson:rate=+5",
+          "poisson:rate= 5", "poisson:rate=0x10",
+          "burst:rate=1000:factor=2:on_ms=1e300:requests=20",
+          "diurnal:rate=100:period_ms=1e14"}) {
         EXPECT_FALSE(ArrivalSpec::parse(bad, s, err)) << bad;
         EXPECT_FALSE(err.empty()) << bad;
     }

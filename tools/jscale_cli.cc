@@ -240,10 +240,10 @@ cmdStudy(const CliOptions &o)
     const auto threads = runner.paperThreadCounts();
     // One batch for the whole (app x threads) cross product, so --jobs
     // parallelism spans apps instead of draining one sweep at a time.
-    core::SweepSet sweeps = runner.sweepApps(
-        workload::dacapoAppNames(), threads, [](const std::string &app) {
-            std::cerr << "sweeping " << app << "...\n";
-        });
+    for (const std::string &app : workload::dacapoAppNames())
+        std::cerr << "sweeping " << app << "...\n";
+    core::SweepSet sweeps =
+        runner.sweepApps(workload::dacapoAppNames(), threads);
     core::printScalabilityTable(std::cout, sweeps);
     core::printWorkloadDistributionTable(std::cout << '\n', sweeps);
     core::printLockAcquisitionTable(std::cout << '\n', sweeps);
@@ -914,7 +914,7 @@ commandTable()
         {"golden", "record a sweep snapshot, or verify it has not drifted",
          cmdGolden, true, Operand::Action},
         {"traffic", "E21: open-system p99 sojourn vs. offered load vs. "
-         "threads, with knee detection", cmdTraffic},
+         "threads, with knee detection", cmdTraffic, true},
         {"collapse", "E19: throughput vs. threads of a lock-saturated "
          "workload per admission policy", cmdCollapse, true},
         {"shard", "run one deterministic slice of a campaign into "
