@@ -3,6 +3,9 @@
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
+#include <string>
+
+#include "base/units.hh"
 
 namespace jscale {
 
@@ -10,13 +13,8 @@ std::uint64_t
 chaosKillAfter()
 {
     const char *v = std::getenv(kChaosKillEnv);
-    if (v == nullptr || *v == '\0')
-        return 0;
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0')
-        return 0;
-    return static_cast<std::uint64_t>(n);
+    std::uint64_t n = 0;
+    return v != nullptr && parseNumber(std::string(v), n) ? n : 0;
 }
 
 void

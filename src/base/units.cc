@@ -1,7 +1,5 @@
 #include "base/units.hh"
 
-#include <array>
-#include <cmath>
 #include <cstdio>
 
 namespace jscale {
@@ -52,23 +50,6 @@ formatFixed(double value, int decimals)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
     return buf;
-}
-
-bool
-parseNonNegative(const std::string &text, double &out)
-{
-    return parseNumber(text, out) && std::isfinite(out) && out >= 0.0;
-}
-
-bool
-msToTicks(double ms, Ticks &out)
-{
-    // 2^64 is exact as a double; anything at or above it overflows.
-    const double ticks = std::round(ms * static_cast<double>(units::MS));
-    if (!(ticks >= 0.0 && ticks < 18446744073709551616.0))
-        return false;
-    out = static_cast<Ticks>(ticks);
-    return true;
 }
 
 std::vector<std::string>

@@ -5,9 +5,8 @@
  * The simulated clock counts Ticks; one tick is one nanosecond. Memory
  * quantities are plain byte counts. Formatting helpers render both in
  * human-friendly units for reports; parseNumber() is the one strict
- * reader of numbers typed by a user or read back from a file, and the
- * spec grammars (faults, arrivals, tenants) read their fields through
- * splitFields(), parseNonNegative() and msToTicks().
+ * reader of numbers typed by a user or read back from a file (the spec
+ * grammars read theirs through base/fields.hh).
  */
 
 #ifndef JSCALE_BASE_UNITS_HH
@@ -58,24 +57,25 @@ std::string formatPercent(double fraction);
 std::string formatFixed(double value, int decimals = 2);
 
 /** Whole-string number: no plus sign, blanks, trailing bytes or
- *  overflow (std::from_chars). */
-template <class T>
+ *  overflow (std::from_chars; @p fmt picks a base or float format). */
+template <class T, class... Fmt>
 bool
-parseNumber(const std::string &text, T &out)
+parseNumber(const std::string &text, T &out, Fmt... fmt)
 {
     const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out, fmt...);
     return !text.empty() && ec == std::errc() && ptr == end;
 }
 
-/** parseNumber() of a finite, non-negative decimal. */
-bool parseNonNegative(const std::string &text, double &out);
-
-/**
- * Convert @p ms milliseconds to ticks, rounded to the nearest tick;
- * false when the result does not fit in Ticks.
- */
-bool msToTicks(double ms, Ticks &out);
+/** Shortest text that parseNumber() reads back to @p v (std::to_chars;
+ *  @p fmt picks a base or float format). */
+template <class T, class... Fmt>
+std::string
+formatValue(T v, Fmt... fmt)
+{
+    char buf[64];
+    return {buf, std::to_chars(buf, buf + sizeof buf, v, fmt...).ptr};
+}
 
 /** Split @p s on @p sep (no empty-field collapsing). */
 std::vector<std::string> splitFields(const std::string &s, char sep);

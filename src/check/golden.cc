@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "base/units.hh"
+
 namespace jscale::check {
 
 std::string
@@ -60,6 +62,18 @@ writeGolden(std::ostream &os, const GoldenFile &file)
     }
 }
 
+namespace {
+
+/** Nothing but blanks left on @p ls. */
+bool
+atEnd(std::istream &ls)
+{
+    std::string extra;
+    return !(ls >> extra);
+}
+
+} // namespace
+
 bool
 readGolden(std::istream &is, GoldenFile &out, std::string &err)
 {
@@ -98,7 +112,9 @@ readGolden(std::istream &is, GoldenFile &out, std::string &err)
                 return false;
             }
             GoldenRun r;
-            if (!(ls >> r.app >> r.threads)) {
+            std::string threads;
+            if (!(ls >> r.app >> threads) ||
+                !parseNumber(threads, r.threads) || !atEnd(ls)) {
                 err = "line " + std::to_string(lineno) +
                       ": malformed run header";
                 return false;
@@ -106,14 +122,15 @@ readGolden(std::istream &is, GoldenFile &out, std::string &err)
             file.runs.push_back(std::move(r));
             open = &file.runs.back();
         } else if (verb == "stat") {
-            std::string name, unit;
+            std::string name, text, unit;
             double value = 0.0;
-            if (open == nullptr || !(ls >> name >> value)) {
+            // A name, a value and an optional unit; nothing more.
+            if (open == nullptr || !(ls >> name >> text) ||
+                !parseNumber(text, value) || !atEnd(ls >> unit)) {
                 err = "line " + std::to_string(lineno) +
                       ": malformed stat entry";
                 return false;
             }
-            ls >> unit; // optional
             open->stats.add(name, value, unit);
         } else if (verb == "end") {
             if (open == nullptr) {

@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -21,48 +20,12 @@ namespace jscale::core {
 using check::InvariantViolation;
 using check::OracleSuite;
 
-const char *
-sabotageName(Sabotage s)
-{
-    switch (s) {
-      case Sabotage::None: return "none";
-      case Sabotage::DupAlloc: return "dup-alloc";
-      case Sabotage::PhantomDeath: return "phantom-death";
-      case Sabotage::DoubleRelease: return "double-release";
-      case Sabotage::IllegalHandoff: return "illegal-handoff";
-    }
-    return "?";
-}
-
-bool
-parseSabotage(const std::string &name, Sabotage &out)
-{
-    for (const Sabotage s :
-         {Sabotage::None, Sabotage::DupAlloc, Sabotage::PhantomDeath,
-          Sabotage::DoubleRelease, Sabotage::IllegalHandoff}) {
-        if (name == sabotageName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::string
-FuzzCase::describe() const
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << "seed=" << seed << " threads=" << threads << " tasks=" << tasks
-       << " monitors=" << monitors << " heap=" << heap << " tlab=" << tlab
-       << " intensity=" << fault_intensity
-       << " governed=" << (governed ? 1 : 0)
-       << " policy=" << jvm::lockPolicyName(policy)
-       << " sabotage=" << sabotageName(sabotage);
-    return os.str();
-}
-
 namespace {
+
+/** Sabotage names, in Sabotage order. */
+constexpr const char *kSabotageNames[] = {"none", "dup-alloc",
+                                          "phantom-death", "double-release",
+                                          "illegal-handoff"};
 
 /** Field bounds: every value caseForSeed() draws and shrinkCase()
  *  derives from it (the shrinker only halves towards 1). */
@@ -71,74 +34,66 @@ constexpr std::uint32_t kMinDrawnTasks = 20;
 constexpr std::uint32_t kMaxTasks = 140;
 constexpr std::uint32_t kMaxMonitors = 5;
 
-/** Read @p val whole into @p out when it lies in [lo, hi]. */
-template <class T>
-bool
-readBounded(const std::string &val, T &out, T lo, T hi)
+} // namespace
+
+const char *
+sabotageName(Sabotage s)
 {
-    T x{};
-    if (!parseNumber(val, x) || !(x >= lo && x <= hi))
-        return false;
-    out = x;
-    return true;
+    return kSabotageNames[static_cast<std::size_t>(s)];
 }
 
-} // namespace
+bool
+parseSabotage(const std::string &name, Sabotage &out)
+{
+    return parseName(name, sabotageName, std::size(kSabotageNames), out);
+}
+
+const FieldTable<FuzzCase> &
+fuzzCaseFields()
+{
+    using F = Field<FuzzCase>;
+    static const FieldTable<FuzzCase> table = {
+        F::number("seed", &FuzzCase::seed, 0).require(),
+        F::number("threads", &FuzzCase::threads, 1, kMaxThreads),
+        F::number("tasks", &FuzzCase::tasks, 1, kMaxTasks),
+        F::number("monitors", &FuzzCase::monitors, 1, kMaxMonitors),
+        F::number("heap", &FuzzCase::heap, units::MiB),
+        F::number("tlab", &FuzzCase::tlab, 0),
+        F::number("intensity", &FuzzCase::fault_intensity, 0.0, 1.0),
+        F::choice("governed", &FuzzCase::governed,
+                  +[](bool on) { return on ? "1" : "0"; }, 2),
+        // Absent on pre-policy case lines; defaults to fifo.
+        F::choice("policy", &FuzzCase::policy, jvm::lockPolicyName,
+                  std::size(jvm::kAllLockPolicies)),
+        F::choice("sabotage", &FuzzCase::sabotage, sabotageName,
+                  std::size(kSabotageNames)),
+    };
+    return table;
+}
+
+std::string
+FuzzCase::describe() const
+{
+    std::ostringstream os;
+    os.precision(17);
+    writeFields(os, fuzzCaseFields(), *this, ' ');
+    return os.str();
+}
 
 bool
 FuzzCase::parse(const std::string &line, FuzzCase &out, std::string &err)
 {
-    FuzzCase c;
+    const SpecText spec{"fuzz case", line};
+    std::vector<std::string> fields;
     std::istringstream is(line);
-    std::string tok;
-    bool saw_seed = false;
-    while (is >> tok) {
-        const auto eq = tok.find('=');
-        if (eq == std::string::npos) {
-            err = "malformed token '" + tok + "' (expected key=value)";
-            return false;
-        }
-        const std::string key = tok.substr(0, eq);
-        const std::string val = tok.substr(eq + 1);
-        bool ok = false;
-        if (key == "seed") {
-            ok = saw_seed = parseNumber(val, c.seed);
-        } else if (key == "threads") {
-            ok = readBounded(val, c.threads, 1u, kMaxThreads);
-        } else if (key == "tasks") {
-            ok = readBounded(val, c.tasks, 1u, kMaxTasks);
-        } else if (key == "monitors") {
-            ok = readBounded(val, c.monitors, 1u, kMaxMonitors);
-        } else if (key == "heap") {
-            ok = readBounded(val, c.heap, units::MiB,
-                             std::numeric_limits<Bytes>::max());
-        } else if (key == "tlab") {
-            ok = parseNumber(val, c.tlab);
-        } else if (key == "intensity") {
-            ok = readBounded(val, c.fault_intensity, 0.0, 1.0);
-        } else if (key == "governed") {
-            ok = val == "0" || val == "1";
-            c.governed = val == "1";
-        } else if (key == "policy") {
-            // Absent on pre-policy case lines; defaults to fifo.
-            ok = jvm::parseLockPolicy(val, c.policy);
-        } else if (key == "sabotage") {
-            ok = parseSabotage(val, c.sabotage);
-        } else {
-            err = "unknown key '" + key + "'";
-            return false;
-        }
-        if (!ok) {
-            err = "bad value for '" + key + "': '" + val + "'";
-            return false;
-        }
-    }
-    if (!saw_seed) {
-        err = "case line has no seed";
+    for (std::string tok; is >> tok;)
+        fields.push_back(tok);
+    FuzzCase c;
+    if (!readFields(spec, fields, fuzzCaseFields(), c, err))
         return false;
-    }
     if (c.tlab > c.heap) {
-        err = "bad value for 'tlab': larger than the heap";
+        err = spec.badValue("tlab", "a byte count <= heap",
+                            std::to_string(c.tlab));
         return false;
     }
     out = c;
@@ -497,8 +452,8 @@ loadOutcome(const FuzzCampaignIo &io, std::uint64_t seed, FuzzOutcome &out)
             return miss("bad violation line");
         std::istringstream vs(line.substr(2));
         InvariantViolation v;
-        std::string oracle;
-        if (!(vs >> v.at >> oracle))
+        std::string at, oracle;
+        if (!(vs >> at >> oracle) || !parseNumber(at, v.at))
             return miss("bad violation line");
         v.oracle = unescapeLine(oracle);
         std::string msg;

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "base/fields.hh"
 #include "base/units.hh"
 #include "check/oracle.hh"
 #include "jvm/locks/policy.hh"
@@ -79,7 +80,7 @@ struct FuzzCase
     jvm::LockPolicy policy = jvm::LockPolicy::Fifo;
     Sabotage sabotage = Sabotage::None;
 
-    /** One-line key=value form, parseable by parse(). */
+    /** One-line key=value form, printed from fuzzCaseFields(). */
     std::string describe() const;
 
     /** Parse a describe() line, each number read whole and bounded to
@@ -88,6 +89,9 @@ struct FuzzCase
     static bool parse(const std::string &line, FuzzCase &out,
                       std::string &err);
 };
+
+/** The keys of a case line, one row each, in describe() order. */
+const FieldTable<FuzzCase> &fuzzCaseFields();
 
 /** Derive a case from a campaign seed (deterministic). */
 FuzzCase caseForSeed(std::uint64_t seed);

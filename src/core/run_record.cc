@@ -1,12 +1,14 @@
 #include "core/run_record.hh"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <string_view>
 #include <type_traits>
+
+#include "base/units.hh"
 
 namespace jscale::core {
 
@@ -29,6 +31,22 @@ fmtDouble(double v)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%a", v);
     return buf;
+}
+
+/** Read a fmtDouble() spelling back exactly: "[-]0x<hex>p<exp>", or
+ *  inf/nan. */
+bool
+readHexfloat(const std::string &text, double &v)
+{
+    const std::size_t sign = text.rfind('-', 0) == 0 ? 1 : 0;
+    if (text.compare(sign, 2, "0x") != 0)
+        return parseNumber(text, v);
+    const std::string digits = text.substr(sign + 2);
+    if (digits.rfind('-', 0) == 0 ||
+        !parseNumber(digits, v, std::chars_format::hex))
+        return false;
+    v = sign != 0 ? -v : v;
+    return true;
 }
 
 /** Largest value an unsigned (or enum-of-unsigned) field can hold. */
@@ -517,8 +535,8 @@ class Reader
 
     /**
      * Parse " <value>" at @p p (NUL-terminated) and advance past it.
-     * False on a missing separator, no digits, or a value @p v cannot
-     * hold.
+     * False on a missing separator, or a token parseNumber() (or
+     * readHexfloat()) refuses or @p v cannot hold.
      */
     template <class T>
     static bool get(const char *&p, T &v)
@@ -532,18 +550,19 @@ class Reader
         } else {
             if (*p != ' ')
                 return false;
-            ++p;
-            char *end = nullptr;
+            const char *end = p + 1;
+            while (*end != ' ' && *end != '\0')
+                ++end;
+            const std::string token(p + 1, end);
             if constexpr (std::is_floating_point_v<T>) {
-                v = std::strtod(p, &end); // reads hexfloats exactly
+                if (!readHexfloat(token, v))
+                    return false;
             } else {
-                const unsigned long long x = std::strtoull(p, &end, 10);
-                if (x > maxOf<T>())
+                std::uint64_t x = 0;
+                if (!parseNumber(token, x) || x > maxOf<T>())
                     return false;
                 v = static_cast<T>(x);
             }
-            if (end == p)
-                return false;
             p = end;
             return true;
         }

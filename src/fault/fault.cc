@@ -8,54 +8,12 @@
 
 namespace jscale::fault {
 
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::CoreOffline:
-        return "coreoff";
-      case FaultKind::CoreSlowdown:
-        return "slow";
-      case FaultKind::PreemptLockHolders:
-        return "preempt";
-      case FaultKind::MutatorKill:
-        return "kill";
-      case FaultKind::MutatorStall:
-        return "stall";
-      case FaultKind::HeapPressure:
-        return "heap";
-      case FaultKind::GcWorkerLoss:
-        return "gcworkers";
-    }
-    return "?";
-}
-
 namespace {
 
-bool
-kindFromName(const std::string &name, FaultKind &out)
-{
-    static const struct
-    {
-        const char *name;
-        FaultKind kind;
-    } kTable[] = {
-        {"coreoff", FaultKind::CoreOffline},
-        {"slow", FaultKind::CoreSlowdown},
-        {"preempt", FaultKind::PreemptLockHolders},
-        {"kill", FaultKind::MutatorKill},
-        {"stall", FaultKind::MutatorStall},
-        {"heap", FaultKind::HeapPressure},
-        {"gcworkers", FaultKind::GcWorkerLoss},
-    };
-    for (const auto &e : kTable) {
-        if (name == e.name) {
-            out = e.kind;
-            return true;
-        }
-    }
-    return false;
-}
+/** Spec-grammar names, in FaultKind order. */
+constexpr const char *kKindNames[] = {"coreoff", "slow",  "preempt",
+                                      "kill",    "stall", "heap",
+                                      "gcworkers"};
 
 /** Set per-kind defaults not expressible as static initializers. */
 void
@@ -80,121 +38,71 @@ applyDefaults(FaultSpec &f)
 bool
 parseEvent(const std::string &text, FaultSpec &out, std::string &err)
 {
+    using F = Field<FaultSpec>;
+    static const F kind = F::choice("kind", &FaultSpec::kind, faultKindName,
+                                    std::size(kKindNames));
+    static const F at = F::millis("injection time", &FaultSpec::at);
+    const SpecText spec{"fault", text};
     const auto at_pos = text.find('@');
     if (at_pos == std::string::npos) {
-        err = "fault '" + text + "': missing '@<time-ms>'";
+        err = spec.diagnose("missing '@<time-ms>'");
         return false;
     }
-    const std::string kind_name = text.substr(0, at_pos);
-    if (!kindFromName(kind_name, out.kind)) {
-        err = "unknown fault kind '" + kind_name + "'";
+    if (!readField(spec, kind, text.substr(0, at_pos), out, err))
         return false;
-    }
     applyDefaults(out);
-
     const std::vector<std::string> parts =
         splitFields(text.substr(at_pos + 1), ':');
-    double time_ms = 0;
-    if (!parseNonNegative(parts[0], time_ms) ||
-        !msToTicks(time_ms, out.at)) {
-        err = "fault '" + text + "': bad injection time '" + parts[0] +
-              "'";
+    if (!readField(spec, at, parts[0], out, err) ||
+        !readFields(spec, {parts.begin() + 1, parts.end()}, faultFields(),
+                    out, err))
         return false;
-    }
 
-    for (std::size_t i = 1; i < parts.size(); ++i) {
-        const auto eq = parts[i].find('=');
-        if (eq == std::string::npos) {
-            err = "fault '" + text + "': option '" + parts[i] +
-                  "' is not key=value";
-            return false;
-        }
-        const std::string key = parts[i].substr(0, eq);
-        double value = 0;
-        Ticks *const ms = key == "for"     ? &out.duration
-                          : key == "every" ? &out.period
-                                           : nullptr;
-        if (!parseNonNegative(parts[i].substr(eq + 1), value) ||
-            (ms != nullptr && !msToTicks(value, *ms))) {
-            err = "fault '" + text + "': bad value in '" + parts[i] +
-                  "'";
-            return false;
-        }
-        if (ms != nullptr) {
-            // A duration, converted above.
-        } else if (key == "n") {
-            if (value < 1) {
-                err = "fault '" + text + "': n must be >= 1";
-                return false;
-            }
-            out.count = static_cast<std::uint32_t>(value);
-        } else if (key == "factor") {
-            if (value <= 0.0 || value > 1.0) {
-                err = "fault '" + text +
-                      "': factor must be in (0, 1]";
-                return false;
-            }
-            out.factor = value;
-        } else if (key == "mb") {
-            out.bytes = static_cast<Bytes>(value *
-                                           static_cast<double>(units::MiB));
-        } else {
-            err = "fault '" + text + "': unknown option '" + key + "'";
-            return false;
-        }
-    }
-
-    if (out.kind == FaultKind::PreemptLockHolders && out.duration == 0) {
-        err = "fault '" + text + "': preempt needs for > 0";
-        return false;
-    }
-    if (out.kind == FaultKind::MutatorStall && out.duration == 0) {
-        err = "fault '" + text + "': stall needs for > 0";
-        return false;
-    }
-    if (out.kind == FaultKind::HeapPressure && out.bytes == 0) {
-        err = "fault '" + text + "': heap needs mb > 0";
-        return false;
-    }
-    return true;
-}
-
-bool
-parseIntensity(const std::string &text, FaultPlan &out, std::string &err)
-{
-    double intensity = -1.0;
-    std::uint64_t seed = 1;
-    Ticks horizon = 2000 * units::MS;
-    for (const std::string &part : splitFields(text, ':')) {
-        const auto eq = part.find('=');
-        const std::string key =
-            eq == std::string::npos ? part : part.substr(0, eq);
-        const std::string val =
-            eq == std::string::npos ? "" : part.substr(eq + 1);
-        double value = 0;
-        if (!parseNonNegative(val, value) ||
-            (key == "horizon" && !msToTicks(value, horizon))) {
-            err = "intensity spec: bad value in '" + part + "'";
-            return false;
-        }
-        if (key == "intensity") {
-            intensity = value;
-        } else if (key == "seed") {
-            seed = static_cast<std::uint64_t>(value);
-        } else if (key != "horizon") {
-            err = "intensity spec: unknown option '" + key + "'";
-            return false;
-        }
-    }
-    if (intensity < 0.0 || intensity > 1.0) {
-        err = "intensity must be in [0, 1]";
-        return false;
-    }
-    out = FaultPlan::fromIntensity(intensity, seed, horizon);
-    return true;
+    const char *need = nullptr;
+    if (out.kind == FaultKind::PreemptLockHolders && out.duration == 0)
+        need = "preempt needs for > 0";
+    else if (out.kind == FaultKind::MutatorStall && out.duration == 0)
+        need = "stall needs for > 0";
+    else if (out.kind == FaultKind::HeapPressure && out.bytes == 0)
+        need = "heap needs mb > 0";
+    if (need != nullptr)
+        err = spec.diagnose(need);
+    return need == nullptr;
 }
 
 } // namespace
+
+const char *
+faultKindName(FaultKind kind)
+{
+    return kKindNames[static_cast<std::size_t>(kind)];
+}
+
+const FieldTable<FaultSpec> &
+faultFields()
+{
+    using F = Field<FaultSpec>;
+    static const FieldTable<FaultSpec> table = {
+        F::number("n", &FaultSpec::count, 1),
+        F::number("factor", &FaultSpec::factor, kPositive, 1.0),
+        F::mebibytes("mb", &FaultSpec::bytes),
+        F::millis("for", &FaultSpec::duration),
+        F::millis("every", &FaultSpec::period),
+    };
+    return table;
+}
+
+const FieldTable<IntensityDial> &
+intensityFields()
+{
+    using F = Field<IntensityDial>;
+    static const FieldTable<IntensityDial> table = {
+        F::number("intensity", &IntensityDial::intensity, 0.0, 1.0).require(),
+        F::number("seed", &IntensityDial::seed, 0),
+        F::millis("horizon", &IntensityDial::horizon),
+    };
+    return table;
+}
 
 std::string
 FaultSpec::describe() const
@@ -256,9 +164,14 @@ FaultPlan::parse(const std::string &spec, FaultPlan &out,
     if (spec.empty())
         return true;
     if (spec.rfind("intensity=", 0) == 0) {
-        const bool ok = parseIntensity(spec, out, err);
+        IntensityDial dial;
+        if (!readFields(SpecText{"intensity spec", spec},
+                        splitFields(spec, ':'), intensityFields(), dial, err))
+            return false;
+        out = FaultPlan::fromIntensity(dial.intensity, dial.seed,
+                                       dial.horizon);
         out.spec = spec;
-        return ok;
+        return true;
     }
     for (const std::string &part : splitFields(spec, ',')) {
         FaultSpec f;

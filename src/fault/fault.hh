@@ -16,13 +16,19 @@
  * ordinary simulation events, so an identical plan produces
  * byte-identical runs at any host parallelism.
  *
- * Spec grammar (times in simulated milliseconds, decimals allowed):
+ * Spec grammar (times in simulated milliseconds, decimals allowed; keys
+ * are strict: unknown, duplicate or out-of-range keys are errors):
  *
  *   spec      := event ("," event)* | intensity
  *   event     := kind "@" time (":" key "=" value)*
  *   kind      := "coreoff" | "slow" | "preempt" | "kill" | "stall"
  *              | "heap" | "gcworkers"
  *   intensity := "intensity=" float [":seed=" int] [":horizon=" time]
+ *
+ * The option keys and their bounds are one table, faultFields(): n is
+ * a whole count >= 1, factor a number in (0, 1], mb a MiB size, for and
+ * every ms values that fit the tick clock. The dial's keys are
+ * intensityFields(): intensity in [0, 1], a whole seed, a horizon in ms.
  *
  * Options per kind (defaults in parentheses):
  *   coreoff   n=cores(1)      for=ms(0 = rest of run)
@@ -41,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "base/fields.hh"
 #include "base/units.hh"
 
 namespace jscale::fault {
@@ -80,6 +87,20 @@ struct FaultSpec
     /** One-line human-readable description. */
     std::string describe() const;
 };
+
+/** The intensity dial's parameters (see FaultPlan::fromIntensity). */
+struct IntensityDial
+{
+    double intensity = 0.0;
+    std::uint64_t seed = 1;
+    Ticks horizon = 2000 * units::MS;
+};
+
+/** The option keys of a fault event, one row each. */
+const FieldTable<FaultSpec> &faultFields();
+
+/** The keys of an intensity dial, one row each. */
+const FieldTable<IntensityDial> &intensityFields();
 
 /** A full, ordered fault schedule for one run. */
 struct FaultPlan

@@ -1,151 +1,95 @@
 #include "traffic/arrival.hh"
 
+#include <cmath>
 #include <sstream>
-#include <vector>
 
 #include "base/logging.hh"
 
 namespace jscale::traffic {
 
+namespace {
+
+/** Spec-grammar names, in ArrivalKind and ShedPolicy order. */
+constexpr const char *kKindNames[kArrivalKinds] = {"poisson", "burst",
+                                                   "diurnal"};
+constexpr const char *kShedNames[] = {"drop", "oldest"};
+
+const char *
+shedName(ShedPolicy p)
+{
+    return kShedNames[static_cast<std::size_t>(p)];
+}
+
+bool
+queued(const ArrivalSpec &s)
+{
+    return s.queue_limit > 0;
+}
+
+/** Request and queue counts up to 2^53 stay exact in a double, the
+ *  number type of JSON and of the Python report readers. */
+constexpr std::uint64_t kMaxCount = 1ULL << 53;
+
+} // namespace
+
 const char *
 arrivalKindName(ArrivalKind kind)
 {
-    switch (kind) {
-      case ArrivalKind::Poisson:
-        return "poisson";
-      case ArrivalKind::Bursty:
-        return "burst";
-      case ArrivalKind::Diurnal:
-        return "diurnal";
-    }
-    return "?";
+    return kKindNames[static_cast<std::size_t>(kind)];
+}
+
+const FieldTable<ArrivalSpec> &
+arrivalFields(ArrivalKind kind)
+{
+    using F = Field<ArrivalSpec>;
+    // The common rows around the process's own, in describe() order;
+    // only a bounded queue prints its capacity and shed policy.
+    const auto table = [](FieldTable<ArrivalSpec> rows) {
+        F queue =
+            F::number("queue", &ArrivalSpec::queue_limit, 0, kMaxCount);
+        F shed = F::choice("shed", &ArrivalSpec::shed, shedName,
+                           std::size(kShedNames));
+        queue.shown = shed.shown = queued;
+        rows.insert(rows.begin(), F::number("rate", &ArrivalSpec::rate,
+                                            kPositive)
+                                      .require());
+        rows.push_back(
+            F::number("requests", &ArrivalSpec::requests, 1, kMaxCount));
+        rows.push_back(queue);
+        rows.push_back(shed);
+        return rows;
+    };
+    static const FieldTable<ArrivalSpec> tables[kArrivalKinds] = {
+        table({}),
+        table({F::number("factor", &ArrivalSpec::burst_factor, 1.0),
+               F::millis("on_ms", &ArrivalSpec::on_mean, true),
+               F::millis("off_ms", &ArrivalSpec::off_mean, true)}),
+        table({F::number("peak", &ArrivalSpec::peak_factor, 1.0),
+               F::millis("period_ms", &ArrivalSpec::period, true)}),
+    };
+    return tables[static_cast<std::size_t>(kind)];
 }
 
 bool
 ArrivalSpec::parse(const std::string &spec, ArrivalSpec &out,
                    std::string &err)
 {
+    static const Field<ArrivalSpec> process = Field<ArrivalSpec>::choice(
+        "process", &ArrivalSpec::kind, arrivalKindName, kArrivalKinds);
     out = ArrivalSpec{};
+    const SpecText text{"arrivals", spec};
     const std::vector<std::string> fields = splitFields(spec, ':');
-    const std::string &kind = fields[0];
-    if (kind == "poisson") {
-        out.kind = ArrivalKind::Poisson;
-    } else if (kind == "burst") {
-        out.kind = ArrivalKind::Bursty;
-    } else if (kind == "diurnal") {
-        out.kind = ArrivalKind::Diurnal;
-    } else {
-        err = "arrivals '" + spec + "': unknown process '" + kind +
-              "' (expected poisson|burst|diurnal)";
-        return false;
-    }
-
-    bool have_rate = false;
-    std::vector<std::string> seen;
-    for (std::size_t i = 1; i < fields.size(); ++i) {
-        const std::string &field = fields[i];
-        const auto eq = field.find('=');
-        if (eq == std::string::npos || eq == 0) {
-            err = "arrivals '" + spec + "': expected key=value, got '" +
-                  field + "'";
-            return false;
-        }
-        const std::string key = field.substr(0, eq);
-        const std::string value = field.substr(eq + 1);
-        for (const std::string &s : seen) {
-            if (s == key) {
-                err = "arrivals '" + spec + "': duplicate key '" + key +
-                      "'";
-                return false;
-            }
-        }
-        seen.push_back(key);
-
-        double num = 0.0;
-        const bool numeric = parseNonNegative(value, num);
-        const auto need = [&](bool ok, const char *what) {
-            if (!ok)
-                err = "arrivals '" + spec + "': " + key + " needs " +
-                      what + ", got '" + value + "'";
-            return ok;
-        };
-
-        if (key == "rate") {
-            if (!need(numeric && num > 0.0, "a positive req/s number"))
-                return false;
-            out.rate = num;
-            have_rate = true;
-        } else if (key == "requests") {
-            if (!need(numeric && num >= 1.0, "a count >= 1"))
-                return false;
-            out.requests = static_cast<std::uint64_t>(num);
-        } else if (key == "queue") {
-            if (!need(numeric, "a capacity (0 = unbounded)"))
-                return false;
-            out.queue_limit = static_cast<std::uint64_t>(num);
-        } else if (key == "shed") {
-            if (value == "drop") {
-                out.shed = ShedPolicy::DropNewest;
-            } else if (value == "oldest") {
-                out.shed = ShedPolicy::DropOldest;
-            } else {
-                err = "arrivals '" + spec + "': shed must be " +
-                      "drop|oldest, got '" + value + "'";
-                return false;
-            }
-        } else if (key == "factor" && out.kind == ArrivalKind::Bursty) {
-            if (!need(numeric && num >= 1.0, "a multiplier >= 1"))
-                return false;
-            out.burst_factor = num;
-        } else if (key == "on_ms" && out.kind == ArrivalKind::Bursty) {
-            if (!need(numeric && num > 0.0 && msToTicks(num, out.on_mean),
-                      "a positive ms duration"))
-                return false;
-        } else if (key == "off_ms" && out.kind == ArrivalKind::Bursty) {
-            if (!need(numeric && num > 0.0 && msToTicks(num, out.off_mean),
-                      "a positive ms duration"))
-                return false;
-        } else if (key == "peak" && out.kind == ArrivalKind::Diurnal) {
-            if (!need(numeric && num >= 1.0, "a multiplier >= 1"))
-                return false;
-            out.peak_factor = num;
-        } else if (key == "period_ms" &&
-                   out.kind == ArrivalKind::Diurnal) {
-            if (!need(numeric && num > 0.0 && msToTicks(num, out.period),
-                      "a positive ms period"))
-                return false;
-        } else {
-            err = "arrivals '" + spec + "': unknown key '" + key +
-                  "' for process '" + kind + "'";
-            return false;
-        }
-    }
-
-    if (!have_rate) {
-        err = "arrivals '" + spec + "': missing required key 'rate'";
-        return false;
-    }
-    return true;
+    return readField(text, process, fields[0], out, err) &&
+           readFields(text, {fields.begin() + 1, fields.end()},
+                      arrivalFields(out.kind), out, err);
 }
 
 std::string
 ArrivalSpec::describe() const
 {
     std::ostringstream os;
-    os << arrivalKindName(kind) << ":rate=" << rate;
-    if (kind == ArrivalKind::Bursty) {
-        os << ":factor=" << burst_factor
-           << ":on_ms=" << on_mean / units::MS
-           << ":off_ms=" << off_mean / units::MS;
-    } else if (kind == ArrivalKind::Diurnal) {
-        os << ":peak=" << peak_factor
-           << ":period_ms=" << period / units::MS;
-    }
-    os << ":requests=" << requests;
-    if (queue_limit > 0) {
-        os << ":queue=" << queue_limit << ":shed="
-           << (shed == ShedPolicy::DropOldest ? "oldest" : "drop");
-    }
+    os << arrivalKindName(kind) << ':';
+    writeFields(os, arrivalFields(kind), *this, ':');
     return os.str();
 }
 

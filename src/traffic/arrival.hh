@@ -25,7 +25,8 @@
  * of what the serving system does — byte-identical across --jobs
  * modes by construction.
  *
- * Spec grammar (strict: unknown or duplicate keys are errors):
+ * Spec grammar (strict: unknown, duplicate or out-of-bounds keys are
+ * errors; each process's keys and bounds are one table, arrivalFields()):
  *
  *   poisson:rate=<req/s>[:requests=<n>][:queue=<cap>][:shed=drop|oldest]
  *   burst:rate=<req/s>:factor=<f>[:on_ms=<ms>][:off_ms=<ms>][...]
@@ -35,21 +36,26 @@
 #ifndef JSCALE_TRAFFIC_ARRIVAL_HH
 #define JSCALE_TRAFFIC_ARRIVAL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
+#include "base/fields.hh"
 #include "base/random.hh"
 #include "base/units.hh"
 
 namespace jscale::traffic {
 
-/** The modeled arrival process families. */
+/** The modeled arrival process families, in spec-name order. */
 enum class ArrivalKind : std::uint8_t
 {
     Poisson,
     Bursty,
     Diurnal,
 };
+
+/** Number of ArrivalKind values. */
+inline constexpr std::size_t kArrivalKinds = 3;
 
 /** Spec-grammar name of @p kind ("poisson", "burst", "diurnal"). */
 const char *arrivalKindName(ArrivalKind kind);
@@ -101,9 +107,13 @@ struct ArrivalSpec
     static bool parse(const std::string &spec, ArrivalSpec &out,
                       std::string &err);
 
-    /** Canonical one-line spec string (reporting / reproduction). */
+    /** Canonical one-line spec string (reporting / reproduction),
+     *  printed from arrivalFields(kind). */
     std::string describe() const;
 };
+
+/** The keys of process @p kind, one row each, in describe() order. */
+const FieldTable<ArrivalSpec> &arrivalFields(ArrivalKind kind);
 
 /**
  * Deterministic gap sampler for one arrival stream. Consumes the Rng

@@ -1,74 +1,44 @@
 #include "traffic/tenancy.hh"
 
+#include <algorithm>
 #include <sstream>
 
-#include "base/units.hh"
 #include "workload/dacapo.hh"
 
 namespace jscale::traffic {
+
+const FieldTable<TenantSpec> &
+tenantFields()
+{
+    using F = Field<TenantSpec>;
+    static const FieldTable<TenantSpec> table = {
+        F::number("threads", &TenantSpec::threads, 1).require(),
+        F::choice(
+            "process", [](auto &t) -> auto & { return t.arrival.kind; },
+            arrivalKindName, kArrivalKinds),
+    };
+    return table;
+}
 
 bool
 TenantSpec::parse(const std::string &text, TenantSpec &out,
                   std::string &err)
 {
     out = TenantSpec{};
+    const SpecText spec{"tenant", text};
     const std::vector<std::string> fields = splitFields(text, ':');
+    const std::vector<std::string> &apps = workload::dacapoAppNames();
+    if (std::find(apps.begin(), apps.end(), fields[0]) == apps.end()) {
+        err = spec.badValue("app", "a DaCapo application name", fields[0]);
+        return false;
+    }
     out.app = fields[0];
-    if (out.app.empty()) {
-        err = "tenant '" + text + "': missing application name";
-        return false;
-    }
-    bool known = false;
-    for (const std::string &name : workload::dacapoAppNames())
-        known = known || name == out.app;
-    if (!known) {
-        err = "tenant '" + text + "': unknown application '" + out.app +
-              "'";
-        return false;
-    }
-
-    // Pull out threads= and process=; forward everything else to the
-    // arrival-spec parser so both grammars stay in lock-step.
-    std::string process = "poisson";
-    std::vector<std::string> arrival_fields;
-    bool have_threads = false;
-    for (std::size_t i = 1; i < fields.size(); ++i) {
-        const std::string &field = fields[i];
-        const auto eq = field.find('=');
-        const std::string key =
-            eq == std::string::npos ? field : field.substr(0, eq);
-        if (key == "threads") {
-            if (have_threads) {
-                err = "tenant '" + text + "': duplicate key 'threads'";
-                return false;
-            }
-            const std::string value = field.substr(eq + 1);
-            if (!parseNumber(value, out.threads) || out.threads < 1) {
-                err = "tenant '" + text +
-                      "': threads needs a count >= 1, got '" + value +
-                      "'";
-                return false;
-            }
-            have_threads = true;
-        } else if (key == "process") {
-            process = field.substr(eq + 1);
-        } else {
-            arrival_fields.push_back(field);
-        }
-    }
-    if (!have_threads) {
-        err = "tenant '" + text + "': missing required key 'threads'";
-        return false;
-    }
-
-    std::string arrival_spec = process;
-    for (const std::string &f : arrival_fields)
-        arrival_spec += ":" + f;
-    if (!ArrivalSpec::parse(arrival_spec, out.arrival, err)) {
-        err = "tenant '" + text + "': " + err;
-        return false;
-    }
-    return true;
+    // The tenant's own keys first; the rest are its arrival stream's.
+    std::vector<std::string> arrival;
+    return readFields(spec, {fields.begin() + 1, fields.end()},
+                      tenantFields(), out, err, &arrival) &&
+           readFields(spec, arrival, arrivalFields(out.arrival.kind),
+                      out.arrival, err);
 }
 
 bool

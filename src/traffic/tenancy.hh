@@ -9,7 +9,8 @@
  * tenant's stop-the-world pauses only its own scheduling group; the
  * neighbours keep running through it).
  *
- * Tenant spec grammar (';'-separated list, strict keys):
+ * Tenant spec grammar (';'-separated list, strict keys: tenantFields()
+ * first, the rest through the process's arrivalFields()):
  *
  *   <app>:threads=<n>[:process=poisson|burst|diurnal]:rate=<req/s>
  *        [:requests=<n>][:queue=<cap>][:shed=drop|oldest]
@@ -47,6 +48,9 @@ struct TenantSpec
     /** Canonical one-line description. */
     std::string describe() const;
 };
+
+/** The tenant's own keys, read before its arrivalFields(). */
+const FieldTable<TenantSpec> &tenantFields();
 
 } // namespace jscale::traffic
 

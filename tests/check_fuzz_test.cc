@@ -63,6 +63,8 @@ TEST(Fuzz, ParseRejectsJunk)
         FuzzCase::parse("seed=1 threads=0 tasks=10", out, err));
     EXPECT_FALSE(FuzzCase::parse("seed=1 heap=5", out, err));
     EXPECT_FALSE(FuzzCase::parse("", out, err));
+    EXPECT_FALSE(FuzzCase::parse("seed=1 seed=2", out, err));
+    EXPECT_NE(err.find("duplicate key 'seed'"), std::string::npos) << err;
 }
 
 TEST(Fuzz, ParseReadsEveryFieldWholeAndBounded)

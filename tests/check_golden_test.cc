@@ -98,6 +98,24 @@ TEST(Golden, ReaderRejectsMalformedFilesWithDiagnostics)
               std::string::npos);
     EXPECT_NE(read_err("jscale-golden v1\nconfig junk\n").find("line 2"),
               std::string::npos);
+    // Numbers are read whole: a suffix, a sign or trailing tokens are
+    // malformed, not a prefix that happens to parse.
+    for (const char *run : {"run h2 2x", "run h2 +2", "run h2 -2",
+                            "run h2 2 extra", "run h2 4294967296"}) {
+        EXPECT_NE(read_err("jscale-golden v1\n" + std::string(run) +
+                           "\nend\n")
+                      .find("line 2: malformed run header"),
+                  std::string::npos)
+            << run;
+    }
+    for (const char *stat : {"stat threads 2junk", "stat threads +2",
+                             "stat threads 0x2", "stat threads 2 B extra"}) {
+        EXPECT_NE(read_err("jscale-golden v1\nrun h2 2\n" +
+                           std::string(stat) + "\nend\n")
+                      .find("line 3: malformed stat entry"),
+                  std::string::npos)
+            << stat;
+    }
 }
 
 TEST(Golden, CommentsAndBlankLinesAreIgnored)

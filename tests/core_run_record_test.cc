@@ -13,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/report.hh"
@@ -131,6 +133,38 @@ TEST(RunRecord, RejectsGarbage)
     {
         std::istringstream is("\x01\x02\x03 not a record");
         EXPECT_FALSE(core::readRunRecord(is, "k", "fp", out, err));
+    }
+
+    // A hand-edited field reads strictly: a sign, blanks, a suffix or a
+    // decimal where the codec writes an integer or a hexfloat.
+    const std::string bytes = record(simulate("xalan", 2));
+    const auto edited = [&bytes](const std::string &head,
+                                 const std::string &value) {
+        const std::size_t at = bytes.find("\n" + head + " ") + 1;
+        const std::size_t eol = bytes.find('\n', at);
+        return bytes.substr(0, at) + head + " " + value + bytes.substr(eol);
+    };
+    const std::string u = "u wall_time";
+    const std::string d = "d gc.adaptive.final_young_fraction";
+    for (const auto &[head, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {u, "-14215801"}, {u, "+14215801"}, {u, " 14215801"},
+             {u, "14215801x"}, {u, "1.5"}, {u, "0x10"},
+             {"u threads", "4294967296"}, {d, "0x-1p+0"}, {d, "+0x1p+0"},
+             {d, "0x1p+0z"}, {d, " 0x1p+0"}, {d, "0x"}}) {
+        const std::string text = edited(head, value);
+        ASSERT_NE(text, bytes) << head;
+        std::istringstream is(text);
+        EXPECT_FALSE(core::readRunRecord(is, "k", "fp", out, err))
+            << head << " " << value;
+    }
+    // The same edits with well-formed values read back.
+    for (const auto &[head, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {u, "14215801"}, {d, "-0x1.8p+1"}, {d, "inf"}}) {
+        std::istringstream is(edited(head, value));
+        EXPECT_TRUE(core::readRunRecord(is, "k", "fp", out, err))
+            << head << " " << value << ": " << err;
     }
 }
 

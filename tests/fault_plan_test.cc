@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "base/units.hh"
 #include "fault/fault.hh"
@@ -91,6 +93,20 @@ TEST(FaultPlanParse, RejectsMalformedSpecs)
     EXPECT_FALSE(FaultPlan::parse("heap@5:mb=0", plan, err));
     // Negative time.
     EXPECT_FALSE(FaultPlan::parse("kill@-3", plan, err));
+    // Counts are read whole and bounded, and no key is given twice;
+    // the diagnosis names the key.
+    for (const auto &[spec, key] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"coreoff@5:n=2.7", "n"},
+             {"coreoff@5:n=4294967296", "n"},
+             {"heap@3:mb=1e300", "mb"},
+             {"intensity=0.5:seed=1e300", "seed"},
+             {"intensity=0.5:seed=2.5", "seed"},
+             {"kill@3:n=2:n=5", "n"},
+             {"intensity=0.5:seed=1:seed=2", "seed"}}) {
+        EXPECT_FALSE(FaultPlan::parse(spec, plan, err)) << spec;
+        EXPECT_NE(err.find("'" + key + "'"), std::string::npos) << err;
+    }
 }
 
 TEST(FaultPlanParse, RejectsTimesBeyondTheTickClock)

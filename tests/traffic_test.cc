@@ -71,14 +71,30 @@ TEST(ArrivalSpec, ParsesEveryProcessFamily)
 
 TEST(ArrivalSpec, DescribeRoundTrips)
 {
-    ArrivalSpec a;
-    std::string err;
-    ASSERT_TRUE(ArrivalSpec::parse(
-        "poisson:rate=350:requests=42:queue=7:shed=oldest", a, err));
-    ArrivalSpec b;
-    ASSERT_TRUE(ArrivalSpec::parse(a.describe(), b, err))
-        << a.describe() << ": " << err;
-    EXPECT_EQ(a.describe(), b.describe());
+    // Canonical specs print back byte for byte, fractional ms included,
+    // and parse to the same fields.
+    for (const char *spec :
+         {"poisson:rate=350:requests=42:queue=7:shed=oldest",
+          "burst:rate=1000:factor=2:on_ms=2.5:off_ms=0.4:requests=20",
+          "diurnal:rate=100:peak=4:period_ms=1234567.5:requests=1000"}) {
+        ArrivalSpec a;
+        std::string err;
+        ASSERT_TRUE(ArrivalSpec::parse(spec, a, err)) << spec << ": " << err;
+        EXPECT_EQ(a.describe(), spec);
+        ArrivalSpec b;
+        ASSERT_TRUE(ArrivalSpec::parse(a.describe(), b, err))
+            << a.describe() << ": " << err;
+        EXPECT_EQ(a.kind, b.kind) << spec;
+        EXPECT_EQ(a.rate, b.rate) << spec;
+        EXPECT_EQ(a.requests, b.requests) << spec;
+        EXPECT_EQ(a.queue_limit, b.queue_limit) << spec;
+        EXPECT_EQ(a.shed, b.shed) << spec;
+        EXPECT_EQ(a.burst_factor, b.burst_factor) << spec;
+        EXPECT_EQ(a.on_mean, b.on_mean) << spec;
+        EXPECT_EQ(a.off_mean, b.off_mean) << spec;
+        EXPECT_EQ(a.peak_factor, b.peak_factor) << spec;
+        EXPECT_EQ(a.period, b.period) << spec;
+    }
 }
 
 TEST(ArrivalSpec, RejectsMalformedSpecs)
@@ -93,7 +109,13 @@ TEST(ArrivalSpec, RejectsMalformedSpecs)
           "poisson:rate=1:shed=sometimes", "poisson:rate=+5",
           "poisson:rate= 5", "poisson:rate=0x10",
           "burst:rate=1000:factor=2:on_ms=1e300:requests=20",
-          "diurnal:rate=100:period_ms=1e14"}) {
+          "diurnal:rate=100:period_ms=1e14",
+          "poisson:rate=100:requests=1e300",
+          "poisson:rate=100:requests=18446744073709551615",
+          "poisson:rate=100:requests=2.5", "poisson:rate=100:queue=0.5",
+          "poisson:rate=100:queue=1e300",
+          "poisson:rate=100:requests=5:requests=5",
+          "diurnal:rate=100:period_ms=0.0000001"}) {
         EXPECT_FALSE(ArrivalSpec::parse(bad, s, err)) << bad;
         EXPECT_FALSE(err.empty()) << bad;
     }
@@ -117,7 +139,13 @@ TEST(TenantSpec, ParsesListAndRejectsGarbage)
          {"", "h2", "h2:rate=5", "h2:threads=0:rate=5",
           "h2:threads=4294967297:rate=5", "h2:threads=+2:rate=5",
           "nosuchapp:threads=2:rate=5",
-          "h2:threads=2:rate=5;;h2:threads=2:rate=5"}) {
+          "h2:threads=2:rate=5;;h2:threads=2:rate=5",
+          "h2:threads=2:rate=5:requests=1e300",
+          "h2:threads=2:rate=5:requests=18446744073709551615",
+          "h2:threads=2:rate=5:requests=2.5", "h2:threads=2:rate=5:queue=0.5",
+          "h2:threads=2:rate=5:queue=1e300", "h2:threads=2.5:rate=5",
+          "h2:threads=2:threads=2:rate=5", "h2:threads=2:rate=5:rate=5",
+          "h2:threads=2:process=burst:process=burst:rate=5"}) {
         EXPECT_FALSE(TenantSpec::parseList(bad, tenants, err)) << bad;
     }
 }

@@ -1,14 +1,12 @@
 #include "cli.hh"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <functional>
 #include <limits>
 #include <ostream>
 #include <sstream>
 
-#include "base/units.hh"
+#include "base/fields.hh"
 #include "core/experiment.hh"
 #include "traffic/arrival.hh"
 #include "workload/dacapo.hh"
@@ -16,44 +14,6 @@
 namespace jscale::cli {
 
 namespace {
-
-/** Shortest text that parses back to @p v. */
-template <class T>
-std::string
-formatValue(T v)
-{
-    char buf[32];
-    return {buf, std::to_chars(buf, buf + sizeof buf, v).ptr};
-}
-
-/** Marks a real range open at zero: (0, hi]. */
-constexpr double kPositive = std::numeric_limits<double>::denorm_min();
-
-template <class T>
-std::string
-rangeText(T lo, T hi)
-{
-    return (lo == kPositive ? "(0" : "[" + formatValue(lo)) + ", " +
-           formatValue(hi) + "]";
-}
-
-/** The values just outside [lo, hi]. */
-template <class T>
-std::vector<std::string>
-beyondRange(T lo, T hi)
-{
-    if constexpr (std::is_integral_v<T>) {
-        std::vector<std::string> out;
-        if (lo > 0)
-            out.push_back(formatValue(lo - 1));
-        if (hi < std::numeric_limits<std::uint64_t>::max())
-            out.push_back(formatValue(std::uint64_t{hi} + 1));
-        return out;
-    } else {
-        return {formatValue(std::nextafter(lo, -1.0)),
-                formatValue(std::nextafter(hi, 2 * hi))};
-    }
-}
 
 template <class Field>
 using FieldOf = std::remove_cvref_t<std::invoke_result_t<Field, CliOptions &>>;
@@ -70,7 +30,7 @@ numberValue(Field field, std::type_identity_t<T> lo,
     v.arg = std::is_integral_v<T> ? "<n>" : "<f>";
     v.set = [=](CliOptions &o, const std::string &text) {
         T x{};
-        if (!parseNumber(text, x) || !(x >= lo && x <= hi))
+        if (!readBounded(text, lo, hi, x))
             return expect;
         std::invoke(field, o) = x * unit;
         return std::string();
@@ -93,15 +53,11 @@ listValue(Field field, std::type_identity_t<T> lo, std::type_identity_t<T> hi)
     v.arg = "<list>";
     v.set = [=](CliOptions &o, const std::string &text) {
         std::vector<T> items;
-        for (std::size_t start = 0; start <= text.size();) {
-            const std::size_t comma = std::min(text.find(',', start),
-                                               text.size());
+        for (const std::string &item : splitFields(text, ',')) {
             T x{};
-            if (!parseNumber(text.substr(start, comma - start), x) ||
-                !(x >= lo && x <= hi))
+            if (!readBounded(item, lo, hi, x))
                 return expect;
             items.push_back(x);
-            start = comma + 1;
         }
         std::invoke(field, o) = std::move(items);
         return std::string();
