@@ -1,8 +1,8 @@
 /**
  * @file
  * E12 — simulator micro-benchmarks (google-benchmark): throughput of
- * the event queue, the allocation/death path, the monitor fast path and
- * a full simulated application run. These bound the cost of every
+ * the event queue, the allocation/death path, the monitor fast path, the
+ * timeline encoder and a full simulated application run. These bound the cost of every
  * experiment above and guard against performance regressions in the
  * simulation kernel itself.
  */
@@ -10,6 +10,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <streambuf>
+#include <string>
 #include <vector>
 
 #include "base/random.hh"
@@ -20,6 +22,7 @@
 #include "sim/event.hh"
 #include "sim/simulation.hh"
 #include "stats/stats.hh"
+#include "telemetry/timeline.hh"
 #include "traffic/arrival.hh"
 
 namespace {
@@ -365,6 +368,57 @@ BM_ArrivalGapSampling(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ArrivalGapSampling);
+
+/** A stream buffer that counts and discards what it is given. */
+class CountingSink : public std::streambuf
+{
+  public:
+    std::int64_t bytes = 0;
+
+  protected:
+    std::streamsize
+    xsputn(const char *, std::streamsize n) override
+    {
+        bytes += n;
+        return n;
+    }
+
+    int_type
+    overflow(int_type c) override
+    {
+        ++bytes;
+        return traits_type::not_eof(c);
+    }
+};
+
+void
+BM_TimelineEncode(benchmark::State &state)
+{
+    // The recorder's two hot shapes, nearly every event of a timeline:
+    // a core burst span and a thread-state span, without and with the
+    // monitor a lock-blocked span carries.
+    using telemetry::targ;
+    CountingSink sink;
+    std::ostream os(&sink);
+    telemetry::Timeline tl(os);
+    const std::string thread = "xalan-worker-12";
+    Ticks now = 1'000'000'007;
+    for (auto _ : state) {
+        tl.span(1, 3, thread, "burst", now, now + 15'321,
+                {targ("thread", std::uint64_t{12}),
+                 targ("overhead_ns", std::uint64_t{850})});
+        tl.span(2, 12, "running", "state", now, now + 15'321);
+        tl.span(2, 12, "lock-blocked", "state", now + 15'321, now + 20'004,
+                {targ("monitor", std::uint64_t{7})});
+        now += 20'004;
+        benchmark::ClobberMemory();
+    }
+    tl.finish();
+    benchmark::DoNotOptimize(sink.bytes);
+    state.SetItemsProcessed(static_cast<std::int64_t>(tl.events()));
+    state.SetBytesProcessed(sink.bytes);
+}
+BENCHMARK(BM_TimelineEncode);
 
 void
 BM_OpenLoopInjection(benchmark::State &state)

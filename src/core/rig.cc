@@ -236,18 +236,21 @@ RunRig::finish(std::span<jvm::RunResult> results)
         if (config_.profile)
             telemetry::emitProfileTracks(*timeline_, first.profile, now);
         timeline_->finish();
-        commitArtifact(timeline_writer_, artifact_errors_);
-        first.timeline_file = inputs_.timeline_file;
-        first.timeline_events = timeline_->events();
+        // A file is claimed only once it is in place.
+        if (commitArtifact(timeline_writer_, artifact_errors_)) {
+            first.timeline_file = inputs_.timeline_file;
+            first.timeline_events = timeline_->events();
+        }
     }
     if (sampler_) {
         std::optional<AtomicFileWriter> csv;
         if (openArtifact(csv, inputs_.metrics_file, artifact_errors_)) {
             sampler_->writeCsv(csv->stream());
-            commitArtifact(csv, artifact_errors_);
-            for (jvm::RunResult &r : results) {
-                r.metrics_file = inputs_.metrics_file;
-                r.metric_rows = sampler_->samples().size();
+            if (commitArtifact(csv, artifact_errors_)) {
+                for (jvm::RunResult &r : results) {
+                    r.metrics_file = inputs_.metrics_file;
+                    r.metric_rows = sampler_->samples().size();
+                }
             }
         }
     }

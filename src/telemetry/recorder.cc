@@ -102,12 +102,9 @@ TelemetryRecorder::closeState(ThreadTrack &tr, Ticks now)
     const char *label = std::exchange(tr.label, nullptr);
     if (label == nullptr || now == tr.since)
         return; // nothing open, or a zero-length state (skip the noise)
-    TraceArgs args;
-    if (tr.monitor != kNoMonitor)
-        args.push_back(
-            targ("monitor", static_cast<std::uint64_t>(tr.monitor)));
+    const TraceArg args[1] = {targ("monitor", tr.monitor)};
     timeline_.span(kThreadsPid, tr.tid, label, "state", tr.since, now,
-                   args);
+                   Timeline::Args(args, tr.monitor != kNoMonitor ? 1 : 0));
 }
 
 void
@@ -132,19 +129,18 @@ TelemetryRecorder::onBurstEnd(const os::OsThread &t, machine::CoreId core,
                               Ticks started, bool preempted, Ticks now)
 {
     CoreTrack &ct = coreTrack(core);
-    TraceArgs args = {
-        targ("thread", static_cast<std::uint64_t>(t.id())),
-        targ("overhead_ns", static_cast<std::uint64_t>(ct.overhead)),
-    };
+    TraceArg args[4] = {targ("thread", t.id()),
+                        targ("overhead_ns", ct.overhead)};
+    std::size_t n = 2;
     if (ct.stolen)
-        args.push_back(targ("stolen", "true"));
+        args[n++] = targ("stolen", "true");
     if (preempted)
-        args.push_back(targ("preempted", "true"));
-    timeline_.span(kCoresPid, core, t.name(), "burst", started, now, args);
+        args[n++] = targ("preempted", "true");
+    timeline_.span(kCoresPid, core, t.name(), "burst", started, now,
+                   Timeline::Args(args, n));
     if (preempted) {
         timeline_.instant(kCoresPid, core, "preempt", "sched", now,
-                          {targ("thread",
-                                static_cast<std::uint64_t>(t.id()))});
+                          {targ("thread", t.id())});
     }
     ct.busy = false;
     ct.idle_since = now;
@@ -155,9 +151,8 @@ TelemetryRecorder::onMigrate(const os::OsThread &t, machine::CoreId from,
                              machine::CoreId to, Ticks now)
 {
     timeline_.instant(kCoresPid, to, "migrate", "sched", now,
-                      {targ("thread", static_cast<std::uint64_t>(t.id())),
-                       targ("from", static_cast<std::uint64_t>(from)),
-                       targ("to", static_cast<std::uint64_t>(to))});
+                      {targ("thread", t.id()), targ("from", from),
+                       targ("to", to)});
 }
 
 void
@@ -208,13 +203,10 @@ TelemetryRecorder::onGcEnd(const jvm::GcEvent &event, Ticks now)
         kVmPid, kGcTid, jvm::gcKindName(event.kind), "gc",
         event.safepoint_at, event.finished_at,
         {targ("sequence", event.sequence),
-         targ("ttsp_ns", static_cast<std::uint64_t>(
-                             event.timeToSafepoint())),
-         targ("moved_bytes", static_cast<std::uint64_t>(event.moved_bytes)),
-         targ("promoted_bytes",
-              static_cast<std::uint64_t>(event.promoted_bytes)),
-         targ("reclaimed_bytes",
-              static_cast<std::uint64_t>(event.reclaimed_bytes))});
+         targ("ttsp_ns", event.timeToSafepoint()),
+         targ("moved_bytes", event.moved_bytes),
+         targ("promoted_bytes", event.promoted_bytes),
+         targ("reclaimed_bytes", event.reclaimed_bytes)});
 }
 
 void
@@ -232,11 +224,10 @@ TelemetryRecorder::onConcurrentMarkEnd(std::uint64_t cycle, bool aborted,
     if (!mark_open_)
         return;
     mark_open_ = false;
-    TraceArgs args = {targ("cycle", cycle)};
-    if (aborted)
-        args.push_back(targ("aborted", "true"));
+    const TraceArg args[2] = {targ("cycle", cycle),
+                              targ("aborted", "true")};
     timeline_.span(kVmPid, kConcMarkTid, "concurrent-mark", "gc",
-                   mark_since_, now, args);
+                   mark_since_, now, Timeline::Args(args, aborted ? 2 : 1));
 }
 
 void
@@ -247,10 +238,8 @@ TelemetryRecorder::onGovernorDecision(std::uint32_t target,
 {
     timeline_.counter(
         kVmPid, "governor", now,
-        {targ("target", static_cast<std::uint64_t>(target)),
-         targ("active", static_cast<std::uint64_t>(active)),
-         targ("parked", static_cast<std::uint64_t>(parked)),
-         targ("tasks", tasks_delta)});
+        {targ("target", target), targ("active", active),
+         targ("parked", parked), targ("tasks", tasks_delta)});
 }
 
 void
@@ -258,8 +247,7 @@ TelemetryRecorder::trafficCounter(Ticks now)
 {
     timeline_.counter(
         kVmPid, "traffic", now,
-        {targ("queued",
-              static_cast<std::uint64_t>(queued_requests_.size())),
+        {targ("queued", queued_requests_.size()),
          targ("inflight", requests_inflight_)});
 }
 
@@ -325,8 +313,7 @@ TelemetryRecorder::finish(Ticks end)
         if (ct.busy) {
             timeline_.span(kCoresPid, core, ct.runner, "burst",
                            ct.burst_since, end,
-                           {targ("thread", static_cast<std::uint64_t>(
-                                               ct.runner_id)),
+                           {targ("thread", ct.runner_id),
                             targ("truncated", "true")});
         } else if (end > ct.idle_since) {
             timeline_.span(kCoresPid, core, "idle", "idle", ct.idle_since,

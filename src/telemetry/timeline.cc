@@ -1,18 +1,31 @@
 #include "telemetry/timeline.hh"
 
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
 
 #include "base/logging.hh"
 
 namespace jscale::telemetry {
 
-std::string
-jsonEscape(const std::string &s)
+namespace {
+
+bool
+needsEscape(char c)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+/** Append @p s escaped: each clean run goes in with one call. */
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    for (;;) {
+        const auto bad = std::find_if(s.begin(), s.end(), needsEscape);
+        const auto clean = static_cast<std::size_t>(bad - s.begin());
+        out.append(s.data(), clean);
+        if (bad == s.end())
+            return;
+        switch (*bad) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
           case '\b': out += "\\b"; break;
@@ -20,77 +33,60 @@ jsonEscape(const std::string &s)
           case '\n': out += "\\n"; break;
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+            static constexpr char kHex[] = "0123456789abcdef";
+            const auto u = static_cast<unsigned char>(*bad);
+            const char esc[] = {'\\', 'u', '0', '0', kHex[u >> 4],
+                                kHex[u & 0xf]};
+            out.append(esc, sizeof(esc));
+          }
         }
+        s.remove_prefix(clean + 1);
     }
-    return out;
 }
 
-TraceArg
-targ(std::string key, std::string value)
+void
+appendQuoted(std::string &out, std::string_view s)
 {
-    return {std::move(key), std::move(value), /*quoted=*/true};
+    out += '"';
+    appendEscaped(out, s);
+    out += '"';
 }
 
-TraceArg
-targ(std::string key, const char *value)
+void
+appendUint(std::string &out, std::uint64_t v)
 {
-    return {std::move(key), std::string(value), /*quoted=*/true};
+    char digits[20];
+    const auto end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
+    out.append(digits, end);
 }
 
-TraceArg
-targ(std::string key, std::uint64_t value)
+/** Append nanosecond Ticks as exact microseconds ("12.345"). */
+void
+appendMicros(std::string &out, Ticks ns)
 {
-    return {std::move(key), std::to_string(value), /*quoted=*/false};
-}
-
-TraceArg
-targ(std::string key, std::int64_t value)
-{
-    return {std::move(key), std::to_string(value), /*quoted=*/false};
-}
-
-TraceArg
-targ(std::string key, std::uint32_t value)
-{
-    return targ(std::move(key), static_cast<std::uint64_t>(value));
-}
-
-TraceArg
-targ(std::string key, double value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    return {std::move(key), std::string(buf), /*quoted=*/false};
-}
-
-namespace {
-
-/** Render nanosecond Ticks as exact microseconds ("12.345"). */
-std::string
-microseconds(Ticks ns)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                  static_cast<unsigned long long>(ns / 1000),
-                  static_cast<unsigned long long>(ns % 1000));
-    return std::string(buf);
+    appendUint(out, ns / 1000);
+    const auto frac = static_cast<unsigned>(ns % 1000);
+    const char tail[] = {'.', static_cast<char>('0' + frac / 100),
+                         static_cast<char>('0' + frac / 10 % 10),
+                         static_cast<char>('0' + frac % 10)};
+    out.append(tail, sizeof(tail));
 }
 
 } // namespace
 
+std::string
+jsonEscape(std::string_view s)
+{
+    std::string out;
+    appendEscaped(out, s);
+    return out;
+}
+
 Timeline::Timeline(std::ostream &os) : os_(os)
 {
-    os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+    buf_.reserve(2 * kFlushBytes);
+    buf_ += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
 }
 
 Timeline::~Timeline()
@@ -99,90 +95,112 @@ Timeline::~Timeline()
 }
 
 void
-Timeline::beginEvent(const std::string &name, const std::string &cat,
-                     char ph, std::uint32_t pid, std::uint32_t tid,
-                     Ticks ts)
+Timeline::beginEvent(std::string_view name, std::string_view cat, char ph,
+                     std::uint32_t pid, std::uint32_t tid, Ticks ts)
 {
     jscale_assert(!finished_, "event recorded after Timeline::finish");
     if (events_ > 0)
-        os_ << ",";
-    os_ << "\n{\"name\":\"" << jsonEscape(name) << "\"";
-    if (!cat.empty())
-        os_ << ",\"cat\":\"" << jsonEscape(cat) << "\"";
-    os_ << ",\"ph\":\"" << ph << "\",\"pid\":" << pid
-        << ",\"tid\":" << tid << ",\"ts\":" << microseconds(ts);
+        buf_ += ',';
+    buf_ += "\n{\"name\":";
+    appendQuoted(buf_, name);
+    if (!cat.empty()) {
+        buf_ += ",\"cat\":";
+        appendQuoted(buf_, cat);
+    }
+    buf_ += ",\"ph\":\"";
+    buf_ += ph;
+    buf_ += "\",\"pid\":";
+    appendUint(buf_, pid);
+    buf_ += ",\"tid\":";
+    appendUint(buf_, tid);
+    buf_ += ",\"ts\":";
+    appendMicros(buf_, ts);
     ++events_;
 }
 
 void
-Timeline::writeArgs(const TraceArgs &args)
+Timeline::writeArgs(Args args)
 {
     if (args.empty())
         return;
-    os_ << ",\"args\":{";
-    bool first = true;
+    buf_ += ",\"args\":{";
     for (const TraceArg &a : args) {
-        if (!first)
-            os_ << ",";
-        first = false;
-        os_ << "\"" << jsonEscape(a.key) << "\":";
-        if (a.quoted)
-            os_ << "\"" << jsonEscape(a.value) << "\"";
+        if (&a != args.data())
+            buf_ += ',';
+        appendQuoted(buf_, a.key);
+        buf_ += ':';
+        if (a.numeric)
+            appendUint(buf_, a.number);
         else
-            os_ << a.value;
+            appendQuoted(buf_, a.text);
     }
-    os_ << "}";
+    buf_ += '}';
 }
 
 void
 Timeline::endEvent()
 {
-    os_ << "}";
+    buf_ += '}';
+    if (buf_.size() >= kFlushBytes)
+        flush();
 }
 
 void
-Timeline::processName(std::uint32_t pid, const std::string &name)
+Timeline::flush()
 {
-    beginEvent("process_name", "", 'M', pid, 0, 0);
-    writeArgs({targ("name", name)});
+    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+}
+
+void
+Timeline::metadata(std::string_view kind, std::uint32_t pid,
+                   std::uint32_t tid, std::string_view name)
+{
+    beginEvent(kind, "", 'M', pid, tid, 0);
+    const TraceArg arg = targ("name", name);
+    writeArgs({&arg, 1});
     endEvent();
+}
+
+void
+Timeline::processName(std::uint32_t pid, std::string_view name)
+{
+    metadata("process_name", pid, 0, name);
 }
 
 void
 Timeline::threadName(std::uint32_t pid, std::uint32_t tid,
-                     const std::string &name)
+                     std::string_view name)
 {
-    beginEvent("thread_name", "", 'M', pid, tid, 0);
-    writeArgs({targ("name", name)});
-    endEvent();
+    metadata("thread_name", pid, tid, name);
 }
 
 void
-Timeline::span(std::uint32_t pid, std::uint32_t tid,
-               const std::string &name, const std::string &cat,
-               Ticks begin, Ticks end, const TraceArgs &args)
+Timeline::span(std::uint32_t pid, std::uint32_t tid, std::string_view name,
+               std::string_view cat, Ticks begin, Ticks end, Args args)
 {
     jscale_assert(end >= begin, "span '", name, "' ends before it begins");
     beginEvent(name, cat, 'X', pid, tid, begin);
-    os_ << ",\"dur\":" << microseconds(end - begin);
+    buf_ += ",\"dur\":";
+    appendMicros(buf_, end - begin);
     writeArgs(args);
     endEvent();
 }
 
 void
 Timeline::instant(std::uint32_t pid, std::uint32_t tid,
-                  const std::string &name, const std::string &cat,
-                  Ticks at, const TraceArgs &args)
+                  std::string_view name, std::string_view cat, Ticks at,
+                  Args args)
 {
     beginEvent(name, cat, 'i', pid, tid, at);
-    os_ << ",\"s\":\"t\""; // thread-scoped instant
+    buf_ += ",\"s\":\"t\""; // thread-scoped instant
     writeArgs(args);
     endEvent();
 }
 
 void
-Timeline::counter(std::uint32_t pid, const std::string &name, Ticks at,
-                  const TraceArgs &args)
+Timeline::counter(std::uint32_t pid, std::string_view name, Ticks at,
+                  Args args)
 {
     beginEvent(name, "metrics", 'C', pid, 0, at);
     writeArgs(args);
@@ -195,7 +213,8 @@ Timeline::finish()
     if (finished_)
         return;
     finished_ = true;
-    os_ << "\n]}\n";
+    buf_ += "\n]}\n";
+    flush();
     os_.flush();
 }
 

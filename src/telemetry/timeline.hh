@@ -12,14 +12,23 @@
  * Timestamps are rendered from integer nanosecond Ticks as exact
  * "<us>.<ns>" decimals — no double rounding — so span totals in the
  * JSON match the simulator's tick accounting.
+ *
+ * Each event is appended in place to one reusable buffer (integers via
+ * std::to_chars, strings escaped straight into it), which is written
+ * to the stream in chunks of at least 64 KiB: no event builds a string
+ * of its own. Names, categories and arguments are views that need only
+ * live for the call that passes them.
  */
 
 #ifndef JSCALE_TELEMETRY_TIMELINE_HH
 #define JSCALE_TELEMETRY_TIMELINE_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <ostream>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/units.hh"
@@ -27,28 +36,36 @@
 namespace jscale::telemetry {
 
 /** Escape a string for embedding inside a JSON string literal. */
-std::string jsonEscape(const std::string &s);
+std::string jsonEscape(std::string_view s);
 
-/** One key/value argument attached to a trace event. */
+/**
+ * One key/value argument attached to a trace event: a text (quoted and
+ * escaped) or an unsigned number (rendered bare). It holds views, so
+ * what it names must outlive the Timeline call it is passed to.
+ */
 struct TraceArg
 {
-    std::string key;
-    /** Rendered value; quoted and escaped when @p quoted. */
-    std::string value;
-    bool quoted = true;
+    std::string_view key;
+    std::string_view text;
+    std::uint64_t number = 0;
+    bool numeric = false;
 };
 
-/** String argument. */
-TraceArg targ(std::string key, std::string value);
-TraceArg targ(std::string key, const char *value);
+/** Text argument. */
+inline TraceArg
+targ(std::string_view key, std::string_view text)
+{
+    return {key, text, 0, false};
+}
 
-/** Numeric arguments (rendered unquoted). */
-TraceArg targ(std::string key, std::uint64_t value);
-TraceArg targ(std::string key, std::int64_t value);
-TraceArg targ(std::string key, std::uint32_t value);
-TraceArg targ(std::string key, double value);
+/** Numeric argument. */
+inline TraceArg
+targ(std::string_view key, std::uint64_t number)
+{
+    return {key, {}, number, true};
+}
 
-/** Trace-event argument list. */
+/** An argument list built at run time (its views as for TraceArg). */
 using TraceArgs = std::vector<TraceArg>;
 
 /**
@@ -59,6 +76,8 @@ using TraceArgs = std::vector<TraceArg>;
 class Timeline
 {
   public:
+    using Args = std::span<const TraceArg>;
+
     explicit Timeline(std::ostream &os);
     ~Timeline();
 
@@ -66,28 +85,48 @@ class Timeline
     Timeline &operator=(const Timeline &) = delete;
 
     /** Name the track group @p pid ("process_name" metadata). */
-    void processName(std::uint32_t pid, const std::string &name);
+    void processName(std::uint32_t pid, std::string_view name);
 
     /** Name track @p tid within @p pid ("thread_name" metadata). */
     void threadName(std::uint32_t pid, std::uint32_t tid,
-                    const std::string &name);
+                    std::string_view name);
 
     /** Complete span [begin, end] on track (pid, tid). */
-    void span(std::uint32_t pid, std::uint32_t tid,
-              const std::string &name, const std::string &cat,
-              Ticks begin, Ticks end, const TraceArgs &args = {});
+    void span(std::uint32_t pid, std::uint32_t tid, std::string_view name,
+              std::string_view cat, Ticks begin, Ticks end,
+              Args args = {});
+    void
+    span(std::uint32_t pid, std::uint32_t tid, std::string_view name,
+         std::string_view cat, Ticks begin, Ticks end,
+         std::initializer_list<TraceArg> args)
+    {
+        span(pid, tid, name, cat, begin, end, Args(args));
+    }
 
     /** Instant event at @p at on track (pid, tid). */
     void instant(std::uint32_t pid, std::uint32_t tid,
-                 const std::string &name, const std::string &cat,
-                 Ticks at, const TraceArgs &args = {});
+                 std::string_view name, std::string_view cat, Ticks at,
+                 Args args = {});
+    void
+    instant(std::uint32_t pid, std::uint32_t tid, std::string_view name,
+            std::string_view cat, Ticks at,
+            std::initializer_list<TraceArg> args)
+    {
+        instant(pid, tid, name, cat, at, Args(args));
+    }
 
     /**
      * Counter event: every numeric arg becomes one series on the
      * counter track @p name of process @p pid.
      */
-    void counter(std::uint32_t pid, const std::string &name, Ticks at,
-                 const TraceArgs &args);
+    void counter(std::uint32_t pid, std::string_view name, Ticks at,
+                 Args args);
+    void
+    counter(std::uint32_t pid, std::string_view name, Ticks at,
+            std::initializer_list<TraceArg> args)
+    {
+        counter(pid, name, at, Args(args));
+    }
 
     /** Terminate the JSON document; further events are rejected. */
     void finish();
@@ -96,13 +135,20 @@ class Timeline
     std::uint64_t events() const { return events_; }
 
   private:
-    void beginEvent(const std::string &name, const std::string &cat,
-                    char ph, std::uint32_t pid, std::uint32_t tid,
-                    Ticks ts);
-    void writeArgs(const TraceArgs &args);
+    /** The buffer goes to the stream once it holds this many bytes. */
+    static constexpr std::size_t kFlushBytes = 64 * 1024;
+
+    void metadata(std::string_view kind, std::uint32_t pid,
+                  std::uint32_t tid, std::string_view name);
+    void beginEvent(std::string_view name, std::string_view cat, char ph,
+                    std::uint32_t pid, std::uint32_t tid, Ticks ts);
+    void writeArgs(Args args);
     void endEvent();
+    void flush();
 
     std::ostream &os_;
+    /** Encoded events not yet written: under kFlushBytes plus one. */
+    std::string buf_;
     std::uint64_t events_ = 0;
     bool finished_ = false;
 };

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -503,6 +504,40 @@ TEST(RunRig, ChainOrderIsLedgerProfilerOraclesRecorderHook)
     ASSERT_EQ(per_vm.size(), 2u);
     EXPECT_EQ(per_vm[0], "LPOH");
     EXPECT_EQ(per_vm[1], "LPOH");
+}
+
+TEST(RunRig, FailedArtifactCommitClaimsNoFile)
+{
+    // Both artifact paths name existing directories, so each writer
+    // opens its temp file but cannot rename it into place. The run
+    // reports both errors and must not claim either file.
+    jscale::testing::TempDir dir;
+    core::ExperimentConfig cfg = fastConfig();
+    cfg.timeline_path = dir.file("t");
+    cfg.metrics_path = dir.file("m");
+    cfg.metrics_interval = 1 * units::MS;
+    std::filesystem::create_directory(cfg.timeline_path);
+    std::filesystem::create_directory(cfg.metrics_path);
+
+    core::ExperimentRunner runner(cfg);
+    const jvm::RunResult r = runner.runApp("xalan", 2);
+    ASSERT_FALSE(r.failed()) << r.run_error;
+    EXPECT_EQ(r.artifact_errors.size(), 2u);
+    EXPECT_TRUE(r.timeline_file.empty()) << r.timeline_file;
+    EXPECT_EQ(r.timeline_events, 0u);
+    EXPECT_TRUE(r.metrics_file.empty()) << r.metrics_file;
+    EXPECT_EQ(r.metric_rows, 0u);
+
+    // The same run into writable paths claims both files.
+    cfg.timeline_path = dir.file("t.json");
+    cfg.metrics_path = dir.file("m.csv");
+    core::ExperimentRunner ok(cfg);
+    const jvm::RunResult w = ok.runApp("xalan", 2);
+    EXPECT_TRUE(w.artifact_errors.empty());
+    EXPECT_EQ(w.timeline_file, cfg.timeline_path);
+    EXPECT_GT(w.timeline_events, 0u);
+    EXPECT_EQ(w.metrics_file, cfg.metrics_path);
+    EXPECT_GT(w.metric_rows, 0u);
 }
 
 TEST(ProfiledExperiment, BlameStudyIsJobsInvariant)

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -191,6 +192,62 @@ recordedRun(std::string &text_out, Ticks *end_out = nullptr)
         *end_out = h.sim.now();
     text_out = os.str();
     return r;
+}
+
+/** FNV-1a 64 digest of @p text. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * A hand-built document covering every escape class, the tick edges
+ * (0, 999, 1000, 2^64-1), each event kind and both metadata kinds.
+ */
+std::string
+handBuiltTimeline()
+{
+    using telemetry::targ;
+    const Ticks max = std::numeric_limits<Ticks>::max();
+    std::ostringstream os;
+    {
+        telemetry::Timeline tl(os);
+        tl.processName(1, "quote \"q\" back\\slash");
+        tl.threadName(1, 2, "b\bf\fn\nr\rt\t");
+        tl.span(1, 2, "caf\xc3\xa9 \xe2\x9c\x93", "ctl\x01" "a\x1f" "b", 0,
+                999,
+                {targ("k\"ey", "v\\al\x01" "ue"),
+                 targ("zero", std::uint64_t{0})});
+        tl.instant(1, 2, "edge", "", 1000, {targ("max", max)});
+        tl.span(1, 3, "whole", "span", 0, max);
+        tl.instant(1, 3, "last", "sched", max);
+        tl.counter(3, "heap", 999,
+                   {targ("eden", std::uint64_t{1}), targ("old", max),
+                    targ("note\n", "text")});
+    }
+    return os.str();
+}
+
+TEST(Timeline, PinnedBytes)
+{
+    // The encoder's output is pinned byte for byte: any change to the
+    // escaping, number rendering or event layout shows up here.
+    const std::string hand = handBuiltTimeline();
+    std::string err;
+    ASSERT_TRUE(telemetry::validateJson(hand, &err)) << err;
+    EXPECT_EQ(hand.size(), 790u);
+    EXPECT_EQ(fnv1a(hand), 0x99aec89cf47932eaull);
+
+    std::string recorded;
+    recordedRun(recorded);
+    EXPECT_EQ(recorded.size(), 1560578u);
+    EXPECT_EQ(fnv1a(recorded), 0xb2c2c34d0897f044ull);
 }
 
 TEST(Recorder, ProducesStrictlyValidJson)
