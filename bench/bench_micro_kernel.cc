@@ -2,7 +2,8 @@
  * @file
  * E12 — simulator micro-benchmarks (google-benchmark): throughput of
  * the event queue, the allocation/death path, the monitor fast path, the
- * timeline encoder and a full simulated application run. These bound the cost of every
+ * scheduler's wake path, the timeline encoder and a full simulated
+ * application run. These bound the cost of every
  * experiment above and guard against performance regressions in the
  * simulation kernel itself.
  */
@@ -19,6 +20,7 @@
 #include "jvm/heap/heap.hh"
 #include "jvm/runtime/listener.hh"
 #include "machine/machine.hh"
+#include "os/scheduler.hh"
 #include "sim/event.hh"
 #include "sim/simulation.hh"
 #include "stats/stats.hh"
@@ -439,6 +441,48 @@ BM_OpenLoopInjection(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(completed));
 }
 BENCHMARK(BM_OpenLoopInjection)->Unit(benchmark::kMillisecond);
+
+/** Runs one short burst per dispatch, then blocks until woken. */
+class WakeBlockClient : public os::SchedClient
+{
+  public:
+    Ticks planBurst(Ticks, Ticks) override { return 1 * units::US; }
+    os::BurstOutcome
+    finishBurst(Ticks, Ticks) override
+    {
+        return os::BurstOutcome::Blocked;
+    }
+    std::string clientName() const override { return "wake-block"; }
+};
+
+void
+BM_SchedulerWakeKick(benchmark::State &state)
+{
+    // The lock-bound shape on the paper's 48 cores: every thread but
+    // the woken one is blocked, so each wake kicks 47 idle cores that
+    // must learn fast that there is nothing else to run or steal.
+    sim::Simulation sim(1);
+    machine::Machine mach(machine::Machine::amd6168_4p48c());
+    mach.enableCores(48);
+    os::Scheduler sched(sim, mach);
+    WakeBlockClient client;
+    std::vector<os::OsThread *> threads;
+    for (int i = 0; i < 48; ++i) {
+        threads.push_back(
+            sched.registerThread(&client, os::ThreadKind::Mutator));
+        sched.start(threads.back());
+    }
+    sim.run();
+    std::size_t next = 0;
+    for (auto _ : state) {
+        sched.wake(threads[next]);
+        sim.step(); // the burst ends and the thread blocks again
+        next = (next + 1) % threads.size();
+    }
+    benchmark::DoNotOptimize(sched.schedStats().dispatches);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerWakeKick);
 
 void
 BM_FullApplicationRun(benchmark::State &state)

@@ -621,7 +621,7 @@ JavaVm::prepare(ApplicationModel &app, std::uint32_t n_threads)
     // sockets) so their interference is not concentrated.
     if (config_.enable_helpers) {
         const HelperConfig &h = config_.helpers;
-        const auto enabled = mach_.enabledCoreIds();
+        const auto &enabled = mach_.enabledCoreIds();
         const std::uint32_t n_helpers =
             h.jit_threads + (h.periodic_daemon ? 1 : 0);
         auto helper_home = [&](std::uint32_t i) {

@@ -19,6 +19,8 @@ Machine::Machine(const MachineConfig &config)
                 static_cast<CoreId>(cores_.size()), s, config.freq_ghz);
         }
     }
+    // Full capacity up front: refreshing the list never reallocates.
+    enabled_ids_.reserve(cores_.size());
 }
 
 MachineConfig
@@ -46,20 +48,6 @@ Machine::testMachine_2p8c()
     return cfg;
 }
 
-Core &
-Machine::core(CoreId id)
-{
-    jscale_assert(id < cores_.size(), "core id ", id, " out of range");
-    return cores_[id];
-}
-
-const Core &
-Machine::core(CoreId id) const
-{
-    jscale_assert(id < cores_.size(), "core id ", id, " out of range");
-    return cores_[id];
-}
-
 void
 Machine::enableCores(std::uint32_t n, EnablePolicy policy)
 {
@@ -85,7 +73,7 @@ Machine::enableCores(std::uint32_t n, EnablePolicy policy)
             }
         }
     }
-    enabled_count_ = n;
+    refreshEnabledIds();
 }
 
 bool
@@ -94,25 +82,23 @@ Machine::setCoreOnline(CoreId id, bool online)
     Core &c = core(id);
     if (c.enabled() == online)
         return true;
-    if (!online && enabled_count_ <= 1)
+    if (!online && enabled_ids_.size() <= 1)
         return false; // never offline the last core
     c.setEnabled(online);
-    enabled_count_ += online ? 1 : -1;
     if (online)
         c.setSpeedFactor(1.0);
+    refreshEnabledIds();
     return true;
 }
 
-std::vector<CoreId>
-Machine::enabledCoreIds() const
+void
+Machine::refreshEnabledIds()
 {
-    std::vector<CoreId> ids;
-    ids.reserve(enabled_count_);
+    enabled_ids_.clear();
     for (const auto &c : cores_) {
         if (c.enabled())
-            ids.push_back(c.id());
+            enabled_ids_.push_back(c.id());
     }
-    return ids;
 }
 
 std::uint32_t

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/units.hh"
 
 namespace jscale::machine {
@@ -72,9 +73,6 @@ class Core
     /** Whether this core participates in the current experiment. */
     bool enabled() const { return enabled_; }
 
-    /** Enable or disable the core (experiment setup only). */
-    void setEnabled(bool e) { enabled_ = e; }
-
     /**
      * Current speed factor in (0, 1]: 1.0 is nominal frequency, lower
      * values model transient throttling (fault injection). Affects how
@@ -84,6 +82,10 @@ class Core
     void setSpeedFactor(double f) { speed_factor_ = f; }
 
   private:
+    /** Only Machine flips a core, so its enabled-id list stays exact. */
+    friend class Machine;
+    void setEnabled(bool e) { enabled_ = e; }
+
     CoreId id_;
     NodeId socket_;
     double freq_ghz_;
@@ -114,8 +116,19 @@ class Machine
     const std::vector<Core> &cores() const { return cores_; }
 
     /** Mutable core access. */
-    Core &core(CoreId id);
-    const Core &core(CoreId id) const;
+    Core &
+    core(CoreId id)
+    {
+        jscale_assert(id < cores_.size(), "core id ", id, " out of range");
+        return cores_[id];
+    }
+
+    const Core &
+    core(CoreId id) const
+    {
+        jscale_assert(id < cores_.size(), "core id ", id, " out of range");
+        return cores_[id];
+    }
 
     /** Socket (== NUMA node) owning a core. */
     NodeId socketOf(CoreId id) const { return core(id).socket(); }
@@ -145,10 +158,20 @@ class Machine
     bool setCoreOnline(CoreId id, bool online);
 
     /** Number of currently enabled cores. */
-    std::uint32_t enabledCores() const { return enabled_count_; }
+    std::uint32_t
+    enabledCores() const
+    {
+        return static_cast<std::uint32_t>(enabled_ids_.size());
+    }
 
-    /** Ids of the enabled cores, ascending. */
-    std::vector<CoreId> enabledCoreIds() const;
+    /**
+     * Ids of the enabled cores, ascending. The list is kept, not built
+     * per call. Only enableCores and setCoreOnline change it, and they
+     * run at experiment setup and from fault events, never from inside
+     * a loop over the list: the scheduler's kick, stop-the-world and
+     * lock-holder preemption loops iterate this reference directly.
+     */
+    const std::vector<CoreId> &enabledCoreIds() const { return enabled_ids_; }
 
     /** Number of distinct sockets with at least one enabled core. */
     std::uint32_t enabledSockets() const;
@@ -163,9 +186,13 @@ class Machine
     Bytes totalMemory() const;
 
   private:
+    /** Rebuild enabled_ids_ from the cores' flags. */
+    void refreshEnabledIds();
+
     MachineConfig config_;
     std::vector<Core> cores_;
-    std::uint32_t enabled_count_ = 0;
+    /** Ascending ids of the enabled cores; its size is the count. */
+    std::vector<CoreId> enabled_ids_;
 };
 
 } // namespace jscale::machine

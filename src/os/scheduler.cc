@@ -1,6 +1,7 @@
 #include "os/scheduler.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "base/logging.hh"
@@ -70,6 +71,7 @@ Scheduler::Scheduler(sim::Simulation &sim, machine::Machine &mach,
                       config_.min_poll_latency <= config_.max_poll_latency,
                   "bad safepoint poll latency bounds");
     cores_.resize(mach.cores().size());
+    queued_.assign((cores_.size() + 63) / 64, 0);
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         cores_[i].slice_end = std::make_unique<SliceEndEvent>(
             *this, static_cast<machine::CoreId>(i));
@@ -128,7 +130,7 @@ Scheduler::registerThread(SchedClient *client, ThreadKind kind,
                           std::uint32_t group)
 {
     jscale_assert(client != nullptr, "null scheduler client");
-    const auto enabled = mach_.enabledCoreIds();
+    const auto &enabled = mach_.enabledCoreIds();
     jscale_assert(!enabled.empty(),
                   "registerThread before any core was enabled");
     machine::CoreId home_core;
@@ -175,12 +177,34 @@ Scheduler::setThreadState(OsThread *thread, ThreadState next, Ticks now)
     }
 }
 
+bool
+Scheduler::anyQueued() const
+{
+    for (const std::uint64_t word : queued_) {
+        if (word != 0)
+            return true;
+    }
+    return false;
+}
+
+template <typename F>
+void
+Scheduler::forEachQueued(F &&f) const
+{
+    // Copy each word first: f may clear the bit it is handed.
+    for (std::size_t w = 0; w < queued_.size(); ++w) {
+        for (std::uint64_t bits = queued_[w]; bits != 0; bits &= bits - 1) {
+            f(static_cast<machine::CoreId>(
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+        }
+    }
+}
+
 std::size_t
 Scheduler::totalReadyQueued() const
 {
     std::size_t n = 0;
-    for (const auto &cs : cores_)
-        n += cs.ready.size();
+    forEachQueued([&](machine::CoreId id) { n += cores_[id].ready.size(); });
     return n;
 }
 
@@ -286,6 +310,27 @@ Scheduler::enqueueReady(OsThread *thread, machine::CoreId core_id)
     if (!mach_.core(core_id).enabled())
         core_id = migrationTarget(core_id);
     cores_[core_id].ready.push_back(thread);
+    markQueued(core_id);
+}
+
+void
+Scheduler::checkInvariants() const
+{
+    jscale_assert(queued_.size() == (cores_.size() + 63) / 64,
+                  "occupancy index has ", queued_.size(), " words for ",
+                  cores_.size(), " cores");
+    for (machine::CoreId id = 0; id < cores_.size(); ++id) {
+        const bool bit = ((queued_[id / 64] >> (id % 64)) & 1) != 0;
+        const std::size_t depth = cores_[id].ready.size();
+        jscale_assert(bit == (depth > 0), "occupancy bit of core ", id,
+                      " is ", bit, " but its queue holds ", depth);
+        jscale_assert(depth == 0 || mach_.core(id).enabled(),
+                      "offline core ", id, " holds ", depth,
+                      " queued threads");
+    }
+    const std::size_t tail = cores_.size() % 64;
+    jscale_assert(tail == 0 || (queued_.back() >> tail) == 0,
+                  "occupancy bit set past core ", cores_.size() - 1);
 }
 
 machine::CoreId
@@ -313,8 +358,9 @@ Scheduler::migrationTarget(machine::CoreId from) const
 }
 
 OsThread *
-Scheduler::pickFromQueue(std::deque<OsThread *> &queue, Ticks now)
+Scheduler::pickFromQueue(machine::CoreId core_id, Ticks now)
 {
+    std::deque<OsThread *> &queue = cores_[core_id].ready;
     for (auto it = queue.begin(); it != queue.end(); ++it) {
         // A stopped group's threads stay parked in the queue until their
         // tenant's world resumes; other groups schedule around them.
@@ -322,7 +368,13 @@ Scheduler::pickFromQueue(std::deque<OsThread *> &queue, Ticks now)
             continue;
         if (policy_->eligible(**it, now) || (*it)->client()->urgent()) {
             OsThread *t = *it;
-            queue.erase(it);
+            // The head is the common pick; pop_front stays inline.
+            if (it == queue.begin())
+                queue.pop_front();
+            else
+                queue.erase(it);
+            if (queue.empty())
+                clearQueued(core_id);
             return t;
         }
     }
@@ -338,19 +390,18 @@ Scheduler::stealFor(machine::CoreId thief, Ticks now)
     // are preferred; remote sockets are raided only for real imbalance
     // (two or more queued threads), since cross-socket migration is
     // expensive and would otherwise poison hot lock-handoff chains.
+    // Only loaded queues are visited, in ascending core id order.
     const machine::NodeId my_socket = mach_.socketOf(thief);
     machine::CoreId victim = thief;
     std::size_t best = 0;
     bool best_local = false;
-    for (const auto id : mach_.enabledCoreIds()) {
-        if (id == thief)
-            continue;
+    forEachQueued([&](machine::CoreId id) {
+        if (id == thief || !mach_.core(id).enabled())
+            return;
         const std::size_t len = cores_[id].ready.size();
-        if (len == 0)
-            continue;
         const bool local = mach_.socketOf(id) == my_socket;
         if (!local && len < 2)
-            continue;
+            return;
         // Local victims beat remote ones; then longest queue, lowest id.
         if ((local && !best_local) ||
             (local == best_local && len > best)) {
@@ -358,10 +409,10 @@ Scheduler::stealFor(machine::CoreId thief, Ticks now)
             victim = id;
             best_local = local;
         }
-    }
+    });
     if (best == 0)
         return nullptr;
-    OsThread *t = pickFromQueue(cores_[victim].ready, now);
+    OsThread *t = pickFromQueue(victim, now);
     if (t)
         ++stats_.steals;
     return t;
@@ -374,7 +425,7 @@ Scheduler::maybeDispatch(machine::CoreId core_id)
     if (allStopped() || cs.running || !mach_.core(core_id).enabled())
         return;
     const Ticks now = sim_.now();
-    OsThread *thread = pickFromQueue(cs.ready, now);
+    OsThread *thread = pickFromQueue(core_id, now);
     bool stolen = false;
     if (!thread) {
         thread = stealFor(core_id, now);
@@ -596,6 +647,8 @@ Scheduler::setCoreOnline(machine::CoreId core_id, bool online)
         auto &dst = cores_[target].ready;
         dst.insert(dst.end(), cs.ready.begin(), cs.ready.end());
         cs.ready.clear();
+        clearQueued(core_id);
+        markQueued(target);
     }
     // The running burst (if any) is truncated at its next poll; the
     // sliceEnd re-enqueue then redirects away from the offline core.
@@ -647,13 +700,15 @@ Scheduler::stallThread(OsThread *thread, Ticks until)
       }
       case ThreadState::Ready: {
         // Pull the thread out of whichever run queue holds it.
-        for (auto &cs : cores_) {
-            auto it = std::find(cs.ready.begin(), cs.ready.end(), thread);
-            if (it != cs.ready.end()) {
-                cs.ready.erase(it);
-                break;
-            }
-        }
+        forEachQueued([&](machine::CoreId id) {
+            auto &queue = cores_[id].ready;
+            auto it = std::find(queue.begin(), queue.end(), thread);
+            if (it == queue.end())
+                return;
+            queue.erase(it);
+            if (queue.empty())
+                clearQueued(id);
+        });
         accountStateExit(thread, now);
         setThreadState(thread, ThreadState::Sleeping, now);
         armTimedWake(thread, until);
@@ -701,8 +756,12 @@ Scheduler::resumeWorld(std::uint32_t group)
 void
 Scheduler::kickAll()
 {
-    for (const auto id : mach_.enabledCoreIds())
+    for (const auto id : mach_.enabledCoreIds()) {
+        // With every queue empty no core can pick or steal anything.
+        if (!anyQueued())
+            return;
         maybeDispatch(id);
+    }
 }
 
 } // namespace jscale::os

@@ -13,6 +13,7 @@
 #ifndef JSCALE_OS_SCHEDULER_HH
 #define JSCALE_OS_SCHEDULER_HH
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -213,7 +214,8 @@ class Scheduler
     std::uint32_t onlineCores() const { return mach_.enabledCores(); }
     /** @} */
 
-    /** Re-examine all idle cores (used after policy phase rotations). */
+    /** Re-examine all idle cores (used after policy phase rotations).
+     *  Returns at once when no run queue holds a thread. */
     void kickAll();
 
     /** Probe chain; subscribe observation tools before start(). */
@@ -230,6 +232,13 @@ class Scheduler
 
     /** Run statistics. */
     const SchedulerStats &schedStats() const { return stats_; }
+
+    /**
+     * Verify the run-queue index: a core's occupancy bit is set exactly
+     * when its ready queue is non-empty, and no offline core holds a
+     * queued thread; panics on violation. Used by tests; O(cores).
+     */
+    void checkInvariants() const;
 
     const SchedulerConfig &config() const { return config_; }
 
@@ -276,7 +285,8 @@ class Scheduler
     void maybeDispatch(machine::CoreId core_id);
     void dispatch(machine::CoreId core_id, OsThread *thread, bool stolen);
     void sliceEnd(machine::CoreId core_id);
-    OsThread *pickFromQueue(std::deque<OsThread *> &queue, Ticks now);
+    /** Take the first eligible thread off @p core_id's ready queue. */
+    OsThread *pickFromQueue(machine::CoreId core_id, Ticks now);
     OsThread *stealFor(machine::CoreId thief, Ticks now);
     void enqueueReady(OsThread *thread, machine::CoreId core_id);
     void accountStateExit(OsThread *thread, Ticks now);
@@ -286,6 +296,21 @@ class Scheduler
     void armTimedWake(OsThread *thread, Ticks when);
     /** Truncate @p core's running burst at its next safepoint poll. */
     void truncateAtPoll(machine::CoreId core_id);
+    /** @name Occupancy index (queued_) */
+    /** @{ */
+    void markQueued(machine::CoreId id)
+    {
+        queued_[id / 64] |= std::uint64_t{1} << (id % 64);
+    }
+    void clearQueued(machine::CoreId id)
+    {
+        queued_[id / 64] &= ~(std::uint64_t{1} << (id % 64));
+    }
+    bool anyQueued() const;
+    /** Call @p f(id) for each core with a queued thread, ascending. */
+    template <typename F>
+    void forEachQueued(F &&f) const;
+    /** @} */
     /** Least-loaded online core to absorb work from @p from. */
     machine::CoreId migrationTarget(machine::CoreId from) const;
 
@@ -300,6 +325,13 @@ class Scheduler
 
     std::vector<std::unique_ptr<OsThread>> threads_;
     std::vector<CoreState> cores_;
+    /**
+     * Occupancy index of the run queues: bit (id % 64) of word id / 64
+     * is set exactly when cores_[id].ready is non-empty. Every queue
+     * change updates it, so stealing walks only the loaded queues and
+     * a kick with nothing queued costs one word test per 64 cores.
+     */
+    std::vector<std::uint64_t> queued_;
     std::uint32_t next_home_rr_ = 0;
     std::uint32_t running_count_ = 0;
     std::uint32_t finished_count_ = 0;

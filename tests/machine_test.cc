@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "machine/machine.hh"
 
 namespace {
@@ -39,7 +43,7 @@ TEST(Machine, EnableCoresFillsCompactly)
     m.enableCores(14);
     EXPECT_EQ(m.enabledCores(), 14u);
     EXPECT_EQ(m.enabledSockets(), 2u);
-    const auto ids = m.enabledCoreIds();
+    const auto &ids = m.enabledCoreIds();
     ASSERT_EQ(ids.size(), 14u);
     for (std::size_t i = 0; i < ids.size(); ++i)
         EXPECT_EQ(ids[i], i);
@@ -102,7 +106,7 @@ TEST(Machine, ScatterPlacementSpreadsSockets)
     m.enableCores(4, Machine::EnablePolicy::Scatter);
     EXPECT_EQ(m.enabledCores(), 4u);
     EXPECT_EQ(m.enabledSockets(), 4u); // one core per socket
-    const auto ids = m.enabledCoreIds();
+    const auto &ids = m.enabledCoreIds();
     EXPECT_EQ(ids, (std::vector<machine::CoreId>{0, 12, 24, 36}));
 
     m.enableCores(6, Machine::EnablePolicy::Scatter);
@@ -118,6 +122,86 @@ TEST(Machine, ScatterEqualsCompactWhenFull)
     a.enableCores(8, Machine::EnablePolicy::Compact);
     b.enableCores(8, Machine::EnablePolicy::Scatter);
     EXPECT_EQ(a.enabledCoreIds(), b.enabledCoreIds());
+}
+
+/** What enabledCoreIds() must equal: a fresh filter of cores(). */
+std::vector<machine::CoreId>
+filterEnabled(const Machine &m)
+{
+    std::vector<machine::CoreId> ids;
+    for (const auto &c : m.cores()) {
+        if (c.enabled())
+            ids.push_back(c.id());
+    }
+    return ids;
+}
+
+/** The cached list against the filter: equal, ascending, counted. */
+void
+expectIdsExact(const Machine &m)
+{
+    const auto &ids = m.enabledCoreIds();
+    EXPECT_EQ(ids, filterEnabled(m));
+    EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+    EXPECT_EQ(ids.size(), m.enabledCores());
+}
+
+TEST(Machine, EnabledIdsTrackEnableCores)
+{
+    Machine m(Machine::amd6168_4p48c());
+    for (const auto policy : {Machine::EnablePolicy::Compact,
+                              Machine::EnablePolicy::Scatter}) {
+        for (const std::uint32_t n : {1u, 5u, 13u, 30u, 48u, 2u}) {
+            m.enableCores(n, policy);
+            SCOPED_TRACE(n);
+            expectIdsExact(m);
+            EXPECT_EQ(m.enabledCoreIds().size(), n);
+        }
+    }
+}
+
+TEST(Machine, EnabledIdsTrackOnlineToggles)
+{
+    Machine m(Machine::amd6168_4p48c());
+    m.enableCores(20, Machine::EnablePolicy::Scatter);
+    const auto *list = &m.enabledCoreIds();
+    const auto *storage = list->data();
+    // Offline and online cores inside and outside the enabled set, in
+    // an order that makes each toggle land in the middle of the list.
+    const std::vector<std::pair<machine::CoreId, bool>> toggles = {
+        {12, false}, {0, false}, {47, true}, {12, true}, {30, true},
+        {47, false}, {1, false}, {0, true},  {13, false}, {1, true},
+        {13, true},  {30, false},
+    };
+    for (const auto &[id, online] : toggles) {
+        SCOPED_TRACE(id);
+        EXPECT_TRUE(m.setCoreOnline(id, online));
+        EXPECT_EQ(m.core(id).enabled(), online);
+        expectIdsExact(m);
+        // The same list object, never reallocated: callers may hold it.
+        EXPECT_EQ(&m.enabledCoreIds(), list);
+        EXPECT_EQ(m.enabledCoreIds().data(), storage);
+    }
+    m.enableCores(48);
+    expectIdsExact(m);
+    EXPECT_EQ(m.enabledCoreIds().data(), storage);
+}
+
+TEST(Machine, LastOnlineCoreIsRefused)
+{
+    Machine m(Machine::testMachine_2p8c());
+    m.enableCores(2);
+    EXPECT_TRUE(m.setCoreOnline(0, false));
+    EXPECT_FALSE(m.setCoreOnline(1, false)); // the last one stays
+    EXPECT_TRUE(m.core(1).enabled());
+    EXPECT_EQ(m.enabledCoreIds(), (std::vector<machine::CoreId>{1}));
+    EXPECT_EQ(m.enabledCores(), 1u);
+    // Repeating a core's current state is a successful no-op.
+    EXPECT_TRUE(m.setCoreOnline(0, false));
+    EXPECT_TRUE(m.setCoreOnline(1, true));
+    expectIdsExact(m);
+    EXPECT_TRUE(m.setCoreOnline(0, true));
+    EXPECT_EQ(m.enabledCoreIds(), (std::vector<machine::CoreId>{0, 1}));
 }
 
 /** Enabled-socket count follows compact fill. */

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "base/random.hh"
 #include "machine/machine.hh"
 #include "os/policy.hh"
 #include "os/scheduler.hh"
@@ -23,6 +26,7 @@ using os::Scheduler;
 using os::SchedulerConfig;
 using os::ThreadKind;
 using os::ThreadState;
+using machine::CoreId;
 
 /** Scripted scheduler client: a sequence of (work, outcome) steps. */
 class ScriptClient : public os::SchedClient
@@ -390,6 +394,263 @@ TEST(Scheduler, HelpersUnaffectedByBias)
     b.sched.start(t);
     b.sim.run(5 * units::MS);
     EXPECT_TRUE(helper.finished());
+}
+
+/** Client for the randomized index test: each burst runs a drawn
+ *  length, then the thread stays ready or blocks, by its own draws. */
+class RandomClient : public os::SchedClient
+{
+  public:
+    RandomClient(std::string name, Rng rng)
+        : name_(std::move(name)), rng_(rng)
+    {}
+
+    Ticks
+    planBurst(Ticks, Ticks limit) override
+    {
+        return std::min<Ticks>(
+            limit, static_cast<Ticks>(rng_.range(1, 40)) * units::US);
+    }
+
+    BurstOutcome
+    finishBurst(Ticks, Ticks) override
+    {
+        return rng_.chance(0.2) ? BurstOutcome::Blocked
+                                : BurstOutcome::Ready;
+    }
+
+    std::string clientName() const override { return name_; }
+
+  private:
+    std::string name_;
+    Rng rng_;
+};
+
+/**
+ * Records the run queues at every eligibility test. The scheduler asks
+ * just before it takes a thread off a queue, so at a dispatch the last
+ * snapshot is the queues the steal chose from.
+ */
+class SnapshotPolicy : public os::SchedPolicy
+{
+  public:
+    SnapshotPolicy(const Scheduler &sched, const machine::Machine &mach)
+        : sched_(sched), mach_(mach)
+    {}
+
+    bool
+    eligible(const OsThread &, Ticks) const override
+    {
+        const std::size_t n = mach_.cores().size();
+        depths.resize(n);
+        online.resize(n);
+        for (CoreId id = 0; id < n; ++id) {
+            depths[id] = sched_.readyQueueDepth(id);
+            online[id] = mach_.core(id).enabled();
+        }
+        return true;
+    }
+
+    const char *policyName() const override { return "snapshot"; }
+
+    mutable std::vector<std::size_t> depths;
+    mutable std::vector<bool> online;
+
+  private:
+    const Scheduler &sched_;
+    const machine::Machine &mach_;
+};
+
+/** The victim rule, by a plain scan of every core: skip the thief and
+ *  offline cores; local victims first, remote ones only with two or
+ *  more queued; then the longest queue, then the lowest id. */
+std::optional<CoreId>
+referenceVictim(const SnapshotPolicy &snap, const machine::Machine &mach,
+                CoreId thief)
+{
+    std::optional<CoreId> victim;
+    std::size_t best = 0;
+    bool best_local = false;
+    for (CoreId id = 0; id < snap.depths.size(); ++id) {
+        const std::size_t len = snap.depths[id];
+        if (id == thief || !snap.online[id] || len == 0)
+            continue;
+        const bool local = mach.socketOf(id) == mach.socketOf(thief);
+        if (!local && len < 2)
+            continue;
+        if (!victim || (local && !best_local) ||
+            (local == best_local && len > best)) {
+            victim = id;
+            best = len;
+            best_local = local;
+        }
+    }
+    return victim;
+}
+
+/** Checks every stolen dispatch against referenceVictim. */
+class StealChecker : public os::SchedulerListener
+{
+  public:
+    StealChecker(const Scheduler &sched, const machine::Machine &mach,
+                 const SnapshotPolicy &snap)
+        : sched_(sched), mach_(mach), snap_(snap)
+    {}
+
+    void
+    onDispatch(const OsThread &, CoreId core, Ticks, bool stolen,
+               Ticks) override
+    {
+        if (!stolen)
+            return;
+        ++steals;
+        // The victim is the one queue a thread just left.
+        std::optional<CoreId> victim;
+        for (CoreId id = 0; id < snap_.depths.size(); ++id) {
+            const std::size_t depth = sched_.readyQueueDepth(id);
+            if (depth == snap_.depths[id])
+                continue;
+            ASSERT_FALSE(victim) << "two queues changed in one steal";
+            ASSERT_EQ(depth + 1, snap_.depths[id]);
+            victim = id;
+        }
+        ASSERT_TRUE(victim);
+        const auto expected = referenceVictim(snap_, mach_, core);
+        ASSERT_TRUE(expected) << "core " << core << " stole from "
+                              << *victim << " against the rule";
+        EXPECT_EQ(*victim, *expected) << "thief " << core;
+        if (mach_.socketOf(*victim) != mach_.socketOf(core))
+            ++remote_steals;
+        top_victim = std::max(top_victim, *victim);
+    }
+
+    std::uint64_t steals = 0;
+    std::uint64_t remote_steals = 0;
+    CoreId top_victim = 0;
+
+  private:
+    const Scheduler &sched_;
+    const machine::Machine &mach_;
+    const SnapshotPolicy &snap_;
+};
+
+/**
+ * Random wakes, blocks, stalls, core offline/online toggles and
+ * per-group stop/resume-world, with the scheduler's run-queue index
+ * checked after every step and every steal checked against the scan.
+ * Returns the highest core id a thread was stolen from.
+ */
+CoreId
+driveRandomly(const machine::MachineConfig &config, std::uint64_t seed,
+              int steps)
+{
+    sim::Simulation sim(seed);
+    machine::Machine mach(config);
+    const std::uint32_t n_cores = config.totalCores();
+    mach.enableCores(n_cores - n_cores / 8);
+    Scheduler sched(sim, mach);
+    auto policy = std::make_unique<SnapshotPolicy>(sched, mach);
+    const SnapshotPolicy &snap = *policy;
+    sched.setPolicy(std::move(policy));
+    StealChecker checker(sched, mach, snap);
+    sched.listeners().add(&checker);
+
+    Rng rng(seed);
+    std::vector<std::unique_ptr<RandomClient>> clients;
+    std::vector<OsThread *> threads;
+    const std::uint32_t n_threads = 2 * n_cores;
+    for (std::uint32_t i = 0; i < n_threads; ++i) {
+        clients.push_back(std::make_unique<RandomClient>(
+            "r" + std::to_string(i), rng.fork(i)));
+        threads.push_back(sched.registerThread(
+            clients.back().get(), ThreadKind::Mutator, {}, i % 2));
+    }
+    for (OsThread *t : threads)
+        sched.start(t);
+    sched.checkInvariants();
+
+    bool parked[2] = {false, false};
+    for (int step = 0; step < steps; ++step) {
+        OsThread *t = threads[rng.below(threads.size())];
+        const auto group = static_cast<std::uint32_t>(rng.below(2));
+        switch (rng.below(8)) {
+          case 0:
+          case 1:
+          case 2:
+            for (int i = 0; i < 8 && sim.step(); ++i) {
+            }
+            break;
+          case 3:
+            // Wake a handful, so run queues grow deeper than one.
+            for (int i = 0; i < 6; ++i) {
+                OsThread *w = threads[rng.below(threads.size())];
+                if (w->state() == ThreadState::Blocked ||
+                    w->state() == ThreadState::Sleeping)
+                    sched.wake(w);
+            }
+            break;
+          case 4:
+            sched.stallThread(
+                t, sim.now() + static_cast<Ticks>(rng.range(1, 50)) *
+                                   units::US);
+            break;
+          case 5:
+          case 6:
+            sched.setCoreOnline(static_cast<CoreId>(rng.below(n_cores)),
+                                rng.chance(0.5));
+            break;
+          case 7:
+            if (!sched.groupStopped(group)) {
+                parked[group] = false;
+                sched.stopTheWorld(group, [&parked, group] {
+                    parked[group] = true;
+                });
+            } else if (parked[group]) {
+                sched.resumeWorld(group);
+            }
+            break;
+        }
+        sched.checkInvariants();
+        if (::testing::Test::HasFatalFailure())
+            break;
+    }
+    EXPECT_EQ(checker.steals, sched.schedStats().steals);
+    EXPECT_GT(checker.remote_steals, 0u);
+    EXPECT_GT(sched.schedStats().displaced_threads, 0u);
+    EXPECT_GT(sched.schedStats().forced_stalls, 0u);
+    sched.listeners().remove(&checker);
+    return checker.top_victim;
+}
+
+TEST(SchedulerIndex, RandomOpsKeepInvariantsOnPaperMachine)
+{
+    EXPECT_GE(driveRandomly(machine::Machine::amd6168_4p48c(), 7, 4000),
+              36u); // stolen from the last socket too
+}
+
+TEST(SchedulerIndex, RandomOpsKeepInvariantsPastOneWord)
+{
+    // 80 cores: the occupancy index spans two 64-bit words.
+    machine::MachineConfig config;
+    config.name = "test-2p80c";
+    config.sockets = 2;
+    config.cores_per_socket = 40;
+    EXPECT_GE(driveRandomly(config, 11, 4000), 64u);
+}
+
+TEST(SchedulerIndex, CheckInvariantsCatchesOfflineQueue)
+{
+    Bundle b(2);
+    ScriptClient c("t0", computeSteps(1, 1000));
+    OsThread *t = b.sched.registerThread(&c, ThreadKind::Mutator, 1);
+    // A stopped world keeps the started thread queued on core 1.
+    b.sched.stopTheWorld([] {});
+    b.sched.start(t);
+    EXPECT_EQ(b.sched.readyQueueDepth(1), 1u);
+    b.sched.checkInvariants();
+    // Offlined behind the scheduler's back, core 1 keeps its queue.
+    b.mach.setCoreOnline(1, false);
+    EXPECT_DEATH(b.sched.checkInvariants(), "offline core 1 holds 1");
 }
 
 } // namespace
