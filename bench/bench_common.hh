@@ -46,7 +46,7 @@ struct BenchOptions
                 for (const char *name : flags) {
                     const cli::Flag *f = cli::findFlag(name);
                     std::cout << "  " << name << " "
-                              << (f->value.arg ? f->value.arg : "")
+                              << (f->arg ? f->arg : "")
                               << "  " << f->help << "\n";
                 }
                 std::exit(0);
@@ -55,10 +55,10 @@ struct BenchOptions
             if (std::find(std::begin(flags), std::end(flags), arg) ==
                 std::end(flags))
                 err = "unknown flag '" + arg + "'";
-            else if (flag->value.arg != nullptr && ++i == argc)
+            else if (flag->arg != nullptr && ++i == argc)
                 err = "missing value for " + arg;
             else
-                err = cli::setFlag(o, arg, flag->value.arg ? argv[i] : "");
+                err = cli::setFlag(o, arg, flag->arg ? argv[i] : "");
             if (!err.empty()) {
                 std::cerr << argv[0] << ": " << err << "\n";
                 std::exit(2);

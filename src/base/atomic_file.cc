@@ -72,12 +72,6 @@ AtomicFileWriter::commit(std::string &err)
 }
 
 bool
-fsyncPath(const std::string &path)
-{
-    return fsyncFd(path, O_RDONLY);
-}
-
-bool
 fsyncParentDir(const std::string &path)
 {
     std::filesystem::path parent =

@@ -54,12 +54,6 @@ class AtomicFileWriter
     bool committed_ = false;
 };
 
-/**
- * fsync an already-closed file by path. Returns false on open/fsync
- * failure. Used after std::ofstream writes that must be durable.
- */
-bool fsyncPath(const std::string &path);
-
 /** fsync the parent directory of @p path so a rename itself is durable. */
 bool fsyncParentDir(const std::string &path);
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Field tables for the key=value spec grammars: fault events and
- * intensity dials, arrival processes, tenants and fuzz case lines.
+ * intensity dials, arrival processes, tenants and fuzz case lines. The
+ * jscale flag table (tools/cli.hh) is one more table of Field rows.
  *
  * A grammar declares one Field per key: a typed, bounded reader into a
  * member of its spec struct, the phrase a diagnosis gives for a good
@@ -131,15 +132,16 @@ struct Field
     }
 
     /**
-     * A number in [lo, hi] of the member's type, read by parseNumber():
-     * a count is read whole; a real is never inf or nan, and lo =
-     * kPositive makes its range (0, hi].
+     * A number in [lo, hi] of the member's type, read by parseNumber()
+     * and stored times @p unit: a count is read whole; a real is never
+     * inf or nan, and lo = kPositive makes its range (0, hi].
      */
     template <class Acc,
               class N = std::remove_cvref_t<std::invoke_result_t<Acc, T &>>>
     static Field
     number(std::string key, Acc acc, std::type_identity_t<N> lo,
-           std::type_identity_t<N> hi = std::numeric_limits<N>::max())
+           std::type_identity_t<N> hi = std::numeric_limits<N>::max(),
+           std::type_identity_t<N> unit = 1)
     {
         return {std::move(key),
                 std::string(std::is_integral_v<N> ? "a whole number in "
@@ -147,50 +149,18 @@ struct Field
                     rangeText(lo, hi),
                 beyondRange(lo, hi),
                 [=](T &t, const std::string &text) {
-                    return readBounded(text, lo, hi, std::invoke(acc, t));
+                    N x{};
+                    if (!readBounded(text, lo, hi, x))
+                        return false;
+                    std::invoke(acc, t) = x * unit;
+                    return true;
                 },
                 [=](std::ostream &os, const T &t) {
-                    os << std::invoke(acc, t);
+                    os << std::invoke(acc, t) / unit;
                 }};
     }
 
-    /** Milliseconds to the nearest tick; @p positive refuses 0 ticks. */
-    template <class Acc>
-    static Field
-    millis(std::string key, Acc acc, bool positive = false)
-    {
-        return scaled(std::move(key), acc, units::MS, true, positive,
-                      std::string(positive ? "a positive" : "a") +
-                          " ms value below 2^64 ns");
-    }
-
-    /** MiB to bytes, truncated. */
-    template <class Acc>
-    static Field
-    mebibytes(std::string key, Acc acc)
-    {
-        return scaled(std::move(key), acc, units::MiB, false, false,
-                      "a MiB size below 2^64 bytes");
-    }
-
-    /** One of the first @p n enumerators of E, spelled by @p name. */
-    template <class Acc, class E>
-    static Field
-    choice(std::string key, Acc acc, const char *(*name)(E), std::size_t n)
-    {
-        std::string names = "one of ";
-        for (std::size_t i = 0; i < n; ++i)
-            names += (i > 0 ? "|" : "") + std::string(name(static_cast<E>(i)));
-        return {std::move(key), names, {},
-                [=](T &t, const std::string &text) {
-                    return parseName(text, name, n, std::invoke(acc, t));
-                },
-                [=](std::ostream &os, const T &t) {
-                    os << name(std::invoke(acc, t));
-                }};
-    }
-
-  private:
+    /** A real count of @p unit (ms, MiB) stored whole, by readScaled(). */
     template <class Acc>
     static Field
     scaled(std::string key, Acc acc, std::uint64_t unit, bool rounded,
@@ -208,6 +178,33 @@ struct Field
                     const auto v = static_cast<double>(std::invoke(acc, t));
                     os << formatValue(v / static_cast<double>(unit),
                                       std::chars_format::fixed);
+                }};
+    }
+
+    /** Milliseconds to the nearest tick; @p positive refuses 0 ticks. */
+    template <class Acc>
+    static Field
+    millis(std::string key, Acc acc, bool positive = false)
+    {
+        return scaled(std::move(key), acc, units::MS, true, positive,
+                      std::string(positive ? "a positive" : "a") +
+                          " ms value below 2^64 ns");
+    }
+
+    /** One of the first @p n enumerators of E, spelled by @p name. */
+    template <class Acc, class E>
+    static Field
+    choice(std::string key, Acc acc, const char *(*name)(E), std::size_t n)
+    {
+        std::string names = "one of ";
+        for (std::size_t i = 0; i < n; ++i)
+            names += (i > 0 ? "|" : "") + std::string(name(static_cast<E>(i)));
+        return {std::move(key), names, {},
+                [=](T &t, const std::string &text) {
+                    return parseName(text, name, n, std::invoke(acc, t));
+                },
+                [=](std::ostream &os, const T &t) {
+                    os << name(std::invoke(acc, t));
                 }};
     }
 };

@@ -14,30 +14,8 @@ namespace jscale::control {
 const char *
 governorModeName(GovernorMode mode)
 {
-    switch (mode) {
-      case GovernorMode::Off:
-        return "off";
-      case GovernorMode::HillClimb:
-        return "hill";
-      case GovernorMode::UslGuided:
-        return "usl";
-    }
-    return "off";
-}
-
-bool
-parseGovernorMode(const std::string &name, GovernorMode &out)
-{
-    if (name == "off") {
-        out = GovernorMode::Off;
-    } else if (name == "hill") {
-        out = GovernorMode::HillClimb;
-    } else if (name == "usl") {
-        out = GovernorMode::UslGuided;
-    } else {
-        return false;
-    }
-    return true;
+    constexpr const char *kNames[kGovernorModes] = {"off", "hill", "usl"};
+    return kNames[static_cast<std::size_t>(mode)];
 }
 
 ConcurrencyGovernor::ConcurrencyGovernor(sim::Simulation &sim,

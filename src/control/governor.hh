@@ -59,11 +59,11 @@ enum class GovernorMode : std::uint8_t
     UslGuided, ///< calibration prefix + USL-fitted clamp
 };
 
+/** Number of GovernorMode values. */
+inline constexpr std::size_t kGovernorModes = 3;
+
 /** Short policy name ("off", "hill", "usl"). */
 const char *governorModeName(GovernorMode mode);
-
-/** Parse a policy name; returns false on an unknown name. */
-bool parseGovernorMode(const std::string &name, GovernorMode &out);
 
 /** Tunables of the governor. */
 struct GovernorConfig

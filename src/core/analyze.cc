@@ -167,13 +167,6 @@ ScalabilityAnalyzer::observedKnee(const std::vector<jvm::RunResult> &sweep)
     return knee;
 }
 
-double
-ScalabilityAnalyzer::lifespanFractionBelow(const jvm::RunResult &r,
-                                           Bytes threshold)
-{
-    return r.heap.lifespan.fractionBelow(threshold);
-}
-
 ScalabilityAnalyzer::Confidence
 ScalabilityAnalyzer::confidence(const std::vector<double> &samples)
 {

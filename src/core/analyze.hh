@@ -82,10 +82,6 @@ class ScalabilityAnalyzer
     static std::uint32_t
     observedKnee(const std::vector<jvm::RunResult> &sweep);
 
-    /** Fraction of objects with lifespan below @p threshold bytes. */
-    static double lifespanFractionBelow(const jvm::RunResult &r,
-                                        Bytes threshold);
-
     /** Mean and 95% confidence half-width of a metric over replicas. */
     struct Confidence
     {

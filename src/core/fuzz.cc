@@ -23,9 +23,8 @@ using check::OracleSuite;
 namespace {
 
 /** Sabotage names, in Sabotage order. */
-constexpr const char *kSabotageNames[] = {"none", "dup-alloc",
-                                          "phantom-death", "double-release",
-                                          "illegal-handoff"};
+constexpr const char *kSabotageNames[kSabotages] = {
+    "none", "dup-alloc", "phantom-death", "double-release", "illegal-handoff"};
 
 /** Field bounds: every value caseForSeed() draws and shrinkCase()
  *  derives from it (the shrinker only halves towards 1). */
@@ -40,12 +39,6 @@ const char *
 sabotageName(Sabotage s)
 {
     return kSabotageNames[static_cast<std::size_t>(s)];
-}
-
-bool
-parseSabotage(const std::string &name, Sabotage &out)
-{
-    return parseName(name, sabotageName, std::size(kSabotageNames), out);
 }
 
 const FieldTable<FuzzCase> &
@@ -65,8 +58,7 @@ fuzzCaseFields()
         // Absent on pre-policy case lines; defaults to fifo.
         F::choice("policy", &FuzzCase::policy, jvm::lockPolicyName,
                   std::size(jvm::kAllLockPolicies)),
-        F::choice("sabotage", &FuzzCase::sabotage, sabotageName,
-                  std::size(kSabotageNames)),
+        F::choice("sabotage", &FuzzCase::sabotage, sabotageName, kSabotages),
     };
     return table;
 }

@@ -56,11 +56,11 @@ enum class Sabotage : std::uint8_t
     IllegalHandoff,
 };
 
+/** Number of Sabotage values. */
+inline constexpr std::size_t kSabotages = 5;
+
 /** Short stable name ("none", "dup-alloc", ...). */
 const char *sabotageName(Sabotage s);
-
-/** Parse a sabotage name; returns false on an unknown name. */
-bool parseSabotage(const std::string &name, Sabotage &out);
 
 /** One fuzz case: everything needed to reproduce a run exactly. */
 struct FuzzCase

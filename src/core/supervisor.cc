@@ -130,7 +130,8 @@ backoffDelayMs(std::uint64_t base_ms, unsigned retry)
     if (retry == 0 || base_ms == 0)
         return 0;
     const unsigned shift = std::min(retry - 1, 20u);
-    return std::min(kCapMs, base_ms << shift);
+    // Saturate first: a large base must not shift past 64 bits.
+    return std::min(kCapMs, std::min(base_ms, kCapMs) << shift);
 }
 
 bool

@@ -85,7 +85,8 @@ faultFields()
     static const FieldTable<FaultSpec> table = {
         F::number("n", &FaultSpec::count, 1),
         F::number("factor", &FaultSpec::factor, kPositive, 1.0),
-        F::mebibytes("mb", &FaultSpec::bytes),
+        F::scaled("mb", &FaultSpec::bytes, units::MiB, false, false,
+                  "a MiB size below 2^64 bytes"),
         F::millis("for", &FaultSpec::duration),
         F::millis("every", &FaultSpec::period),
     };

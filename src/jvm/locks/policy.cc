@@ -12,25 +12,9 @@ namespace jscale::jvm {
 const char *
 lockPolicyName(LockPolicy p)
 {
-    switch (p) {
-      case LockPolicy::Fifo: return "fifo";
-      case LockPolicy::Barging: return "barging";
-      case LockPolicy::Malthusian: return "malthusian";
-      case LockPolicy::Lcr: return "lcr";
-    }
-    return "?";
-}
-
-bool
-parseLockPolicy(const std::string &name, LockPolicy &out)
-{
-    for (const LockPolicy p : kAllLockPolicies) {
-        if (name == lockPolicyName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
+    constexpr const char *kNames[std::size(kAllLockPolicies)] = {
+        "fifo", "barging", "malthusian", "lcr"};
+    return kNames[static_cast<std::size_t>(p)];
 }
 
 std::string

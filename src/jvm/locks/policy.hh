@@ -45,9 +45,6 @@ enum class LockPolicy : std::uint8_t { Fifo, Barging, Malthusian, Lcr };
 /** Render a LockPolicy name ("fifo", "barging", ...). */
 const char *lockPolicyName(LockPolicy p);
 
-/** Parse a policy name; returns false on an unknown name. */
-bool parseLockPolicy(const std::string &name, LockPolicy &out);
-
 /** All policy names, for CLI help and fuzz-case generation. */
 inline constexpr LockPolicy kAllLockPolicies[] = {
     LockPolicy::Fifo,

@@ -145,20 +145,6 @@ TEST(Fuzz, CorruptedOutcomeRecordReRunsItsSeed)
     EXPECT_EQ(cached.failed(), plain.failed());
 }
 
-TEST(Fuzz, SabotageNamesRoundTrip)
-{
-    for (const auto s :
-         {core::Sabotage::None, core::Sabotage::DupAlloc,
-          core::Sabotage::PhantomDeath, core::Sabotage::DoubleRelease,
-          core::Sabotage::IllegalHandoff}) {
-        core::Sabotage parsed;
-        ASSERT_TRUE(core::parseSabotage(core::sabotageName(s), parsed));
-        EXPECT_EQ(parsed, s);
-    }
-    core::Sabotage parsed;
-    EXPECT_FALSE(core::parseSabotage("subtle", parsed));
-}
-
 TEST(Fuzz, PolicyDimensionIsDrawnParsedAndDefaulted)
 {
     // The seed space exercises every admission policy...

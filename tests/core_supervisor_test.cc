@@ -57,6 +57,8 @@ TEST(BackoffDelay, DoublesPerRetryAndCaps)
     EXPECT_EQ(core::backoffDelayMs(250, 60), 30'000u); // shift clamped
     EXPECT_EQ(core::backoffDelayMs(0, 5), 0u);
     EXPECT_EQ(core::backoffDelayMs(250, 0), 0u);
+    // A base near the --backoff-ms bound must cap, not shift past 64 bits.
+    EXPECT_EQ(core::backoffDelayMs(1ULL << 44, 21), 30'000u);
 }
 
 class SuperviseTest : public ::testing::Test

@@ -46,9 +46,9 @@ TEST(CliTables, RowsAreUniqueAndComplete)
     }
     std::set<std::string> names;
     for (const Flag &f : flagTable()) {
-        ASSERT_FALSE(f.names.empty());
-        const std::string &flag = f.names.front();
-        for (const std::string &name : f.names) {
+        ASSERT_FALSE(f.names().empty());
+        const std::string &flag = f.row.key;
+        for (const std::string &name : f.names()) {
             EXPECT_TRUE(names.insert(name).second) << "duplicate " << name;
             EXPECT_TRUE(name.starts_with("--")) << name;
         }
@@ -70,13 +70,16 @@ TEST(CliFlags, BadValuesAreDiagnosedNamingTheFlag)
         "", "8x", "-1", " 5", "nan", "inf", "1e999", "18446744073709551616"};
     for (const Flag &f : flagTable()) {
         // Switches take no value; paths and directories take any text.
-        const std::string arg = f.value.arg ? f.value.arg : "";
+        const std::string arg = f.arg ? f.arg : "";
         if (arg.empty() || arg == "<path>" || arg == "<dir>")
             continue;
         std::vector<std::string> inputs = bad;
-        inputs.insert(inputs.end(), f.value.beyond.begin(),
-                      f.value.beyond.end());
-        for (const std::string &name : f.names) {
+        inputs.insert(inputs.end(), f.row.beyond.begin(), f.row.beyond.end());
+        // A count reads whole: no fraction or exponent, unlike a spec's
+        // millis field.
+        if (arg == "<n>")
+            inputs.insert(inputs.end(), {"1.5", "1e3"});
+        for (const std::string &name : f.names()) {
             for (const std::string &v : inputs) {
                 CliOptions o;
                 std::string err;
@@ -88,26 +91,69 @@ TEST(CliFlags, BadValuesAreDiagnosedNamingTheFlag)
     }
 }
 
+TEST(CliFlags, EnumNamesSetTheirOptionAndPrintBack)
+{
+    namespace js = jscale;
+    const auto roundTrip = [](const std::string &flag, const char *name) {
+        CliOptions o;
+        EXPECT_EQ(setFlag(o, flag, name), "") << flag << " " << name;
+        EXPECT_EQ(findFlag(flag)->show(o), name) << flag;
+        return o;
+    };
+    for (const js::jvm::LockPolicy p : js::jvm::kAllLockPolicies) {
+        EXPECT_EQ(roundTrip("--lock-policy", js::jvm::lockPolicyName(p))
+                      .config.vm.locks.policy,
+                  p);
+    }
+    for (std::size_t i = 0; i < js::control::kGovernorModes; ++i) {
+        const auto mode = static_cast<js::control::GovernorMode>(i);
+        EXPECT_EQ(roundTrip("--governor", js::control::governorModeName(mode))
+                      .config.governor.mode,
+                  mode);
+    }
+    for (const auto s :
+         {js::core::Sabotage::None, js::core::Sabotage::DupAlloc,
+          js::core::Sabotage::PhantomDeath, js::core::Sabotage::DoubleRelease,
+          js::core::Sabotage::IllegalHandoff}) {
+        EXPECT_EQ(roundTrip("--sabotage", js::core::sabotageName(s)).sabotage,
+                  s);
+    }
+    CliOptions o;
+    EXPECT_NE(setFlag(o, "--lock-policy", "anarchic"), "");
+    EXPECT_NE(setFlag(o, "--governor", "adaptive"), "");
+    EXPECT_NE(setFlag(o, "--sabotage", "subtle"), "");
+}
+
+TEST(CliFlags, CampaignShardsAreBounded)
+{
+    CliOptions o;
+    EXPECT_EQ(setFlag(o, "--shards", "256"), "");
+    EXPECT_EQ(o.shards, 256u);
+    for (const char *v : {"0", "257", "4294967296"})
+        EXPECT_NE(setFlag(o, "--shards", v).find("--shards"), npos) << v;
+    EXPECT_EQ(o.shards, 256u);
+}
+
 TEST(CliFlags, DefaultsParseBackToThemselves)
 {
     const CliOptions defaults;
     const std::vector<std::string> others = {"1", "2", "0.5", "0,1",
                                              "hill", "lcr", "dup-alloc"};
     for (const Flag &f : flagTable()) {
-        if (f.value.arg == nullptr || !f.value.show)
+        if (f.arg == nullptr || !f.row.write)
             continue;
-        const std::string def = f.value.show(defaults);
+        const std::string def = f.show(defaults);
         if (def.empty())
             continue;
-        const std::string &flag = f.names.front();
+        const std::string &flag = f.row.key;
         // Move off the default first, so the round trip really writes.
         CliOptions o;
         for (const std::string &v : others) {
-            if (setFlag(o, flag, v).empty() && f.value.show(o) != def)
+            if (setFlag(o, flag, v).empty() && f.show(o) != def)
                 break;
         }
         EXPECT_EQ(setFlag(o, flag, def), "") << flag;
-        EXPECT_EQ(f.value.show(o), def) << flag;
+        EXPECT_EQ(f.show(o), def) << flag;
     }
 }
 
@@ -172,14 +218,12 @@ TEST(CliHelp, ListsEveryCommandAndFlag)
         std::ostringstream one;
         printHelp(one, &c);
         for (const Flag &f : flagTable()) {
-            EXPECT_EQ(listsFlag(one.str(), f.names.front()),
-                      f.readBy(c.name))
-                << c.name << " " << f.names.front();
+            EXPECT_EQ(listsFlag(one.str(), f.row.key), f.readBy(c.name))
+                << c.name << " " << f.row.key;
         }
     }
     for (const Flag &f : flagTable()) {
-        EXPECT_TRUE(listsFlag(all.str(), f.names.front()))
-            << f.names.front();
+        EXPECT_TRUE(listsFlag(all.str(), f.row.key)) << f.row.key;
     }
 }
 
@@ -210,20 +254,18 @@ TEST(CliFlags, EveryConfigFlagChangesTheCampaignFingerprint)
             .campaignFingerprint();
     const CliOptions defaults;
     for (const Flag &f : flagTable()) {
-        const std::string &flag = f.names.front();
+        const std::string &flag = f.row.key;
         if (excluded.count(flag))
             continue;
         // The first accepted value that differs from the default.
         CliOptions o;
-        bool moved = f.value.arg == nullptr &&
-                     setFlag(o, flag, "").empty();
+        bool moved = f.arg == nullptr && setFlag(o, flag, "").empty();
         for (const std::string &v : values) {
             if (moved)
                 break;
             o = CliOptions{};
             moved = setFlag(o, flag, v).empty() &&
-                    (!f.value.show || f.value.show(o) !=
-                                          f.value.show(defaults));
+                    (!f.row.write || f.show(o) != f.show(defaults));
         }
         ASSERT_TRUE(moved) << flag << ": no non-default test value";
         EXPECT_NE(jscale::core::ExperimentRunner(o.config)

@@ -5,8 +5,8 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
-#include "base/fields.hh"
 #include "core/experiment.hh"
 #include "traffic/arrival.hh"
 #include "workload/dacapo.hh"
@@ -15,80 +15,35 @@ namespace jscale::cli {
 
 namespace {
 
-template <class Field>
-using FieldOf = std::remove_cvref_t<std::invoke_result_t<Field, CliOptions &>>;
-
-/** One number in [lo, hi], stored times @p unit (ms flags, tick fields). */
-template <class Field, class T = FieldOf<Field>>
-FlagValue
-numberValue(Field field, std::type_identity_t<T> lo,
-            std::type_identity_t<T> hi = std::numeric_limits<T>::max(),
-            std::type_identity_t<T> unit = 1)
-{
-    const std::string expect = "expect a number in " + rangeText(lo, hi);
-    FlagValue v;
-    v.arg = std::is_integral_v<T> ? "<n>" : "<f>";
-    v.set = [=](CliOptions &o, const std::string &text) {
-        T x{};
-        if (!readBounded(text, lo, hi, x))
-            return expect;
-        std::invoke(field, o) = x * unit;
-        return std::string();
-    };
-    v.show = [=](const CliOptions &o) {
-        return formatValue(std::invoke(field, o) / unit);
-    };
-    v.beyond = beyondRange(lo, hi);
-    return v;
-}
+using F = Field<CliOptions>;
 
 /** Comma-separated numbers, each in [lo, hi]. */
-template <class Field, class T = typename FieldOf<Field>::value_type>
-FlagValue
-listValue(Field field, std::type_identity_t<T> lo, std::type_identity_t<T> hi)
+template <class N>
+F
+listRow(std::string key, std::vector<N> CliOptions::*list,
+        std::type_identity_t<N> lo, std::type_identity_t<N> hi)
 {
-    const std::string expect =
-        "expect comma-separated numbers in " + rangeText(lo, hi);
-    FlagValue v;
-    v.arg = "<list>";
-    v.set = [=](CliOptions &o, const std::string &text) {
-        std::vector<T> items;
-        for (const std::string &item : splitFields(text, ',')) {
-            T x{};
-            if (!readBounded(item, lo, hi, x))
-                return expect;
-            items.push_back(x);
-        }
-        std::invoke(field, o) = std::move(items);
-        return std::string();
-    };
-    v.show = [=](const CliOptions &o) {
-        std::string out;
-        for (const T x : std::invoke(field, o))
-            out += (out.empty() ? "" : ",") + formatValue(x);
-        return out;
-    };
-    v.beyond = beyondRange(lo, hi);
-    return v;
-}
-
-template <class Field, class E>
-FlagValue
-enumValue(Field field, bool (*parse)(const std::string &, E &),
-          const char *(*name)(E), const char *expect)
-{
-    FlagValue v;
-    v.arg = "<name>";
-    v.set = [=](CliOptions &o, const std::string &text) {
-        return parse(text, std::invoke(field, o)) ? std::string() : expect;
-    };
-    v.show = [=](const CliOptions &o) { return name(std::invoke(field, o)); };
-    return v;
+    return {std::move(key), "comma-separated numbers in " + rangeText(lo, hi),
+            beyondRange(lo, hi),
+            [=](CliOptions &o, const std::string &text) {
+                std::vector<N> items;
+                for (const std::string &item : splitFields(text, ',')) {
+                    if (!readBounded(item, lo, hi, items.emplace_back()))
+                        return false;
+                }
+                o.*list = std::move(items);
+                return true;
+            },
+            [=](std::ostream &os, const CliOptions &o) {
+                const char *sep = "";
+                for (const N x : o.*list)
+                    os << std::exchange(sep, ",") << formatValue(x);
+            }};
 }
 
 /** A modeled application name. */
-FlagValue
-appValue()
+F
+appRow()
 {
     // "hotlock" is the synthetic lock-saturation workload behind the
     // E19 collapse study; it stays out of dacapoAppNames() so the
@@ -96,56 +51,65 @@ appValue()
     // may ask for it by name.
     std::vector<std::string> apps = workload::dacapoAppNames();
     apps.push_back("hotlock");
-    std::string expect = "expect a modeled app:";
+    std::string expects = "a modeled app:";
     for (const std::string &app : apps)
-        expect += " " + app;
-    FlagValue v;
-    v.arg = "<name>";
-    v.set = [=](CliOptions &o, const std::string &text) {
-        if (std::find(apps.begin(), apps.end(), text) == apps.end())
-            return expect;
-        o.app = text;
-        return std::string();
-    };
-    v.show = [](const CliOptions &o) { return o.app; };
-    return v;
+        expects += " " + app;
+    return {"--app", expects, {},
+            [=](CliOptions &o, const std::string &text) {
+                const bool ok = std::ranges::find(apps, text) != apps.end();
+                if (ok)
+                    o.app = text;
+                return ok;
+            },
+            [](std::ostream &os, const CliOptions &o) { os << o.app; }};
 }
 
-/** A grammar-checked spec; @p parse returns "" or the parser's error. */
-FlagValue
-specValue(std::function<std::string(CliOptions &, const std::string &)> parse)
+/**
+ * A spec in a grammar of its own: @p store returns "" or the grammar's
+ * diagnosis, which read() throws as std::invalid_argument for setFlag()
+ * to report in place of an expectation.
+ */
+F
+specRow(std::string key,
+        std::string (*store)(CliOptions &, const std::string &))
 {
-    FlagValue v;
-    v.arg = "<spec>";
-    v.set = std::move(parse);
-    return v;
+    return {std::move(key), "", {},
+            [=](CliOptions &o, const std::string &text) {
+                const std::string err = store(o, text);
+                if (!err.empty())
+                    throw std::invalid_argument(err);
+                return true;
+            },
+            nullptr};
 }
 
-template <class Field>
-FlagValue
-textValue(Field field, const char *arg)
+/** Any text, stored as given. */
+template <class Acc>
+F
+textRow(std::string key, Acc acc)
 {
-    FlagValue v;
-    v.arg = arg;
-    v.set = [=](CliOptions &o, const std::string &text) {
-        std::invoke(field, o) = text;
-        return std::string();
-    };
-    v.show = [=](const CliOptions &o) { return std::invoke(field, o); };
-    return v;
+    return {std::move(key), "", {},
+            [=](CliOptions &o, const std::string &text) {
+                std::invoke(acc, o) = text;
+                return true;
+            },
+            [=](std::ostream &os, const CliOptions &o) {
+                os << std::invoke(acc, o);
+            }};
 }
 
-/** A switch: its presence stores @p value. */
-template <class Field, class T = FieldOf<Field>>
-FlagValue
-switchValue(Field field, std::type_identity_t<T> value = T{true})
+/** A switch: its presence stores @p value; no default is shown. */
+template <class Acc, class V = std::remove_cvref_t<
+                         std::invoke_result_t<Acc, CliOptions &>>>
+F
+switchRow(std::string key, Acc acc, std::type_identity_t<V> value = V{true})
 {
-    FlagValue v;
-    v.set = [=](CliOptions &o, const std::string &) {
-        std::invoke(field, o) = value;
-        return std::string();
-    };
-    return v;
+    return {std::move(key), "", {},
+            [=](CliOptions &o, const std::string &) {
+                std::invoke(acc, o) = value;
+                return true;
+            },
+            nullptr};
 }
 
 constexpr std::size_t kWidth = 78;
@@ -182,12 +146,12 @@ printFlags(std::ostream &os, const Command *cmd)
         if (cmd != nullptr && !f.readBy(cmd->name))
             continue;
         std::string label;
-        for (const std::string &name : f.names)
+        for (const std::string &name : f.names())
             label += (label.empty() ? "" : ", ") + name;
-        if (f.value.arg != nullptr)
-            label += std::string(" ") + f.value.arg;
+        if (f.arg != nullptr)
+            label += std::string(" ") + f.arg;
         std::string text = f.help;
-        const std::string def = f.value.show ? f.value.show(defaults) : "";
+        const std::string def = f.show(defaults);
         if (!def.empty())
             text += " (default " + def + ")";
         for (std::size_t i = 0; i < f.excludes.size(); ++i)
@@ -216,6 +180,10 @@ shardableNames()
 /** A --*-ms value must survive the conversion to ticks. */
 constexpr Ticks kMaxMs = std::numeric_limits<Ticks>::max() / units::MS;
 
+/** campaign forks every shard at once: over 5x the paper's 48 cores is
+ *  plenty, since workers beyond the host's cores only queue. */
+constexpr std::uint32_t kMaxShards = 256;
+
 // Which commands read a flag. kSim: every command that builds an
 // ExperimentConfig; kBatch: those that run planned, cached batches.
 const std::string kSim = "run sweep study lifespan locks trace resilience "
@@ -234,185 +202,186 @@ flagTable()
         core::ExperimentConfig{}.machine.totalCores();
     constexpr Ticks ms = units::MS;
     static const std::vector<Flag> table = {
-        {{"--app"}, appValue(), "application; see 'apps'", kOneApp},
-        {{"--threads"}, listValue(OPT(threads), 1, cores),
+        {appRow(), "<name>", "application; see 'apps'", kOneApp},
+        {listRow("--threads", &CliOptions::threads, 1, cores), "<list>",
          "thread counts (profile/traffic/collapse: their own ladder)",
          kOneApp},
-        {{"--scale"}, numberValue(OPT(config.workload_scale), kPositive, 1000),
-         "work-volume multiplier", kSim},
-        {{"--seed"}, numberValue(OPT(config.seed), 0),
+        {F::number("--scale", OPT(config.workload_scale), kPositive, 1000),
+         "<f>", "work-volume multiplier", kSim},
+        {F::number("--seed", OPT(config.seed), 0), "<n>",
          "experiment seed (fuzz: first case seed)", kSim + " fuzz"},
-        {{"--heap-factor"}, numberValue(OPT(config.heap_factor), 1, 1000),
+        {F::number("--heap-factor", OPT(config.heap_factor), 1, 1000), "<f>",
          "heap = f x min requirement", kSim},
-        {{"--compartments"}, switchValue(OPT(config.vm.heap.compartmentalized)),
-         "compartmentalized heap (Sec. IV (ii))", kSim},
-        {{"--biased"}, switchValue(OPT(config.biased_scheduling)),
+        {switchRow("--compartments", OPT(config.vm.heap.compartmentalized)),
+         nullptr, "compartmentalized heap (Sec. IV (ii))", kSim},
+        {switchRow("--biased", OPT(config.biased_scheduling)), nullptr,
          "biased scheduling (Sec. IV (i))", kSim},
-        {{"--groups"}, numberValue(OPT(config.bias_groups), 1),
+        {F::number("--groups", OPT(config.bias_groups), 1), "<n>",
          "bias phase groups", kSim},
-        {{"--adaptive"}, switchValue(OPT(config.vm.adaptive.enabled)),
+        {switchRow("--adaptive", OPT(config.vm.adaptive.enabled)), nullptr,
          "adaptive young-gen sizing", kSim},
-        {{"--concurrent"},
-         switchValue(OPT(config.vm.collector),
-                     jvm::CollectorKind::ConcurrentOld),
-         "CMS-style concurrent old-gen collector", kSim},
-        {{"--scatter"},
-         switchValue(OPT(config.placement),
-                     machine::Machine::EnablePolicy::Scatter),
-         "spread enabled cores across sockets", kSim},
-        {{"--replicas"}, numberValue(OPT(replicas), 1),
+        {switchRow("--concurrent", OPT(config.vm.collector),
+                   jvm::CollectorKind::ConcurrentOld),
+         nullptr, "CMS-style concurrent old-gen collector", kSim},
+        {switchRow("--scatter", OPT(config.placement),
+                   machine::Machine::EnablePolicy::Scatter),
+         nullptr, "spread enabled cores across sockets", kSim},
+        {F::number("--replicas", OPT(replicas), 1), "<n>",
          "repetitions with derived seeds", "sweep"},
-        {{"--jobs"}, numberValue(OPT(config.jobs), 0),
+        {F::number("--jobs", OPT(config.jobs), 0), "<n>",
          "host worker threads (0 = one per host core); any value gives "
          "identical results", kBatch},
-        {{"--governor"},
-         enumValue(OPT(config.governor.mode), control::parseGovernorMode,
-                   control::governorModeName, "expect off, hill or usl"),
+        {F::choice("--governor", OPT(config.governor.mode),
+                   control::governorModeName, control::kGovernorModes),
+         "<name>",
          "concurrency governor: off, hill (throughput hill climbing) or "
          "usl (calibrate, fit, clamp to n*)", kSim},
-        {{"--governor-interval-ms"},
-         numberValue(OPT(config.governor.interval), 1, kMaxMs, ms),
-         "governor decision interval", kSim},
-        {{"--per-thread"}, switchValue(OPT(per_thread)),
+        {F::number("--governor-interval-ms", OPT(config.governor.interval), 1,
+                   kMaxMs, ms),
+         "<n>", "governor decision interval", kSim},
+        {switchRow("--per-thread", OPT(per_thread)), nullptr,
          "per-thread breakdown", "run"},
-        {{"--gclog"}, textValue(OPT(gclog_path), "<path>"),
+        {textRow("--gclog", OPT(gclog_path)), "<path>",
          "write a HotSpot-style GC log", "run"},
-        {{"--timeline"}, textValue(OPT(config.timeline_path), "<path>"),
+        {textRow("--timeline", OPT(config.timeline_path)), "<path>",
          "write a Perfetto timeline ({app}/{threads} placeholders)", kSim},
-        {{"--metrics-interval-ms"},
-         numberValue(OPT(config.metrics_interval), 0, kMaxMs, ms),
-         "sample heap/runqueue/lock gauges into a CSV (0 = off)", kSim},
-        {{"--metrics"}, textValue(OPT(config.metrics_path), "<path>"),
+        {F::number("--metrics-interval-ms", OPT(config.metrics_interval), 0,
+                   kMaxMs, ms),
+         "<n>", "sample heap/runqueue/lock gauges into a CSV (0 = off)", kSim},
+        {textRow("--metrics", OPT(config.metrics_path)), "<path>",
          "metrics CSV path (default derives from --timeline)", kSim},
-        {{"--faults"}, specValue([](CliOptions &o, const std::string &text) {
-            if (text.empty())
-                return std::string("expect a fault schedule");
-            std::string err;
-            fault::FaultPlan::parse(text, o.config.faults, err);
-            return err;
-        }),
+        {specRow("--faults",
+                 [](CliOptions &o, const std::string &text) {
+                     if (text.empty())
+                         return std::string("expect a fault schedule");
+                     std::string err;
+                     fault::FaultPlan::parse(text, o.config.faults, err);
+                     return err;
+                 }),
+         "<spec>",
          "fault schedule, e.g. \"coreoff@100:n=2:for=200,kill@250\" or "
          "\"intensity=0.5:horizon=300\"; see 'faults'",
          "run sweep study lifespan locks trace profile traffic collapse "
          "golden faults"},
-        {{"--watchdog"}, switchValue(OPT(config.watchdog)),
+        {switchRow("--watchdog", OPT(config.watchdog)), nullptr,
          "arm the sim-time livelock watchdog", kSim},
-        {{"--watchdog-interval-ms"},
-         numberValue(OPT(config.watchdog_config.interval), 1,
-                     kMaxMs, ms),
-         "watchdog check interval in simulated ms", kSim},
-        {{"--intensities"}, listValue(OPT(intensities), 0, 1),
+        {F::number("--watchdog-interval-ms",
+                   OPT(config.watchdog_config.interval), 1, kMaxMs, ms),
+         "<n>", "watchdog check interval in simulated ms", kSim},
+        {listRow("--intensities", &CliOptions::intensities, 0, 1), "<list>",
          "fault intensities of the x-axis", "resilience"},
-        {{"--horizon-ms"}, numberValue(OPT(horizon), 0, kMaxMs, ms),
+        {F::number("--horizon-ms", OPT(horizon), 0, kMaxMs, ms), "<n>",
          "fault window (0 = 3/4 of an unfaulted run)", "resilience"},
-        {{"--oracles"}, switchValue(OPT(config.oracles)),
+        {switchRow("--oracles", OPT(config.oracles)), nullptr,
          "arm the invariant oracles; a violation aborts that run", kSim},
-        {{"--profile"}, switchValue(OPT(config.profile)),
+        {switchRow("--profile", OPT(config.profile)), nullptr,
          "attach the wait-state attribution profiler",
          "run sweep study lifespan locks trace resilience traffic collapse "
          "golden"},
-        {{"--profile-topk", "--topk"}, numberValue(OPT(config.profile_topk), 1),
-         "slowest-task records kept per profiled run", kSim},
-        {{"--seeds"}, numberValue(OPT(fuzz_seeds), 1, 1000000),
+        {F::number("--profile-topk", OPT(config.profile_topk), 1), "<n>",
+         "slowest-task records kept per profiled run", kSim, {"--topk"}},
+        {F::number("--seeds", OPT(fuzz_seeds), 1, 1000000), "<n>",
          "fuzz campaign size", "fuzz"},
-        {{"--shrink-budget"}, numberValue(OPT(shrink_budget), 1, 10000),
+        {F::number("--shrink-budget", OPT(shrink_budget), 1, 10000), "<n>",
          "max re-runs spent shrinking a fuzz failure", "fuzz"},
-        {{"--sabotage"},
-         enumValue(OPT(sabotage), core::parseSabotage, core::sabotageName,
-                   "expect none, dup-alloc, phantom-death, double-release "
-                   "or illegal-handoff"),
-         "seed a bug into the fuzz event stream (oracle self-test)", "fuzz"},
-        {{"--lock-policy"},
-         enumValue(OPT(config.vm.locks.policy), jvm::parseLockPolicy,
-                   jvm::lockPolicyName,
-                   "expect fifo, barging, malthusian or lcr"),
+        {F::choice("--sabotage", OPT(sabotage), core::sabotageName,
+                   core::kSabotages),
+         "<name>", "seed a bug into the fuzz event stream (oracle self-test)",
+         "fuzz"},
+        {F::choice("--lock-policy", OPT(config.vm.locks.policy),
+                   jvm::lockPolicyName, std::size(jvm::kAllLockPolicies)),
+         "<name>",
          "monitor admission: fifo, barging, malthusian or lcr (collapse "
          "sweeps all four unless given)", kSim},
-        {{"--barge-window"}, numberValue(OPT(config.vm.locks.barge_window), 1),
-         "barging grant window", kSim},
-        {{"--active-target"},
-         numberValue(OPT(config.vm.locks.active_target), 1),
-         "malthusian active-set bound", kSim},
-        {{"--rotation-period"},
-         numberValue(OPT(config.vm.locks.rotation_period), 0),
-         "passive-list rotation period in handoffs (0 = never)", kSim},
-        {{"--lcr-max"}, numberValue(OPT(config.vm.locks.lcr_max_active), 1),
+        {F::number("--barge-window", OPT(config.vm.locks.barge_window), 1),
+         "<n>", "barging grant window", kSim},
+        {F::number("--active-target", OPT(config.vm.locks.active_target), 1),
+         "<n>", "malthusian active-set bound", kSim},
+        {F::number("--rotation-period", OPT(config.vm.locks.rotation_period),
+                   0),
+         "<n>", "passive-list rotation period in handoffs (0 = never)", kSim},
+        {F::number("--lcr-max", OPT(config.vm.locks.lcr_max_active), 1), "<n>",
          "LCR active-set clamp maximum", kSim},
-        {{"--circulation-window"},
-         numberValue(OPT(config.vm.locks.circulation_window), 1),
-         "handoffs per lock-circulation width sample", kSim},
-        {{"--handoff-base"}, numberValue(OPT(config.vm.locks.handoff_base), 0),
-         "ticks per contended handoff (collapse: 250)", kSim},
-        {{"--coherence-cost"},
-         numberValue(OPT(config.vm.locks.coherence_cost), 0),
-         "ticks per distinct recent owner (collapse: 500)", kSim},
-        {{"--replay"}, textValue(OPT(replay_path), "<path>"),
+        {F::number("--circulation-window",
+                   OPT(config.vm.locks.circulation_window), 1),
+         "<n>", "handoffs per lock-circulation width sample", kSim},
+        {F::number("--handoff-base", OPT(config.vm.locks.handoff_base), 0),
+         "<n>", "ticks per contended handoff (collapse: 250)", kSim},
+        {F::number("--coherence-cost", OPT(config.vm.locks.coherence_cost), 0),
+         "<n>", "ticks per distinct recent owner (collapse: 500)", kSim},
+        {textRow("--replay", OPT(replay_path)), "<path>",
          "re-run a fuzz reproducer file", "fuzz"},
-        {{"--out"}, textValue(OPT(out_path), "<path>"),
+        {textRow("--out", OPT(out_path)), "<path>",
          "output: trace (default jscale.trace), fuzz reproducer "
          "(jscale-fuzz.repro) or golden store (jscale.golden)",
          "trace fuzz golden"},
-        {{"--in"}, textValue(OPT(in_path), "<path>"),
+        {textRow("--in", OPT(in_path)), "<path>",
          "input: recorded trace (analyze) or sweep CSV (usl)", "analyze usl"},
-        {{"--plots"}, textValue(OPT(plots_dir), "<dir>"),
+        {textRow("--plots", OPT(plots_dir)), "<dir>",
          "write gnuplot figures", "study profile"},
-        {{"--csv"}, switchValue(OPT(csv)), "emit CSV after the tables",
+        {switchRow("--csv", OPT(csv)), nullptr, "emit CSV after the tables",
          "run sweep study lifespan resilience profile traffic collapse"},
-        {{"--arrivals"}, specValue([](CliOptions &o, const std::string &text) {
-            traffic::ArrivalSpec spec;
-            std::string err;
-            if (traffic::ArrivalSpec::parse(text, spec, err))
-                o.config.arrivals = text;
-            return err;
-        }),
+        {specRow("--arrivals",
+                 [](CliOptions &o, const std::string &text) {
+                     traffic::ArrivalSpec spec;
+                     std::string err;
+                     if (traffic::ArrivalSpec::parse(text, spec, err))
+                         o.config.arrivals = text;
+                     return err;
+                 }),
+         "<spec>",
          "open-loop arrivals: poisson:rate=<r>[:requests=<n>][:queue=<cap>]"
          "[:shed=drop|oldest], burst:rate=<r>:factor=<f>[:on_ms=..]"
          "[:off_ms=..] or diurnal:rate=<r>:peak=<f>[:period_ms=..]",
          "run sweep study lifespan locks trace resilience profile collapse "
          "golden"},
-        {{"--tenants"}, specValue([](CliOptions &o, const std::string &text) {
-            std::string err;
-            traffic::TenantSpec::parseList(text, o.tenants, err);
-            return err;
-        }),
-         "co-located JVMs: \"<app>:threads=<n>:rate=<r>[...];...\"", "run",
+        {specRow("--tenants",
+                 [](CliOptions &o, const std::string &text) {
+                     std::string err;
+                     traffic::TenantSpec::parseList(text, o.tenants, err);
+                     return err;
+                 }),
+         "<spec>", "co-located JVMs: \"<app>:threads=<n>:rate=<r>[...];...\"",
+         "run",
+         {},
          {{"--biased", "one bias rotation cannot be split between tenants"},
           {"--faults", "one fault plan cannot be split between tenants"},
           {"--timeline", "one timeline cannot be split between tenants"},
           {"--gclog", "the GC log has one writer"},
           {"--per-thread", "the per-thread table covers one VM"},
           {"--arrivals", "each tenant carries its own arrivals"}}},
-        {{"--loads"}, listValue(OPT(loads), kPositive, 1000),
+        {listRow("--loads", &CliOptions::loads, kPositive, 1000), "<list>",
          "offered loads as fractions of capacity", "traffic"},
-        {{"--requests"}, numberValue(OPT(requests), 1),
+        {F::number("--requests", OPT(requests), 1), "<n>",
          "requests per open-loop rung", "traffic"},
-        {{"--cache-dir"}, textValue(OPT(config.run_cache_dir), "<dir>"),
+        {textRow("--cache-dir", OPT(config.run_cache_dir)), "<dir>",
          "per-point result cache; re-running over it resumes (shard/merge: "
          "jscale-cache, campaign: jscale-campaign/cache)",
          kBatch + " fuzz shard merge campaign"},
-        {{"--index"}, numberValue(OPT(config.shard_index), 0),
+        {F::number("--index", OPT(config.shard_index), 0), "<n>",
          "this worker's shard, below --of", "shard"},
-        {{"--of"}, numberValue(OPT(config.shard_count), 1),
+        {F::number("--of", OPT(config.shard_count), 1), "<n>",
          "shard count of the campaign", "shard"},
-        {{"--fill"}, switchValue(OPT(fill)),
+        {switchRow("--fill", OPT(fill)), nullptr,
          "re-run missing points here instead of failing them", "merge"},
-        {{"--shards"}, numberValue(OPT(shards), 1), "campaign workers",
-         "campaign"},
-        {{"--retries"}, numberValue(OPT(supervisor.retries), 0),
+        {F::number("--shards", OPT(shards), 1, kMaxShards), "<n>",
+         "campaign workers", "campaign"},
+        {F::number("--retries", OPT(supervisor.retries), 0), "<n>",
          "extra attempts after a crash or timeout", "campaign supervise"},
-        {{"--backoff-ms"}, numberValue(OPT(supervisor.backoff_ms), 0, kMaxMs),
-         "base of the exponential retry backoff", "campaign supervise"},
-        {{"--timeout-s"}, numberValue(OPT(supervisor.timeout_s), 0, 1000000000),
-         "wall-clock limit per attempt (0 = none)", "campaign supervise"},
-        {{"--log-dir"}, textValue(OPT(supervisor.log_dir), "<dir>"),
+        {F::number("--backoff-ms", OPT(supervisor.backoff_ms), 0, kMaxMs),
+         "<n>", "base of the exponential retry backoff", "campaign supervise"},
+        {F::number("--timeout-s", OPT(supervisor.timeout_s), 0, 1000000000),
+         "<n>", "wall-clock limit per attempt (0 = none)",
+         "campaign supervise"},
+        {textRow("--log-dir", OPT(supervisor.log_dir)), "<dir>",
          "per-attempt worker logs (campaign: jscale-campaign/logs)",
          "campaign supervise"},
-        {{"--chaos"}, switchValue(OPT(chaos)),
+        {switchRow("--chaos", OPT(chaos)), nullptr,
          "SIGKILL one worker mid-campaign (supervisor self-test)",
          "campaign"},
-        {{"--chaos-seed"}, numberValue(OPT(chaos_seed), 0),
+        {F::number("--chaos-seed", OPT(chaos_seed), 0), "<n>",
          "picks the chaos victim shard", "campaign"},
-        {{"--chaos-kill-after"}, numberValue(OPT(chaos_kill_after), 1),
+        {F::number("--chaos-kill-after", OPT(chaos_kill_after), 1), "<n>",
          "durable records committed before the kill", "campaign"},
     };
     return table;
@@ -427,11 +396,28 @@ CliOptions::given(std::string_view flag) const
            given_flags.end();
 }
 
+std::vector<std::string>
+Flag::names() const
+{
+    std::vector<std::string> out = {row.key};
+    out.insert(out.end(), aliases.begin(), aliases.end());
+    return out;
+}
+
 bool
 Flag::readBy(std::string_view command) const
 {
     return (" " + commands + " ").find(" " + std::string(command) + " ") !=
            std::string::npos;
+}
+
+std::string
+Flag::show(const CliOptions &o) const
+{
+    std::ostringstream os;
+    if (row.write)
+        row.write(os, o);
+    return os.str();
 }
 
 const Command *
@@ -448,7 +434,7 @@ const Flag *
 findFlag(std::string_view name)
 {
     for (const Flag &f : flagTable()) {
-        if (std::find(f.names.begin(), f.names.end(), name) != f.names.end())
+        if (std::ranges::count(f.names(), name) > 0)
             return &f;
     }
     return nullptr;
@@ -460,9 +446,13 @@ setFlag(CliOptions &o, const std::string &name, const std::string &value)
     const Flag *flag = findFlag(name);
     if (flag == nullptr)
         return "unknown flag '" + name + "'";
-    const std::string why = flag->value.set(o, value);
-    if (why.empty())
-        return "";
+    std::string why = "expect " + flag->row.expects;
+    try {
+        if (flag->row.read(o, value))
+            return "";
+    } catch (const std::invalid_argument &e) {
+        why = e.what(); // a spec row's grammar diagnosis
+    }
     return "bad " + name + " value '" + value + "': " + why;
 }
 
@@ -508,13 +498,13 @@ parseCommandLine(const std::vector<std::string> &args, CliOptions &o)
             return where + arg + " is not read by " + o.command +
                    " (read by: " + flag->commands + ")";
         }
-        if (flag->value.arg != nullptr && ++i == args.size())
+        if (flag->arg != nullptr && ++i == args.size())
             return where + "missing value for " + arg;
         const std::string err =
-            setFlag(o, arg, flag->value.arg != nullptr ? args[i] : "");
+            setFlag(o, arg, flag->arg != nullptr ? args[i] : "");
         if (!err.empty())
             return where + err;
-        o.given_flags.push_back(flag->names.front());
+        o.given_flags.push_back(flag->row.key);
     }
     for (const std::string &name : o.given_flags) {
         for (const auto &[other, why] : findFlag(name)->excludes) {

@@ -1,20 +1,21 @@
 /**
  * @file
- * The jscale command line as data: a command table, a flag table with
- * typed values, and the one parse loop and help generator built on them.
+ * The jscale command line as data: a command table, a flag table of
+ * Field rows (base/fields.hh), and the one parse loop and help
+ * generator built on them.
  */
 
 #ifndef JSCALE_TOOLS_CLI_HH
 #define JSCALE_TOOLS_CLI_HH
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "base/fields.hh"
 #include "core/experiment.hh"
 #include "core/fuzz.hh"
 #include "core/supervisor.hh"
@@ -80,31 +81,24 @@ struct Command
     Operand operand = Operand::None;
 };
 
-/** A typed flag value: its parser and the rendering of its default. */
-struct FlagValue
-{
-    /** Help placeholder ("<n>"); nullptr for a switch. */
-    const char *arg = nullptr;
-    /** Store @p text into the options; returns "" or what was expected. */
-    std::function<std::string(CliOptions &, const std::string &)> set;
-    /** The value as the flag would spell it ("" = no default shown). */
-    std::function<std::string(const CliOptions &)> show;
-    /** The nearest values the bounds reject (numeric kinds only). */
-    std::vector<std::string> beyond;
-};
-
 struct Flag
 {
-    /** Canonical name first, then aliases. */
-    std::vector<std::string> names;
-    FlagValue value;
+    /** Reads and prints the value; its key is the canonical name. */
+    Field<CliOptions> row;
+    /** Help placeholder ("<n>"); nullptr for a switch. */
+    const char *arg;
     const char *help;
     /** Space-separated names of the commands whose code reads it. */
     std::string commands;
+    std::vector<std::string> aliases = {};
     /** Flags it cannot combine with, each with the reason why. */
     std::vector<std::pair<std::string, std::string>> excludes = {};
 
+    /** The canonical name, then the aliases. */
+    std::vector<std::string> names() const;
     bool readBy(std::string_view command) const;
+    /** The value as the flag would spell it ("" = no default shown). */
+    std::string show(const CliOptions &o) const;
 };
 
 /** Defined next to the command entry points (jscale_cli.cc). */

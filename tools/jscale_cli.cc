@@ -726,10 +726,9 @@ cmdGolden(const CliOptions &o)
         std::cout << "shard slice cached; snapshot deferred to merge\n";
         return 0;
     }
-    for (const char *key : {"app", "threads", "seed"}) {
-        file.config.emplace_back(
-            key, findFlag(std::string("--") + key)->value.show(o));
-    }
+    for (const char *key : {"app", "threads", "seed"})
+        file.config.emplace_back(key,
+                                 findFlag(std::string("--") + key)->show(o));
     std::ostringstream scale;
     scale.precision(17);
     scale << o.config.workload_scale;
