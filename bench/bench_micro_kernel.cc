@@ -2,8 +2,8 @@
  * @file
  * E12 — simulator micro-benchmarks (google-benchmark): throughput of
  * the event queue, the allocation/death path, the monitor fast path, the
- * scheduler's wake path, the timeline encoder and a full simulated
- * application run. These bound the cost of every
+ * scheduler's wake path, a private mutator's burst loop, the timeline
+ * encoder and a full simulated application run. These bound the cost of every
  * experiment above and guard against performance regressions in the
  * simulation kernel itself.
  */
@@ -314,6 +314,36 @@ BM_HeapAllocateDeath(benchmark::State &state)
 BENCHMARK(BM_HeapAllocateDeath);
 
 void
+BM_HeapAllocDeath(benchmark::State &state)
+{
+    // The apps' lifetime mix, unlike BM_HeapAllocateDeath's all-short
+    // one: most objects die within 4 KiB of their owner's allocation
+    // (the near death tier), the rest live up to 8 MiB (the far tier),
+    // so each owner keeps thousands of long-lived entries pending.
+    jvm::HeapConfig cfg;
+    cfg.capacity = 1024 * units::MiB;
+    jvm::Heap heap(cfg, 4, nullptr);
+    Rng rng(17);
+    std::uint64_t allocs = 0;
+    for (auto _ : state) {
+        const Bytes size = 16 + rng.below(512);
+        const Bytes ttl = rng.below(100) < 88
+                              ? rng.below(4 * units::KiB)
+                              : 4 * units::KiB + rng.below(8 * units::MiB);
+        const auto status = heap.allocate(
+            static_cast<jvm::MutatorIndex>(allocs % 4), size, ttl, 0, 0);
+        if (status != jvm::AllocStatus::Ok) {
+            if (heap.collectMinor(0).needs_full)
+                heap.collectFull(0);
+            continue;
+        }
+        ++allocs;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(allocs));
+}
+BENCHMARK(BM_HeapAllocDeath);
+
+void
 BM_MinorCollection(benchmark::State &state)
 {
     const std::int64_t objects = state.range(0);
@@ -483,6 +513,55 @@ BM_SchedulerWakeKick(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchedulerWakeKick);
+
+/** A private mutator: each burst computes, then allocates one object
+ *  that dies young. It never blocks or wakes anyone. */
+class PrivateBurstClient : public os::SchedClient
+{
+  public:
+    explicit PrivateBurstClient(jvm::Heap &heap) : heap_(heap) {}
+
+    Ticks planBurst(Ticks, Ticks) override { return 2 * units::US; }
+
+    os::BurstOutcome
+    finishBurst(Ticks now, Ticks) override
+    {
+        const Bytes size = 16 + rng_.below(512);
+        if (heap_.allocate(0, size, rng_.below(4 * units::KiB), 0, now) !=
+            jvm::AllocStatus::Ok)
+            heap_.collectMinor(now);
+        return os::BurstOutcome::Ready;
+    }
+
+    std::string clientName() const override { return "private-burst"; }
+
+  private:
+    jvm::Heap &heap_;
+    Rng rng_{19};
+};
+
+void
+BM_PrivateBurstRun(benchmark::State &state)
+{
+    // The narrow workload's hot path: one thread alone on its core and
+    // nothing else queued, so every burst ends before the queue head
+    // and the next one runs in place. An item is one burst.
+    sim::Simulation sim(1);
+    machine::Machine mach(machine::Machine::amd6168_4p48c());
+    mach.enableCores(1);
+    os::Scheduler sched(sim, mach);
+    jvm::HeapConfig cfg;
+    cfg.capacity = 64 * units::MiB;
+    jvm::Heap heap(cfg, 1, nullptr);
+    PrivateBurstClient client(heap);
+    sched.start(sched.registerThread(&client, os::ThreadKind::Mutator));
+    for (auto _ : state)
+        sim.run(sim.now() + 1 * units::MS); // 500 bursts
+    benchmark::DoNotOptimize(heap.heapStats().objects_died);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(sim.eventsProcessed()));
+}
+BENCHMARK(BM_PrivateBurstRun);
 
 void
 BM_FullApplicationRun(benchmark::State &state)

@@ -51,8 +51,15 @@ template <class N>
 std::string
 rangeText(N lo, N hi)
 {
-    return (lo == kPositive ? "(0" : "[" + formatValue(lo)) + ", " +
-           formatValue(hi) + "]";
+    // Appended piece by piece: GCC 12 warns (-Wrestrict, falsely) on a
+    // string literal plus a temporary string once it is inlined.
+    std::string text = lo == kPositive ? "(0" : "[";
+    if (lo != kPositive)
+        text += formatValue(lo);
+    text += ", ";
+    text += formatValue(hi);
+    text += ']';
+    return text;
 }
 
 /** The nearest values [lo, hi] refuses (-1 and 2^64 past an unsigned). */
@@ -197,8 +204,11 @@ struct Field
     choice(std::string key, Acc acc, const char *(*name)(E), std::size_t n)
     {
         std::string names = "one of ";
-        for (std::size_t i = 0; i < n; ++i)
-            names += (i > 0 ? "|" : "") + std::string(name(static_cast<E>(i)));
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i > 0)
+                names += '|';
+            names += name(static_cast<E>(i));
+        }
         return {std::move(key), names, {},
                 [=](T &t, const std::string &text) {
                     return parseName(text, name, n, std::invoke(acc, t));

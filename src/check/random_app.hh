@@ -47,8 +47,11 @@ class RandomApp : public jvm::ApplicationModel
     setup(jvm::AppContext &ctx) override
     {
         monitors_.clear();
-        for (std::uint32_t i = 0; i < n_monitors_; ++i)
-            monitors_.push_back(ctx.createMonitor("m" + std::to_string(i)));
+        for (std::uint32_t i = 0; i < n_monitors_; ++i) {
+            std::string name = "m";
+            name += std::to_string(i); // not "m" + ...: GCC 12 -Wrestrict
+            monitors_.push_back(ctx.createMonitor(name));
+        }
         channel_ = ctx.createChannel("permits", /*permits=*/3);
     }
 

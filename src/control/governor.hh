@@ -129,9 +129,6 @@ class ConcurrencyGovernor : public jvm::TaskAdmission
     std::uint64_t parks() const { return parks_; }
     std::uint64_t unparks() const { return unparks_; }
 
-    /** The calibration fit (UslGuided; valid once calibration ended). */
-    const UslFit &calibrationFit() const { return fit_; }
-
     const GovernorConfig &config() const { return config_; }
 
   private:

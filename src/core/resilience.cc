@@ -67,9 +67,12 @@ runResilienceStudy(const ResilienceConfig &config)
             arm.faults = plan;
             arm.governor.mode = governed ? config.governed_mode
                                          : control::GovernorMode::Off;
-            // Tag every per-arm artifact so the arms never collide.
-            tagArtifactPaths(arm, "i" + formatFixed(intensity, 2) +
-                                      (governed ? "-gov" : "-ungov"));
+            // Tag every per-arm artifact so the arms never collide
+            // (appended, not "i" + ...: GCC 12 warns -Wrestrict).
+            std::string tag = "i";
+            tag += formatFixed(intensity, 2);
+            tag += governed ? "-gov" : "-ungov";
+            tagArtifactPaths(arm, tag);
             runs.push_back({config.app, config.threads,
                             std::make_shared<const ExperimentConfig>(
                                 std::move(arm))});

@@ -154,8 +154,13 @@ Heap::allocate(MutatorIndex owner, Bytes size, Bytes ttl_owner_bytes,
                       death_owner, pinned);
 
     eden_objects_[comp].push_back(h);
-    if (!pinned)
-        death_queues_[owner].push(DeathEntry{death_owner, h, id});
+    if (!pinned) {
+        DeathQueue &q = death_queues_[owner];
+        std::vector<DeathEntry> &tier =
+            ttl_owner_bytes < kNearTtl ? q.near : q.far;
+        tier.push_back(DeathEntry{death_owner, h, id});
+        std::push_heap(tier.begin(), tier.end(), std::greater<>{});
+    }
 
     if (listeners_ && !listeners_->empty()) {
         const ObjectRecord r = ledger_.view(h);
@@ -207,9 +212,21 @@ Heap::processDeaths(MutatorIndex owner, Ticks now)
     const Bytes prev_global = owner_prev_global_[owner];
     const Bytes owner_span = clock - prev_clock;
     const Bytes global_span = global_alloc_bytes_ - prev_global;
-    while (!q.empty() && q.top().threshold <= clock) {
-        const DeathEntry e = q.top();
-        q.pop();
+    for (;;) {
+        // The due tier whose top is smaller in (threshold, id) goes next.
+        const bool near_due =
+            !q.near.empty() && q.near.front().threshold <= clock;
+        const bool far_due =
+            !q.far.empty() && q.far.front().threshold <= clock;
+        if (!near_due && !far_due)
+            break;
+        std::vector<DeathEntry> &tier =
+            near_due && (!far_due || q.far.front() > q.near.front())
+                ? q.near
+                : q.far;
+        std::pop_heap(tier.begin(), tier.end(), std::greater<>{});
+        const DeathEntry e = tier.back();
+        tier.pop_back();
         // Stale entries: the object was already killed out-of-band
         // (thread exit) and possibly reclaimed/reused; the id check
         // rejects both cases.
@@ -474,6 +491,7 @@ Heap::checkInvariants() const
     Bytes survivor_resident = 0;
     Bytes old_resident = 0;
     Bytes eden_resident = 0;
+    std::uint64_t live_unpinned = 0;
     auto walk = [&](const std::vector<ObjectHandle> &list, Region region) {
         for (const ObjectHandle h : list) {
             if (ledger_.id(h) == 0)
@@ -484,6 +502,7 @@ Heap::checkInvariants() const
             if (!ledger_.dead(h)) {
                 live += size;
                 ++live_count;
+                live_unpinned += ledger_.pinned(h) ? 0 : 1;
             }
             switch (region) {
               case Region::Eden:
@@ -538,6 +557,44 @@ Heap::checkInvariants() const
     jscale_assert(owner_listed == live_objects_,
                   "owner rosters disagree with live object count: ",
                   owner_listed, " listed vs ", live_objects_);
+
+    // Death-queue consistency: every live, unpinned object has exactly
+    // one entry in its owner's tiers, at its death threshold, which lies
+    // ahead of the owner's clock (the last death pass popped every due
+    // entry). Entries of dead or reused slots are stale and skipped.
+    std::vector<bool> queued(ledger_.slots(), false);
+    std::uint64_t queued_live = 0;
+    for (MutatorIndex owner = 0; owner < n_mutators_; ++owner) {
+        const DeathQueue &q = death_queues_[owner];
+        for (const std::vector<DeathEntry> *tier : {&q.near, &q.far}) {
+            jscale_assert(std::is_heap(tier->begin(), tier->end(),
+                                       std::greater<>{}),
+                          "death tier of owner ", owner, " is not a heap");
+            for (const DeathEntry &e : *tier) {
+                if (ledger_.id(e.handle) != e.id || ledger_.dead(e.handle))
+                    continue;
+                jscale_assert(!queued[e.handle], "object ", e.id,
+                              " is queued to die twice");
+                queued[e.handle] = true;
+                ++queued_live;
+                jscale_assert(ledger_.owner(e.handle) == owner &&
+                                  !ledger_.pinned(e.handle),
+                              "object ", e.id, " on the death queue of owner ",
+                              owner, " is pinned or not its own");
+                jscale_assert(e.threshold == ledger_.deathOwner(e.handle),
+                              "object ", e.id, " queued to die at ",
+                              e.threshold, " but its threshold is ",
+                              ledger_.deathOwner(e.handle));
+                jscale_assert(e.threshold > owner_alloc_bytes_[owner],
+                              "object ", e.id, " is overdue: threshold ",
+                              e.threshold, " <= owner clock ",
+                              owner_alloc_bytes_[owner]);
+            }
+        }
+    }
+    jscale_assert(queued_live == live_unpinned, "death queues hold ",
+                  queued_live, " live objects, but ", live_unpinned,
+                  " live objects are unpinned");
 
     // With TLABs, eden usage includes reserved-but-unfilled buffer
     // space, so residency is a lower bound; otherwise it is exact.

@@ -25,7 +25,6 @@
 #define JSCALE_JVM_HEAP_HEAP_HH
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "base/units.hh"
@@ -176,7 +175,6 @@ class Heap
      * (a transient spike must never be fatal). Pass 0 to recover.
      */
     void setExternalPressure(Bytes bytes) { external_pressure_ = bytes; }
-    Bytes externalPressure() const { return external_pressure_; }
     /** @} */
 
     /**
@@ -238,9 +236,23 @@ class Heap
         }
     };
 
-    using DeathQueue =
-        std::priority_queue<DeathEntry, std::vector<DeathEntry>,
-                            std::greater<>>;
+    /**
+     * An owner's pending deaths in two min-heaps on (threshold, id),
+     * each a vector kept with std::push_heap so checkInvariants can walk
+     * it. Most objects die within a few KiB of their owner's
+     * allocation; they go to the near tier, which stays small, so they
+     * are not sifted through the long-lived objects of the far tier.
+     * Deaths pop from whichever top is smaller, in the exact order of a
+     * single queue.
+     */
+    struct DeathQueue
+    {
+        std::vector<DeathEntry> near;
+        std::vector<DeathEntry> far;
+    };
+
+    /** Entries whose TTL is below this go to the near tier. */
+    static constexpr Bytes kNearTtl = 4 * units::KiB;
 
     /**
      * Mark an object dead, record its lifespan, notify listeners.

@@ -65,7 +65,6 @@ class ObjectLedger
     AllocSiteId site(ObjectHandle h) const { return sites_[h]; }
     Bytes size(ObjectHandle h) const { return sizes_[h]; }
     Bytes birthGlobal(ObjectHandle h) const { return birth_global_[h]; }
-    Ticks birthTime(ObjectHandle h) const { return birth_time_[h]; }
     Bytes deathOwner(ObjectHandle h) const { return death_owner_[h]; }
     std::uint8_t age(ObjectHandle h) const { return age_[h]; }
     void bumpAge(ObjectHandle h) { ++age_[h]; }

@@ -185,9 +185,6 @@ class Monitor : private AdmissionPolicy::Events
     /** Waiters on the cold passive list (culling policies only). */
     std::size_t passiveDepth() const { return policy_->passiveDepth(); }
 
-    /** Number of threads parked in the waitset. */
-    std::size_t waitsetDepth() const { return waitset_.size(); }
-
     /** The admission policy steering contended handoffs. */
     LockPolicy policy() const { return policy_->kind(); }
 
@@ -302,7 +299,6 @@ class MonitorTable
     WaitChannel &channel(ChannelId id);
 
     std::size_t monitorCount() const { return monitors_.size(); }
-    std::size_t channelCount() const { return channels_.size(); }
 
     /** Sum of acquisitions over all monitors. */
     std::uint64_t totalAcquisitions() const;

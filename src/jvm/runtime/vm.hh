@@ -422,9 +422,6 @@ class JavaVm
     /** Build the runtime and start @p app's threads; no simulation. */
     void prepare(ApplicationModel &app, std::uint32_t n_threads);
 
-    /** All mutators finished (valid once prepared). */
-    bool runFinished() const { return mutators_finished_ == n_threads_; }
-
     /** Assemble the RunResult after the shared simulation completed. */
     RunResult collectResult();
     /** @} */

@@ -61,7 +61,6 @@ class Core
 
     CoreId id() const { return id_; }
     NodeId socket() const { return socket_; }
-    double freqGhz() const { return freq_ghz_; }
 
     /** Convert a cycle count to simulated time on this core. */
     Ticks

@@ -84,7 +84,6 @@ class BiasedPolicy : public SchedPolicy
     std::uint32_t groupOf(ThreadId id) const;
 
     std::uint32_t groups() const { return groups_; }
-    Ticks phaseQuantum() const { return phase_quantum_; }
 
   private:
     std::uint32_t groups_;

@@ -418,12 +418,12 @@ Scheduler::stealFor(machine::CoreId thief, Ticks now)
     return t;
 }
 
-void
+Ticks
 Scheduler::maybeDispatch(machine::CoreId core_id)
 {
     CoreState &cs = cores_[core_id];
     if (allStopped() || cs.running || !mach_.core(core_id).enabled())
-        return;
+        return 0;
     const Ticks now = sim_.now();
     OsThread *thread = pickFromQueue(core_id, now);
     bool stolen = false;
@@ -432,11 +432,11 @@ Scheduler::maybeDispatch(machine::CoreId core_id)
         stolen = thread != nullptr;
     }
     if (!thread)
-        return;
-    dispatch(core_id, thread, stolen);
+        return 0;
+    return dispatch(core_id, thread, stolen);
 }
 
-void
+Ticks
 Scheduler::dispatch(machine::CoreId core_id, OsThread *thread, bool stolen)
 {
     CoreState &cs = cores_[core_id];
@@ -497,17 +497,30 @@ Scheduler::dispatch(machine::CoreId core_id, OsThread *thread, bool stolen)
     }
     ++running_count_;
     ++groups_[thread->group_].running;
-    sim_.schedule(cs.slice_end.get(), now + overhead + wall);
 
     // A stop-the-world request may have raced in via the policy kick
     // path; keep the invariant that no dispatch happens while the
     // thread's own group is stopped.
     jscale_assert(!groups_[thread->group_].stopped,
                   "dispatch during stop-the-world");
+    return now + overhead + wall;
 }
 
 void
 Scheduler::sliceEnd(machine::CoreId core_id)
+{
+    // When the burst dispatched last ends strictly before every queued
+    // event, run() would pop this core's slice end next and nothing can
+    // observe the core in between, so it ends here (Simulation::fuse).
+    Ticks end = endBurst(core_id);
+    while (end != 0 && sim_.fuse(end))
+        end = endBurst(core_id);
+    if (end != 0)
+        sim_.schedule(cores_[core_id].slice_end.get(), end);
+}
+
+Ticks
+Scheduler::endBurst(machine::CoreId core_id)
 {
     CoreState &cs = cores_[core_id];
     OsThread *thread = cs.running;
@@ -547,6 +560,8 @@ Scheduler::sliceEnd(machine::CoreId core_id)
     // stop-the-world); core state must already be consistent.
     const BurstOutcome outcome = thread->client_->finishBurst(now, work);
 
+    // Set when the thread goes straight back onto this core.
+    OsThread *again = nullptr;
     switch (outcome) {
       case BurstOutcome::Ready:
         if (thread->forced_sleep_until_ > now) {
@@ -557,7 +572,14 @@ Scheduler::sliceEnd(machine::CoreId core_id)
             ++stats_.forced_stalls;
         } else {
             setThreadState(thread, ThreadState::Ready, now);
-            enqueueReady(thread, core_id);
+            // Queued alone on this idle core, the thread would be picked
+            // straight back: skip the queue round trip.
+            if (!cs.running && cs.ready.empty() && stopped_groups_ == 0 &&
+                mach_.core(core_id).enabled() &&
+                (policy_->eligible(*thread, now) || thread->client_->urgent()))
+                again = thread;
+            else
+                enqueueReady(thread, core_id);
         }
         thread->forced_sleep_until_ = 0;
         break;
@@ -580,8 +602,9 @@ Scheduler::sliceEnd(machine::CoreId core_id)
 
     if (stopped_groups_ > 0)
         maybeFireStwCallback(thread->group_);
-    if (!allStopped())
-        maybeDispatch(core_id);
+    if (allStopped())
+        return 0;
+    return again ? dispatch(core_id, again, false) : maybeDispatch(core_id);
 }
 
 void
@@ -760,7 +783,8 @@ Scheduler::kickAll()
         // With every queue empty no core can pick or steal anything.
         if (!anyQueued())
             return;
-        maybeDispatch(id);
+        if (const Ticks end = maybeDispatch(id))
+            sim_.schedule(cores_[id].slice_end.get(), end);
     }
 }
 

@@ -151,12 +151,6 @@ class Scheduler
         return group < groups_.size() && groups_[group].stopped;
     }
 
-    /** Threads of @p group currently executing on cores. */
-    std::uint32_t groupRunningCount(std::uint32_t group) const
-    {
-        return group < groups_.size() ? groups_[group].running : 0;
-    }
-
     /** Number of threads currently executing on cores. */
     std::uint32_t runningCount() const { return running_count_; }
 
@@ -282,9 +276,22 @@ class Scheduler
         return stopped_groups_ > 0 && stopped_groups_ == groups_.size();
     }
 
-    void maybeDispatch(machine::CoreId core_id);
-    void dispatch(machine::CoreId core_id, OsThread *thread, bool stolen);
+    /**
+     * Pick (or steal) a thread for @p core_id if it is idle and can run
+     * one, and dispatch it. Returns the end of its burst, or 0 when
+     * nothing was dispatched; the caller schedules the core's slice end.
+     */
+    Ticks maybeDispatch(machine::CoreId core_id);
+    /** Put @p thread on @p core_id; returns the end of its burst. */
+    Ticks dispatch(machine::CoreId core_id, OsThread *thread, bool stolen);
+    /** The core's slice end fired: end bursts until one must wait. */
     void sliceEnd(machine::CoreId core_id);
+    /**
+     * End @p core_id's running burst and dispatch the core's next one.
+     * Returns that burst's end, or 0 when the core stays idle or a
+     * dispatch during finishBurst already scheduled its slice end.
+     */
+    Ticks endBurst(machine::CoreId core_id);
     /** Take the first eligible thread off @p core_id's ready queue. */
     OsThread *pickFromQueue(machine::CoreId core_id, Ticks now);
     OsThread *stealFor(machine::CoreId thief, Ticks now);

@@ -105,7 +105,6 @@ class OsThread
     ThreadKind kind() const { return kind_; }
     ThreadState state() const { return state_; }
     machine::CoreId homeCore() const { return home_core_; }
-    machine::CoreId lastCore() const { return last_core_; }
     std::string name() const { return client_->clientName(); }
 
     /** Scheduling group (tenant). Stop-the-world is per-group: group g's

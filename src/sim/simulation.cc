@@ -1,5 +1,7 @@
 #include "sim/simulation.hh"
 
+#include <limits>
+
 #include "base/logging.hh"
 
 namespace jscale::sim {
@@ -43,6 +45,13 @@ Simulation::scheduleAfter(TickDelta delta, std::function<void()> fn,
 bool
 Simulation::step()
 {
+    fusing_ = false;
+    return processNext();
+}
+
+bool
+Simulation::processNext()
+{
     Event *ev = queue_.pop();
     if (!ev)
         return false;
@@ -56,10 +65,29 @@ Simulation::step()
     return true;
 }
 
+bool
+Simulation::fuse(Ticks when)
+{
+    jscale_assert(when >= now_, "fusing an event in the past: ", when,
+                  " < ", now_);
+    // Exactly the checks run() makes before its next pop: a stop ends
+    // the loop, an event past the limit stays queued, and a queued
+    // event at or before @p when pops first (ties go by sequence).
+    if (!fusing_ || stop_requested_ || when > fuse_until_)
+        return false;
+    if (!queue_.empty() && queue_.nextTime() <= when)
+        return false;
+    now_ = when;
+    ++events_processed_;
+    return true;
+}
+
 Ticks
 Simulation::run(Ticks until)
 {
     stop_requested_ = false;
+    const Ticks limit =
+        until != 0 ? until : std::numeric_limits<Ticks>::max();
     while (!stop_requested_) {
         if (queue_.empty())
             break;
@@ -67,8 +95,13 @@ Simulation::run(Ticks until)
             now_ = until;
             break;
         }
-        step();
+        // Set before every event: a handler may have nested step() or
+        // run() calls, which leave their own values behind.
+        fusing_ = true;
+        fuse_until_ = limit;
+        processNext();
     }
+    fusing_ = false;
     return now_;
 }
 

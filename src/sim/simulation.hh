@@ -57,8 +57,23 @@ class Simulation
      */
     Ticks run(Ticks until = 0);
 
-    /** Process exactly one event; returns false if the queue was empty. */
+    /**
+     * Process exactly one event; returns false if the queue was empty.
+     * Handlers dispatched here never fuse (see fuse()).
+     */
     bool step();
+
+    /**
+     * Process a handler's own next event in place. A handler about to
+     * schedule an event for itself at @p when calls this first. When
+     * run() would pop that event next (the handler was dispatched by
+     * run(), no stop was requested, @p when is within run()'s limit and
+     * strictly before every queued event), the clock advances to
+     * @p when, the event counts as processed and this returns true: the
+     * caller then handles it without a queue round trip. Otherwise
+     * nothing changes and the caller schedules it as usual.
+     */
+    bool fuse(Ticks when);
 
     /** Request the run() loop to exit after the current event. */
     void requestStop() { stop_requested_ = true; }
@@ -73,9 +88,16 @@ class Simulation
     Rng forkRng(std::uint64_t stream_id) const { return master_rng_.fork(stream_id); }
 
   private:
+    /** Pop and process the earliest event (false when none is left). */
+    bool processNext();
+
     EventQueue queue_;
     Ticks now_ = 0;
     bool stop_requested_ = false;
+    /** Whether the event being processed came from run() (see fuse()). */
+    bool fusing_ = false;
+    /** The active run()'s limit (no limit: the largest tick). */
+    Ticks fuse_until_ = 0;
     std::uint64_t events_processed_ = 0;
     std::uint64_t seed_;
     Rng master_rng_;

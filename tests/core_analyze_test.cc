@@ -23,7 +23,8 @@ makeResult(std::uint32_t threads, Ticks wall, Ticks gc,
     r.gc_time = gc;
     for (std::size_t i = 0; i < tasks_per_thread.size(); ++i) {
         jvm::ThreadSummary ts;
-        ts.name = "t" + std::to_string(i);
+        ts.name = "t";
+        ts.name += std::to_string(i); // not "t" + ...: GCC 12 -Wrestrict
         ts.kind = os::ThreadKind::Mutator;
         ts.tasks_completed = tasks_per_thread[i];
         r.thread_summaries.push_back(ts);

@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
+#include <utility>
+#include <vector>
+
+#include "base/random.hh"
 #include "jvm/heap/heap.hh"
 
 namespace {
@@ -17,6 +23,8 @@ using jvm::Heap;
 using jvm::HeapConfig;
 using jvm::kImmortalTtl;
 using jvm::ListenerChain;
+using jvm::MutatorIndex;
+using jvm::ObjectId;
 using jvm::RuntimeListener;
 
 HeapConfig
@@ -314,6 +322,208 @@ TEST(Heap, ImpossibleAllocationDetected)
     Heap h(smallConfig(), 1, nullptr);
     EXPECT_FALSE(h.impossibleAllocation(1024));
     EXPECT_TRUE(h.impossibleAllocation(h.edenCapacity() + 1));
+}
+
+/** Every death as (object id, lifespan), in order. */
+struct DeathLog : RuntimeListener
+{
+    void
+    onObjectDeath(const jvm::ObjectRecord &r, Bytes lifespan,
+                  Ticks) override
+    {
+        deaths.emplace_back(r.id, lifespan);
+    }
+
+    std::vector<std::pair<ObjectId, Bytes>> deaths;
+};
+
+/**
+ * Death bookkeeping with one std::priority_queue per owner, the layout
+ * the heap's two death tiers replaced: the reference whose death order
+ * and interpolated lifespans the tiers must reproduce exactly.
+ */
+class ReferenceDeaths
+{
+  public:
+    explicit ReferenceDeaths(std::uint32_t owners)
+        : queues_(owners), rosters_(owners), clock_(owners, 0),
+          prev_clock_(owners, 0), prev_global_(owners, 0)
+    {}
+
+    /** Owner-local allocated bytes so far. */
+    Bytes clock(MutatorIndex owner) const { return clock_[owner]; }
+
+    /** Mirror a successful allocation; ids are dealt 1, 2, ... */
+    void
+    allocate(MutatorIndex owner, Bytes size, Bytes ttl)
+    {
+        clock_[owner] += size;
+        global_ += size;
+        const ObjectId id = objects_.size() + 1;
+        const bool pinned = ttl == kImmortalTtl;
+        objects_.push_back({global_, pinned, false});
+        rosters_[owner].push_back(id);
+        if (!pinned)
+            queues_[owner].push({clock_[owner] + ttl, id});
+
+        const Bytes prev_clock = prev_clock_[owner];
+        const Bytes prev_global = prev_global_[owner];
+        const Bytes span = clock_[owner] - prev_clock;
+        const Bytes global_span = global_ - prev_global;
+        auto &q = queues_[owner];
+        while (!q.empty() && q.top().threshold <= clock_[owner]) {
+            const Entry e = q.top();
+            q.pop();
+            if (objects_[e.id - 1].dead)
+                continue;
+            Bytes at = global_;
+            if (span > 0 && e.threshold >= prev_clock) {
+                const double f = static_cast<double>(e.threshold -
+                                                     prev_clock) /
+                                 static_cast<double>(span);
+                at = prev_global +
+                     static_cast<Bytes>(f * static_cast<double>(global_span));
+            }
+            kill(e.id, at);
+        }
+        prev_clock_[owner] = clock_[owner];
+        prev_global_[owner] = global_;
+    }
+
+    /** Mirror killThreadObjects: live unpinned objects, oldest first. */
+    void
+    killThread(MutatorIndex owner)
+    {
+        for (const ObjectId id : rosters_[owner]) {
+            const Object &o = objects_[id - 1];
+            if (!o.dead && !o.pinned)
+                kill(id, global_);
+        }
+    }
+
+    std::vector<std::pair<ObjectId, Bytes>> deaths;
+
+  private:
+    struct Entry
+    {
+        Bytes threshold;
+        ObjectId id;
+
+        bool
+        operator>(const Entry &o) const
+        {
+            return threshold != o.threshold ? threshold > o.threshold
+                                            : id > o.id;
+        }
+    };
+
+    struct Object
+    {
+        Bytes birth;
+        bool pinned;
+        bool dead;
+    };
+
+    void
+    kill(ObjectId id, Bytes at)
+    {
+        Object &o = objects_[id - 1];
+        o.dead = true;
+        deaths.emplace_back(id, at > o.birth ? at - o.birth : 0);
+    }
+
+    std::vector<std::priority_queue<Entry, std::vector<Entry>,
+                                    std::greater<>>>
+        queues_;
+    std::vector<std::vector<ObjectId>> rosters_;
+    std::vector<Object> objects_;
+    std::vector<Bytes> clock_;
+    std::vector<Bytes> prev_clock_;
+    std::vector<Bytes> prev_global_;
+    Bytes global_ = 0;
+};
+
+TEST(HeapDeathTiers, MatchOneQueuePerOwner)
+{
+    constexpr Bytes kNear = 4 * units::KiB; // the heap's tier split
+    constexpr std::uint32_t kOwners = 3;
+    for (const std::uint64_t seed : {1, 2, 3, 42}) {
+        SCOPED_TRACE(seed);
+        DeathLog log;
+        ListenerChain chain;
+        chain.add(&log);
+        HeapConfig cfg;
+        cfg.capacity = 8 * units::MiB;
+        cfg.tenure_threshold = 2;
+        Heap h(cfg, kOwners, &chain);
+        ReferenceDeaths ref(kOwners);
+        Rng rng(seed);
+        // Thresholds of far-tier objects, per owner.
+        std::vector<std::vector<Bytes>> far(kOwners);
+        std::uint64_t ties = 0;
+        std::uint64_t thread_kills = 0;
+        Bytes reclaimed = 0;
+        for (int step = 0; step < 20000; ++step) {
+            const auto owner = static_cast<MutatorIndex>(rng.below(kOwners));
+            const std::uint64_t op = rng.below(100);
+            if (op < 2) {
+                // Leaves stale entries in the owner's tiers.
+                h.killThreadObjects(owner, 0);
+                ref.killThread(owner);
+                ++thread_kills;
+            } else if (op < 4) {
+                // Frees dead slots, which later allocations reuse.
+                reclaimed += h.collectMinor(0).reclaimed_bytes;
+            } else {
+                const Bytes size = 16 + rng.below(2048);
+                const Bytes clock = ref.clock(owner) + size;
+                const std::uint64_t kind = rng.below(100);
+                Bytes ttl = 1 + rng.below(kNear - 1);
+                if (kind < 10) {
+                    ttl = 0;
+                } else if (kind < 15) {
+                    ttl = kNear - 1 + rng.below(2); // either side of the split
+                } else if (kind < 25) {
+                    // A near entry at the next far entry's threshold.
+                    Bytes next = kImmortalTtl;
+                    for (const Bytes t : far[owner]) {
+                        if (t > clock)
+                            next = std::min(next, t);
+                    }
+                    if (next - clock < kNear) {
+                        ttl = next - clock;
+                        ++ties;
+                    }
+                } else if (kind < 54) {
+                    ttl = kNear + rng.below(256 * units::KiB);
+                } else if (kind < 55) {
+                    ttl = kImmortalTtl;
+                }
+                if (ttl >= kNear && ttl != kImmortalTtl)
+                    far[owner].push_back(clock + ttl);
+                if (h.allocate(owner, size, ttl, 0, 0) != AllocStatus::Ok) {
+                    const jvm::MinorWork w = h.collectMinor(0);
+                    reclaimed += w.reclaimed_bytes;
+                    if (w.needs_full)
+                        reclaimed += h.collectFull(0).reclaimed_bytes;
+                    ASSERT_EQ(h.allocate(owner, size, ttl, 0, 0),
+                              AllocStatus::Ok);
+                }
+                ref.allocate(owner, size, ttl);
+            }
+            if (step % 64 == 0)
+                h.checkInvariants();
+        }
+        h.checkInvariants();
+        ASSERT_EQ(log.deaths.size(), ref.deaths.size());
+        for (std::size_t i = 0; i < ref.deaths.size(); ++i) {
+            ASSERT_EQ(log.deaths[i], ref.deaths[i]) << "death " << i;
+        }
+        EXPECT_GT(log.deaths.size(), 10000u);
+        EXPECT_GT(ties, 10u);
+        EXPECT_GT(thread_kills, 100u);
+        EXPECT_GT(reclaimed, 0u);
+    }
 }
 
 TEST(Heap, InvalidConfigsDie)

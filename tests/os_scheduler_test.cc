@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <optional>
 #include <vector>
 
@@ -61,8 +64,13 @@ class ScriptClient : public os::SchedClient
         last_finish_ = now;
         if (out == BurstOutcome::Finished)
             finished_ = true;
+        if (on_step)
+            on_step();
         return out;
     }
+
+    /** Runs inside finishBurst after each completed step. */
+    std::function<void()> on_step;
 
     std::string clientName() const override { return name_; }
     bool urgent() const override { return urgent_; }
@@ -95,6 +103,16 @@ struct Bundle
     machine::Machine mach;
     Scheduler sched;
 };
+
+/** "<prefix><i>", appended: GCC 12 warns (-Wrestrict, falsely) on a
+ *  string literal plus a temporary string once it is inlined. */
+std::string
+numbered(const char *prefix, std::size_t i)
+{
+    std::string name = prefix;
+    name += std::to_string(i);
+    return name;
+}
 
 std::vector<ScriptClient::Step>
 computeSteps(int n, Ticks each)
@@ -160,7 +178,7 @@ TEST(Scheduler, WorkConservation)
     const Ticks each = 20 * units::US;
     for (int i = 0; i < 6; ++i) {
         clients.push_back(std::make_unique<ScriptClient>(
-            "t" + std::to_string(i), computeSteps(8, each)));
+            numbered("t", i), computeSteps(8, each)));
         threads.push_back(b.sched.registerThread(
             clients.back().get(), ThreadKind::Mutator,
             static_cast<machine::CoreId>(i % 2)));
@@ -299,7 +317,7 @@ TEST(Scheduler, IdleCoresStealQueuedWork)
     std::vector<std::unique_ptr<ScriptClient>> clients;
     for (int i = 0; i < 4; ++i) {
         clients.push_back(std::make_unique<ScriptClient>(
-            "t" + std::to_string(i), computeSteps(4, 50 * units::US)));
+            numbered("t", i), computeSteps(4, 50 * units::US)));
         b.sched.start(
             b.sched.registerThread(clients.back().get(),
                                    ThreadKind::Mutator, 0));
@@ -320,7 +338,7 @@ TEST(Scheduler, StealingCanBeDisabled)
     std::vector<std::unique_ptr<ScriptClient>> clients;
     for (int i = 0; i < 4; ++i) {
         clients.push_back(std::make_unique<ScriptClient>(
-            "t" + std::to_string(i), computeSteps(4, 50 * units::US)));
+            numbered("t", i), computeSteps(4, 50 * units::US)));
         b.sched.start(
             b.sched.registerThread(clients.back().get(),
                                    ThreadKind::Mutator, 0));
@@ -394,6 +412,267 @@ TEST(Scheduler, HelpersUnaffectedByBias)
     b.sched.start(t);
     b.sim.run(5 * units::MS);
     EXPECT_TRUE(helper.finished());
+}
+
+TEST(SchedulerFusion, StepEndsOneBurstPerEvent)
+{
+    Bundle b(1);
+    // A finished run() must not leave fusing enabled for step().
+    b.sim.scheduleAt(1, [] {}, "noop");
+    b.sim.run();
+    ScriptClient c("t0", computeSteps(5, 1000));
+    OsThread *t = b.sched.registerThread(&c, ThreadKind::Mutator);
+    b.sched.start(t);
+    ASSERT_TRUE(b.sim.step());
+    EXPECT_EQ(c.stepsDone(), 1u);
+    EXPECT_EQ(b.sim.eventsProcessed(), 2u);
+    EXPECT_EQ(t->state(), ThreadState::Running);
+    EXPECT_EQ(b.sim.queue().size(), 1u); // the next burst's slice end
+}
+
+TEST(SchedulerFusion, RunUntilStopsWithTheSliceEndPending)
+{
+    Bundle b(1);
+    ScriptClient c("t0", computeSteps(10, 1000));
+    OsThread *t = b.sched.registerThread(&c, ThreadKind::Mutator);
+    b.sched.start(t);
+    const Ticks switch_in = b.mach.config().context_switch_cost;
+    b.sim.run(switch_in + 2500);
+    EXPECT_EQ(c.stepsDone(), 2u);
+    EXPECT_EQ(b.sim.now(), switch_in + 2500);
+    EXPECT_EQ(b.sim.eventsProcessed(), 2u);
+    EXPECT_EQ(t->state(), ThreadState::Running);
+    EXPECT_EQ(b.sim.queue().size(), 1u);
+    EXPECT_EQ(b.sim.queue().nextTime(), switch_in + 3000);
+    b.sim.run();
+    EXPECT_TRUE(c.finished());
+    EXPECT_EQ(b.sim.eventsProcessed(), 10u);
+}
+
+TEST(SchedulerFusion, RequestStopFromFinishBurstEndsRunBeforeNextBurst)
+{
+    Bundle b(1);
+    ScriptClient c("t0", computeSteps(10, 1000));
+    c.on_step = [&] {
+        if (c.stepsDone() == 3)
+            b.sim.requestStop();
+    };
+    OsThread *t = b.sched.registerThread(&c, ThreadKind::Mutator);
+    b.sched.start(t);
+    b.sim.run();
+    EXPECT_EQ(c.stepsDone(), 3u);
+    EXPECT_EQ(b.sim.eventsProcessed(), 3u);
+    // The next burst is dispatched and its slice end queued.
+    EXPECT_EQ(t->state(), ThreadState::Running);
+    EXPECT_EQ(b.sim.queue().size(), 1u);
+    b.sim.run();
+    EXPECT_TRUE(c.finished());
+    EXPECT_EQ(b.sim.eventsProcessed(), 10u);
+}
+
+TEST(SchedulerFusion, DirectRedispatchHonoursThePolicy)
+{
+    // Alone on its core, a group-0 thread keeps the core only while its
+    // group is phase-active, unless it is urgent.
+    for (const bool urgent : {false, true}) {
+        Bundle b(1);
+        b.sched.setPolicy(std::make_unique<os::BiasedPolicy>(
+            2, 10 * units::MS));
+        ScriptClient c("g0", computeSteps(100, 1 * units::MS));
+        c.setUrgent(urgent);
+        OsThread *t = b.sched.registerThread(&c, ThreadKind::Mutator);
+        b.sched.start(t);
+        b.sim.run(15 * units::MS);
+        if (urgent) {
+            EXPECT_GE(c.stepsDone(), 14u);
+            EXPECT_EQ(t->state(), ThreadState::Running);
+        } else {
+            EXPECT_EQ(c.stepsDone(), 10u);
+            EXPECT_EQ(t->state(), ThreadState::Ready);
+            EXPECT_EQ(b.sched.readyQueueDepth(0), 1u);
+        }
+    }
+}
+
+TEST(SchedulerFusion, WakeDuringFinishBurstTakesTheCoreFirst)
+{
+    // Each of A's steps wakes B, homed on the same core; B takes the
+    // core the moment it is woken, before A's next burst.
+    Bundle b(1);
+    ScriptClient a("a", computeSteps(3, 1000));
+    ScriptClient c("b", {{500, BurstOutcome::Blocked},
+                         {500, BurstOutcome::Blocked},
+                         {500, BurstOutcome::Finished}});
+    OsThread *tb = b.sched.registerThread(&c, ThreadKind::Mutator, 0);
+    OsThread *ta = b.sched.registerThread(&a, ThreadKind::Mutator, 0);
+    a.on_step = [&] {
+        if (tb->state() == ThreadState::Blocked)
+            b.sched.wake(tb);
+    };
+    b.sched.start(tb);
+    b.sched.start(ta);
+    b.sim.run();
+    EXPECT_TRUE(a.finished());
+    EXPECT_TRUE(c.finished());
+    EXPECT_EQ(ta->dispatches(), 3u);
+    EXPECT_EQ(tb->dispatches(), 3u);
+    EXPECT_EQ(b.sched.schedStats().context_switches, 6u);
+    EXPECT_EQ(ta->cpuTime(), 3000u);
+    EXPECT_EQ(tb->cpuTime(), 1500u);
+}
+
+/** Logs every scheduler probe as one line. */
+class ProbeLog : public os::SchedulerListener
+{
+  public:
+    void
+    onDispatch(const OsThread &t, CoreId core, Ticks overhead, bool stolen,
+               Ticks now) override
+    {
+        out << now << " dispatch " << t.id() << " core " << core << " +"
+            << overhead << (stolen ? " stolen" : "") << "\n";
+    }
+
+    void
+    onBurstEnd(const OsThread &t, CoreId core, Ticks started,
+               bool preempted, Ticks now) override
+    {
+        out << now << " burst-end " << t.id() << " core " << core
+            << " from " << started << (preempted ? " preempted" : "")
+            << "\n";
+    }
+
+    void
+    onMigrate(const OsThread &t, CoreId from, CoreId to, Ticks now) override
+    {
+        out << now << " migrate " << t.id() << " " << from << "->" << to
+            << "\n";
+    }
+
+    void
+    onThreadState(const OsThread &t, ThreadState prev, Ticks now) override
+    {
+        out << now << " state " << t.id() << " "
+            << os::threadStateName(prev) << "->"
+            << os::threadStateName(t.state()) << "\n";
+    }
+
+    void
+    onWorldStopRequested(std::uint32_t group, Ticks now) override
+    {
+        out << now << " stop " << group << "\n";
+    }
+
+    void
+    onWorldResumed(std::uint32_t group, Ticks now) override
+    {
+        out << now << " resume " << group << "\n";
+    }
+
+    std::ostringstream out;
+};
+
+/**
+ * One scripted run on three cores: a thread alone on its core, two
+ * sharing one, a blocking thread woken by timers, an urgent thread under
+ * a biased policy, a throttled core, a world stop and a core going
+ * offline. Driven by run() (which fuses private bursts) or by step()
+ * (which never fuses); returns the probe log and every statistic.
+ */
+std::string
+scriptedTranscript(bool by_step)
+{
+    Bundle b(3);
+    b.sched.setPolicy(std::make_unique<os::BiasedPolicy>(
+        2, 150 * units::US));
+    ProbeLog probes;
+    b.sched.listeners().add(&probes);
+
+    std::vector<std::unique_ptr<ScriptClient>> clients;
+    auto add = [&](std::vector<ScriptClient::Step> steps, CoreId home,
+                   std::uint32_t group) {
+        clients.push_back(std::make_unique<ScriptClient>(
+            numbered("t", clients.size()), std::move(steps)));
+        return b.sched.registerThread(clients.back().get(),
+                                      ThreadKind::Mutator, home, group);
+    };
+    std::vector<ScriptClient::Step> blocking;
+    for (int i = 0; i < 12; ++i)
+        blocking.push_back({7 * units::US, BurstOutcome::Blocked});
+    blocking.push_back({7 * units::US, BurstOutcome::Finished});
+
+    std::vector<OsThread *> threads = {
+        add(computeSteps(60, 9 * units::US), 0, 0),
+        add(computeSteps(30, 25 * units::US), 1, 0),
+        add(computeSteps(30, 25 * units::US), 1, 1),
+        add(blocking, 2, 0),
+        add(computeSteps(40, 6 * units::US), 2, 1),
+    };
+    clients[4]->setUrgent(true);
+    OsThread *sleeper = threads[3];
+    for (Ticks at = 20 * units::US; at < 2 * units::MS; at += 45 * units::US) {
+        b.sim.scheduleAt(at, [&b, sleeper] {
+            if (sleeper->state() == ThreadState::Blocked)
+                b.sched.wake(sleeper);
+        }, "waker");
+    }
+    for (Ticks at = 150 * units::US; at < 2 * units::MS;
+         at += 150 * units::US)
+        b.sim.scheduleAt(at, [&b] { b.sched.kickAll(); }, "phase");
+    b.sim.scheduleAt(200 * units::US,
+                     [&b] { b.sched.setCoreSpeed(0, 0.5); }, "throttle");
+    b.sim.scheduleAt(320 * units::US, [&b] {
+        b.sched.stopTheWorld(0, [&b] {
+            b.sim.scheduleAfter(40 * units::US,
+                                [&b] { b.sched.resumeWorld(0); }, "resume");
+        });
+    }, "stop");
+    b.sim.scheduleAt(500 * units::US,
+                     [&b] { b.sched.setCoreOnline(2, false); }, "offline");
+    b.sim.scheduleAt(700 * units::US, [&b] {
+        b.sched.setCoreOnline(2, true);
+        b.sched.setCoreSpeed(0, 1.0);
+    }, "online");
+    for (OsThread *t : threads)
+        b.sched.start(t);
+
+    if (by_step) {
+        while (b.sim.step()) {
+        }
+    } else {
+        b.sim.run();
+    }
+    b.sched.listeners().remove(&probes);
+
+    std::ostringstream out;
+    out << probes.out.str();
+    for (const OsThread *t : threads) {
+        out << t->name() << " " << os::threadStateName(t->state()) << " cpu "
+            << t->cpuTime() << " ready " << t->readyTime() << " blocked "
+            << t->blockedTime() << " sleep " << t->sleepTime()
+            << " dispatches " << t->dispatches() << " migrations "
+            << t->migrations() << "\n";
+    }
+    const os::SchedulerStats &st = b.sched.schedStats();
+    out << "dispatches " << st.dispatches << " switches "
+        << st.context_switches << " migrations " << st.migrations
+        << " steals " << st.steals << " preemptions " << st.preemptions
+        << " busy " << st.busy_ticks << " overhead " << st.overhead_ticks
+        << " displaced " << st.displaced_threads << "\n";
+    out << "events " << b.sim.eventsProcessed() << " now " << b.sim.now()
+        << "\n";
+    return out.str();
+}
+
+TEST(SchedulerFusion, RunMatchesStepByStep)
+{
+    const std::string fused = scriptedTranscript(false);
+    EXPECT_EQ(fused, scriptedTranscript(true));
+    // The scenario reaches what it is built for.
+    EXPECT_NE(fused.find("stolen"), std::string::npos);
+    EXPECT_NE(fused.find("preempted"), std::string::npos);
+    EXPECT_NE(fused.find("stop 0"), std::string::npos);
+    EXPECT_NE(fused.find("t3 finished"), std::string::npos);
 }
 
 /** Client for the randomized index test: each burst runs a drawn
@@ -561,7 +840,7 @@ driveRandomly(const machine::MachineConfig &config, std::uint64_t seed,
     const std::uint32_t n_threads = 2 * n_cores;
     for (std::uint32_t i = 0; i < n_threads; ++i) {
         clients.push_back(std::make_unique<RandomClient>(
-            "r" + std::to_string(i), rng.fork(i)));
+            numbered("r", i), rng.fork(i)));
         threads.push_back(sched.registerThread(
             clients.back().get(), ThreadKind::Mutator, {}, i % 2));
     }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "base/random.hh"
@@ -226,6 +227,136 @@ TEST(Simulation, ForkRngDeterministicPerStream)
     Rng rb = b.forkRng(3);
     for (int i = 0; i < 50; ++i)
         EXPECT_EQ(ra.next(), rb.next());
+}
+
+/**
+ * Periodic event that handles its own next firing in place whenever
+ * Simulation::fuse allows it and schedules itself otherwise, as the
+ * scheduler's slice end does. Stops after @p firings.
+ */
+class ChainEvent : public Event
+{
+  public:
+    ChainEvent(Simulation &sim, Ticks period, std::size_t firings)
+        : sim_(sim), period_(period), firings_(firings)
+    {}
+
+    ~ChainEvent() override { sim_.queue().deschedule(this); }
+
+    void
+    process() override
+    {
+        for (;;) {
+            times.push_back(sim_.now());
+            if (hook)
+                hook();
+            if (times.size() == firings_)
+                return;
+            const Ticks next = sim_.now() + period_;
+            if (!sim_.fuse(next)) {
+                sim_.schedule(this, next);
+                return;
+            }
+            ++fused;
+        }
+    }
+
+    /** Firing times, fused or popped. */
+    std::vector<Ticks> times;
+    /** Firings handled in place. */
+    std::size_t fused = 0;
+    /** Runs at every firing. */
+    std::function<void()> hook;
+
+  private:
+    Simulation &sim_;
+    Ticks period_;
+    std::size_t firings_;
+};
+
+TEST(SimulationFuse, RunFusesFiringsAheadOfTheQueue)
+{
+    Simulation sim;
+    ChainEvent chain(sim, 10, 6);
+    sim.schedule(&chain, 10);
+    sim.run();
+    EXPECT_EQ(chain.times, (std::vector<Ticks>{10, 20, 30, 40, 50, 60}));
+    EXPECT_EQ(chain.fused, 5u);
+    // A fused firing still counts as a processed event.
+    EXPECT_EQ(sim.eventsProcessed(), 6u);
+    EXPECT_EQ(sim.now(), 60u);
+}
+
+TEST(SimulationFuse, StepNeverFuses)
+{
+    Simulation sim;
+    // A finished run() must not leave fusing enabled for step().
+    sim.scheduleAt(1, [] {}, "noop");
+    sim.run();
+    ChainEvent chain(sim, 10, 6);
+    sim.schedule(&chain, 10);
+    ASSERT_TRUE(sim.step());
+    EXPECT_EQ(chain.times, (std::vector<Ticks>{10}));
+    EXPECT_EQ(sim.eventsProcessed(), 2u);
+    ASSERT_TRUE(chain.scheduled());
+    EXPECT_EQ(chain.when(), 20u);
+    while (sim.step()) {
+    }
+    EXPECT_EQ(chain.times.size(), 6u);
+    EXPECT_EQ(chain.fused, 0u);
+    EXPECT_EQ(sim.eventsProcessed(), 7u);
+}
+
+TEST(SimulationFuse, RunUntilLeavesTheNextFiringPending)
+{
+    Simulation sim;
+    ChainEvent chain(sim, 10, 100);
+    sim.schedule(&chain, 10);
+    sim.run(50); // a firing at the limit itself is processed
+    EXPECT_EQ(chain.times, (std::vector<Ticks>{10, 20, 30, 40, 50}));
+    EXPECT_EQ(sim.eventsProcessed(), 5u);
+    EXPECT_EQ(sim.now(), 50u);
+    ASSERT_TRUE(chain.scheduled());
+    EXPECT_EQ(chain.when(), 60u);
+    sim.run(75);
+    EXPECT_EQ(chain.times.back(), 70u);
+    EXPECT_EQ(sim.now(), 75u);
+    EXPECT_EQ(chain.when(), 80u);
+}
+
+TEST(SimulationFuse, QueuedEventAtTheSameTickGoesFirst)
+{
+    Simulation sim;
+    ChainEvent chain(sim, 10, 5);
+    std::vector<int> order;
+    chain.hook = [&order] { order.push_back(1); };
+    sim.schedule(&chain, 10);
+    sim.scheduleAt(30, [&order] { order.push_back(2); }, "tie");
+    sim.run();
+    // The firing at 30 ties the queued event, which was scheduled first.
+    EXPECT_EQ(order, (std::vector<int>{1, 1, 2, 1, 1, 1}));
+    EXPECT_EQ(chain.times, (std::vector<Ticks>{10, 20, 30, 40, 50}));
+    EXPECT_EQ(chain.fused, 3u);
+    EXPECT_EQ(sim.eventsProcessed(), 6u);
+}
+
+TEST(SimulationFuse, RequestStopEndsTheLoopBeforeTheNextFiring)
+{
+    Simulation sim;
+    ChainEvent chain(sim, 10, 100);
+    chain.hook = [&] {
+        if (chain.times.size() == 3)
+            sim.requestStop();
+    };
+    sim.schedule(&chain, 10);
+    sim.run();
+    EXPECT_EQ(chain.times, (std::vector<Ticks>{10, 20, 30}));
+    EXPECT_EQ(sim.now(), 30u);
+    ASSERT_TRUE(chain.scheduled());
+    EXPECT_EQ(chain.when(), 40u);
+    sim.run(60); // resumes, fusing again
+    EXPECT_EQ(chain.times.back(), 60u);
+    EXPECT_EQ(sim.eventsProcessed(), 6u);
 }
 
 /** Property: random schedules always dispatch in nondecreasing time. */

@@ -150,8 +150,9 @@ class ScriptApp : public jvm::ApplicationModel
     {
         monitors_.clear();
         for (std::uint32_t i = 0; i < n_monitors_; ++i) {
-            monitors_.push_back(
-                ctx.createMonitor("m" + std::to_string(i)));
+            std::string name = "m";
+            name += std::to_string(i); // not "m" + ...: GCC 12 -Wrestrict
+            monitors_.push_back(ctx.createMonitor(name));
         }
     }
 

@@ -407,8 +407,16 @@ Flag::names() const
 bool
 Flag::readBy(std::string_view command) const
 {
-    return (" " + commands + " ").find(" " + std::string(command) + " ") !=
-           std::string::npos;
+    // Whether @p command is a word of the space-separated list.
+    std::string_view rest = commands;
+    for (;;) {
+        const std::size_t space = rest.find(' ');
+        if (rest.substr(0, space) == command)
+            return true;
+        if (space == std::string_view::npos)
+            return false;
+        rest.remove_prefix(space + 1);
+    }
 }
 
 std::string
