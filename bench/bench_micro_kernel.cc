@@ -97,10 +97,9 @@ BENCHMARK(BM_EventQueueDeepHeap)
 void
 BM_EventQueueBucketResize(benchmark::State &state)
 {
-    // Worst case for the calendar's window tuning: alternate dense
-    // near-term bursts with sparse far-future stragglers so every few
-    // thousand dispatches the pending span shifts by orders of
-    // magnitude and the queue must re-tune its bucket width.
+    // A dense near-term burst with sparse far-future stragglers: the
+    // pending span shifts by orders of magnitude as the burst drains
+    // (the worst case of any time-bucketed queue layout).
     constexpr std::int64_t kBurst = 4096;
     std::uint64_t fired = 0;
     std::vector<std::unique_ptr<sim::CallbackEvent>> events;
@@ -116,19 +115,13 @@ BM_EventQueueBucketResize(benchmark::State &state)
         // Dense burst within a 4k-tick window...
         for (std::int64_t i = 0; i < kBurst; ++i)
             sim.queue().schedule(events[n++].get(), rng.below(4096) + 1);
-        // ...plus far-future events 6 decades out, so the first
-        // rebucket's width is wildly wrong for the dense region and
-        // each straggler forces another re-tune as the window crawls.
+        // ...plus far-future events 6 decades out.
         for (std::int64_t i = 0; i < 8; ++i) {
             sim.queue().schedule(events[n++].get(),
                                  (i + 1) * 1000000000ULL);
         }
         state.ResumeTiming();
         sim.run();
-        state.PauseTiming();
-        state.counters["rebuckets"] = static_cast<double>(
-            sim.queue().rebucketCount());
-        state.ResumeTiming();
         benchmark::DoNotOptimize(fired);
     }
     state.SetItemsProcessed(state.iterations() * (kBurst + 8));
@@ -140,8 +133,7 @@ BM_EventQueueChurnCancel(benchmark::State &state)
 {
     // Schedule/cancel/drain churn over reusable member events; range(0)
     // percent of each batch is descheduled before the drain. Arg(0) is
-    // the pure hot path — an empty cancellation set must cost exactly
-    // one branch per pop.
+    // the pure schedule/pop hot path.
     const std::int64_t cancel_pct = state.range(0);
     constexpr int kBatch = 64;
     sim::EventQueue q;

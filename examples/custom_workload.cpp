@@ -58,7 +58,8 @@ main()
 {
     using namespace jscale;
 
-    core::ExperimentRunner runner;
+    core::ExperimentConfig cfg;
+    core::ExperimentRunner runner(cfg);
     core::SweepSet sweeps;
     auto factory = [] {
         return std::make_unique<workload::TaskQueueApp>(mixerParams());

@@ -63,7 +63,8 @@ main(int argc, char **argv)
 
     using namespace jscale;
 
-    core::ExperimentRunner runner;
+    core::ExperimentConfig cfg;
+    core::ExperimentRunner runner(cfg);
     const std::string low_path = "/tmp/jscale_" + app + "_low.trace";
     const std::string high_path = "/tmp/jscale_" + app + "_high.trace";
     const auto low_a = traceRun(runner, app, low, low_path);

@@ -20,22 +20,6 @@ import argparse
 import json
 import sys
 
-# Formally waived regressions: benchmark name -> the recorded decision.
-# A waived benchmark still prints with its ratio, but a regression on it
-# never fails the check. The entry IS the decision record — remove it to
-# re-arm the ratchet for that name.
-WAIVERS = {
-    # Calendar event queue (PR "data-oriented simulation kernel"): a
-    # single self-rescheduling event in an otherwise empty queue pays
-    # the calendar lane machinery without amortising it across any
-    # neighbours (10 -> 23 ns per cycle, ~0.5x). Every realistic queue
-    # depth and the end-to-end application runs are at parity or far
-    # ahead; accepted as the price of O(1) scheduling at real depths.
-    "BM_RecurringEventTick":
-        "solo-cycle lane overhead, end-to-end at parity",
-}
-
-
 def load_rates(path):
     """Map benchmark name -> items_per_second from either JSON shape."""
     with open(path) as f:
@@ -110,11 +94,8 @@ def main():
         ratio = fresh[name] / base[name] if base[name] > 0 else float("inf")
         flag = ""
         if ratio < 1.0 - args.threshold:
-            if name in WAIVERS:
-                flag = f"  (waived: {WAIVERS[name]})"
-            else:
-                flag = "  << REGRESSION"
-                regressions.append((name, ratio))
+            flag = "  << REGRESSION"
+            regressions.append((name, ratio))
         print(f"{name:<{width}}  {fmt_rate(base[name])}  "
               f"{fmt_rate(fresh[name])}  {ratio:6.2f}x{flag}")
 

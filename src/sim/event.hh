@@ -6,26 +6,16 @@
  * for the same tick always fire in the order they were scheduled — the
  * determinism guarantee the rest of the simulator builds on.
  *
- * The queue is a *calendar queue*: an array of time-bucketed FIFO lanes
- * (one "day" of simulated time per lane) plus an overflow store for
- * events beyond the current window. Scheduling appends to a lane in O(1);
- * dispatch walks the current lane, lazily sorting it by (time, sequence)
- * the first time it is consumed, so the dispatch order is identical to
- * the min-heap this structure replaced while deep queues stay
- * cache-friendly: a 256k-event backlog costs a handful of contiguous
- * lane scans instead of log-depth pointer-hops through a binary heap.
- * When the window drains, the overflow is redistributed and the bucket
- * width re-tuned to the pending events' span (see rebucket()).
+ * The queue is a binary min-heap of {time, event} entries in one
+ * vector; ties on time compare the events' sequence numbers. Each event
+ * records its own heap slot, so deschedule() and reschedule() move it in
+ * O(log n) and the heap only ever holds live, scheduled events. The
+ * contract for event owners is therefore simple: deschedule your events
+ * in your destructor and the queue may safely outlive you.
  *
- * Cancellation is tombstone-based: descheduling records the entry's
- * sequence number in a cancellation set, and stale lane entries are
- * skimmed off without ever dereferencing the (possibly already
- * destroyed) event. The contract for event owners is therefore simple:
- * deschedule your events in your destructor and the queue may safely
- * outlive you. Cancellations are rare relative to dispatches, so the
- * set is a sorted small-vector probed by binary search, and the check on
- * every pop reduces to a single emptiness branch when nothing is
- * cancelled.
+ * The simulator's queues stay shallow by construction (one pending
+ * slice end per core plus a few timers), which is why a plain heap is
+ * the right structure; see docs/performance.md.
  */
 
 #ifndef JSCALE_SIM_EVENT_HH
@@ -68,7 +58,7 @@ class Event
     Ticks when() const { return when_; }
 
     /** True while the event sits in a queue awaiting dispatch. */
-    bool scheduled() const { return scheduled_; }
+    bool scheduled() const { return slot_ != kNoSlot; }
 
   protected:
     Event() = default;
@@ -76,9 +66,12 @@ class Event
   private:
     friend class EventQueue;
 
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
     Ticks when_ = 0;
     std::uint64_t seq_ = 0;
-    bool scheduled_ = false;
+    /** Index of this event's heap entry; kNoSlot while unscheduled. */
+    std::size_t slot_ = kNoSlot;
 };
 
 /** Convenience event wrapping a callable; self-deletes after firing. */
@@ -123,15 +116,14 @@ class CallbackEvent : public Event
 };
 
 /**
- * Deterministic calendar queue of events keyed by (time, insertion
- * sequence). Dispatch order is a total order — identical to a min-heap
- * keyed the same way — but schedule and dispatch are O(1) amortized
- * regardless of backlog depth.
+ * Deterministic event queue keyed by (time, insertion sequence): a
+ * binary min-heap whose events know their slots, so every operation is
+ * O(log n) and nextTime() is O(1).
  */
 class EventQueue
 {
   public:
-    EventQueue();
+    EventQueue() = default;
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -157,179 +149,57 @@ class EventQueue
      */
     void reschedule(Event *ev, Ticks when);
 
-    /** True when no live events remain. */
-    bool empty() const { return live_ == 0; }
+    /** True when no events are pending. */
+    bool empty() const { return heap_.empty(); }
 
-    /** Number of live (non-cancelled) events. */
-    std::size_t size() const { return live_; }
+    /** Number of pending events. */
+    std::size_t size() const { return heap_.size(); }
 
-    /** Time of the earliest live event; queue must not be empty. */
-    Ticks nextTime();
+    /** Time of the earliest pending event; queue must not be empty. */
+    Ticks nextTime() const;
 
     /**
-     * Pop and return the earliest live event, marking it unscheduled.
-     * Returns nullptr when empty. The caller runs process() and honours
-     * selfDeleting().
+     * Pop and return the earliest pending event, marking it
+     * unscheduled. Returns nullptr when empty. The caller runs
+     * process() and honours selfDeleting().
      */
     Event *pop();
 
-    /** @name Calendar introspection (tests, benchmarks, docs) */
-    /** @{ */
-    /** Current number of lanes (always a power of two). */
-    std::size_t laneCount() const { return lane_count_; }
-    /** Current bucket width in ticks (one lane covers one width). */
-    Ticks bucketWidth() const { return width_; }
-    /** Times the window was re-tuned (lane count / width resized). */
-    std::uint64_t rebucketCount() const { return rebuckets_; }
-    /** @} */
+    /** Always 0: a heap never re-tunes (kept for the e2e driver). */
+    std::uint64_t rebucketCount() const { return 0; }
 
   private:
+    /** 16 bytes; ties on @c when compare @c ev->seq_. */
     struct Entry
     {
         Ticks when;
-        std::uint64_t seq;
         Event *ev;
-
-        bool
-        operator<(const Entry &o) const
-        {
-            if (when != o.when)
-                return when < o.when;
-            return seq < o.seq;
-        }
     };
 
-    /**
-     * Consumption state of one lane. Bulk entries (laid out by the
-     * counting sort in rebucket()) and spill entries (appended by
-     * schedule() afterwards) are folded together lazily, the first time
-     * the lane is consumed from.
-     */
-    enum class LaneState : std::uint8_t
+    static bool
+    before(const Entry &a, const Entry &b)
     {
-        /** Untouched since rebucket/reset; bulk unsorted, spill maybe. */
-        Raw,
-        /** Bulk range sorted, no spill: consume straight from the arena. */
-        Bulk,
-        /** Bulk folded into spill and sorted: consume from the spill. */
-        SpillSorted,
-        /** Spill received an out-of-order append: re-sort on consume. */
-        SpillDirty,
-    };
-
-    /** Remove @p ev from the queue without the self-deletion step. */
-    void cancel(Event *ev);
-
-    /** Place an entry into its lane, or the overflow when out-of-window. */
-    void insertEntry(const Entry &e);
-
-    /**
-     * Settle the calendar on the earliest live entry and return it
-     * (always the head of the current lane), or nullptr when no live
-     * events remain. Advances past tombstones, sorts the current lane
-     * when dirty, and refills the window from the overflow when a full
-     * window drains.
-     */
-    Entry *front();
-
-    /** Prepare the current lane for consumption (fold/sort as needed). */
-    void settleLane(std::size_t i);
-
-    /** Step past the consumed head entry of the current (settled) lane. */
-    void consumeHead(std::size_t i);
-
-    /**
-     * True when lane @p i holds no unconsumed entries. Reads only the
-     * flat index columns — never the spill vectors themselves — so the
-     * day-by-day drain walk stays within a few densely packed arrays.
-     */
-    bool
-    laneDrained(std::size_t i) const
-    {
-        if (lane_head_[i] < lane_begin_[i + 1])
-            return false;
-        return spill_head_[i] >= spill_count_[i];
+        if (a.when != b.when)
+            return a.when < b.when;
+        return a.ev->seq_ < b.ev->seq_;
     }
 
-    /** Recycle a drained lane for its next day. */
-    void resetLane(std::size_t i);
-
-    /** Spill every unconsumed lane entry into the overflow. */
-    void collapseLanes();
-
-    /**
-     * Re-tune the calendar to the overflow's contents: lane count scales
-     * with the number of pending events, bucket width with their time
-     * span (so the whole pending horizon fits in one window), and the
-     * entries are laid out into the flat arena with a two-pass counting
-     * sort — no per-lane allocation. Cancelled entries are dropped here.
-     */
-    void rebucket();
-
-    /** Drop all remaining tombstones and reset the calendar (live_==0). */
-    void purge();
-
-    bool
-    isCancelled(std::uint64_t seq) const
+    /** Store @p e at @p slot: every entry write keeps slot_ in step. */
+    void
+    put(std::size_t slot, Entry e)
     {
-        if (cancelled_.empty()) [[likely]]
-            return false;
-        return isCancelledSlow(seq);
+        heap_[slot] = e;
+        e.ev->slot_ = slot;
     }
 
-    bool isCancelledSlow(std::uint64_t seq) const;
-    void dropCancelled(std::uint64_t seq);
+    /** Fill the hole at @p slot with @p e, sifting it up or down. */
+    void settle(std::size_t slot, Entry e);
 
-    std::size_t laneOf(std::uint64_t day) const
-    {
-        return day & (lane_count_ - 1);
-    }
+    /** Take the entry at @p slot out of the heap. */
+    void remove(std::size_t slot);
 
-    /** Number of lanes (power of two). */
-    std::size_t lane_count_;
-    /**
-     * Flat bulk arena: rebucket() lays all in-window entries out here,
-     * grouped by lane. Lane i owns [lane_begin_[i], lane_begin_[i+1])
-     * and consumes from lane_head_[i].
-     */
-    std::vector<Entry> arena_;
-    std::vector<std::uint32_t> lane_begin_;
-    std::vector<std::uint32_t> lane_head_;
-    /** Post-rebucket appends, per lane; consumed from spill_head_. */
-    std::vector<std::vector<Entry>> spill_;
-    std::vector<std::uint32_t> spill_head_;
-    /** spill_[i].size() mirrored flat (drain never touches spill_). */
-    std::vector<std::uint32_t> spill_count_;
-    std::vector<LaneState> lane_state_;
-    /** Unconsumed entries sitting in spill vectors (fast empty check). */
-    std::size_t spill_used_ = 0;
-    /** Entries beyond the current window, in no particular order. */
-    std::vector<Entry> overflow_;
-    /** Scratch buffer for rebucket()'s head-spacing sample. */
-    std::vector<Ticks> head_whens_;
-    /** Sequence numbers of cancelled entries, kept sorted. */
-    std::vector<std::uint64_t> cancelled_;
+    std::vector<Entry> heap_;
     std::uint64_t next_seq_ = 0;
-    std::size_t live_ = 0;
-    /** Entries resident in lanes (tombstoned ones included). */
-    std::size_t in_lanes_ = 0;
-    /** Ticks covered by one lane (always 1 << width_shift_). */
-    Ticks width_ = 1;
-    /** log2(width_): day extraction is a shift, never a division. */
-    unsigned width_shift_ = 0;
-    /** Virtual day (when / width_) the calendar is currently draining. */
-    std::uint64_t cur_day_ = 0;
-    /**
-     * Earliest day of any overflow entry (kNoDay when empty). The
-     * cursor must never dispatch a lane entry of that day or later
-     * without first folding the overflow back in — the window slides
-     * forward as days drain, so "beyond the window at insert time" does
-     * not stay beyond the window forever.
-     */
-    std::uint64_t overflow_min_day_ = ~std::uint64_t{0};
-    /** Consecutive empty lanes stepped over (sparse-window detector). */
-    std::size_t empty_streak_ = 0;
-    std::uint64_t rebuckets_ = 0;
 };
 
 /**

@@ -100,13 +100,7 @@ TEST(WaitNotify, WaitRequiresOwnership)
     });
     EXPECT_DEATH({
         VmHarness h(2);
-        const_cast<ScriptApp &>(app); // silence unused warnings
-        ScriptApp bad(1, [](std::uint32_t, const auto &m) {
-            std::vector<jvm::Action> s;
-            s.push_back(jvm::Action::monitorWait(m[0]));
-            return s;
-        });
-        h.vm.run(bad, 1);
+        h.vm.run(app, 1);
     }, "wait");
 }
 

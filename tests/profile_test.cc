@@ -60,8 +60,9 @@ TEST(LatencyHistogram, BucketEdgesBracketTheirValues)
         const std::size_t i = LatencyHistogram::bucketIndex(v);
         ASSERT_LT(i, LatencyHistogram::kBuckets) << v;
         EXPECT_LE(LatencyHistogram::bucketLowerEdge(i), v) << v;
-        if (i + 1 < LatencyHistogram::kBuckets)
+        if (i + 1 < LatencyHistogram::kBuckets) {
             EXPECT_GT(LatencyHistogram::bucketLowerEdge(i + 1), v) << v;
+        }
     }
 }
 

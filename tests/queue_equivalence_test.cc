@@ -1,15 +1,14 @@
 /**
  * @file
- * Queue-equivalence suite: the calendar queue must dispatch in exactly
- * the order of the (time, sequence)-keyed min-heap it replaced.
+ * Queue-equivalence suite: EventQueue must dispatch in exactly the
+ * order of a (time, sequence)-keyed min-heap with lazy cancellation.
  *
  * A test-only reference min-heap replays fuzz-seeded traces of
  * schedule / cancel / reschedule / dispatch operations alongside the
  * real EventQueue; every dispatched event must match one-for-one. The
- * traces deliberately stress the calendar's edge cases: duplicate
- * ticks, deep horizons that force window re-tuning, schedules behind
- * the cursor, cancellations of lane heads and of overflow entries, and
- * interleaved drain/schedule phases that grow and shrink the backlog.
+ * traces stress duplicate ticks, deep horizons, cancellations anywhere
+ * in the queue, rescheduling in both directions, and interleaved
+ * drain/schedule phases that grow and shrink the backlog.
  */
 
 #include <gtest/gtest.h>
@@ -127,7 +126,7 @@ class TraceEvent : public Event
 /**
  * Replay one seeded random trace through both queues and assert
  * identical dispatch order. @p horizon controls how far apart event
- * times spread (deep horizons force the calendar to rebucket).
+ * times spread.
  */
 void
 replayTrace(std::uint64_t seed, int n_events, Ticks horizon, int rounds)
@@ -212,8 +211,7 @@ TEST_P(QueueEquivalence, MediumHorizon)
 
 TEST_P(QueueEquivalence, DeepHorizonForcesRebuckets)
 {
-    // Spread far beyond any initial window so overflow redistribution
-    // and window re-tuning happen repeatedly mid-trace.
+    // Times spread over 2^34 ticks: few ties, a wide pending span.
     replayTrace(GetParam() + 1000, 96, Ticks{1} << 34, 3);
 }
 
@@ -222,8 +220,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QueueEquivalence,
 
 TEST(QueueEquivalenceEdge, BacklogGrowsAndDrainsRepeatedly)
 {
-    // Backlog oscillation: grow to 2k, drain to near-empty, regrow —
-    // the calendar must re-tune in both directions without reordering.
+    // Backlog oscillation: grow to 2k, drain to near-empty, regrow,
+    // without reordering.
     replayTrace(77, 2048, 1 << 20, 5);
 }
 

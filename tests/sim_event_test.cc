@@ -451,8 +451,8 @@ TEST(EventQueue, RescheduleNeverDeletes)
 
 TEST(EventQueue, ManyCancellationsInterleaved)
 {
-    // Stress the sorted cancellation vector: cancel a pseudo-random
-    // half of a large schedule and check exactly the survivors fire.
+    // Cancel a pseudo-random half of a large schedule and check
+    // exactly the survivors fire.
     Simulation sim;
     std::vector<int> log;
     std::vector<std::unique_ptr<LogEvent>> events;
@@ -536,14 +536,14 @@ TEST(RecurringEvent, CallbackMayStopItself)
 TEST(EventQueue, TombstoneSafetyAfterOwnerGone)
 {
     // An owner that deschedules its event may be destroyed before the
-    // queue; the stale heap entry must never be dereferenced.
+    // queue; nothing of the event may be left for the queue to touch.
     Simulation sim;
     std::vector<int> log;
     {
         auto ev = std::make_unique<LogEvent>(log, 1);
         sim.schedule(ev.get(), 50);
         sim.queue().deschedule(ev.get());
-        // ev destroyed here while its tombstone sits in the heap.
+        // ev destroyed here, before the queue.
     }
     sim.scheduleAfter(100, [] {}, "later");
     sim.run();
@@ -552,23 +552,21 @@ TEST(EventQueue, TombstoneSafetyAfterOwnerGone)
 
 TEST(EventQueue, CancelHeadOfNonCurrentBucket)
 {
-    // Regression for the calendar layout: cancel the head event of a
-    // bucket the cursor has not reached yet (the queue starts with
-    // 1-tick buckets, so distinct ticks land in distinct buckets of
-    // the initial window). The tombstone must be skimmed when the
-    // cursor arrives, without disturbing the bucket's other entries.
+    // Cancel the first of two events sharing a tick that is not yet
+    // the earliest: its tick-mate and the later events must still
+    // dispatch, in order.
     EventQueue q;
     std::vector<int> log;
     LogEvent a(log, 1), head(log, 2), follower(log, 3), c(log, 4);
     LogEvent far(log, 5);
-    q.schedule(&a, 100);        // snaps the window to t=100
-    q.schedule(&head, 105);     // head of the (future) t=105 bucket
-    q.schedule(&follower, 105); // second entry of the same bucket
+    q.schedule(&a, 100);
+    q.schedule(&head, 105);
+    q.schedule(&follower, 105);
     q.schedule(&c, 107);
-    q.schedule(&far, 100000);   // beyond the window: overflow store
+    q.schedule(&far, 100000);
     Event *first = q.pop();
     ASSERT_EQ(first, &a);
-    q.deschedule(&head);        // cancel a non-current bucket's head
+    q.deschedule(&head);
     while (Event *ev = q.pop())
         ev->process();
     EXPECT_EQ(log, (std::vector<int>{3, 4, 5}));
@@ -577,68 +575,79 @@ TEST(EventQueue, CancelHeadOfNonCurrentBucket)
 
 TEST(EventQueue, CancelHeadOfOverflowedBucket)
 {
-    // Same regression, but the cancelled head lives beyond the current
-    // window (overflow store) when cancelled, and the queue must drop
-    // it during redistribution rather than dispatch.
+    // Cancel the earlier of two far-future events: the near event and
+    // the other far one still fire.
     Simulation sim;
     std::vector<int> log;
     LogEvent near1(log, 1);
     LogEvent far1(log, 2);
     LogEvent far2(log, 3);
     sim.schedule(&near1, 5);
-    sim.schedule(&far1, 1'000'000);     // far beyond the initial window
+    sim.schedule(&far1, 1'000'000);
     sim.schedule(&far2, 1'000'001);
-    sim.queue().deschedule(&far1);      // cancel the overflow head
+    sim.queue().deschedule(&far1);
     sim.run();
     EXPECT_EQ(log, (std::vector<int>{1, 3}));
     EXPECT_FALSE(far1.scheduled());
 }
 
-TEST(EventQueue, RebucketRetunesWindowToPendingSpan)
-{
-    // Introspection: a deep backlog must grow the calendar (more lanes,
-    // wider buckets) instead of crawling one initial-width day at a
-    // time; rebucketCount records the re-tunes.
-    EventQueue q;
-    std::vector<int> log;
-    std::vector<std::unique_ptr<LogEvent>> events;
-    Rng rng(19);
-    // One near event anchors the window; everything else lands far
-    // beyond it in the overflow store.
-    for (int i = 0; i < 4096; ++i) {
-        events.push_back(std::make_unique<LogEvent>(log, i));
-        const Ticks when =
-            i == 0 ? 1 : 32 + rng.below(Ticks{1} << 30);
-        q.schedule(events.back().get(), when);
-    }
-    // The first pops drain the anchor and force the deep overflow
-    // through a rebucket: ~1 entry per lane, lane width matched to the
-    // head-of-backlog event spacing.
-    for (int i = 0; i < 64; ++i)
-        q.pop()->process();
-    EXPECT_GE(q.rebucketCount(), 1u);
-    EXPECT_GE(q.laneCount(), 1024u);
-    EXPECT_GT(q.bucketWidth(), 1u);
-    while (Event *ev = q.pop())
-        ev->process();
-    EXPECT_EQ(log.size(), 4096u);
-    EXPECT_TRUE(q.empty());
-}
-
 TEST(EventQueue, ScheduleBehindCursorStillDispatchesFirst)
 {
-    // The min-heap accepted events scheduled before the earliest
-    // pending time; the calendar clamps them into the current bucket,
-    // where they must still sort ahead of later-timed entries.
+    // The queue itself accepts an event earlier than every pending one
+    // (only Simulation refuses the past); it must dispatch first.
     EventQueue q;
     std::vector<int> log;
     LogEvent a(log, 1), past(log, 2);
-    q.schedule(&a, 100);  // snaps the window to t=100
-    q.schedule(&past, 10); // behind the cursor: clamped, sorts first
+    q.schedule(&a, 100);
+    q.schedule(&past, 10);
     EXPECT_EQ(q.nextTime(), 10u);
     EXPECT_EQ(q.pop(), &past);
     EXPECT_EQ(q.pop(), &a);
     EXPECT_EQ(q.pop(), nullptr);
+}
+
+TEST(EventQueue, CancelFromMiddleSiftsUp)
+{
+    // Scheduled in this order, the ticks lay the heap out as
+    // [1, 7, 4, 9, 13, 10, 5]. Cancelling 9 (slot 3, under 7) moves the
+    // last entry, 5, into its hole, and 5 must rise above 7: a removal
+    // that only sifts down would dispatch 7 before 5.
+    EventQueue q;
+    std::vector<int> log;
+    std::vector<std::unique_ptr<LogEvent>> events;
+    for (int tick : {7, 5, 10, 9, 13, 4, 1}) {
+        events.push_back(std::make_unique<LogEvent>(log, tick));
+        q.schedule(events.back().get(), static_cast<Ticks>(tick));
+    }
+    q.deschedule(events[3].get());
+    while (Event *ev = q.pop())
+        ev->process();
+    EXPECT_EQ(log, (std::vector<int>{1, 4, 5, 7, 10, 13}));
+}
+
+TEST(EventQueue, RescheduleEarlierAndLater)
+{
+    // Moving a pending event (the scheduler's truncateAtPoll path)
+    // orders it as a deschedule then schedule would: after every event
+    // already pending at its new tick, whichever way it moved.
+    std::vector<int> log;
+    LogEvent m(log, 0), a(log, 1), b(log, 2), c(log, 3), d(log, 4);
+    auto drainAfterMoving = [&](Ticks to) {
+        EventQueue q;
+        q.schedule(&m, 20);
+        q.schedule(&a, 10);
+        q.schedule(&b, 10);
+        q.schedule(&c, 20);
+        q.schedule(&d, 30);
+        q.reschedule(&m, to);
+        log.clear();
+        while (Event *ev = q.pop())
+            ev->process();
+        return log;
+    };
+    EXPECT_EQ(drainAfterMoving(10), (std::vector<int>{1, 2, 0, 3, 4}));
+    EXPECT_EQ(drainAfterMoving(20), (std::vector<int>{1, 2, 3, 0, 4}));
+    EXPECT_EQ(drainAfterMoving(30), (std::vector<int>{1, 2, 3, 4, 0}));
 }
 
 } // namespace
