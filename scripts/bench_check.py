@@ -64,6 +64,7 @@ def main():
 
     base = load_rates(args.baseline)
     fresh = load_rates(args.fresh)
+    refs = []
     if args.normalize is not None:
         for rates in (base, fresh):
             ref = rates.pop(args.normalize, None)
@@ -72,6 +73,7 @@ def main():
                       f"{args.normalize} missing or zero",
                       file=sys.stderr)
                 return 2
+            refs.append(ref)
             for name in rates:
                 rates[name] /= ref
     if not base:
@@ -86,8 +88,16 @@ def main():
     common = sorted(set(base) & set(fresh))
     regressions = []
     width = max((len(n) for n in common), default=10)
-    if args.normalize is not None:
-        print(f"(rates shown as multiples of {args.normalize})")
+    # The normaliser's own raw ratio: every normalised ratio below is
+    # divided by it, so a host that ran it unusually fast or slow
+    # shifts the whole run together.
+    shift = ""
+    if refs:
+        shift = (f"{args.normalize} raw: baseline "
+                 f"{fmt_rate(refs[0]).strip()}, fresh "
+                 f"{fmt_rate(refs[1]).strip()}, fresh/baseline "
+                 f"{refs[1] / refs[0]:.2f}x")
+        print(f"(rates shown as multiples of {args.normalize}; {shift})")
     print(f"{'benchmark':<{width}}  {'baseline':>11}  {'fresh':>11}"
           f"  {'ratio':>7}")
     for name in common:
@@ -114,6 +124,8 @@ def main():
               file=sys.stderr)
         for name, ratio in regressions:
             print(f"  {name}: {ratio:.2f}x of baseline", file=sys.stderr)
+        if shift:
+            print(f"  (normaliser {shift})", file=sys.stderr)
         return 1
     print(f"\nOK: {len(common)} matching benchmarks within "
           f"{args.threshold:.0%} of baseline")

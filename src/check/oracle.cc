@@ -108,11 +108,8 @@ OracleSuite::report(const char *oracle, std::string message, Ticks now)
     v.oracle = oracle;
     v.message = std::move(message);
     v.at = now;
-    ++violation_count_;
-    if (violations_.size() < config_.max_violations)
-        violations_.push_back(v);
-    if (config_.throw_on_violation)
-        throw OracleError(v);
+    violations_.push_back(v);
+    throw OracleError(v);
 }
 
 void

@@ -55,6 +55,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -94,16 +95,20 @@ struct InvariantViolation
 };
 
 /**
- * An armed oracle detected a violation and is configured to abort the
- * run. Derives AbortError so the experiment harness isolates the
+ * An armed oracle detected a violation: the run aborts at its first
+ * one. Derives AbortError so the experiment harness isolates the
  * failure per run (error artifact + failed() marker) exactly like a
  * watchdog timeout.
  */
 class OracleError : public AbortError
 {
   public:
+    /** What every message starts with; the violation's format()
+     *  follows it. */
+    static constexpr std::string_view kPrefix = "invariant violation: ";
+
     explicit OracleError(const InvariantViolation &v)
-        : AbortError("invariant violation: " + v.format()), violation(v)
+        : AbortError(std::string(kPrefix) + v.format()), violation(v)
     {}
 
     InvariantViolation violation;
@@ -124,15 +129,6 @@ struct OracleConfig
     bool starvation = true;
     /** Base ready-wait allowance on top of the capacity-scaled bound. */
     Ticks starvation_grace = 100 * units::MS;
-
-    /**
-     * Throw OracleError at the first violation (aborting the run the
-     * way a watchdog does). When false, violations are collected and
-     * the run continues — the fuzz driver's mode.
-     */
-    bool throw_on_violation = true;
-    /** Collection cap when not throwing. */
-    std::size_t max_violations = 16;
 };
 
 /**
@@ -169,14 +165,12 @@ class OracleSuite final : public jvm::RuntimeListener,
     /** End-of-run checks; @p now is the final simulation time. */
     void finishRun(Ticks now);
 
-    /** Violations recorded so far (empty on a clean run). */
+    /** Violations recorded so far: empty on a clean run, else the one
+     *  whose OracleError aborted it. */
     const std::vector<InvariantViolation> &violations() const
     {
         return violations_;
     }
-
-    /** Total violations detected (may exceed the collection cap). */
-    std::uint64_t violationCount() const { return violation_count_; }
 
     /** Individual invariant evaluations performed. */
     std::uint64_t checksPerformed() const { return checks_; }
@@ -236,7 +230,7 @@ class OracleSuite final : public jvm::RuntimeListener,
     /** @} */
 
   private:
-    /** Record a violation; throws OracleError when configured. */
+    /** Record a violation and throw it as an OracleError. */
     void report(const char *oracle, std::string message, Ticks now);
 
     /** Monotonic-time check shared by every probe. */
@@ -357,7 +351,6 @@ class OracleSuite final : public jvm::RuntimeListener,
     bool reclaim_accounting_ = true;
 
     std::vector<InvariantViolation> violations_;
-    std::uint64_t violation_count_ = 0;
     std::uint64_t checks_ = 0;
 
     /** @name Heap-conservation state */

@@ -268,9 +268,19 @@ ExperimentRunner::executePlan(const RunPlan &plan,
     const std::uint32_t threads = plan.inputs.vms.front().threads;
     jscale_assert(threads >= 1 && threads <= plan.arm->machine.totalCores(),
                   "thread count ", threads, " exceeds machine cores");
+    // Declared before the rig: the VM dies before a listener on its
+    // chain does.
+    std::unique_ptr<jvm::RuntimeListener> probe;
     RunRig rig(*plan.arm, plan.inputs);
+    if (plan.probe)
+        probe = plan.probe(rig);
     jvm::RunResult r;
-    rig.run({&r, 1}, attach);
+    rig.run({&r, 1}, [&](jvm::JavaVm &vm) {
+        if (probe)
+            vm.listeners().add(probe.get());
+        if (attach)
+            attach(vm);
+    });
     return r;
 }
 
@@ -327,9 +337,7 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
                 // failure row, never a silent multi-minute re-run.
                 ++points.missing;
                 jvm::RunResult m = plan.marker();
-                m.run_error =
-                    "missing from shard result cache (incomplete "
-                    "campaign)";
+                m.run_error = kMissingPointError;
                 return m;
             }
             jvm::RunResult r = executePlan(plan, {});
@@ -510,6 +518,35 @@ ExperimentRunner::runPoints(const std::vector<CampaignPoint> &points)
                                 dacapoFactory(*p.arm, p.app), p.app,
                                 p.threads));
     }
+    return executePlans(std::move(plans));
+}
+
+ExperimentRunner::RunPlan
+ExperimentRunner::planCustom(const CustomPoint &point)
+{
+    jscale_assert(point.arm->heap_override != 0, "custom point '",
+                  point.key, "' must fix its heap");
+    RunPlan plan = planRun(point.arm, fingerprintOf(*point.arm),
+                           point.factory, point.key, point.threads);
+    plan.inputs.seed = point.seed;
+    plan.point_key = point.key;
+    plan.probe = point.probe;
+    return plan;
+}
+
+jvm::RunResult
+ExperimentRunner::runCustom(const CustomPoint &point)
+{
+    return executePlan(planCustom(point), {});
+}
+
+std::vector<jvm::RunResult>
+ExperimentRunner::runCustomPoints(const std::vector<CustomPoint> &points)
+{
+    std::vector<RunPlan> plans;
+    plans.reserve(points.size());
+    for (const CustomPoint &p : points)
+        plans.push_back(planCustom(p));
     return executePlans(std::move(plans));
 }
 

@@ -181,6 +181,16 @@ void tagArtifactPaths(ExperimentConfig &cfg, const std::string &tag);
 /** Hook to attach observation tools to the VM before a run starts. */
 using VmAttachHook = std::function<void(jvm::JavaVm &)>;
 
+class RunRig;
+
+/**
+ * Builds a listener for one run from its rig (a fuzz case's saboteur,
+ * which forges events into the rig's oracle suite). The run owns the
+ * listener and attaches it to VM 0 after every observer.
+ */
+using RunProbe =
+    std::function<std::unique_ptr<jvm::RuntimeListener>(RunRig &)>;
+
 /** Factory producing a fresh ApplicationModel for each run. */
 using AppFactory =
     std::function<std::unique_ptr<jvm::ApplicationModel>()>;
@@ -221,6 +231,26 @@ struct CampaignPoint
 };
 
 /**
+ * A point that brings its own model, sim seed and identity (a fuzz
+ * case) instead of deriving them from a DaCapo app. Its arm must fix
+ * the heap (heap_override), so nothing is calibrated for it.
+ */
+struct CustomPoint
+{
+    AppFactory factory;
+    std::uint32_t threads = 1;
+    ArmConfig arm;
+    std::uint64_t seed = 0;
+    /** Identity within the campaign: the cache and shard key. */
+    std::string key;
+    RunProbe probe; ///< empty = none
+};
+
+/** run_error of a point a strict merge found missing from the cache. */
+inline constexpr const char *kMissingPointError =
+    "missing from shard result cache (incomplete campaign)";
+
+/**
  * Drives single runs, sweeps and multi-arm batches per the paper's
  * methodology. Its own config is the default arm and supplies a batch's
  * execution settings (jobs, shard slice, cache directory, merge mode).
@@ -252,6 +282,13 @@ class ExperimentRunner
                              const VmAttachHook &attach = {});
 
     /**
+     * Run one custom point here, outside any batch: no cache, shard
+     * slice or isolation, so a run that aborts throws. It simulates
+     * exactly as the same point does in runCustomPoints().
+     */
+    jvm::RunResult runCustom(const CustomPoint &point);
+
+    /**
      * Run @p specs as co-hosted tenants of one simulated machine: one
      * JavaVm per tenant, all contending on one shared scheduler, each
      * fed by its own arrival stream (the config's `arrivals` field is
@@ -276,6 +313,10 @@ class ExperimentRunner
      */
     std::vector<jvm::RunResult>
     runPoints(const std::vector<CampaignPoint> &points);
+
+    /** runPoints() for custom points, in point order. */
+    std::vector<jvm::RunResult>
+    runCustomPoints(const std::vector<CustomPoint> &points);
 
     /** Sweep an app over thread counts. */
     std::vector<jvm::RunResult>
@@ -331,6 +372,7 @@ class ExperimentRunner
         /** Identity of this run within its campaign (cache and shard
          *  key). */
         std::string point_key;
+        RunProbe probe; ///< empty = none
 
         /** A result row naming this run, with nothing measured. */
         jvm::RunResult marker() const;
@@ -341,6 +383,10 @@ class ExperimentRunner
     RunPlan planRun(const ArmConfig &arm, std::string fingerprint,
                     const AppFactory &factory,
                     const std::string &cache_key, std::uint32_t threads);
+
+    /** Plan a custom point: its seed, key and probe replace the
+     *  derived ones. */
+    RunPlan planCustom(const CustomPoint &point);
 
     /** Execute a planned run; touches no runner state (thread-safe). */
     static jvm::RunResult executePlan(const RunPlan &plan,

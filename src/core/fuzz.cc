@@ -1,23 +1,20 @@
 #include "core/fuzz.hh"
 
-#include <filesystem>
+#include <algorithm>
 #include <fstream>
 #include <map>
-#include <optional>
+#include <memory>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
-#include "base/atomic_file.hh"
-#include "base/chaos.hh"
-#include "base/logging.hh"
 #include "base/random.hh"
+#include "check/oracle.hh"
 #include "check/random_app.hh"
 #include "core/rig.hh"
-#include "core/run_record.hh"
 
 namespace jscale::core {
 
-using check::InvariantViolation;
 using check::OracleSuite;
 
 namespace {
@@ -118,8 +115,8 @@ namespace {
 
 /**
  * Event-stream saboteur: re-delivers or fabricates one event directly
- * into the oracle suite. It is the run's attach hook, so it sits after
- * the suite on the listener chain and the suite always observes the
+ * into the oracle suite. It is the point's probe, so it sits after the
+ * suite on the listener chain and the suite always observes the
  * genuine event first.
  */
 class Saboteur : public jvm::RuntimeListener
@@ -205,24 +202,33 @@ class Saboteur : public jvm::RuntimeListener
 } // namespace
 
 std::string
+FuzzOutcome::violation() const
+{
+    constexpr std::string_view prefix = check::OracleError::kPrefix;
+    return run_error.starts_with(prefix) ? run_error.substr(prefix.size())
+                                         : std::string();
+}
+
+std::string
 FuzzOutcome::diagnosis() const
 {
-    if (!violations.empty())
-        return violations.front().format();
-    if (run_failed)
-        return "run aborted: " + run_error;
-    return "clean";
+    if (clean())
+        return "clean";
+    const std::string v = violation();
+    return v.empty() ? "run aborted: " + run_error : v;
 }
 
 namespace {
 
 /** The experiment a case runs: the 2-socket test machine without VM
- *  helper threads, every oracle armed. */
+ *  helper threads, the case's heap, every oracle armed and no error
+ *  artifact. */
 ExperimentConfig
 fuzzConfig(const FuzzCase &c)
 {
     ExperimentConfig cfg;
     cfg.machine = machine::Machine::testMachine_2p8c();
+    cfg.heap_override = c.heap;
     cfg.vm.heap.tlab_size = c.tlab;
     cfg.vm.enable_helpers = false;
     cfg.vm.locks.policy = c.policy;
@@ -239,7 +245,31 @@ fuzzConfig(const FuzzCase &c)
                                                      c.seed, 30 * units::MS);
     }
     cfg.oracles = true;
+    cfg.error_path.clear();
     return cfg;
+}
+
+/** The campaign point of a case: simulated under the case seed, keyed
+ *  by the case line (sabotage included). */
+CustomPoint
+fuzzPoint(const FuzzCase &c)
+{
+    CustomPoint p;
+    p.factory = [c] {
+        return std::make_unique<check::RandomApp>(c.seed, c.monitors,
+                                                  c.tasks);
+    };
+    p.threads = c.threads;
+    p.arm = std::make_shared<const ExperimentConfig>(fuzzConfig(c));
+    p.seed = c.seed;
+    p.key = c.describe();
+    if (c.sabotage != Sabotage::None) {
+        p.probe = [kind = c.sabotage](RunRig &rig) {
+            return std::unique_ptr<jvm::RuntimeListener>(
+                std::make_unique<Saboteur>(*rig.oracles(0), kind));
+        };
+    }
+    return p;
 }
 
 } // namespace
@@ -247,40 +277,13 @@ fuzzConfig(const FuzzCase &c)
 FuzzOutcome
 runFuzzCase(const FuzzCase &c)
 {
-    FuzzOutcome out;
-    out.fuzz_case = c;
-
-    const ExperimentConfig cfg = fuzzConfig(c);
-    check::RandomApp app(c.seed, c.monitors, c.tasks);
-    check::OracleConfig ocfg;
-    ocfg.throw_on_violation = false;
-    RunRig rig(cfg,
-               {c.seed,
-                {{&app, app.appName(), c.threads, c.heap, std::nullopt}}},
-               ocfg);
-    OracleSuite &suite = *rig.oracles(0);
-    Saboteur saboteur(suite, c.sabotage);
+    jvm::RunResult r;
     try {
-        jvm::RunResult r;
-        rig.run({&r, 1}, [&](jvm::JavaVm &vm) {
-            if (c.sabotage != Sabotage::None)
-                vm.listeners().add(&saboteur);
-        });
-        if (r.failed()) {
-            out.run_failed = true;
-            out.run_error = r.run_error;
-        }
+        r = ExperimentRunner().runCustom(fuzzPoint(c));
     } catch (const AbortError &e) {
-        out.run_failed = true;
-        out.run_error = e.what();
+        r.run_error = e.what();
     }
-    if (c.sabotage != Sabotage::None)
-        rig.vm(0).listeners().remove(&saboteur);
-
-    out.violations = suite.violations();
-    out.checks = suite.checksPerformed();
-    out.sim_time = rig.sim().now();
-    return out;
+    return {c, r.run_error, r.oracle_checks};
 }
 
 FuzzCase
@@ -354,156 +357,55 @@ shrinkCase(const FuzzCase &c, std::uint32_t budget,
     return best;
 }
 
-namespace {
-
-std::string
-outcomePath(const std::string &dir, std::uint64_t seed)
-{
-    return dir + "/fuzz-" + std::to_string(seed) + ".out";
-}
-
-/** Persist one finished case durably (atomic publish, then the chaos
- *  crash point fires — fuzz workers die at record boundaries too). */
-void
-storeOutcome(const FuzzCampaignIo &io, std::uint64_t seed,
-             const FuzzOutcome &o)
-{
-    AtomicFileWriter writer(outcomePath(io.cache_dir, seed));
-    if (!writer.ok()) {
-        warn("cannot open fuzz outcome record for seed ", seed);
-        return;
-    }
-    std::ostream &os = writer.stream();
-    os << "jscale-fuzz-out v1\n";
-    os << "fp " << escapeLine(io.fingerprint) << '\n';
-    os << "case " << o.fuzz_case.describe() << '\n';
-    os << "run_failed " << (o.run_failed ? 1 : 0) << '\n';
-    os << "run_error " << escapeLine(o.run_error) << '\n';
-    os << "checks " << o.checks << '\n';
-    os << "sim_time " << o.sim_time << '\n';
-    for (const InvariantViolation &v : o.violations) {
-        os << "v " << v.at << ' ' << escapeLine(v.oracle) << ' '
-           << escapeLine(v.message) << '\n';
-    }
-    os << "end\n";
-    std::string err;
-    if (!writer.commit(err)) {
-        warn("fuzz outcome store failed: ", err);
-        return;
-    }
-    chaosCrashPoint();
-}
-
-/** Load one cached case. Any malformation — torn record, foreign
- *  fingerprint — is a miss (with a warning); the seed just re-runs. */
-bool
-loadOutcome(const FuzzCampaignIo &io, std::uint64_t seed, FuzzOutcome &out)
-{
-    const std::string path = outcomePath(io.cache_dir, seed);
-    std::ifstream in(path);
-    if (!in)
-        return false;
-
-    const auto miss = [&path](const char *why) {
-        warn("ignoring fuzz outcome '", path, "': ", why);
-        return false;
-    };
-    std::string line;
-    if (!std::getline(in, line) || line != "jscale-fuzz-out v1")
-        return miss("bad header");
-    if (!std::getline(in, line) || line.rfind("fp ", 0) != 0 ||
-        unescapeLine(line.substr(3)) != io.fingerprint)
-        return miss("campaign fingerprint mismatch");
-
-    FuzzOutcome o;
-    std::string err;
-    if (!std::getline(in, line) || line.rfind("case ", 0) != 0 ||
-        !FuzzCase::parse(line.substr(5), o.fuzz_case, err))
-        return miss("bad case line");
-    if (!std::getline(in, line) || line.rfind("run_failed ", 0) != 0 ||
-        (line.substr(11) != "0" && line.substr(11) != "1"))
-        return miss("bad run_failed line");
-    o.run_failed = line.substr(11) == "1";
-    if (!std::getline(in, line) || line.rfind("run_error ", 0) != 0)
-        return miss("bad run_error line");
-    o.run_error = unescapeLine(line.substr(10));
-    if (!std::getline(in, line) || line.rfind("checks ", 0) != 0 ||
-        !parseNumber(line.substr(7), o.checks))
-        return miss("bad checks line");
-    if (!std::getline(in, line) || line.rfind("sim_time ", 0) != 0 ||
-        !parseNumber(line.substr(9), o.sim_time))
-        return miss("bad sim_time line");
-
-    bool ended = false;
-    while (std::getline(in, line)) {
-        if (line == "end") {
-            ended = true;
-            break;
-        }
-        if (line.rfind("v ", 0) != 0)
-            return miss("bad violation line");
-        std::istringstream vs(line.substr(2));
-        InvariantViolation v;
-        std::string at, oracle;
-        if (!(vs >> at >> oracle) || !parseNumber(at, v.at))
-            return miss("bad violation line");
-        v.oracle = unescapeLine(oracle);
-        std::string msg;
-        std::getline(vs, msg);
-        if (!msg.empty() && msg.front() == ' ')
-            msg.erase(0, 1);
-        v.message = unescapeLine(msg);
-        o.violations.push_back(std::move(v));
-    }
-    if (!ended)
-        return miss("missing 'end' trailer (torn write?)");
-    out = std::move(o);
-    return true;
-}
-
-} // namespace
-
 FuzzReport
 runFuzzCampaign(const std::vector<std::uint64_t> &seeds, Sabotage sabotage,
                 std::uint32_t shrink_budget, std::ostream *out,
-                const FuzzCampaignIo &io)
+                const ExperimentConfig &exec)
 {
-    const bool cached = !io.cache_dir.empty();
-    if (cached) {
-        std::error_code ec;
-        std::filesystem::create_directories(io.cache_dir, ec);
-    }
-    const std::uint32_t of = std::max<std::uint32_t>(1, io.shard_count);
-
+    // A RunResult carries about 230 KiB of histograms, so the cases run
+    // as consecutive batches of kBatchCases points, not one batch of
+    // every seed: memory stays flat at any --seeds, and each point's
+    // record, shard owner and merge status are the same either way.
+    constexpr std::size_t kBatchCases = 128;
+    ExperimentRunner runner(exec);
     FuzzReport report;
-    for (const std::uint64_t seed : seeds) {
-        FuzzOutcome o;
-        bool have = cached && loadOutcome(io, seed, o);
-        if (!have) {
-            if (of > 1 &&
-                shardOfKey("fuzz|" + std::to_string(seed), of) !=
-                    io.shard_index)
-                continue; // another shard's seed
-            FuzzCase c = caseForSeed(seed);
+    for (std::size_t begin = 0; begin < seeds.size(); begin += kBatchCases) {
+        const std::size_t end = std::min(seeds.size(), begin + kBatchCases);
+        std::vector<FuzzCase> cases;
+        std::vector<CustomPoint> points;
+        for (std::size_t i = begin; i < end; ++i) {
+            FuzzCase &c = cases.emplace_back(caseForSeed(seeds[i]));
             c.sabotage = sabotage;
-            o = runFuzzCase(c);
-            if (cached)
-                storeOutcome(io, seed, o);
+            points.push_back(fuzzPoint(c));
         }
-        ++report.cases_run;
-        report.total_checks += o.checks;
-        if (!o.clean()) {
-            if (out != nullptr) {
-                *out << "FAIL seed " << seed << ": " << o.diagnosis()
-                     << "\n";
+        const std::vector<jvm::RunResult> results =
+            runner.runCustomPoints(points);
+        for (std::size_t i = 0; i < cases.size(); ++i) {
+            const jvm::RunResult &r = results[i];
+            if (r.skipped)
+                continue; // another shard's case
+            if (r.run_error == kMissingPointError) {
+                ++report.missing;
+                if (out != nullptr)
+                    *out << "MISSING seed " << cases[i].seed << "\n";
+                continue;
             }
-            report.failures.push_back(std::move(o));
-        } else if (out != nullptr && report.cases_run % 25 == 0) {
-            *out << "... " << report.cases_run << "/" << seeds.size()
-                 << " cases clean\n";
+            FuzzOutcome o{cases[i], r.run_error, r.oracle_checks};
+            ++report.cases_run;
+            report.total_checks += o.checks;
+            if (!o.clean()) {
+                if (out != nullptr) {
+                    *out << "FAIL seed " << cases[i].seed << ": "
+                         << o.diagnosis() << "\n";
+                }
+                report.failures.push_back(std::move(o));
+            } else if (out != nullptr && report.cases_run % 25 == 0) {
+                *out << "... " << report.cases_run << "/" << seeds.size()
+                     << " cases clean\n";
+            }
         }
     }
-    if (report.failed()) {
+    if (report.failed() && report.missing == 0) {
         if (out != nullptr)
             *out << "shrinking first failure...\n";
         report.shrunk = shrinkCase(report.failures.front().fuzz_case,
@@ -520,9 +422,10 @@ writeReproducer(std::ostream &os, const FuzzReport &report)
     os << "# shrunk from: " << report.failures.front().fuzz_case.describe()
        << " in " << report.shrink_runs << " run(s)\n";
     const FuzzOutcome proof = runFuzzCase(report.shrunk);
-    for (const InvariantViolation &v : proof.violations)
-        os << "# violation: " << v.format() << "\n";
-    if (proof.run_failed)
+    const std::string v = proof.violation();
+    if (!v.empty())
+        os << "# violation: " << v << "\n";
+    else if (!proof.clean())
         os << "# run error: " << proof.run_error << "\n";
 }
 

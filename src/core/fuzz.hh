@@ -2,13 +2,14 @@
  * @file
  * Deterministic fuzz driver: seeded random workloads x fault schedules
  * x governor configurations, executed with the full oracle suite armed.
- * A case maps onto an ExperimentConfig and runs through the run rig
- * (core/rig.hh), so it is built exactly like every other run; the
- * oracles and the random application stay in src/check.
+ * A case maps onto an ExperimentConfig and runs as one campaign point
+ * (ExperimentRunner::runCustomPoints), so it is built, cached, sharded
+ * and merged exactly like every other run; the oracles and the random
+ * application stay in src/check.
  *
  * Every case is derived from a single integer seed, so a campaign is a
  * seed list and a failure is a one-line reproducer. When a case fails
- * (any oracle violation, or the run aborting), the driver greedily
+ * (an oracle violation, or the run aborting), the driver greedily
  * shrinks it — halving task counts, reducing threads, dropping fault
  * events, disabling the governor — re-running after each candidate
  * mutation until no smaller failing case is found within the attempt
@@ -30,7 +31,7 @@
 
 #include "base/fields.hh"
 #include "base/units.hh"
-#include "check/oracle.hh"
+#include "core/experiment.hh"
 #include "jvm/locks/policy.hh"
 
 namespace jscale::core {
@@ -100,22 +101,25 @@ FuzzCase caseForSeed(std::uint64_t seed);
 struct FuzzOutcome
 {
     FuzzCase fuzz_case;
-    /** The run itself aborted (watchdog, deadlock, runaway). */
-    bool run_failed = false;
+    /** Why the run failed, as its RunResult says: an oracle's first
+     *  violation (OracleError) or an abort (watchdog, deadlock,
+     *  runaway). Empty on a clean run. */
     std::string run_error;
-    std::vector<check::InvariantViolation> violations;
-    /** Invariant evaluations performed. */
+    /** Invariant evaluations performed (0 when the run failed). */
     std::uint64_t checks = 0;
-    /** Simulated time the case covered. */
-    Ticks sim_time = 0;
 
-    bool clean() const { return !run_failed && violations.empty(); }
+    bool clean() const { return run_error.empty(); }
 
-    /** First violation (or run error) as a one-line diagnosis. */
+    /** The violation that failed the run, formatted; empty when the
+     *  run was clean or aborted otherwise. */
+    std::string violation() const;
+
+    /** The violation (or run error) as a one-line diagnosis. */
     std::string diagnosis() const;
 };
 
-/** Execute one case with the full oracle suite armed. */
+/** Execute one case here, outside any campaign, with the full oracle
+ *  suite armed; simulated exactly as the case's campaign point is. */
 FuzzOutcome runFuzzCase(const FuzzCase &c);
 
 /**
@@ -134,10 +138,14 @@ FuzzCase shrinkCase(const FuzzCase &c, std::uint32_t budget,
 /** Campaign summary. */
 struct FuzzReport
 {
+    /** Cases executed or salvaged from the result cache. */
     std::uint64_t cases_run = 0;
     std::uint64_t total_checks = 0;
     /** Outcomes of failing cases, pre-shrink (campaign order). */
     std::vector<FuzzOutcome> failures;
+    /** Cases a strict merge found missing from the result cache; a
+     *  report with any is partial and shrinks nothing. */
+    std::uint64_t missing = 0;
     /** Shrunk reproducer of the first failure. */
     FuzzCase shrunk;
     std::uint32_t shrink_runs = 0;
@@ -146,34 +154,21 @@ struct FuzzReport
 };
 
 /**
- * Sharded / resumable campaign IO. With a cache_dir, every finished
- * case is persisted as an atomic "jscale-fuzz-out v1" record bound to
- * @p fingerprint, and a later process — a retried worker or the merge
- * step — salvages cached outcomes instead of re-running them. With
- * shard_count > 1 only the seeds hashing to shard_index execute here
- * (position-independent, base/chaos.hh shardOfKey); the rest are
- * skipped. A merge runs with shard_count == 1 and the shared cache:
- * every seed is salvaged, or re-run locally when its shard died for
- * good — either way the report covers the full campaign.
- */
-struct FuzzCampaignIo
-{
-    std::string cache_dir; ///< empty = no persistence
-    std::string fingerprint;
-    std::uint32_t shard_index = 0;
-    std::uint32_t shard_count = 1;
-};
-
-/**
- * Run one case per seed, shrink the first failure, and (when @p out is
- * non-null) narrate progress. Shrinking always re-runs locally — cases
- * are deterministic, so a merge shrinks a salvaged failure to the same
- * reproducer the failing worker would have found.
+ * Run one campaign point per seed, in consecutive batches, shrink the
+ * first failure, and (when @p out is non-null) narrate the outcomes in
+ * seed order. @p exec supplies the batches' execution settings — jobs,
+ * shard slice, result cache, strict merge — exactly as for a sweep: a
+ * point's identity is its case line, so a re-run over the same cache
+ * salvages every finished case, a shard runs only its slice, and a
+ * strict merge reports a gap instead of running it. Shrinking always
+ * re-runs locally: cases are deterministic, so a merge shrinks a
+ * salvaged failure to the reproducer the failing worker would have
+ * found.
  */
 FuzzReport runFuzzCampaign(const std::vector<std::uint64_t> &seeds,
                            Sabotage sabotage, std::uint32_t shrink_budget,
                            std::ostream *out,
-                           const FuzzCampaignIo &io = {});
+                           const ExperimentConfig &exec = {});
 
 /**
  * Write a replay artifact: the "jscale-fuzz-repro v1" header, the

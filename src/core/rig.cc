@@ -35,8 +35,7 @@ commitArtifact(std::optional<AtomicFileWriter> &writer,
     return false;
 }
 
-RunRig::RunRig(const ExperimentConfig &config, RigInputs inputs,
-               check::OracleConfig oracle_config)
+RunRig::RunRig(const ExperimentConfig &config, RigInputs inputs)
     : config_(config), inputs_(std::move(inputs)), sim_(inputs_.seed),
       mach_(config.machine), sched_(sim_, mach_, config.sched)
 {
@@ -59,12 +58,12 @@ RunRig::RunRig(const ExperimentConfig &config, RigInputs inputs,
         rotator_->start(sim_.now() + config_.bias_quantum);
     }
     for (std::size_t i = 0; i < inputs_.vms.size(); ++i)
-        buildVm(i, oracle_config);
+        buildVm(i);
     buildTelemetry();
 }
 
 void
-RunRig::buildVm(std::size_t i, const check::OracleConfig &oracle_config)
+RunRig::buildVm(std::size_t i)
 {
     const RigVm &in = inputs_.vms[i];
     VmParts &p = vms_.emplace_back();
@@ -116,7 +115,7 @@ RunRig::buildVm(std::size_t i, const check::OracleConfig &oracle_config)
     // Oracles: before the telemetry taps and every attach hook, so
     // those see the chain order production runs have.
     if (config_.oracles) {
-        p.oracles.emplace(oracle_config);
+        p.oracles.emplace();
         p.oracles->attach(vm, *p.profiler);
     }
 }
@@ -217,6 +216,9 @@ RunRig::finish(std::span<jvm::RunResult> results)
             p.oracles->finishRun(now);
         if (p.profiler)
             p.profiler->finishRun(now);
+        // Read after the profiler's last task sinks have fired.
+        if (p.oracles)
+            r.oracle_checks = p.oracles->checksPerformed();
         // The blame summary; primary stats stay those of a bare run.
         if (config_.profile)
             r.profile = p.profiler->summary(config_.profile_topk);

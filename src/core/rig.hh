@@ -61,8 +61,7 @@ bool commitArtifact(std::optional<AtomicFileWriter> &writer,
 class RunRig
 {
   public:
-    RunRig(const ExperimentConfig &config, RigInputs inputs,
-           check::OracleConfig oracle_config = {});
+    RunRig(const ExperimentConfig &config, RigInputs inputs);
 
     RunRig(const RunRig &) = delete;
     RunRig &operator=(const RunRig &) = delete;
@@ -105,7 +104,7 @@ class RunRig
         jvm::ApplicationModel *app = nullptr;
     };
 
-    void buildVm(std::size_t i, const check::OracleConfig &oracle_config);
+    void buildVm(std::size_t i);
     void buildTelemetry();
     void finish(std::span<jvm::RunResult> results);
 

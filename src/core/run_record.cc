@@ -14,7 +14,7 @@ namespace jscale::core {
 
 namespace {
 
-constexpr const char *kHeader = "jscale-run v1";
+constexpr const char *kHeader = "jscale-run v2";
 
 /**
  * Upper bound on any element count a record declares (threads, GC
@@ -225,6 +225,7 @@ visitRunResult(V &v, R &r)
 
     v.u("total_tasks", r.total_tasks);
     v.u("sim_events", r.sim_events);
+    v.u("oracle_checks", r.oracle_checks);
     v.s("timeline_file", r.timeline_file);
     v.s("metrics_file", r.metrics_file);
     v.u("timeline_events", r.timeline_events);
@@ -633,7 +634,8 @@ readRunRecord(std::istream &is, const std::string &expect_key,
     Reader in(is);
     std::string ln;
     if (!in.line(ln) || ln != kHeader) {
-        err = in.ok() ? "not a jscale-run v1 record" : in.error();
+        err = in.ok() ? std::string("not a ") + kHeader + " record"
+                       : in.error();
         return false;
     }
     if (!in.line(ln) || ln.compare(0, 4, "key ") != 0) {

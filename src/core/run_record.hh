@@ -3,7 +3,7 @@
  * RunResult codec: the exact, text-based serialization behind the shard
  * result cache.
  *
- * A "jscale-run v1" record captures every field of a RunResult that any
+ * A "jscale-run v2" record captures every field of a RunResult that any
  * renderer or stat snapshot reads — counters, Welford summaries (their
  * internal recurrence state included), log and HDR histograms, thread
  * rows, profile and traffic sections — so a run restored from a record
@@ -33,7 +33,7 @@ std::string escapeLine(const std::string &s);
 /** Inverse of escapeLine(). */
 std::string unescapeLine(const std::string &s);
 
-/** Serialize @p r as a complete "jscale-run v1" record. */
+/** Serialize @p r as a complete "jscale-run v2" record. */
 void writeRunRecord(std::ostream &os, const std::string &key,
                     const std::string &fingerprint,
                     const jvm::RunResult &r);

@@ -7,7 +7,7 @@
  * position-independent slices by hashing each run's point key
  * (base/chaos.hh shardOfKey). A shard worker executes only its slice
  * and persists every completed point — full RunResult, failed markers
- * included — as an atomic "jscale-run v1" record in a shared cache
+ * included — as an atomic "jscale-run v2" record in a shared cache
  * directory. The merge step is then just the original command run with
  * the cache populated: every point is a cache hit, all rendering flows
  * through the same code over the same values, and the merged tables /

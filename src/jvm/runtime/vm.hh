@@ -346,6 +346,9 @@ struct RunResult
     TrafficSummary traffic;
     std::uint64_t total_tasks = 0;
     std::uint64_t sim_events = 0;
+    /** Invariant evaluations of the run's oracle suite (0 = unarmed;
+     *  filled by the run rig). */
+    std::uint64_t oracle_checks = 0;
 
     /** @name Telemetry artifacts (filled by the experiment runner) */
     /** @{ */

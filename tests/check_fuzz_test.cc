@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -112,37 +113,82 @@ TEST(Fuzz, CorruptedOutcomeRecordReRunsItsSeed)
         core::runFuzzCampaign(seeds, core::Sabotage::None, 16, nullptr);
 
     const jscale::testing::TempDir tmp;
-    core::FuzzCampaignIo io;
-    io.cache_dir = tmp.file("cache");
-    io.fingerprint = "corrupt-test";
+    core::ExperimentConfig exec;
+    exec.jobs = 1;
+    exec.run_cache_dir = tmp.file("cache");
     (void)core::runFuzzCampaign(seeds, core::Sabotage::None, 16, nullptr,
-                                io);
+                                exec);
 
-    // A number with trailing bytes, and a missing one: both records
+    // A number with trailing bytes, and a missing one: both run records
     // are misses, so their seeds re-run instead of reading as 7 / 0.
     const auto corrupt = [&tmp](std::uint64_t seed, const std::string &key,
                                 const std::string &value) {
-        const std::string path =
-            tmp.file("cache/fuzz-" + std::to_string(seed) + ".out");
+        // A fuzz point's record is named after its case line.
+        const std::string prefix = "seed_" + std::to_string(seed) + "_";
+        std::string path;
+        for (const auto &e :
+             std::filesystem::directory_iterator(tmp.file("cache"))) {
+            if (e.path().filename().string().rfind(prefix, 0) == 0)
+                path = e.path().string();
+        }
+        ASSERT_FALSE(path.empty()) << "no record for seed " << seed;
         std::ifstream in(path);
         std::ostringstream body;
         std::string line;
+        int hits = 0;
         while (std::getline(in, line)) {
-            body << (line.rfind(key + " ", 0) == 0 ? key + " " + value
-                                                   : line)
-                 << '\n';
+            const bool hit = line.rfind(key + " ", 0) == 0;
+            hits += hit;
+            body << (hit ? key + " " + value : line) << '\n';
         }
         in.close();
+        ASSERT_EQ(hits, 1) << key;
         std::ofstream(path) << body.str();
     };
-    corrupt(101, "checks", "7x");
-    corrupt(102, "sim_time", "");
+    corrupt(101, "u oracle_checks", "7x");
+    corrupt(102, "u oracle_checks", "");
 
     const core::FuzzReport cached = core::runFuzzCampaign(
-        seeds, core::Sabotage::None, 16, nullptr, io);
+        seeds, core::Sabotage::None, 16, nullptr, exec);
     EXPECT_EQ(cached.cases_run, plain.cases_run);
     EXPECT_EQ(cached.total_checks, plain.total_checks);
     EXPECT_EQ(cached.failed(), plain.failed());
+}
+
+TEST(Fuzz, CampaignReportIsTheSameAtAnyJobs)
+{
+    // A clean campaign and a sabotaged one (every case fails, the
+    // first shrinks): the narration, the counts and the shrunk case
+    // must not depend on how many host workers ran the points. 130
+    // seeds span more than one batch of points.
+    std::vector<std::uint64_t> seeds;
+    for (std::uint64_t s = 40; s < 170; ++s)
+        seeds.push_back(s);
+    const auto campaign = [&seeds](core::Sabotage sabotage,
+                                   std::uint32_t jobs) {
+        core::ExperimentConfig exec;
+        exec.jobs = jobs;
+        std::ostringstream narration;
+        const core::FuzzReport r =
+            core::runFuzzCampaign(seeds, sabotage, 8, &narration, exec);
+        EXPECT_EQ(r.cases_run, seeds.size());
+        EXPECT_EQ(r.failures.size(),
+                  sabotage == core::Sabotage::None ? 0u : seeds.size());
+        std::ostringstream os;
+        os << narration.str() << r.cases_run << ' ' << r.total_checks
+           << ' ' << r.failures.size() << ' ' << r.shrunk.describe() << ' '
+           << r.shrink_runs;
+        for (const core::FuzzOutcome &f : r.failures)
+            os << '\n' << f.fuzz_case.describe() << ": " << f.diagnosis();
+        return os.str();
+    };
+    for (const core::Sabotage s :
+         {core::Sabotage::None, core::Sabotage::DoubleRelease}) {
+        EXPECT_EQ(campaign(s, 1), campaign(s, 4)) << core::sabotageName(s);
+    }
+    EXPECT_NE(campaign(core::Sabotage::None, 2)
+                  .find("... 125/130 cases clean\n"),
+              std::string::npos);
 }
 
 TEST(Fuzz, PolicyDimensionIsDrawnParsedAndDefaulted)
@@ -183,9 +229,9 @@ TEST(Fuzz, IllegalHandoffIsCaughtUnderEveryPolicyAndShrinksToFifo)
         c.sabotage = core::Sabotage::IllegalHandoff;
         const core::FuzzOutcome out = core::runFuzzCase(c);
         ASSERT_FALSE(out.clean()) << jvm::lockPolicyName(p);
-        ASSERT_FALSE(out.violations.empty()) << jvm::lockPolicyName(p);
-        EXPECT_EQ(out.violations[0].oracle, "monitor-fifo")
-            << out.violations[0].format();
+        const std::string v = out.violation();
+        ASSERT_FALSE(v.empty()) << jvm::lockPolicyName(p);
+        EXPECT_EQ(v.rfind("monitor-fifo: ", 0), 0u) << v;
     }
 
     // The shrinker walks the policy dimension back to fifo while the

@@ -67,7 +67,6 @@ TEST(Oracle, CleanRunPerformsChecksAndReportsNoViolations)
     suite.finishRun(h.sim.now());
 
     EXPECT_TRUE(suite.violations().empty());
-    EXPECT_EQ(suite.violationCount(), 0u);
     EXPECT_GT(suite.checksPerformed(), 1000u);
     EXPECT_EQ(r.total_tasks, 8u * 120u);
 
@@ -144,13 +143,11 @@ TEST(Oracle, SabotagedEventStreamsAreCaughtAndDiagnosed)
         c.sabotage = k.sabotage;
         const core::FuzzOutcome out = core::runFuzzCase(c);
         ASSERT_FALSE(out.clean()) << core::sabotageName(k.sabotage);
-        ASSERT_FALSE(out.violations.empty())
+        const std::string v = out.violation();
+        ASSERT_FALSE(v.empty())
             << core::sabotageName(k.sabotage) << ": " << out.run_error;
-        EXPECT_EQ(out.violations[0].oracle, k.oracle)
-            << out.violations[0].format();
-        EXPECT_NE(out.violations[0].message.find(k.needle),
-                  std::string::npos)
-            << out.violations[0].format();
+        EXPECT_EQ(v.rfind(std::string(k.oracle) + ": ", 0), 0u) << v;
+        EXPECT_NE(v.find(k.needle), std::string::npos) << v;
     }
 }
 
@@ -164,7 +161,6 @@ TEST(Oracle, UnsabotagedCaseIsCleanAcrossConfigurationSpace)
         EXPECT_TRUE(out.clean()) << "seed " << seed << ": "
                                  << out.diagnosis();
         EXPECT_GT(out.checks, 0u);
-        EXPECT_GT(out.sim_time, 0u);
     }
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * RunResult codec tests: a full simulated result roundtrips through the
- * "jscale-run v1" text record losslessly, a committed fixture pins the
+ * "jscale-run v2" text record losslessly, a committed fixture pins the
  * record bytes, and the reader rejects every flavor of bad record —
- * wrong header, foreign key or fingerprint, torn writes, implausible
- * counts, garbage — instead of silently mixing results or throwing.
+ * wrong header (a v1 record included), foreign key or fingerprint,
+ * torn writes, implausible counts, garbage — instead of silently
+ * mixing results or throwing.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "core/run_record.hh"
+#include "core/shard.hh"
 #include "fault/fault.hh"
 #include "test_tempdir.hh"
 
@@ -185,8 +187,10 @@ TEST(RunRecord, FailedMarkerRoundtrips)
 }
 
 /**
- * The committed v1 fixture (written before the codec was rewritten),
- * with the key and fingerprint from its header lines.
+ * A committed record fixture with the key and fingerprint from its
+ * header lines: by default the v2 record the writer must reproduce,
+ * which is the v1 fixture (written before the codec was rewritten)
+ * with the v2 header and the oracle check count added.
  */
 struct Fixture
 {
@@ -194,10 +198,9 @@ struct Fixture
     std::string key;
     std::string fp;
 
-    Fixture()
+    explicit Fixture(const std::string &file = "run_record_v2.run")
     {
-        std::ifstream in(std::string(JSCALE_TEST_DATA_DIR) +
-                             "/run_record_v1.run",
+        std::ifstream in(std::string(JSCALE_TEST_DATA_DIR) + "/" + file,
                          std::ios::binary);
         std::ostringstream os;
         os << in.rdbuf();
@@ -254,6 +257,27 @@ TEST(RunRecordFixture, WriterReproducesTheFixtureBytes)
 
     EXPECT_EQ(fp, fixture.fp);
     EXPECT_EQ(record(r, fixture.key, fp), fixture.bytes);
+}
+
+TEST(RunRecordFixture, VersionOneRecordIsRefusedAsAMiss)
+{
+    // A record written before the oracle check count joined the format
+    // carries the v1 header: the reader refuses it outright, so the
+    // cache counts it a miss and the point re-runs instead of reading
+    // a field list one line short.
+    const Fixture v1("run_record_v1.run");
+    ASSERT_EQ(v1.bytes.rfind("jscale-run v1\n", 0), 0u);
+    jvm::RunResult out;
+    std::string err;
+    EXPECT_FALSE(v1.read(v1.bytes, out, err));
+    EXPECT_NE(err.find("not a jscale-run v2 record"), std::string::npos)
+        << err;
+
+    const jscale::testing::TempDir tmp;
+    std::ofstream(tmp.file(core::RunCache::recordFileName(v1.key, v1.fp)),
+                  std::ios::binary)
+        << v1.bytes;
+    EXPECT_FALSE(core::RunCache(tmp.path.string(), v1.fp).load(v1.key, out));
 }
 
 TEST(RunRecordFixture, FixtureRoundtripsToIdenticalBytes)

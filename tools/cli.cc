@@ -191,7 +191,7 @@ const std::string kSim = "run sweep study lifespan locks trace resilience "
 const std::string kOneApp = "run sweep lifespan locks trace resilience "
                             "profile traffic collapse golden";
 const std::string kBatch = "sweep study lifespan resilience profile "
-                           "traffic collapse golden";
+                           "traffic collapse golden fuzz";
 
 } // namespace
 
@@ -357,7 +357,7 @@ flagTable()
         {textRow("--cache-dir", OPT(config.run_cache_dir)), "<dir>",
          "per-point result cache; re-running over it resumes (shard/merge: "
          "jscale-cache, campaign: jscale-campaign/cache)",
-         kBatch + " fuzz shard merge campaign"},
+         kBatch + " shard merge campaign"},
         {F::number("--index", OPT(config.shard_index), 0), "<n>",
          "this worker's shard, below --of", "shard"},
         {F::number("--of", OPT(config.shard_count), 1), "<n>",
