@@ -28,28 +28,4 @@ ZipfDistribution::sample(Rng &rng) const
     return static_cast<std::size_t>(it - cdf_.begin());
 }
 
-DiscreteDistribution::DiscreteDistribution(const std::vector<double> &weights)
-{
-    jscale_assert(!weights.empty(), "DiscreteDistribution requires weights");
-    cdf_.resize(weights.size());
-    double total = 0.0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        jscale_assert(weights[i] >= 0.0, "weights must be non-negative");
-        total += weights[i];
-        cdf_[i] = total;
-    }
-    jscale_assert(total > 0.0, "at least one weight must be positive");
-    for (auto &c : cdf_)
-        c /= total;
-    cdf_.back() = 1.0;
-}
-
-std::size_t
-DiscreteDistribution::sample(Rng &rng) const
-{
-    const double u = rng.uniform();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<std::size_t>(it - cdf_.begin());
-}
-
 } // namespace jscale

@@ -202,26 +202,6 @@ class ZipfDistribution
     std::vector<double> cdf_;
 };
 
-/**
- * Empirical discrete distribution over arbitrary weights. Used to model
- * measured histograms (e.g. object size-class frequencies).
- */
-class DiscreteDistribution
-{
-  public:
-    /** Build from non-negative weights; at least one must be positive. */
-    explicit DiscreteDistribution(const std::vector<double> &weights);
-
-    /** Draw an index in [0, weights.size()). */
-    std::size_t sample(Rng &rng) const;
-
-    /** Number of outcomes. */
-    std::size_t size() const { return cdf_.size(); }
-
-  private:
-    std::vector<double> cdf_;
-};
-
 } // namespace jscale
 
 #endif // JSCALE_BASE_RANDOM_HH

@@ -135,38 +135,6 @@ ScalabilityAnalyzer::throughput(const jvm::RunResult &r)
             static_cast<double>(units::SEC));
 }
 
-control::UslFit
-ScalabilityAnalyzer::uslFit(const std::vector<jvm::RunResult> &sweep)
-{
-    std::vector<control::UslPoint> pts;
-    pts.reserve(sweep.size());
-    if (sweep.empty())
-        return control::UslModel::fit(pts);
-    const jvm::RunResult &base = sweep.front();
-    const double base_n = static_cast<double>(base.threads);
-    for (const auto &r : sweep) {
-        // Normalize thread counts to the base point so sweeps that do
-        // not start at one thread still fit a relative curve.
-        pts.push_back({static_cast<double>(r.threads) / base_n,
-                       speedup(base, r)});
-    }
-    return control::UslModel::fit(pts);
-}
-
-std::uint32_t
-ScalabilityAnalyzer::observedKnee(const std::vector<jvm::RunResult> &sweep)
-{
-    std::uint32_t knee = 0;
-    Ticks best = 0;
-    for (const auto &r : sweep) {
-        if (knee == 0 || r.wall_time < best) {
-            knee = r.threads;
-            best = r.wall_time;
-        }
-    }
-    return knee;
-}
-
 ScalabilityAnalyzer::Confidence
 ScalabilityAnalyzer::confidence(const std::vector<double> &samples)
 {

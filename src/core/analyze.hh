@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "control/usl.hh"
 #include "jvm/runtime/vm.hh"
 
 namespace jscale::core {
@@ -63,24 +62,6 @@ class ScalabilityAnalyzer
 
     /** Tasks per second of simulated time (0 for failed/empty runs). */
     static double throughput(const jvm::RunResult &r);
-
-    /**
-     * Fit the Universal Scalability Law to a sweep's wall-clock
-     * speedups (relative to the sweep's first, lowest-thread point).
-     * @p sweep must be ordered by ascending thread count.
-     */
-    static control::UslFit
-    uslFit(const std::vector<jvm::RunResult> &sweep);
-
-    /**
-     * The observed knee: the thread count of the sweep's highest
-     * speedup point (earliest on ties). For a sweep still rising at its
-     * largest setting this is that largest thread count — the knee is
-     * then *at or beyond* the measured range, which is how the USL
-     * table should read it.
-     */
-    static std::uint32_t
-    observedKnee(const std::vector<jvm::RunResult> &sweep);
 
     /** Mean and 95% confidence half-width of a metric over replicas. */
     struct Confidence

@@ -75,7 +75,7 @@ runCollapseStudy(const CollapseConfig &config)
             const ArmConfig shared =
                 std::make_shared<const ExperimentConfig>(std::move(run_cfg));
             for (const std::uint32_t t : study.threads)
-                runs.push_back({config.app, t, shared});
+                runs.push_back(dacapoPoint(shared, config.app, t));
             study.arms.push_back(std::move(arm));
         }
     }

@@ -9,7 +9,6 @@
 #include "base/error.hh"
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
-#include "core/parallel.hh"
 #include "core/rig.hh"
 #include "core/shard.hh"
 #include "workload/dacapo.hh"
@@ -82,6 +81,27 @@ dacapoFactory(const ExperimentConfig &cfg, const std::string &app_name)
     };
 }
 
+/**
+ * The point of a model named @p name: its seed derives from (arm seed,
+ * name, threads), its key is "<name>|t<threads>|s<hex seed>" and its
+ * heap is calibrated under @p name.
+ */
+CampaignPoint
+namedPoint(ArmConfig arm, AppFactory factory, const std::string &name,
+           std::uint32_t threads)
+{
+    CampaignPoint p;
+    p.seed = runSeed(*arm, name, threads, /*calibration=*/false);
+    std::ostringstream key;
+    key << name << "|t" << threads << "|s" << std::hex << p.seed;
+    p.key = key.str();
+    p.factory = std::move(factory);
+    p.threads = threads;
+    p.arm = std::move(arm);
+    p.calibration = name;
+    return p;
+}
+
 std::string
 fingerprintOf(const ExperimentConfig &c)
 {
@@ -150,6 +170,13 @@ fingerprintOf(const ExperimentConfig &c)
 
 } // namespace
 
+CampaignPoint
+dacapoPoint(ArmConfig arm, const std::string &app, std::uint32_t threads)
+{
+    AppFactory factory = dacapoFactory(*arm, app);
+    return namedPoint(std::move(arm), std::move(factory), app, threads);
+}
+
 void
 tagArtifactPaths(ExperimentConfig &cfg, const std::string &tag)
 {
@@ -211,21 +238,20 @@ ExperimentRunner::claimArtifactPath(const std::string &templ,
 }
 
 ExperimentRunner::RunPlan
-ExperimentRunner::planRun(const ArmConfig &arm, std::string fingerprint,
-                          const AppFactory &factory,
-                          const std::string &cache_key,
-                          std::uint32_t threads)
+ExperimentRunner::planRun(const CampaignPoint &point, std::string fingerprint)
 {
-    const ExperimentConfig &cfg = *arm;
+    const ExperimentConfig &cfg = *point.arm;
+    jscale_assert(!point.calibration.empty() || cfg.heap_override != 0,
+                  "point '", point.key, "' must calibrate or fix its heap");
     RunPlan plan;
-    plan.arm = arm;
+    plan.arm = point.arm;
     plan.fingerprint = std::move(fingerprint);
-    const Bytes heap = heapCapacity(cfg, factory, cache_key);
-    plan.app = factory();
+    const Bytes heap = heapCapacity(cfg, point.factory, point.calibration);
+    plan.app = point.factory();
     const std::string app = plan.app->appName();
     RigInputs &in = plan.inputs;
-    in.seed = runSeed(cfg, app, threads, /*calibration=*/false);
-    in.vms.push_back({plan.app.get(), app, threads, heap, std::nullopt});
+    in.seed = point.seed;
+    in.vms.push_back({plan.app.get(), app, point.threads, heap, std::nullopt});
     if (!cfg.arrivals.empty()) {
         std::string err;
         const bool ok = traffic::ArrivalSpec::parse(
@@ -233,25 +259,24 @@ ExperimentRunner::planRun(const ArmConfig &arm, std::string fingerprint,
         jscale_assert(ok, "bad arrival spec: ", err);
     }
     if (!cfg.timeline_path.empty())
-        in.timeline_file = claimArtifactPath(cfg.timeline_path, app, threads);
+        in.timeline_file =
+            claimArtifactPath(cfg.timeline_path, app, point.threads);
     if (cfg.metrics_interval > 0)
         in.metrics_file =
-            claimArtifactPath(metricsTemplate(cfg), app, threads);
+            claimArtifactPath(metricsTemplate(cfg), app, point.threads);
     if (!cfg.error_path.empty())
-        plan.error_file = claimArtifactPath(cfg.error_path, app, threads);
-    std::ostringstream key;
-    key << app << "|t" << threads << "|s" << std::hex << in.seed;
-    plan.point_key = key.str();
+        plan.error_file =
+            claimArtifactPath(cfg.error_path, app, point.threads);
+    plan.point_key = point.key;
+    plan.probe = point.probe;
     return plan;
 }
 
-jvm::RunResult
-ExperimentRunner::RunPlan::marker() const
+void
+ExperimentRunner::RunPlan::mark(jvm::RunResult &r) const
 {
-    jvm::RunResult m;
-    m.app_name = app->appName();
-    m.threads = inputs.vms.front().threads;
-    return m;
+    r.app_name = app->appName();
+    r.threads = inputs.vms.front().threads;
 }
 
 std::string
@@ -261,9 +286,9 @@ ExperimentRunner::campaignFingerprint() const
 }
 
 
-jvm::RunResult
-ExperimentRunner::executePlan(const RunPlan &plan,
-                              const VmAttachHook &attach)
+void
+ExperimentRunner::executePlan(const RunPlan &plan, const VmAttachHook &attach,
+                              jvm::RunResult &out)
 {
     const std::uint32_t threads = plan.inputs.vms.front().threads;
     jscale_assert(threads >= 1 && threads <= plan.arm->machine.totalCores(),
@@ -274,25 +299,22 @@ ExperimentRunner::executePlan(const RunPlan &plan,
     RunRig rig(*plan.arm, plan.inputs);
     if (plan.probe)
         probe = plan.probe(rig);
-    jvm::RunResult r;
-    rig.run({&r, 1}, [&](jvm::JavaVm &vm) {
+    rig.run({&out, 1}, [&](jvm::JavaVm &vm) {
         if (probe)
             vm.listeners().add(probe.get());
         if (attach)
             attach(vm);
     });
-    return r;
 }
 
 std::vector<jvm::RunResult>
-ExperimentRunner::executePlans(std::vector<RunPlan> plans)
+ExperimentRunner::executePlans(const std::vector<RunPlan> &plans)
 {
     // Execution settings are the runner's; each plan brings its arm.
     const ExperimentConfig &exec = *config_;
     const std::size_t requested =
         exec.jobs != 0 ? exec.jobs : ThreadPool::hardwareConcurrency();
-    const std::size_t jobs =
-        std::max<std::size_t>(1, std::min(requested, plans.size()));
+    const std::size_t jobs = std::min(requested, plans.size());
 
     // Shard slice and shared result cache. Every process plans the
     // whole campaign (identical artifact claiming everywhere); the
@@ -310,85 +332,85 @@ ExperimentRunner::executePlans(std::vector<RunPlan> plans)
     };
     CampaignPointStats &points = campaignPointStats();
 
-    std::vector<std::function<jvm::RunResult()>> tasks;
-    tasks.reserve(plans.size());
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-        tasks.push_back([&exec, &plans, i, &shard, cached, &cacheOf,
-                         &points]() -> jvm::RunResult {
-            const RunPlan &plan = plans[i];
+    // Each point resolves straight into its result slot. A point that
+    // throws leaves its error next to the slot instead, so an aborted
+    // run fails the same way at any jobs setting and the rest of the
+    // batch completes.
+    std::vector<jvm::RunResult> results(plans.size());
+    std::vector<std::optional<std::string>> errors(plans.size());
+    const auto resolve = [&](std::size_t i) {
+        const RunPlan &plan = plans[i];
+        jvm::RunResult &r = results[i];
+        try {
             // Salvage first: a point persisted by any earlier worker —
             // deterministic failures included — renders from the cache
             // instead of re-simulating.
-            if (cached) {
-                jvm::RunResult hit;
-                if (cacheOf(plan).load(plan.point_key, hit)) {
-                    ++points.salvaged;
-                    return hit;
-                }
-            }
-            if (!shard.owns(plan.point_key)) {
+            if (cached && cacheOf(plan).load(plan.point_key, r)) {
+                ++points.salvaged;
+            } else if (!shard.owns(plan.point_key)) {
                 ++points.skipped;
-                jvm::RunResult m = plan.marker();
-                m.skipped = true;
-                return m;
-            }
-            if (exec.merge_strict) {
+                plan.mark(r);
+                r.skipped = true;
+            } else if (exec.merge_strict) {
                 // Assembling a partial campaign: a gap is an honest
                 // failure row, never a silent multi-minute re-run.
                 ++points.missing;
-                jvm::RunResult m = plan.marker();
-                m.run_error = kMissingPointError;
-                return m;
+                plan.mark(r);
+                r.run_error = kMissingPointError;
+            } else {
+                executePlan(plan, {}, r);
+                ++points.executed;
+                // Persist before moving on: a worker killed after this
+                // point still contributes it to a later retry or merge.
+                // The chaos crash point fires inside store(), right
+                // after the record is durable.
+                if (cached)
+                    cacheOf(plan).store(plan.point_key, r);
             }
-            jvm::RunResult r = executePlan(plan, {});
-            ++points.executed;
-            // Persist before moving on: a worker killed after this
-            // point still contributes it to a later retry or merge.
-            // The chaos crash point fires inside store(), right after
-            // the record is durable.
-            if (cached)
-                cacheOf(plan).store(plan.point_key, r);
-            return r;
-        });
+        } catch (const std::exception &e) {
+            errors[i] = e.what();
+        } catch (...) {
+            errors[i] = "unknown error";
+        }
+    };
+    if (jobs <= 1) {
+        for (std::size_t i = 0; i < plans.size(); ++i)
+            resolve(i);
+    } else {
+        ThreadPool pool(jobs);
+        for (std::size_t i = 0; i < plans.size(); ++i)
+            pool.submit([i, &resolve] { resolve(i); });
+        pool.wait();
     }
 
-    // Isolated execution for every batch (sequential included), so a
-    // run that aborts fails the same way at any jobs setting: it
-    // becomes an error artifact plus a failed() marker, and the rest
-    // of the batch completes.
-    std::vector<RunOutcome> outcomes =
-        ParallelExecutor(jobs).runIsolated(std::move(tasks));
-
-    std::vector<jvm::RunResult> results;
-    results.reserve(plans.size());
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        RunOutcome &o = outcomes[i];
-        if (o.ok) {
-            results.push_back(std::move(o.result));
+    // Failures in plan order, so the narration is the same at any jobs.
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+        if (!errors[i])
             continue;
-        }
+        const RunPlan &plan = plans[i];
+        const std::string &error = *errors[i];
         ++points.failed;
-        inform("run ", plans[i].point_key, " failed: ", o.error);
-        if (!plans[i].error_file.empty()) {
+        inform("run ", plan.point_key, " failed: ", error);
+        if (!plan.error_file.empty()) {
             std::vector<std::string> open_errors;
             std::optional<AtomicFileWriter> err_os;
-            if (openArtifact(err_os, plans[i].error_file, open_errors)) {
-                err_os->stream()
-                    << "run: " << plans[i].point_key << '\n'
-                    << "error: " << o.error << '\n';
+            if (openArtifact(err_os, plan.error_file, open_errors)) {
+                err_os->stream() << "run: " << plan.point_key << '\n'
+                                 << "error: " << error << '\n';
                 commitArtifact(err_os, open_errors);
             }
             for (const std::string &e : open_errors)
                 inform(e);
         }
-        jvm::RunResult marker = plans[i].marker();
-        marker.run_error = o.error;
+        jvm::RunResult &marker = results[i];
+        marker = {};
+        plan.mark(marker);
+        marker.run_error = error;
         // Failed runs are cached too: a retry does not repeat a
         // deterministic abort, and the merge renders the failure row
         // exactly as a single-process run would.
-        if (cached && shard.owns(plans[i].point_key))
-            cacheOf(plans[i]).store(plans[i].point_key, marker);
-        results.push_back(std::move(marker));
+        if (cached && shard.owns(plan.point_key))
+            cacheOf(plan).store(plan.point_key, marker);
     }
     return results;
 }
@@ -463,8 +485,7 @@ jvm::RunResult
 ExperimentRunner::runApp(const std::string &app_name,
                          std::uint32_t threads, const VmAttachHook &attach)
 {
-    return runCustom(dacapoFactory(*config_, app_name), app_name, threads,
-                     attach);
+    return runPoint(dacapoPoint(config_, app_name, threads), attach);
 }
 
 jvm::RunResult
@@ -473,9 +494,18 @@ ExperimentRunner::runCustom(const AppFactory &factory,
                             std::uint32_t threads,
                             const VmAttachHook &attach)
 {
+    return runPoint(namedPoint(config_, factory, cache_key, threads),
+                    attach);
+}
+
+jvm::RunResult
+ExperimentRunner::runPoint(const CampaignPoint &point,
+                           const VmAttachHook &attach)
+{
     // A single run never touches the cache, so it needs no fingerprint.
-    return executePlan(planRun(config_, {}, factory, cache_key, threads),
-                       attach);
+    jvm::RunResult r;
+    executePlan(planRun(point, {}), attach, r);
+    return r;
 }
 
 std::vector<jvm::RunResult>
@@ -513,41 +543,9 @@ ExperimentRunner::runPoints(const std::vector<CampaignPoint> &points)
 {
     std::vector<RunPlan> plans;
     plans.reserve(points.size());
-    for (const CampaignPoint &p : points) {
-        plans.push_back(planRun(p.arm, fingerprintOf(*p.arm),
-                                dacapoFactory(*p.arm, p.app), p.app,
-                                p.threads));
-    }
-    return executePlans(std::move(plans));
-}
-
-ExperimentRunner::RunPlan
-ExperimentRunner::planCustom(const CustomPoint &point)
-{
-    jscale_assert(point.arm->heap_override != 0, "custom point '",
-                  point.key, "' must fix its heap");
-    RunPlan plan = planRun(point.arm, fingerprintOf(*point.arm),
-                           point.factory, point.key, point.threads);
-    plan.inputs.seed = point.seed;
-    plan.point_key = point.key;
-    plan.probe = point.probe;
-    return plan;
-}
-
-jvm::RunResult
-ExperimentRunner::runCustom(const CustomPoint &point)
-{
-    return executePlan(planCustom(point), {});
-}
-
-std::vector<jvm::RunResult>
-ExperimentRunner::runCustomPoints(const std::vector<CustomPoint> &points)
-{
-    std::vector<RunPlan> plans;
-    plans.reserve(points.size());
-    for (const CustomPoint &p : points)
-        plans.push_back(planCustom(p));
-    return executePlans(std::move(plans));
+    for (const CampaignPoint &p : points)
+        plans.push_back(planRun(p, fingerprintOf(*p.arm)));
+    return executePlans(plans);
 }
 
 std::vector<jvm::RunResult>
@@ -565,7 +563,7 @@ ExperimentRunner::sweepApps(const std::vector<std::string> &apps,
     points.reserve(apps.size() * threads.size());
     for (const auto &app_name : apps) {
         for (const auto t : threads)
-            points.push_back({app_name, t, config_});
+            points.push_back(dacapoPoint(config_, app_name, t));
     }
     std::vector<jvm::RunResult> flat = runPoints(points);
     std::map<std::string, std::vector<jvm::RunResult>> by_app;
@@ -587,17 +585,18 @@ ExperimentRunner::runReplicated(const std::string &app_name,
     // Each replica is an arm with its own derived seed; all of them
     // keep the campaign's fingerprint, so their records share it.
     const std::string fingerprint = campaignFingerprint();
-    const AppFactory factory = dacapoFactory(*config_, app_name);
     std::vector<RunPlan> plans;
     plans.reserve(replicas);
     for (std::uint32_t i = 0; i < replicas; ++i) {
         ExperimentConfig replica = *config_;
         replica.seed = config_->seed + 0x9e3779b97f4a7c15ULL * (i + 1);
         plans.push_back(planRun(
-            std::make_shared<const ExperimentConfig>(std::move(replica)),
-            fingerprint, factory, app_name, threads));
+            dacapoPoint(
+                std::make_shared<const ExperimentConfig>(std::move(replica)),
+                app_name, threads),
+            fingerprint));
     }
-    return executePlans(std::move(plans));
+    return executePlans(plans);
 }
 
 } // namespace jscale::core

@@ -222,20 +222,13 @@ struct RigInputs
 /** The config of one campaign arm, shared by all of its points. */
 using ArmConfig = std::shared_ptr<const ExperimentConfig>;
 
-/** One point of a batch: an app at a thread count under one arm. */
-struct CampaignPoint
-{
-    std::string app;
-    std::uint32_t threads = 1;
-    ArmConfig arm;
-};
-
 /**
- * A point that brings its own model, sim seed and identity (a fuzz
- * case) instead of deriving them from a DaCapo app. Its arm must fix
- * the heap (heap_override), so nothing is calibrated for it.
+ * One point of a batch: a model at a thread count under one arm, with
+ * its sim seed and its identity in the campaign. dacapoPoint() builds
+ * the point of a DaCapo app; a fuzz case brings its own model, seed,
+ * key and probe.
  */
-struct CustomPoint
+struct CampaignPoint
 {
     AppFactory factory;
     std::uint32_t threads = 1;
@@ -244,7 +237,18 @@ struct CustomPoint
     /** Identity within the campaign: the cache and shard key. */
     std::string key;
     RunProbe probe; ///< empty = none
+    /** Min-heap calibration key (an app name); empty = the arm fixes
+     *  the heap (heap_override). */
+    std::string calibration;
 };
+
+/**
+ * The point of DaCapo app @p app at @p threads under @p arm: its seed
+ * derives from (arm seed, app, threads), its key is
+ * "<app>|t<threads>|s<hex seed>" and its heap is calibrated under @p app.
+ */
+CampaignPoint dacapoPoint(ArmConfig arm, const std::string &app,
+                          std::uint32_t threads);
 
 /** run_error of a point a strict merge found missing from the cache. */
 inline constexpr const char *kMissingPointError =
@@ -275,18 +279,24 @@ class ExperimentRunner
                           std::uint32_t threads,
                           const VmAttachHook &attach = {});
 
-    /** Run a custom application model (heap sized like runApp). */
+    /**
+     * Run a custom application model, heap sized like runApp. Like the
+     * app name of runApp, @p cache_key keys the heap calibration and
+     * derives the run's seed and point key.
+     */
     jvm::RunResult runCustom(const AppFactory &factory,
                              const std::string &cache_key,
                              std::uint32_t threads,
                              const VmAttachHook &attach = {});
 
     /**
-     * Run one custom point here, outside any batch: no cache, shard
-     * slice or isolation, so a run that aborts throws. It simulates
-     * exactly as the same point does in runCustomPoints().
+     * Run one point here, outside any batch: no cache, shard slice or
+     * isolation, so a run that aborts throws. It simulates exactly as
+     * the same point does in runPoints(). runApp() and runCustom() are
+     * this for a DaCapo and a named custom point.
      */
-    jvm::RunResult runCustom(const CustomPoint &point);
+    jvm::RunResult runPoint(const CampaignPoint &point,
+                            const VmAttachHook &attach = {});
 
     /**
      * Run @p specs as co-hosted tenants of one simulated machine: one
@@ -313,10 +323,6 @@ class ExperimentRunner
      */
     std::vector<jvm::RunResult>
     runPoints(const std::vector<CampaignPoint> &points);
-
-    /** runPoints() for custom points, in point order. */
-    std::vector<jvm::RunResult>
-    runCustomPoints(const std::vector<CustomPoint> &points);
 
     /** Sweep an app over thread counts. */
     std::vector<jvm::RunResult>
@@ -374,23 +380,19 @@ class ExperimentRunner
         std::string point_key;
         RunProbe probe; ///< empty = none
 
-        /** A result row naming this run, with nothing measured. */
-        jvm::RunResult marker() const;
+        /** Name the empty result @p r after this run: a row with
+         *  nothing measured. */
+        void mark(jvm::RunResult &r) const;
     };
 
-    /** Plan one run of @p arm: calibrate heap, build the app, claim
-     *  artifacts. */
-    RunPlan planRun(const ArmConfig &arm, std::string fingerprint,
-                    const AppFactory &factory,
-                    const std::string &cache_key, std::uint32_t threads);
+    /** Plan @p point: calibrate its heap, build its app, claim its
+     *  artifacts. @p fingerprint binds its cache record. */
+    RunPlan planRun(const CampaignPoint &point, std::string fingerprint);
 
-    /** Plan a custom point: its seed, key and probe replace the
-     *  derived ones. */
-    RunPlan planCustom(const CustomPoint &point);
-
-    /** Execute a planned run; touches no runner state (thread-safe). */
-    static jvm::RunResult executePlan(const RunPlan &plan,
-                                      const VmAttachHook &attach);
+    /** Execute a planned run into @p out; touches no runner state
+     *  (thread-safe). */
+    static void executePlan(const RunPlan &plan, const VmAttachHook &attach,
+                            jvm::RunResult &out);
 
     /**
      * Execute a batch of plans with per-run error isolation: a run
@@ -399,7 +401,8 @@ class ExperimentRunner
      * while the rest of the batch completes. Honors the shard slice and
      * the run cache when configured.
      */
-    std::vector<jvm::RunResult> executePlans(std::vector<RunPlan> plans);
+    std::vector<jvm::RunResult>
+    executePlans(const std::vector<RunPlan> &plans);
 
     /** Minimum heap of an app, calibrated under @p arm on first use. */
     Bytes minHeapFor(const ExperimentConfig &arm, const AppFactory &factory,

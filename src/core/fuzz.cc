@@ -250,11 +250,11 @@ fuzzConfig(const FuzzCase &c)
 }
 
 /** The campaign point of a case: simulated under the case seed, keyed
- *  by the case line (sabotage included). */
-CustomPoint
+ *  by the case line (sabotage included), on the case's fixed heap. */
+CampaignPoint
 fuzzPoint(const FuzzCase &c)
 {
-    CustomPoint p;
+    CampaignPoint p;
     p.factory = [c] {
         return std::make_unique<check::RandomApp>(c.seed, c.monitors,
                                                   c.tasks);
@@ -279,7 +279,7 @@ runFuzzCase(const FuzzCase &c)
 {
     jvm::RunResult r;
     try {
-        r = ExperimentRunner().runCustom(fuzzPoint(c));
+        r = ExperimentRunner().runPoint(fuzzPoint(c));
     } catch (const AbortError &e) {
         r.run_error = e.what();
     }
@@ -372,14 +372,14 @@ runFuzzCampaign(const std::vector<std::uint64_t> &seeds, Sabotage sabotage,
     for (std::size_t begin = 0; begin < seeds.size(); begin += kBatchCases) {
         const std::size_t end = std::min(seeds.size(), begin + kBatchCases);
         std::vector<FuzzCase> cases;
-        std::vector<CustomPoint> points;
+        std::vector<CampaignPoint> points;
         for (std::size_t i = begin; i < end; ++i) {
             FuzzCase &c = cases.emplace_back(caseForSeed(seeds[i]));
             c.sabotage = sabotage;
             points.push_back(fuzzPoint(c));
         }
         const std::vector<jvm::RunResult> results =
-            runner.runCustomPoints(points);
+            runner.runPoints(points);
         for (std::size_t i = 0; i < cases.size(); ++i) {
             const jvm::RunResult &r = results[i];
             if (r.skipped)

@@ -3,7 +3,7 @@
  * Deterministic fuzz driver: seeded random workloads x fault schedules
  * x governor configurations, executed with the full oracle suite armed.
  * A case maps onto an ExperimentConfig and runs as one campaign point
- * (ExperimentRunner::runCustomPoints), so it is built, cached, sharded
+ * (ExperimentRunner::runPoints), so it is built, cached, sharded
  * and merged exactly like every other run; the oracles and the random
  * application stay in src/check.
  *

@@ -73,9 +73,9 @@ runResilienceStudy(const ResilienceConfig &config)
             tag += formatFixed(intensity, 2);
             tag += governed ? "-gov" : "-ungov";
             tagArtifactPaths(arm, tag);
-            runs.push_back({config.app, config.threads,
-                            std::make_shared<const ExperimentConfig>(
-                                std::move(arm))});
+            runs.push_back(dacapoPoint(
+                std::make_shared<const ExperimentConfig>(std::move(arm)),
+                config.app, config.threads));
         }
     }
     // An aborted run becomes an error artifact + failed() marker and

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <ostream>
+#include <set>
 #include <thread>
 
 #include "base/chaos.hh"
@@ -236,6 +237,7 @@ superviseWorkers(std::uint32_t shard_count, const SupervisorConfig &cfg,
         WorkerAttempt a;
         a.attempt = w.attempt;
         a.log_path = w.log_path;
+        a.pid = w.pid;
         const bool exited = WIFEXITED(status);
         const bool signaled = WIFSIGNALED(status);
         a.exit_code = exited ? WEXITSTATUS(status) : 0;
@@ -326,6 +328,30 @@ superviseWorkers(std::uint32_t shard_count, const SupervisorConfig &cfg,
     }
 
     return report;
+}
+
+std::size_t
+removeWorkerTemps(const std::string &dir, const SupervisorReport &report)
+{
+    std::set<std::string> suffixes;
+    for (const WorkerOutcome &w : report.workers) {
+        for (const WorkerAttempt &a : w.attempts) {
+            if (a.pid > 0)
+                suffixes.insert(".tmp." + std::to_string(a.pid));
+        }
+    }
+    std::size_t removed = 0;
+    std::error_code ec;
+    for (std::filesystem::directory_iterator it(dir, ec), end;
+         !ec && it != end; it.increment(ec)) {
+        const std::string name = it->path().filename().string();
+        const auto tmp = name.rfind(".tmp.");
+        std::error_code gone;
+        if (tmp != std::string::npos && suffixes.count(name.substr(tmp)) &&
+            std::filesystem::remove(it->path(), gone))
+            ++removed;
+    }
+    return removed;
 }
 
 } // namespace jscale::core

@@ -26,6 +26,7 @@
 #ifndef JSCALE_CORE_SUPERVISOR_HH
 #define JSCALE_CORE_SUPERVISOR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -62,6 +63,7 @@ struct WorkerAttempt
     int exit_code = 0;  ///< valid when the worker exited normally
     int term_signal = 0; ///< valid when the worker was signaled
     std::string log_path;
+    long pid = 0; ///< the worker's process id; 0 = fork failed
 };
 
 /** Final state of one shard after all attempts. */
@@ -111,6 +113,15 @@ SupervisorReport superviseWorkers(std::uint32_t shard_count,
                                   const SupervisorConfig &cfg,
                                   const ArgvBuilder &argv_for,
                                   std::ostream &log);
+
+/**
+ * Delete every "<dir>/<name>.tmp.<pid>" file whose pid is one of
+ * @p report's attempts: the unpublished records of workers that died
+ * mid-write. Call it once superviseWorkers() has reaped them all, so no
+ * live writer's temp file is ever touched. Returns the files removed.
+ */
+std::size_t removeWorkerTemps(const std::string &dir,
+                              const SupervisorReport &report);
 
 } // namespace jscale::core
 

@@ -96,7 +96,7 @@ runTrafficStudy(const TrafficStudyConfig &config)
             if (threads > config.base.machine.totalCores())
                 continue;
             study.capacities.push_back({app, threads, 0.0});
-            cap_runs.push_back({app, threads, closed});
+            cap_runs.push_back(dacapoPoint(closed, app, threads));
         }
     }
     const std::vector<jvm::RunResult> cap_results =
@@ -128,10 +128,10 @@ runTrafficStudy(const TrafficStudyConfig &config)
             cfg.arrivals = rungSpec(rate, config.requests);
             study.points.push_back(
                 {cap.app, cap.threads, factor, rate, arm, {}});
-            runs.push_back(
-                {cap.app, cap.threads,
-                 taggedArm(std::move(cfg),
-                           std::string(arm) + "-" + formatRate(factor))});
+            runs.push_back(dacapoPoint(
+                taggedArm(std::move(cfg),
+                          std::string(arm) + "-" + formatRate(factor)),
+                cap.app, cap.threads));
         };
         for (const double factor : config.load_factors)
             add("open", open_cfg, factor);

@@ -139,32 +139,6 @@ BinaryTraceReader::next(TraceEvent &ev)
 }
 
 void
-TextTraceWriter::append(const TraceEvent &ev)
-{
-    os_ << ev.time << ' ' << traceEventKindName(ev.kind) << " thread="
-        << ev.thread;
-    switch (ev.kind) {
-      case TraceEventKind::Alloc:
-        os_ << " obj=" << ev.object << " size=" << ev.size
-            << " site=" << ev.site;
-        break;
-      case TraceEventKind::Death:
-        os_ << " obj=" << ev.object << " size=" << ev.size
-            << " lifespan=" << ev.lifespan << " site=" << ev.site;
-        break;
-      case TraceEventKind::GcStart:
-      case TraceEventKind::GcEnd:
-        os_ << " gc="
-            << (ev.gc_kind == 0 ? "minor"
-                                : ev.gc_kind == 1 ? "full" : "remark");
-        break;
-      default:
-        break;
-    }
-    os_ << '\n';
-}
-
-void
 ObjectTracer::onObjectAlloc(const jvm::ObjectRecord &obj, Ticks now)
 {
     TraceEvent ev;

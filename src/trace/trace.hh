@@ -6,8 +6,8 @@
  * in-order trace of per-object events from which object lifespans were
  * computed. This module provides the same pipeline for the simulated
  * runtime: an ObjectTracer subscribes to the VM's probe interface and
- * emits an ordered event stream into a TraceSink (in-memory, binary
- * file, or text); a LifespanAnalyzer consumes the stream and produces
+ * emits an ordered event stream into a TraceSink (in memory or a
+ * binary file); a LifespanAnalyzer consumes the stream and produces
  * the allocated-bytes lifespan distributions of Fig. 1c/1d.
  */
 
@@ -124,18 +124,6 @@ class BinaryTraceReader
 
   private:
     std::istream &is_;
-};
-
-/** Human-readable one-line-per-event writer. */
-class TextTraceWriter : public TraceSink
-{
-  public:
-    explicit TextTraceWriter(std::ostream &os) : os_(os) {}
-
-    void append(const TraceEvent &ev) override;
-
-  private:
-    std::ostream &os_;
 };
 
 /**

@@ -13,7 +13,6 @@
 
 namespace {
 
-using jscale::DiscreteDistribution;
 using jscale::Rng;
 using jscale::ZipfDistribution;
 
@@ -221,26 +220,6 @@ TEST(ZipfDistribution, SamplesInRange)
     Rng rng(15);
     for (int i = 0; i < 10000; ++i)
         EXPECT_LT(z.sample(rng), 5u);
-}
-
-TEST(DiscreteDistribution, RespectsWeights)
-{
-    DiscreteDistribution d({1.0, 0.0, 3.0});
-    Rng rng(16);
-    std::vector<int> counts(3, 0);
-    const int n = 40000;
-    for (int i = 0; i < n; ++i)
-        ++counts[d.sample(rng)];
-    EXPECT_EQ(counts[1], 0);
-    EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.3);
-}
-
-TEST(DiscreteDistribution, SingleOutcome)
-{
-    DiscreteDistribution d({5.0});
-    Rng rng(17);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(d.sample(rng), 0u);
 }
 
 } // namespace

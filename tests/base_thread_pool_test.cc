@@ -1,19 +1,17 @@
 /**
  * @file
- * Tests for the host-side worker pool and the parallel run executor:
- * completion semantics, result ordering, exception propagation.
+ * Tests for the host-side worker pool: completion semantics, worker
+ * clamping and draining.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "base/thread_pool.hh"
-#include "core/parallel.hh"
 
 namespace {
 
@@ -80,69 +78,6 @@ TEST(ThreadPool, DestructorDrainsBacklog)
 TEST(ThreadPool, HardwareConcurrencyAtLeastOne)
 {
     EXPECT_GE(ThreadPool::hardwareConcurrency(), 1u);
-}
-
-jvm::RunResult
-resultWithWall(Ticks wall)
-{
-    jvm::RunResult r;
-    r.wall_time = wall;
-    return r;
-}
-
-TEST(ParallelExecutor, ResultsInSubmissionOrder)
-{
-    // Tasks finish out of order (later tasks are faster); results must
-    // still land at their submission index.
-    std::vector<std::function<jvm::RunResult()>> tasks;
-    for (int i = 0; i < 16; ++i) {
-        tasks.push_back([i] {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(16 - i));
-            return resultWithWall(static_cast<Ticks>(i));
-        });
-    }
-    const auto results = core::ParallelExecutor(8).run(std::move(tasks));
-    ASSERT_EQ(results.size(), 16u);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(results[i].wall_time, static_cast<Ticks>(i));
-}
-
-TEST(ParallelExecutor, EmptyBatch)
-{
-    const auto results = core::ParallelExecutor(4).run({});
-    EXPECT_TRUE(results.empty());
-}
-
-TEST(ParallelExecutor, FirstExceptionInTaskOrderWins)
-{
-    std::vector<std::function<jvm::RunResult()>> tasks;
-    tasks.push_back([]() -> jvm::RunResult {
-        // Slow failure at index 0: must still be the one reported.
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        throw std::runtime_error("first");
-    });
-    tasks.push_back([]() -> jvm::RunResult {
-        throw std::runtime_error("second");
-    });
-    tasks.push_back([] { return resultWithWall(1); });
-    try {
-        core::ParallelExecutor(4).run(std::move(tasks));
-        FAIL() << "expected an exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "first");
-    }
-}
-
-TEST(ParallelExecutor, SingleWorkerStillCompletes)
-{
-    std::vector<std::function<jvm::RunResult()>> tasks;
-    for (int i = 0; i < 4; ++i)
-        tasks.push_back([i] { return resultWithWall(i); });
-    const auto results = core::ParallelExecutor(1).run(std::move(tasks));
-    ASSERT_EQ(results.size(), 4u);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(results[i].wall_time, static_cast<Ticks>(i));
 }
 
 } // namespace

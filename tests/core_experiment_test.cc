@@ -181,10 +181,11 @@ TEST(ExperimentRunner, MixedArmBatchMatchesPerArmRunners)
         std::make_shared<const ExperimentConfig>(governed);
 
     ExperimentRunner mixed(plain);
-    const auto batch = mixed.runPoints({{"h2", 4, gov_arm},
-                                        {"h2", 4, plain_arm},
-                                        {"jython", 2, plain_arm},
-                                        {"h2", 8, gov_arm}});
+    const auto batch =
+        mixed.runPoints({core::dacapoPoint(gov_arm, "h2", 4),
+                         core::dacapoPoint(plain_arm, "h2", 4),
+                         core::dacapoPoint(plain_arm, "jython", 2),
+                         core::dacapoPoint(gov_arm, "h2", 8)});
     ASSERT_EQ(batch.size(), 4u);
 
     ExperimentRunner plain_runner(plain);

@@ -4,15 +4,18 @@
  * schedule, and end-to-end fork/monitor/retry behavior against small
  * /bin/sh stand-in workers — crash-then-succeed recovery, deterministic
  * failures not retried, and honest degradation when the retry budget
- * runs out.
+ * runs out — and the removal of the temp files reaped workers left.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/supervisor.hh"
 #include "test_tempdir.hh"
@@ -197,6 +200,40 @@ TEST_F(SuperviseTest, WorkerLogsAreCapturedPerAttempt)
     std::string contents((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
     EXPECT_NE(contents.find("worker-was-here"), std::string::npos);
+}
+
+TEST_F(SuperviseTest, TempsOfReapedWorkersAreRemovedAndNoOthers)
+{
+    // The first attempt publishes one record, leaves a second one
+    // half-written under its own pid and dies by SIGKILL, like a shard
+    // killed mid-batch; the retry succeeds.
+    const std::string cache = dir_ + "/cache";
+    std::filesystem::create_directories(cache);
+    const std::string script =
+        "if [ -f " + cache + "/a.run ]; then exit 0; fi; touch " + cache +
+        "/a.run " + cache + "/b.run.tmp.$$ && kill -9 $$";
+    // A live writer's temp (this process) and one whose pid merely
+    // starts like a worker's stay.
+    const std::string live =
+        cache + "/c.run.tmp." + std::to_string(::getpid());
+    std::ofstream(live).put('x');
+    std::ostringstream log;
+    const auto report =
+        core::superviseWorkers(1, fastConfig(), shell(script), log);
+    ASSERT_TRUE(report.allSucceeded());
+    ASSERT_EQ(report.workers[0].attempts.size(), 2u);
+    const long dead = report.workers[0].attempts[0].pid;
+    ASSERT_GT(dead, 0);
+    const std::string prefix =
+        cache + "/d.run.tmp." + std::to_string(dead) + "0";
+    std::ofstream(prefix).put('x');
+
+    EXPECT_EQ(core::removeWorkerTemps(cache, report), 1u);
+    EXPECT_FALSE(std::filesystem::exists(
+        cache + "/b.run.tmp." + std::to_string(dead)));
+    EXPECT_TRUE(std::filesystem::exists(cache + "/a.run"));
+    EXPECT_TRUE(std::filesystem::exists(live));
+    EXPECT_TRUE(std::filesystem::exists(prefix));
 }
 
 } // namespace

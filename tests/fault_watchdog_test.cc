@@ -18,7 +18,6 @@
 #include "base/error.hh"
 #include "base/units.hh"
 #include "core/experiment.hh"
-#include "core/parallel.hh"
 #include "jvm/runtime/app.hh"
 #include "test_tempdir.hh"
 
@@ -119,27 +118,36 @@ TEST(Watchdog, HealthyRunIsUntouchedByTheWatchdog)
 
 TEST(Watchdog, RunIsolationCapturesWatchdogErrorPerTask)
 {
-    // The batch executor turns a livelocked run into a per-task error
-    // while healthy tasks in the same batch complete.
-    core::ExperimentRunner runner(watchdogCfg());
-    std::vector<std::function<jvm::RunResult()>> tasks;
-    tasks.push_back([&runner]() -> jvm::RunResult {
-        return runner.runCustom(
-            [] { return std::make_unique<LivelockApp>(); }, "livelock",
-            4);
-    });
-    tasks.push_back(
-        [&runner] { return runner.runApp("sunflow", 4); });
+    // The campaign batch turns a livelocked point into its own failed()
+    // marker and error artifact while a healthy point next to it
+    // completes.
+    jscale::testing::TempDir tmp;
+    core::ExperimentConfig cfg = watchdogCfg();
+    cfg.error_path = tmp.file("{app}-t{threads}.error.txt");
+    cfg.jobs = 1;
+    const core::ArmConfig arm =
+        std::make_shared<const core::ExperimentConfig>(cfg);
+    core::CampaignPoint livelock;
+    livelock.factory = [] { return std::make_unique<LivelockApp>(); };
+    livelock.threads = 4;
+    livelock.arm = arm;
+    livelock.key = "livelock";
 
-    const auto outcomes =
-        core::ParallelExecutor(1).runIsolated(std::move(tasks));
-    ASSERT_EQ(outcomes.size(), 2u);
-    EXPECT_FALSE(outcomes[0].ok);
-    EXPECT_NE(outcomes[0].error.find("no forward progress"),
+    core::ExperimentRunner runner(cfg);
+    const auto results = runner.runPoints(
+        {livelock, core::dacapoPoint(arm, "sunflow", 4)});
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_TRUE(results[0].failed());
+    EXPECT_NE(results[0].run_error.find("no forward progress"),
               std::string::npos)
-        << outcomes[0].error;
-    EXPECT_TRUE(outcomes[1].ok);
-    EXPECT_GT(outcomes[1].result.total_tasks, 0u);
+        << results[0].run_error;
+    std::ifstream artifact(tmp.file("livelock-t4.error.txt"));
+    const std::string text((std::istreambuf_iterator<char>(artifact)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("run: livelock\nerror: "), std::string::npos)
+        << text;
+    EXPECT_FALSE(results[1].failed()) << results[1].run_error;
+    EXPECT_GT(results[1].total_tasks, 0u);
 }
 
 TEST(Watchdog, SimTimeGuardAbortsInsteadOfKillingTheProcess)

@@ -80,27 +80,6 @@ TEST(BinaryTrace, EmptyTraceIsValid)
     EXPECT_FALSE(reader.next(ev));
 }
 
-TEST(TextTrace, OneLinePerEvent)
-{
-    std::ostringstream os;
-    TextTraceWriter writer(os);
-    TraceEvent alloc;
-    alloc.kind = TraceEventKind::Alloc;
-    alloc.thread = 3;
-    alloc.time = 100;
-    alloc.object = 42;
-    alloc.size = 64;
-    writer.append(alloc);
-    TraceEvent death = alloc;
-    death.kind = TraceEventKind::Death;
-    death.lifespan = 4096;
-    writer.append(death);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("alloc"), std::string::npos);
-    EXPECT_NE(s.find("lifespan=4096"), std::string::npos);
-    EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 2);
-}
-
 TEST(ObjectTracer, EmitsInOrderAndMatchesHeapCounters)
 {
     VmHarness h(4);

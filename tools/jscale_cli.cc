@@ -536,8 +536,7 @@ cmdFuzz(const CliOptions &o)
         std::cout << "replaying " << c.describe() << "\n";
         const core::FuzzOutcome out = core::runFuzzCase(c);
         if (out.clean()) {
-            std::cout << "replay ran clean (" << out.checks
-                      << " checks)\n";
+            std::cout << "replay ran clean (" << out.checks << " checks)\n";
             return 0;
         }
         const std::string v = out.violation();
@@ -844,6 +843,7 @@ cmdCampaign(const CliOptions &o)
     const core::SupervisorReport report =
         core::superviseWorkers(o.shards, scfg, argvFor, std::cerr);
     report.print(std::cerr);
+    core::removeWorkerTemps(merged.config.run_cache_dir, report);
 
     // Merge in-process: with every point a cache hit, this renders the
     // exact bytes a single-process run would produce.
