@@ -32,9 +32,8 @@ oldChurnParams(double scale)
     p.alloc.frac_tiny = 0.20;
     p.alloc.frac_short = 0.20;
     p.alloc.frac_medium = 0.50;
-    p.alloc.medium_lo = 32 * units::KiB;
-    p.alloc.medium_hi = 256 * units::KiB;
-    p.alloc.long_hi = 512 * units::KiB;
+    p.alloc.medium_ttl = {1.0, 32 * units::KiB, 256 * units::KiB};
+    p.alloc.long_ttl = {0.9, 256 * units::KiB, 512 * units::KiB};
     p.pinned_shared = 128 * units::KiB;
     return p;
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * E12 — simulator micro-benchmarks (google-benchmark): throughput of
- * the event queue, the allocation/death path, the monitor fast path, the
- * scheduler's wake path, a private mutator's burst loop, the timeline
+ * the event queue, the allocation/death path, the monitor fast path, a
+ * contended monitor handoff, the scheduler's wake path, a private mutator's burst loop, the timeline
  * encoder and a full simulated application run. These bound the cost of every
  * experiment above and guard against performance regressions in the
  * simulation kernel itself.
@@ -18,6 +18,7 @@
 #include "base/random.hh"
 #include "core/experiment.hh"
 #include "jvm/heap/heap.hh"
+#include "jvm/locks/monitor.hh"
 #include "jvm/runtime/listener.hh"
 #include "machine/machine.hh"
 #include "os/scheduler.hh"
@@ -505,6 +506,58 @@ BM_SchedulerWakeKick(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchedulerWakeKick);
+
+/** A parked lock waiter: its OS thread blocks after each burst. */
+struct ParkedWaiter : jvm::MonitorWaiter
+{
+    void monitorGranted(jvm::MonitorId) override {}
+    void channelGranted(jvm::ChannelId) override {}
+    os::OsThread *osThread() const override { return thread; }
+    jvm::MutatorIndex mutatorIndex() const override { return idx; }
+
+    jvm::MutatorIndex idx = 0;
+    os::OsThread *thread = nullptr;
+};
+
+void
+BM_MonitorContendedHandoff(benchmark::State &state)
+{
+    // The hot-lock shape at 48 threads: one FIFO monitor with E19
+    // handoff costs, every other thread queued on it. An item is one
+    // release -> handoff -> wake -> dispatch; the old owner queues
+    // again and the new one's burst ends before the next release.
+    sim::Simulation sim(1);
+    machine::Machine mach(machine::Machine::amd6168_4p48c());
+    mach.enableCores(48);
+    os::Scheduler sched(sim, mach);
+    jvm::LockPolicyConfig cfg;
+    cfg.handoff_base = 250;
+    cfg.coherence_cost = 500;
+    jvm::MonitorTable table(sched, nullptr, cfg);
+    jvm::Monitor &m = table.monitor(table.createMonitor("hot"));
+    WakeBlockClient client;
+    std::vector<ParkedWaiter> waiters(48);
+    for (std::uint32_t i = 0; i < waiters.size(); ++i) {
+        waiters[i].idx = i;
+        waiters[i].thread =
+            sched.registerThread(&client, os::ThreadKind::Mutator);
+        sched.start(waiters[i].thread);
+    }
+    sim.run();
+    m.acquire(&waiters[0], sim.now());
+    for (std::uint32_t i = 1; i < waiters.size(); ++i)
+        m.acquire(&waiters[i], sim.now());
+    std::size_t owner = 0;
+    for (auto _ : state) {
+        m.release(&waiters[owner], sim.now());
+        m.acquire(&waiters[owner], sim.now());
+        sim.step(); // the grantee's burst ends and it parks again
+        owner = (owner + 1) % waiters.size();
+    }
+    benchmark::DoNotOptimize(m.monStats().handoffs);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MonitorContendedHandoff);
 
 /** A private mutator: each burst computes, then allocates one object
  *  that dies young. It never blocks or wakes anyone. */

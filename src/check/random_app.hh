@@ -125,7 +125,7 @@ class RandomApp : public jvm::ApplicationModel
             script_.push_back(Action::end());
         }
 
-        jvm::Action
+        const jvm::Action &
         next() override
         {
             return script_[pos_ < script_.size() ? pos_++

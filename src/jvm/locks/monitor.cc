@@ -24,7 +24,8 @@ Monitor::Monitor(MonitorId id, std::string name, os::Scheduler &sched,
                  const LockPolicyConfig &policy_cfg)
     : id_(id), name_(std::move(name)), sched_(sched),
       listeners_(listeners), table_(table), cfg_(policy_cfg),
-      policy_(makeAdmissionPolicy(cfg_, this))
+      policy_(makeAdmissionPolicy(cfg_, this)),
+      recent_owners_(cfg_.circulation_window, kNoOwner)
 {
 }
 
@@ -54,25 +55,26 @@ Ticks
 Monitor::handoffPenalty(const MonitorWaiter *waiter)
 {
     const MutatorIndex grantee = waiter->mutatorIndex();
+    if (grantee >= owner_counts_.size())
+        owner_counts_.resize(grantee + 1, 0);
     // Distinct *other* recent owners before this grant joins the window.
-    const std::size_t distinct_others =
-        owner_counts_.size() - owner_counts_.count(grantee);
+    const std::uint32_t distinct_others =
+        distinct_owners_ - (owner_counts_[grantee] > 0 ? 1 : 0);
     const Ticks penalty =
         cfg_.handoff_base +
         cfg_.coherence_cost * static_cast<Ticks>(distinct_others);
-    // Slide the circulation window forward over this grant.
-    if (cfg_.circulation_window > 0) {
-        recent_owners_.push_back(grantee);
-        ++owner_counts_[grantee];
-        if (recent_owners_.size() > cfg_.circulation_window) {
-            const MutatorIndex old = recent_owners_.front();
-            recent_owners_.pop_front();
-            const auto it = owner_counts_.find(old);
-            if (--it->second == 0)
-                owner_counts_.erase(it);
-        }
+    // Slide the circulation window forward over this grant: it takes
+    // the oldest slot.
+    if (!recent_owners_.empty()) {
+        if (owner_counts_[grantee]++ == 0)
+            ++distinct_owners_;
+        MutatorIndex &slot = recent_owners_[recent_next_];
+        if (slot != kNoOwner && --owner_counts_[slot] == 0)
+            --distinct_owners_;
+        slot = grantee;
+        recent_next_ = (recent_next_ + 1) % recent_owners_.size();
     }
-    stats_.circulation_sum += owner_counts_.size();
+    stats_.circulation_sum += distinct_owners_;
     stats_.coherence_penalty += penalty;
     return penalty;
 }
@@ -317,7 +319,7 @@ MonitorTable::cancelWaiter(MonitorWaiter *waiter, Ticks now)
         removed = m->cancelWaiter(waiter, now) || removed;
     for (const auto &ch : channels_)
         removed = ch->cancelWaiter(waiter) || removed;
-    blocked_on_.erase(waiter);
+    onGranted(waiter);
     return removed;
 }
 
@@ -330,44 +332,51 @@ MonitorTable::createMonitor(const std::string &name)
     return id;
 }
 
+template <typename F>
+bool
+MonitorTable::walkWaitFor(MutatorIndex self, F &&edge) const
+{
+    MutatorIndex cur = self;
+    for (std::size_t depth = 0; depth <= monitors_.size(); ++depth) {
+        if (cur >= blocked_on_.size() || blocked_on_[cur] == kNotBlocked)
+            return false; // cur is runnable: no cycle through here
+        const Monitor &m = *monitors_[blocked_on_[cur]];
+        if (m.owner() == nullptr)
+            return false; // lock in handoff; will drain
+        cur = m.owner()->mutatorIndex();
+        edge(m, cur);
+        if (cur == self)
+            return true;
+    }
+    return false;
+}
+
 void
 MonitorTable::onBlocked(MonitorWaiter *waiter, MonitorId monitor)
 {
-    blocked_on_[waiter] = monitor;
+    const MutatorIndex self = waiter->mutatorIndex();
+    if (self >= blocked_on_.size())
+        blocked_on_.resize(self + 1, kNotBlocked);
+    blocked_on_[self] = monitor;
     // Walk the wait-for graph: waiter -> monitor -> owner -> (monitor
     // that owner blocks on) -> ... A return to the starting thread is a
-    // deadlock; report the whole cycle.
-    std::string chain = "thread " + std::to_string(waiter->mutatorIndex());
-    const MonitorWaiter *cur = waiter;
-    for (std::size_t depth = 0; depth <= monitors_.size(); ++depth) {
-        const auto it = blocked_on_.find(cur);
-        if (it == blocked_on_.end())
-            return; // cur is runnable: no cycle through here
-        const Monitor &m = *monitors_[it->second];
-        const MonitorWaiter *owner = m.owner();
-        if (owner == nullptr)
-            return; // lock in handoff; will drain
+    // deadlock; only then walk again to report the whole cycle.
+    if (!walkWaitFor(self, [](const Monitor &, MutatorIndex) {}))
+        return;
+    std::string chain = "thread " + std::to_string(self);
+    walkWaitFor(self, [&](const Monitor &m, MutatorIndex owner) {
         chain += " -> [" + m.name() + "] -> thread " +
-                 std::to_string(owner->mutatorIndex());
-        if (owner == waiter) {
-            jscale_panic("monitor deadlock detected: ", chain);
-        }
-        cur = owner;
-    }
+                 std::to_string(owner);
+    });
+    jscale_panic("monitor deadlock detected: ", chain);
 }
 
 void
 MonitorTable::onGranted(MonitorWaiter *waiter)
 {
-    blocked_on_.erase(waiter);
-}
-
-const Monitor *
-MonitorTable::blockedOn(const MonitorWaiter *waiter) const
-{
-    const auto it = blocked_on_.find(waiter);
-    return it == blocked_on_.end() ? nullptr
-                                   : monitors_[it->second].get();
+    const MutatorIndex self = waiter->mutatorIndex();
+    if (self < blocked_on_.size())
+        blocked_on_[self] = kNotBlocked;
 }
 
 ChannelId

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -232,8 +231,14 @@ class Monitor : private AdmissionPolicy::Events
     std::deque<MonitorWaiter *> waitset_;
     /** @name Circulation window (ring of recent contended grantees) */
     /** @{ */
-    std::deque<MutatorIndex> recent_owners_;
-    std::map<MutatorIndex, std::uint32_t> owner_counts_;
+    /** circulation_window slots, unused ones holding kNoOwner. */
+    static constexpr MutatorIndex kNoOwner = ~MutatorIndex{0};
+    std::vector<MutatorIndex> recent_owners_;
+    /** Slot the next grantee takes: the oldest one. */
+    std::size_t recent_next_ = 0;
+    /** Window occurrences per thread (by MutatorIndex); non-zero ones. */
+    std::vector<std::uint32_t> owner_counts_;
+    std::uint32_t distinct_owners_ = 0;
     /** @} */
     MonitorStats stats_;
 };
@@ -330,9 +335,6 @@ class MonitorTable
 
     /** @p waiter was granted the monitor it blocked on. */
     void onGranted(MonitorWaiter *waiter);
-
-    /** Monitor a thread currently blocks on, if any. */
-    const Monitor *blockedOn(const MonitorWaiter *waiter) const;
     /** @} */
 
     /**
@@ -349,8 +351,16 @@ class MonitorTable
     const LockPolicyConfig policy_cfg_;
     std::vector<std::unique_ptr<Monitor>> monitors_;
     std::vector<std::unique_ptr<WaitChannel>> channels_;
-    /** Wait-for edges: blocked thread -> monitor id. */
-    std::map<const MonitorWaiter *, MonitorId> blocked_on_;
+
+    /** Follow the wait-for edges from @p self, calling @p edge(monitor,
+     *  owner) per hop; true when the walk returns to @p self. */
+    template <typename F>
+    bool walkWaitFor(MutatorIndex self, F &&edge) const;
+
+    /** Wait-for edges: the monitor each thread (by MutatorIndex) blocks
+     *  on, or kNotBlocked. */
+    static constexpr MonitorId kNotBlocked = ~MonitorId{0};
+    std::vector<MonitorId> blocked_on_;
 };
 
 } // namespace jscale::jvm

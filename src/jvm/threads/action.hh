@@ -188,8 +188,8 @@ class ActionSource
   public:
     virtual ~ActionSource() = default;
 
-    /** Produce the thread's next action. */
-    virtual Action next() = 0;
+    /** Produce the thread's next action, valid until the next call. */
+    virtual const Action &next() = 0;
 };
 
 } // namespace jscale::jvm

@@ -21,6 +21,7 @@ Machine::Machine(const MachineConfig &config)
     }
     // Full capacity up front: refreshing the list never reallocates.
     enabled_ids_.reserve(cores_.size());
+    enabled_mask_.assign((cores_.size() + 63) / 64, 0);
 }
 
 MachineConfig
@@ -95,9 +96,12 @@ void
 Machine::refreshEnabledIds()
 {
     enabled_ids_.clear();
+    enabled_mask_.assign(enabled_mask_.size(), 0);
     for (const auto &c : cores_) {
-        if (c.enabled())
+        if (c.enabled()) {
             enabled_ids_.push_back(c.id());
+            enabled_mask_[c.id() / 64] |= std::uint64_t{1} << (c.id() % 64);
+        }
     }
 }
 

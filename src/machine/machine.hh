@@ -167,10 +167,16 @@ class Machine
      * Ids of the enabled cores, ascending. The list is kept, not built
      * per call. Only enableCores and setCoreOnline change it, and they
      * run at experiment setup and from fault events, never from inside
-     * a loop over the list: the scheduler's kick, stop-the-world and
+     * a loop over the list: the scheduler's stop-the-world and
      * lock-holder preemption loops iterate this reference directly.
      */
     const std::vector<CoreId> &enabledCoreIds() const { return enabled_ids_; }
+
+    /** The same set as a bitmap: bit (id % 64) of word id / 64. */
+    const std::vector<std::uint64_t> &enabledMask() const
+    {
+        return enabled_mask_;
+    }
 
     /** Number of distinct sockets with at least one enabled core. */
     std::uint32_t enabledSockets() const;
@@ -185,13 +191,15 @@ class Machine
     Bytes totalMemory() const;
 
   private:
-    /** Rebuild enabled_ids_ from the cores' flags. */
+    /** Rebuild enabled_ids_ and enabled_mask_ from the cores' flags. */
     void refreshEnabledIds();
 
     MachineConfig config_;
     std::vector<Core> cores_;
     /** Ascending ids of the enabled cores; its size is the count. */
     std::vector<CoreId> enabled_ids_;
+    /** Bitmap of the enabled cores, one bit per core id. */
+    std::vector<std::uint64_t> enabled_mask_;
 };
 
 } // namespace jscale::machine

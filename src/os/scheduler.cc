@@ -71,10 +71,17 @@ Scheduler::Scheduler(sim::Simulation &sim, machine::Machine &mach,
                       config_.min_poll_latency <= config_.max_poll_latency,
                   "bad safepoint poll latency bounds");
     cores_.resize(mach.cores().size());
-    queued_.assign((cores_.size() + 63) / 64, 0);
+    const std::size_t words = (cores_.size() + 63) / 64;
+    queued_.assign(words, 0);
+    idle_.assign(words, 0);
+    steal_mask_.assign(words, 0);
+    socket_masks_.assign(mach.config().sockets * words, 0);
     for (std::size_t i = 0; i < cores_.size(); ++i) {
-        cores_[i].slice_end = std::make_unique<SliceEndEvent>(
-            *this, static_cast<machine::CoreId>(i));
+        const auto id = static_cast<machine::CoreId>(i);
+        cores_[i].slice_end = std::make_unique<SliceEndEvent>(*this, id);
+        setRunning(id, nullptr);
+        socket_masks_[mach.socketOf(id) * words + i / 64] |=
+            std::uint64_t{1} << (i % 64);
     }
 }
 
@@ -324,6 +331,9 @@ Scheduler::checkInvariants() const
         const std::size_t depth = cores_[id].ready.size();
         jscale_assert(bit == (depth > 0), "occupancy bit of core ", id,
                       " is ", bit, " but its queue holds ", depth);
+        const bool idle = ((idle_[id / 64] >> (id % 64)) & 1) != 0;
+        jscale_assert(idle == (cores_[id].running == nullptr),
+                      "idle bit of core ", id, " is ", idle);
         jscale_assert(depth == 0 || mach_.core(id).enabled(),
                       "offline core ", id, " holds ", depth,
                       " queued threads");
@@ -331,6 +341,13 @@ Scheduler::checkInvariants() const
     const std::size_t tail = cores_.size() % 64;
     jscale_assert(tail == 0 || (queued_.back() >> tail) == 0,
                   "occupancy bit set past core ", cores_.size() - 1);
+    jscale_assert(tail == 0 || (idle_.back() >> tail) == 0,
+                  "idle bit set past core ", cores_.size() - 1);
+    std::vector<std::uint64_t> enabled(queued_.size(), 0);
+    for (const auto id : mach_.enabledCoreIds())
+        enabled[id / 64] |= std::uint64_t{1} << (id % 64);
+    jscale_assert(enabled == mach_.enabledMask(),
+                  "enabled-core bitmap differs from the enabled-id list");
 }
 
 machine::CoreId
@@ -479,7 +496,7 @@ Scheduler::dispatch(machine::CoreId core_id, OsThread *thread, bool stolen)
                   "planBurst of '", thread->name(),
                   "' returned out-of-range length ", planned);
 
-    cs.running = thread;
+    setRunning(core_id, thread);
     cs.last_thread = thread;
     cs.dispatched_at = now;
     cs.overhead = overhead;
@@ -540,7 +557,7 @@ Scheduler::endBurst(machine::CoreId core_id)
         jscale_assert(work <= cs.planned, "burst overran its plan");
     }
 
-    cs.running = nullptr;
+    setRunning(core_id, nullptr);
     --running_count_;
     --groups_[thread->group_].running;
     thread->cpu_time_ += work;
@@ -779,12 +796,40 @@ Scheduler::resumeWorld(std::uint32_t group)
 void
 Scheduler::kickAll()
 {
-    for (const auto id : mach_.enabledCoreIds()) {
-        // With every queue empty no core can pick or steal anything.
-        if (!anyQueued())
+    // Visit, in ascending id order, only the idle enabled cores with a
+    // loaded queue or a victim stealFor takes: a loaded queue on their
+    // socket, or one of two or more threads anywhere. A dispatch changes
+    // the queues, so the candidates are recomputed after each one.
+    const std::vector<std::uint64_t> &enabled = mach_.enabledMask();
+    const std::size_t words = queued_.size();
+    for (std::size_t from = 0; !allStopped() && anyQueued();) {
+        bool crowded = false;
+        std::fill(steal_mask_.begin(), steal_mask_.end(), 0);
+        forEachQueued([&](machine::CoreId id) {
+            crowded = crowded || cores_[id].ready.size() >= 2;
+            const std::size_t s = mach_.socketOf(id) * words;
+            for (std::size_t w = 0; w < words; ++w)
+                steal_mask_[w] |= socket_masks_[s + w];
+        });
+        std::size_t id = cores_.size();
+        for (std::size_t w = from / 64; w < words && id == cores_.size();
+             ++w) {
+            const std::uint64_t steal =
+                !config_.stealing ? 0
+                : crowded         ? ~std::uint64_t{0}
+                                  : steal_mask_[w];
+            std::uint64_t cand = idle_[w] & enabled[w] & (queued_[w] | steal);
+            if (w == from / 64)
+                cand &= ~std::uint64_t{0} << (from % 64);
+            if (cand != 0)
+                id = w * 64 + static_cast<std::size_t>(std::countr_zero(cand));
+        }
+        if (id == cores_.size())
             return;
-        if (const Ticks end = maybeDispatch(id))
-            sim_.schedule(cores_[id].slice_end.get(), end);
+        const auto core = static_cast<machine::CoreId>(id);
+        if (const Ticks end = maybeDispatch(core))
+            sim_.schedule(cores_[core].slice_end.get(), end);
+        from = id + 1;
     }
 }
 

@@ -208,8 +208,8 @@ class Scheduler
     std::uint32_t onlineCores() const { return mach_.enabledCores(); }
     /** @} */
 
-    /** Re-examine all idle cores (used after policy phase rotations).
-     *  Returns at once when no run queue holds a thread. */
+    /** Re-examine the idle cores (used after policy phase rotations),
+     *  visiting only those where maybeDispatch can dispatch. */
     void kickAll();
 
     /** Probe chain; subscribe observation tools before start(). */
@@ -228,9 +228,9 @@ class Scheduler
     const SchedulerStats &schedStats() const { return stats_; }
 
     /**
-     * Verify the run-queue index: a core's occupancy bit is set exactly
-     * when its ready queue is non-empty, and no offline core holds a
-     * queued thread; panics on violation. Used by tests; O(cores).
+     * Verify the core indexes (occupancy, idle and enabled bitmaps) and
+     * that no offline core holds a queued thread; panics on violation.
+     * Used by tests; O(cores).
      */
     void checkInvariants() const;
 
@@ -303,7 +303,7 @@ class Scheduler
     void armTimedWake(OsThread *thread, Ticks when);
     /** Truncate @p core's running burst at its next safepoint poll. */
     void truncateAtPoll(machine::CoreId core_id);
-    /** @name Occupancy index (queued_) */
+    /** @name Core indexes (queued_, idle_) */
     /** @{ */
     void markQueued(machine::CoreId id)
     {
@@ -312,6 +312,13 @@ class Scheduler
     void clearQueued(machine::CoreId id)
     {
         queued_[id / 64] &= ~(std::uint64_t{1} << (id % 64));
+    }
+    void setRunning(machine::CoreId id, OsThread *thread)
+    {
+        cores_[id].running = thread;
+        const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+        idle_[id / 64] = thread ? idle_[id / 64] & ~bit
+                                : idle_[id / 64] | bit;
     }
     bool anyQueued() const;
     /** Call @p f(id) for each core with a queued thread, ascending. */
@@ -339,6 +346,12 @@ class Scheduler
      * a kick with nothing queued costs one word test per 64 cores.
      */
     std::vector<std::uint64_t> queued_;
+    /** Bit id is set exactly when cores_[id].running is nullptr. */
+    std::vector<std::uint64_t> idle_;
+    /** Cores of socket s: words [s * queued_.size(), (s + 1) * ...). */
+    std::vector<std::uint64_t> socket_masks_;
+    /** kickAll scratch: the cores of the sockets with a loaded queue. */
+    std::vector<std::uint64_t> steal_mask_;
     std::uint32_t next_home_rr_ = 0;
     std::uint32_t running_count_ = 0;
     std::uint32_t finished_count_ = 0;

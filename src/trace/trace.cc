@@ -10,20 +10,6 @@
 
 namespace jscale::trace {
 
-const char *
-traceEventKindName(TraceEventKind k)
-{
-    switch (k) {
-      case TraceEventKind::Alloc: return "alloc";
-      case TraceEventKind::Death: return "death";
-      case TraceEventKind::GcStart: return "gc-start";
-      case TraceEventKind::GcEnd: return "gc-end";
-      case TraceEventKind::ThreadStart: return "thread-start";
-      case TraceEventKind::ThreadEnd: return "thread-end";
-    }
-    return "?";
-}
-
 namespace {
 
 constexpr std::size_t kRecordSize = 48;

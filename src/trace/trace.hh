@@ -36,9 +36,6 @@ enum class TraceEventKind : std::uint8_t
     ThreadEnd = 6,
 };
 
-/** Render a TraceEventKind name. */
-const char *traceEventKindName(TraceEventKind k);
-
 /** One trace record. Unused fields are zero for a given kind. */
 struct TraceEvent
 {

@@ -19,19 +19,11 @@ AllocationProfile::drawTtl(Rng &rng) const
     const double u = rng.uniform();
     if (u < frac_tiny)
         return static_cast<Bytes>(rng.below(tiny_max + 1));
-    if (u < frac_tiny + frac_short) {
-        return static_cast<Bytes>(rng.paretoBounded(
-            short_alpha, static_cast<double>(short_lo),
-            static_cast<double>(short_hi)));
-    }
-    if (u < frac_tiny + frac_short + frac_medium) {
-        return static_cast<Bytes>(rng.paretoBounded(
-            medium_alpha, static_cast<double>(medium_lo),
-            static_cast<double>(medium_hi)));
-    }
-    return static_cast<Bytes>(rng.paretoBounded(
-        long_alpha, static_cast<double>(medium_hi),
-        static_cast<double>(long_hi)));
+    if (u < frac_tiny + frac_short)
+        return static_cast<Bytes>(short_ttl(rng));
+    if (u < frac_tiny + frac_short + frac_medium)
+        return static_cast<Bytes>(medium_ttl(rng));
+    return static_cast<Bytes>(long_ttl(rng));
 }
 
 } // namespace jscale::workload

@@ -40,19 +40,14 @@ struct AllocationProfile
     /** Immediately-dying temporaries: TTL uniform in [0, tiny_max]. */
     double frac_tiny = 0.50;
     Bytes tiny_max = 24;
-    /** Short-lived bulk: bounded Pareto. */
+    /** Short-lived bulk. */
     double frac_short = 0.35;
-    Bytes short_lo = 32;
-    Bytes short_hi = 2 * units::KiB;
-    double short_alpha = 1.1;
-    /** Medium-lived: bounded Pareto. */
+    BoundedPareto short_ttl = {1.1, 32, 2 * units::KiB};
+    /** Medium-lived. */
     double frac_medium = 0.10;
-    Bytes medium_lo = 2 * units::KiB;
-    Bytes medium_hi = 256 * units::KiB;
-    double medium_alpha = 1.0;
-    /** Remainder is long-lived: bounded Pareto up to long_hi. */
-    Bytes long_hi = 8 * units::MiB;
-    double long_alpha = 0.9;
+    BoundedPareto medium_ttl = {1.0, 2 * units::KiB, 256 * units::KiB};
+    /** Remainder is long-lived, from the medium band's top upward. */
+    BoundedPareto long_ttl = {0.9, 256 * units::KiB, 8 * units::MiB};
     /** @} */
 
     /** Draw an object size. */

@@ -46,9 +46,7 @@ xalanProfile()
     p.frac_tiny = 0.56;
     p.tiny_max = 24;
     p.frac_short = 0.33;
-    p.short_lo = 32;
-    p.short_hi = 2 * units::KiB;
-    p.short_alpha = 1.25;
+    p.short_ttl = {1.25, 32, 2 * units::KiB};
     p.frac_medium = 0.07;
     return p;
 }
@@ -76,7 +74,8 @@ astProfile()
     p.frac_tiny = 0.38;
     p.frac_short = 0.32;
     p.frac_medium = 0.22;
-    p.medium_hi = 512 * units::KiB;
+    p.medium_ttl = {1.0, 2 * units::KiB, 512 * units::KiB};
+    p.long_ttl = {0.9, 512 * units::KiB, 8 * units::MiB};
     return p;
 }
 

@@ -26,12 +26,14 @@ namespace jscale::workload {
 class BufferedSource : public jvm::ActionSource
 {
   public:
-    jvm::Action
+    const jvm::Action &
     next() override
     {
         while (pos_ >= buf_.size()) {
-            if (done_)
-                return jvm::Action::end();
+            if (done_) {
+                static const jvm::Action end = jvm::Action::end();
+                return end;
+            }
             buf_.clear();
             pos_ = 0;
             if (!refill(buf_))

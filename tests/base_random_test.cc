@@ -13,6 +13,7 @@
 
 namespace {
 
+using jscale::BoundedPareto;
 using jscale::Rng;
 using jscale::ZipfDistribution;
 
@@ -164,8 +165,9 @@ TEST_P(ParetoBoundsTest, InBounds)
 {
     const auto [alpha, lo, hi] = GetParam();
     Rng rng(11);
+    const BoundedPareto pareto(alpha, lo, hi);
     for (int i = 0; i < 20000; ++i) {
-        const double v = rng.paretoBounded(alpha, lo, hi);
+        const double v = pareto(rng);
         EXPECT_GE(v, lo * 0.999);
         EXPECT_LE(v, hi * 1.001);
     }
@@ -184,10 +186,12 @@ TEST(ParetoBounded, HeavierTailWithSmallerAlpha)
     double mean_small_alpha = 0.0;
     double mean_large_alpha = 0.0;
     const int n = 50000;
+    const BoundedPareto small_alpha(0.5, 16, 65536);
+    const BoundedPareto large_alpha(2.0, 16, 65536);
     for (int i = 0; i < n; ++i)
-        mean_small_alpha += rng.paretoBounded(0.5, 16, 65536);
+        mean_small_alpha += small_alpha(rng);
     for (int i = 0; i < n; ++i)
-        mean_large_alpha += rng.paretoBounded(2.0, 16, 65536);
+        mean_large_alpha += large_alpha(rng);
     EXPECT_GT(mean_small_alpha, mean_large_alpha);
 }
 

@@ -48,22 +48,27 @@ class LivelockApp : public jvm::ApplicationModel
           public:
             explicit Source(jvm::ChannelId ch) : ch_(ch) {}
 
-            jvm::Action
+            const jvm::Action &
             next() override
             {
                 switch (step_++) {
                   case 0:
-                    return jvm::Action::compute(10 * units::US);
+                    action_ = jvm::Action::compute(10 * units::US);
+                    break;
                   case 1:
-                    return jvm::Action::channelAcquire(ch_);
+                    action_ = jvm::Action::channelAcquire(ch_);
+                    break;
                   default:
-                    return jvm::Action::end();
+                    action_ = jvm::Action::end();
+                    break;
                 }
+                return action_;
             }
 
           private:
             jvm::ChannelId ch_;
             int step_ = 0;
+            jvm::Action action_;
         };
         return std::make_unique<Source>(starved_);
     }

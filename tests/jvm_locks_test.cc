@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -164,7 +165,7 @@ class ChannelApp : public jvm::ApplicationModel
             script_.push_back(Action::end());
         }
 
-        jvm::Action
+        const jvm::Action &
         next() override
         {
             return script_[pos_ < script_.size() ? pos_++
@@ -262,6 +263,111 @@ TEST(LockStates, UncontendedSecondThreadRevokesBias)
     EXPECT_EQ(m.monStats().thin_acquisitions, 2u);
     m.release(&a, 70);
     EXPECT_EQ(m.monStats().inflations, 0u);
+}
+
+/** Runs a one-tick burst per dispatch, then parks until woken. */
+struct ParkingClient : os::SchedClient
+{
+    Ticks planBurst(Ticks, Ticks) override { return 1; }
+    os::BurstOutcome
+    finishBurst(Ticks, Ticks) override
+    {
+        return os::BurstOutcome::Blocked;
+    }
+};
+
+/** Waiter backed by a parked OS thread; records the handoff penalty. */
+struct ParkedWaiter : jvm::MonitorWaiter
+{
+    void monitorGranted(jvm::MonitorId) override {}
+    void channelGranted(jvm::ChannelId) override {}
+    os::OsThread *osThread() const override { return thread; }
+    jvm::MutatorIndex mutatorIndex() const override { return idx; }
+    void chargeHandoffPenalty(Ticks penalty) override { charged = penalty; }
+
+    jvm::MutatorIndex idx = 0;
+    os::OsThread *thread = nullptr;
+    Ticks charged = 0;
+};
+
+TEST(CirculationWindow, MatchesRecountedReference)
+{
+    constexpr std::uint32_t kThreads = 40;
+    constexpr Ticks kBase = 250;
+    constexpr Ticks kCost = 500;
+    for (const std::uint32_t window : {0u, 1u, 32u}) {
+        SCOPED_TRACE(window);
+        sim::Simulation sim(1);
+        machine::Machine mach(machine::Machine::testMachine_2p8c());
+        mach.enableCores(8);
+        os::Scheduler sched(sim, mach);
+        jvm::LockPolicyConfig cfg;
+        cfg.handoff_base = kBase;
+        cfg.coherence_cost = kCost;
+        cfg.circulation_window = window;
+        jvm::MonitorTable table(sched, nullptr, cfg);
+        jvm::Monitor &m = table.monitor(table.createMonitor("m"));
+        ParkingClient client;
+        std::vector<ParkedWaiter> waiters(kThreads);
+        for (std::uint32_t i = 0; i < kThreads; ++i) {
+            waiters[i].idx = i;
+            waiters[i].thread =
+                sched.registerThread(&client, os::ThreadKind::Mutator);
+            sched.start(waiters[i].thread);
+        }
+        sim.run(); // every thread parks after its first burst
+
+        Rng rng(window + 5);
+        std::vector<jvm::MutatorIndex> history;
+        Ticks penalty_sum = 0;
+        std::uint64_t circulation_sum = 0;
+        std::uint32_t owner = 0;
+        ASSERT_TRUE(m.acquire(&waiters[owner], sim.now()));
+        for (int grant = 0; grant < 3000; ++grant) {
+            // A skewed mix: a hot set of 6 threads and a cold tail.
+            std::uint32_t next;
+            do {
+                next = static_cast<std::uint32_t>(
+                    rng.chance(0.6) ? rng.below(6) : rng.below(kThreads));
+            } while (next == owner);
+            ASSERT_FALSE(m.acquire(&waiters[next], sim.now()));
+            waiters[next].charged = 0;
+            m.release(&waiters[owner], sim.now());
+            ASSERT_EQ(m.owner(), &waiters[next]);
+
+            // Reference: recount the last `window` grantees from scratch.
+            const auto distinct = [&](std::size_t end) {
+                std::vector<bool> seen(kThreads, false);
+                std::size_t n = 0;
+                for (std::size_t i = end - std::min<std::size_t>(end, window);
+                     i < end; ++i) {
+                    n += seen[history[i]] ? 0 : 1;
+                    seen[history[i]] = true;
+                }
+                return n;
+            };
+            std::size_t others = distinct(history.size());
+            const std::size_t tail =
+                std::min<std::size_t>(history.size(), window);
+            if (std::find(history.end() - static_cast<std::ptrdiff_t>(tail),
+                          history.end(), next) != history.end())
+                --others;
+            history.push_back(next);
+            const Ticks penalty = kBase + kCost * static_cast<Ticks>(others);
+            penalty_sum += penalty;
+            circulation_sum += distinct(history.size());
+            EXPECT_EQ(waiters[next].charged, penalty) << "grant " << grant;
+            EXPECT_EQ(m.monStats().coherence_penalty, penalty_sum);
+            ASSERT_EQ(m.monStats().circulation_sum, circulation_sum)
+                << "grant " << grant;
+            sim.run(); // the grantee's thread runs and parks again
+            owner = next;
+        }
+        EXPECT_EQ(m.monStats().handoffs, 3000u);
+        if (window == 32) {
+            EXPECT_GT(circulation_sum, 3000u * 6);
+        }
+    }
 }
 
 TEST(LockStates, ContentionInflatesExactlyOnce)

@@ -169,7 +169,8 @@ TEST(DeadlockDetector, AbBaDeadlockIsReportedWithCycle)
             return s;
         });
         h.vm.run(bad, 2);
-    }, "deadlock detected");
+    }, "monitor deadlock detected: thread 1 -> \\[m0\\] -> thread 0 -> "
+       "\\[m1\\] -> thread 1\n");
     (void)app;
 }
 

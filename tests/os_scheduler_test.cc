@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -915,6 +916,60 @@ TEST(SchedulerIndex, RandomOpsKeepInvariantsPastOneWord)
     config.sockets = 2;
     config.cores_per_socket = 40;
     EXPECT_GE(driveRandomly(config, 11, 4000), 64u);
+}
+
+/** Records where and how each thread was last dispatched. */
+struct DispatchLog : os::SchedulerListener
+{
+    void
+    onDispatch(const OsThread &t, CoreId core, Ticks, bool stolen,
+               Ticks) override
+    {
+        last_core[t.id()] = core;
+        last_stolen[t.id()] = stolen;
+    }
+
+    std::map<os::ThreadId, CoreId> last_core;
+    std::map<os::ThreadId, bool> last_stolen;
+};
+
+TEST(SchedulerIndex, LoneQueuedThreadGoesToLowestIdleCoreOnItsSocket)
+{
+    // 2 x 40 cores: socket 1 (cores 40-79) spans both index words.
+    machine::MachineConfig config;
+    config.name = "test-2p80c";
+    config.sockets = 2;
+    config.cores_per_socket = 40;
+    sim::Simulation sim(1);
+    machine::Machine mach(config);
+    mach.enableCores(80);
+    Scheduler sched(sim, mach);
+    DispatchLog log;
+    sched.listeners().add(&log);
+
+    // Cores 40-65 run long bursts; socket 0 stays idle throughout.
+    std::vector<std::unique_ptr<ScriptClient>> clients;
+    for (CoreId home = 40; home <= 65; ++home) {
+        clients.push_back(std::make_unique<ScriptClient>(
+            numbered("busy", home), computeSteps(1, 2 * units::MS)));
+        OsThread *t = sched.registerThread(clients.back().get(),
+                                           ThreadKind::Mutator, home);
+        sched.start(t);
+        EXPECT_EQ(log.last_core[t->id()], home);
+    }
+    sched.checkInvariants();
+
+    // Queued on core 70, the thread is taken by the lowest idle core of
+    // its own socket: a lone queued thread never crosses sockets.
+    ScriptClient lone("lone", computeSteps(1, 1000));
+    OsThread *t = sched.registerThread(&lone, ThreadKind::Mutator, 70);
+    sched.start(t);
+    EXPECT_EQ(log.last_core[t->id()], 66u);
+    EXPECT_TRUE(log.last_stolen[t->id()]);
+    EXPECT_EQ(sched.readyQueueDepth(70), 0u);
+    EXPECT_EQ(sched.schedStats().steals, 1u);
+    sched.checkInvariants();
+    sched.listeners().remove(&log);
 }
 
 TEST(SchedulerIndex, CheckInvariantsCatchesOfflineQueue)

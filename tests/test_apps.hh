@@ -85,7 +85,7 @@ class TinyApp : public jvm::ApplicationModel
             script_.push_back(jvm::Action::end());
         }
 
-        jvm::Action
+        const jvm::Action &
         next() override
         {
             return script_[pos_ < script_.size() ? pos_++
@@ -172,7 +172,7 @@ class ScriptApp : public jvm::ApplicationModel
             script_.push_back(jvm::Action::end());
         }
 
-        jvm::Action
+        const jvm::Action &
         next() override
         {
             return script_[pos_ < script_.size() ? pos_++

@@ -205,12 +205,4 @@ TEST(LifespanAnalyzer, PerSiteBreakdownAndTopSites)
     EXPECT_EQ(top1[0].site, 2u);
 }
 
-TEST(TraceEventKindName, AllNamed)
-{
-    EXPECT_STREQ(traceEventKindName(TraceEventKind::Alloc), "alloc");
-    EXPECT_STREQ(traceEventKindName(TraceEventKind::Death), "death");
-    EXPECT_STREQ(traceEventKindName(TraceEventKind::GcStart), "gc-start");
-    EXPECT_STREQ(traceEventKindName(TraceEventKind::GcEnd), "gc-end");
-}
-
 } // namespace

@@ -43,7 +43,7 @@ TEST(AllocationProfile, TtlMixtureFractions)
     for (int i = 0; i < n; ++i)
         tiny += p.drawTtl(rng) <= p.tiny_max;
     // At least the tiny fraction lands at or below tiny_max (the short
-    // component cannot: short_lo > tiny_max).
+    // component cannot: it starts at 32 > tiny_max).
     EXPECT_NEAR(static_cast<double>(tiny) / n, 0.5, 0.02);
 }
 
@@ -52,7 +52,7 @@ TEST(AllocationProfile, TtlLongTailBounded)
     AllocationProfile p;
     Rng rng(43);
     for (int i = 0; i < 50000; ++i)
-        EXPECT_LE(p.drawTtl(rng), p.long_hi);
+        EXPECT_LE(p.drawTtl(rng), p.long_ttl.hi());
 }
 
 TEST(TaskPool, ClaimsExactlyTotal)
