@@ -10,6 +10,13 @@
 
 namespace jscale::check {
 
+namespace {
+
+/** Base ready-wait allowance on top of the capacity-scaled bound. */
+constexpr Ticks kStarvationGrace = 100 * units::MS;
+
+} // namespace
+
 std::string
 InvariantViolation::format() const
 {
@@ -18,7 +25,7 @@ InvariantViolation::format() const
     return os.str();
 }
 
-OracleSuite::OracleSuite(OracleConfig config) : config_(config)
+OracleSuite::OracleSuite()
 {
     live_.reserve(4096);
 }
@@ -45,7 +52,7 @@ OracleSuite::attach(jvm::JavaVm &vm, profile::TaskProfiler &profiler)
     const os::Scheduler &s = vm.scheduler();
     if (std::string(s.policy().policyName()) != "default" ||
         !s.config().stealing) {
-        config_.starvation = false;
+        starvation_ = false;
     }
 
     vm.listeners().add(this);
@@ -136,7 +143,7 @@ Ticks
 OracleSuite::starvationLimit() const
 {
     if (sched_ == nullptr)
-        return config_.starvation_grace;
+        return kStarvationGrace;
     const Ticks quantum = sched_->config().quantum;
     const std::uint64_t threads = max_thread_id_ + 1;
     const std::uint64_t cores =
@@ -144,14 +151,14 @@ OracleSuite::starvationLimit() const
     // Round-robin FIFO dispatch bounds a ready wait by roughly one
     // quantum per thread sharing the core; 4x slack absorbs migration
     // overheads, urgent-lock-holder priority and fault-window churn.
-    return config_.starvation_grace +
+    return kStarvationGrace +
            4 * quantum * (1 + (threads + cores - 1) / cores);
 }
 
 void
 OracleSuite::checkReadyWait(std::size_t idx, Ticks now, bool at_dispatch)
 {
-    if (!config_.starvation)
+    if (!starvation_)
         return;
     ThreadModel &m = threads_[idx];
     ++checks_;
@@ -800,7 +807,7 @@ OracleSuite::onThreadState(const os::OsThread &t, os::ThreadState prev,
     // bookkeeping, but their ready waits span neighbours' pauses the
     // stop-credit model cannot see.
     if (t.group() != group_)
-        config_.starvation = false;
+        starvation_ = false;
     ThreadModel &m = threadModel(t.id());
     const os::ThreadState next = t.state();
     ++checks_;
@@ -847,7 +854,7 @@ OracleSuite::onWorldStopRequested(std::uint32_t group, Ticks now)
     } else {
         // A co-hosted tenant's pauses interleave with ours; the single
         // stop-credit model under the starvation bound is unsound.
-        config_.starvation = false;
+        starvation_ = false;
     }
 }
 

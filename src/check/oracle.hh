@@ -115,23 +115,6 @@ class OracleError : public AbortError
 };
 
 /**
- * How strictly the suite reacts. Every oracle is always armed; only
- * the starvation check is gated, by attach(), on configurations where
- * unbounded ready waits are legitimate.
- */
-struct OracleConfig
-{
-    /**
-     * Arm the starvation-freedom check. attach() clears this on
-     * configurations where unbounded ready waits are legitimate
-     * (biased phase-gated policies, stealing disabled).
-     */
-    bool starvation = true;
-    /** Base ready-wait allowance on top of the capacity-scaled bound. */
-    Ticks starvation_grace = 100 * units::MS;
-};
-
-/**
  * The oracle suite. Subscribe with attach() before JavaVm::run(); call
  * finishRun() after the run returns for end-of-run checks (leaked
  * objects, threads still starving, unbalanced world stops).
@@ -144,7 +127,7 @@ class OracleSuite final : public jvm::RuntimeListener,
                           public os::SchedulerListener
 {
   public:
-    explicit OracleSuite(OracleConfig config = {});
+    OracleSuite();
     ~OracleSuite() override;
 
     OracleSuite(const OracleSuite &) = delete;
@@ -175,7 +158,12 @@ class OracleSuite final : public jvm::RuntimeListener,
     /** Individual invariant evaluations performed. */
     std::uint64_t checksPerformed() const { return checks_; }
 
-    const OracleConfig &config() const { return config_; }
+    /**
+     * Whether the starvation-freedom check is armed. attach() disarms
+     * it on configurations where unbounded ready waits are legitimate
+     * (biased phase-gated policies, stealing disabled).
+     */
+    bool starvationArmed() const { return starvation_; }
 
     /** @name RuntimeListener probes */
     /** @{ */
@@ -339,7 +327,8 @@ class OracleSuite final : public jvm::RuntimeListener,
         return g < group_stopped_.size() && group_stopped_[g];
     }
 
-    OracleConfig config_;
+    /** The starvation gate; every other oracle is always armed. */
+    bool starvation_ = true;
     /** Admission policy of the attached VM (attach() reads it); the
      *  handoff model validates against this discipline. */
     jvm::LockPolicyConfig locks_;

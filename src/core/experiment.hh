@@ -199,7 +199,8 @@ using AppFactory =
 struct RigVm
 {
     /** Closed-loop application (not owned; unused when `arrival` is
-     *  set: the VM then serves `app_name`'s request model). */
+     *  set: the VM then serves the task body of the model
+     *  makeDacapoApp builds for `app_name`). */
     jvm::ApplicationModel *app = nullptr;
     std::string app_name;
     std::uint32_t threads = 1;

@@ -5,6 +5,7 @@
 #include "base/logging.hh"
 #include "os/policy.hh"
 #include "telemetry/profile_tracks.hh"
+#include "workload/dacapo.hh"
 
 namespace jscale::core {
 
@@ -92,11 +93,9 @@ RunRig::buildVm(std::size_t i)
     // firing before it sees the closed service window.
     p.app = in.app;
     if (in.arrival) {
-        std::string err;
-        p.request_model = traffic::makeRequestModel(in.app_name, err);
-        jscale_assert(p.request_model != nullptr, err);
+        p.served = workload::makeDacapoApp(in.app_name);
         p.engine.emplace(vm, *in.arrival, *p.profiler);
-        p.open_loop.emplace(*p.request_model, *p.engine);
+        p.open_loop.emplace(*p.served, *p.engine);
         p.app = &*p.open_loop;
     }
 

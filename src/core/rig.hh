@@ -38,7 +38,7 @@
 #include "telemetry/timeline.hh"
 #include "traffic/engine.hh"
 #include "traffic/open_loop_app.hh"
-#include "traffic/request_model.hh"
+#include "workload/source.hh"
 
 namespace jscale::core {
 
@@ -92,7 +92,8 @@ class RunRig
         std::optional<jvm::JavaVm> vm;
         std::optional<profile::ThreadStateLedger> ledger;
         std::optional<profile::TaskProfiler> profiler;
-        std::unique_ptr<traffic::RequestModel> request_model;
+        /** The model an open-loop VM serves. */
+        std::unique_ptr<workload::WorkloadApp> served;
         std::optional<traffic::TrafficEngine> engine;
         std::optional<traffic::OpenLoopApp> open_loop;
         std::optional<control::ConcurrencyGovernor> governor;

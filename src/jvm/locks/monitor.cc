@@ -7,18 +7,6 @@
 
 namespace jscale::jvm {
 
-const char *
-lockStateName(LockState s)
-{
-    switch (s) {
-      case LockState::Neutral: return "neutral";
-      case LockState::Biased: return "biased";
-      case LockState::Thin: return "thin";
-      case LockState::Fat: return "fat";
-    }
-    return "?";
-}
-
 Monitor::Monitor(MonitorId id, std::string name, os::Scheduler &sched,
                  const ListenerChain *listeners, MonitorTable *table,
                  const LockPolicyConfig &policy_cfg)

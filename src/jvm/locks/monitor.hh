@@ -79,9 +79,6 @@ class MonitorWaiter
  */
 enum class LockState : std::uint8_t { Neutral, Biased, Thin, Fat };
 
-/** Render a LockState name. */
-const char *lockStateName(LockState s);
-
 /** Per-monitor counters matching the paper's lock-usage metrics. */
 struct MonitorStats
 {

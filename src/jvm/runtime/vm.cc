@@ -482,8 +482,8 @@ JavaVm::killMutator(std::uint32_t idx, Ticks now)
 {
     if (!mutatorAlive(idx))
         return false;
-    // Count kill-pending threads as already dead: aliveMutators() only
-    // tracks finished threads, so a burst of same-tick kills would
+    // Count kill-pending threads as already dead: the finished count
+    // only tracks finished threads, so a burst of same-tick kills would
     // otherwise take every mutator. The run must still be able to
     // complete, so at least one survivor is always left.
     std::uint32_t survivors = 0;

@@ -491,13 +491,6 @@ class JavaVm
         return static_cast<std::uint32_t>(mutators_.size());
     }
 
-    /** Unfinished mutators. */
-    std::uint32_t
-    aliveMutators() const
-    {
-        return n_threads_ - mutators_finished_;
-    }
-
     /** Mutator @p idx exists, has not finished and is not kill-pending. */
     bool mutatorAlive(std::uint32_t idx) const;
 

@@ -117,7 +117,6 @@ MutatorThread::executeKill(Ticks now)
     for (auto it = held_ids_.rbegin(); it != held_ids_.rend(); ++it)
         vm_.monitors().monitor(*it).release(this, now);
     held_ids_.clear();
-    held_monitors_ = 0;
     // An in-flight (non-End) action is an abandoned task: report it so
     // the run accounts for the re-enqueue.
     if (have_action_ && current_.kind != Action::Kind::End)
@@ -166,7 +165,6 @@ MutatorThread::finishBurst(Ticks now, Ticks elapsed)
       case Action::Kind::MonitorEnter: {
         Monitor &m = vm_.monitors().monitor(current_.id);
         if (m.acquire(this, now)) {
-            ++held_monitors_;
             held_ids_.push_back(current_.id);
             consumeAction();
             return os::BurstOutcome::Ready;
@@ -176,18 +174,14 @@ MutatorThread::finishBurst(Ticks now, Ticks elapsed)
       }
 
       case Action::Kind::MonitorExit:
-        jscale_assert(held_monitors_ > 0, "exit without held monitor");
+        dropHeld(current_.id, "exit");
         vm_.monitors().monitor(current_.id).release(this, now);
-        --held_monitors_;
-        std::erase(held_ids_, current_.id);
         consumeAction();
         return os::BurstOutcome::Ready;
 
       case Action::Kind::MonitorWait: {
         Monitor &m = vm_.monitors().monitor(current_.id);
-        jscale_assert(held_monitors_ > 0, "wait without held monitor");
-        --held_monitors_;
-        std::erase(held_ids_, current_.id);
+        dropHeld(current_.id, "wait");
         awaiting_grant_ = true;
         m.waitOn(this, now); // releases; re-grant consumes the action
         return os::BurstOutcome::Blocked;
@@ -220,7 +214,7 @@ MutatorThread::finishBurst(Ticks now, Ticks elapsed)
 
       case Action::Kind::TaskFetch:
         consumeAction();
-        if (held_monitors_ == 0 && !vm_.admitTask(this, now))
+        if (held_ids_.empty() && !vm_.admitTask(this, now))
             return os::BurstOutcome::Blocked; // admission-parked
         return os::BurstOutcome::Ready;
 
@@ -228,7 +222,7 @@ MutatorThread::finishBurst(Ticks now, Ticks elapsed)
         ++stats_.tasks_completed;
         vm_.onTaskCompleted(index_, now);
         consumeAction();
-        if (held_monitors_ == 0 && !vm_.admitTask(this, now))
+        if (held_ids_.empty() && !vm_.admitTask(this, now))
             return os::BurstOutcome::Blocked; // admission-parked
         return os::BurstOutcome::Ready;
 
@@ -250,9 +244,17 @@ MutatorThread::monitorGranted(MonitorId monitor)
                       current_.id == monitor,
                   "unexpected monitor grant");
     awaiting_grant_ = false;
-    ++held_monitors_;
     held_ids_.push_back(monitor);
     consumeAction();
+}
+
+void
+MutatorThread::dropHeld(MonitorId monitor, const char *what)
+{
+    const auto it = std::find(held_ids_.begin(), held_ids_.end(), monitor);
+    jscale_assert(it != held_ids_.end(), what, " without holding monitor ",
+                  monitor);
+    held_ids_.erase(it);
 }
 
 void

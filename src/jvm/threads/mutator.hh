@@ -54,7 +54,7 @@ class MutatorThread : public os::SchedClient, public MonitorWaiter
 
     /** A mutator holding monitors must stay schedulable under gating
      *  policies, or lock handoff chains would convoy across phases. */
-    bool urgent() const override { return held_monitors_ > 0; }
+    bool urgent() const override { return !held_ids_.empty(); }
     /** @} */
 
     /** @name MonitorWaiter */
@@ -124,6 +124,10 @@ class MutatorThread : public os::SchedClient, public MonitorWaiter
     /** Perform a pending kill at a burst boundary. */
     os::BurstOutcome executeKill(Ticks now);
 
+    /** Forget @p monitor as held for a @p what ("exit", "wait");
+     *  panics unless it is held. */
+    void dropHeld(MonitorId monitor, const char *what);
+
     JavaVm &vm_;
     MutatorIndex index_;
     std::unique_ptr<ActionSource> source_;
@@ -142,9 +146,8 @@ class MutatorThread : public os::SchedClient, public MonitorWaiter
     /** Blocked waiting for a GC to complete (allocation retry). */
     bool awaiting_gc_ = false;
     bool finished_ = false;
-    /** Monitors currently owned by this thread. */
-    std::uint32_t held_monitors_ = 0;
-    /** Ids of held monitors in acquisition order (kill release path). */
+    /** Ids of the monitors this thread owns, in acquisition order
+     *  (Monitor::acquire refuses recursion, so each appears once). */
     std::vector<MonitorId> held_ids_;
     /** Fault injection: terminate at the next burst boundary. */
     bool kill_pending_ = false;

@@ -8,7 +8,7 @@ namespace jscale::traffic {
 class OpenLoopApp::ServerSource : public workload::BufferedSource
 {
   public:
-    ServerSource(RequestModel &model, TrafficEngine &engine,
+    ServerSource(const workload::WorkloadApp &model, TrafficEngine &engine,
                  jvm::ChannelId channel, std::uint32_t thread_idx,
                  Rng rng)
         : model_(model), engine_(engine), channel_(channel),
@@ -43,7 +43,7 @@ class OpenLoopApp::ServerSource : public workload::BufferedSource
         out.push_back(jvm::Action::channelAcquire(channel_));
     }
 
-    RequestModel &model_;
+    const workload::WorkloadApp &model_;
     TrafficEngine &engine_;
     jvm::ChannelId channel_;
     std::uint32_t thread_idx_;
@@ -54,8 +54,8 @@ class OpenLoopApp::ServerSource : public workload::BufferedSource
 void
 OpenLoopApp::setup(jvm::AppContext &ctx)
 {
-    model_.setup(ctx);
-    channel_ = ctx.createChannel(model_.name() + ".request-queue",
+    model_.setupRequests(ctx);
+    channel_ = ctx.createChannel(model_.appName() + ".request-queue",
                                  /*permits=*/0);
     engine_.bind(channel_, ctx.threadCount());
     engine_.arm();

@@ -1,8 +1,11 @@
 /**
  * @file
- * OpenLoopApp: adapts a RequestModel + TrafficEngine into the
- * ApplicationModel contract.
+ * OpenLoopApp: serves a workload model's own task body as open-loop
+ * requests fed by a TrafficEngine, under the ApplicationModel contract.
  *
+ * The model creates its request monitors (WorkloadApp::setupRequests)
+ * and emits each worker's startup batch and each request's body with
+ * the emitters its closed loop runs, so both loops share one body.
  * Worker threads run an accept loop instead of draining a task pool:
  * startup batch, then repeatedly (admission check, acquire a request
  * permit from the engine's hand-off channel, serve one request body,
@@ -20,7 +23,6 @@
 
 #include "jvm/runtime/app.hh"
 #include "traffic/engine.hh"
-#include "traffic/request_model.hh"
 #include "workload/source.hh"
 
 namespace jscale::traffic {
@@ -30,11 +32,11 @@ class OpenLoopApp : public jvm::ApplicationModel
 {
   public:
     /** Neither the model nor the engine is owned. */
-    OpenLoopApp(RequestModel &model, TrafficEngine &engine)
+    OpenLoopApp(workload::WorkloadApp &model, TrafficEngine &engine)
         : model_(model), engine_(engine)
     {}
 
-    std::string appName() const override { return model_.name(); }
+    std::string appName() const override { return model_.appName(); }
 
     void setup(jvm::AppContext &ctx) override;
 
@@ -44,7 +46,7 @@ class OpenLoopApp : public jvm::ApplicationModel
   private:
     class ServerSource;
 
-    RequestModel &model_;
+    workload::WorkloadApp &model_;
     TrafficEngine &engine_;
     jvm::ChannelId channel_ = 0;
 };

@@ -79,7 +79,7 @@ astProfile()
     return p;
 }
 
-std::unique_ptr<jvm::ApplicationModel>
+std::unique_ptr<WorkloadApp>
 makeSunflow(double scale)
 {
     TaskQueueParams p;
@@ -104,7 +104,7 @@ makeSunflow(double scale)
     return std::make_unique<TaskQueueApp>(p);
 }
 
-std::unique_ptr<jvm::ApplicationModel>
+std::unique_ptr<WorkloadApp>
 makeLusearch(double scale)
 {
     TaskQueueParams p;
@@ -131,7 +131,7 @@ makeLusearch(double scale)
     return std::make_unique<TaskQueueApp>(p);
 }
 
-std::unique_ptr<jvm::ApplicationModel>
+std::unique_ptr<WorkloadApp>
 makeXalan(double scale)
 {
     TaskQueueParams p;
@@ -163,7 +163,7 @@ makeXalan(double scale)
     return std::make_unique<TaskQueueApp>(p);
 }
 
-std::unique_ptr<jvm::ApplicationModel>
+std::unique_ptr<WorkloadApp>
 makeH2(double scale)
 {
     SerializedParams p;
@@ -181,7 +181,7 @@ makeH2(double scale)
     return std::make_unique<SerializedApp>(p);
 }
 
-std::unique_ptr<jvm::ApplicationModel>
+std::unique_ptr<WorkloadApp>
 makeEclipse(double scale)
 {
     PipelineParams p;
@@ -198,7 +198,7 @@ makeEclipse(double scale)
     return std::make_unique<PipelineApp>(p);
 }
 
-std::unique_ptr<jvm::ApplicationModel>
+std::unique_ptr<WorkloadApp>
 makeHotlock(double scale)
 {
     HotLockParams p;
@@ -211,7 +211,7 @@ makeHotlock(double scale)
     return std::make_unique<HotLockApp>(p);
 }
 
-std::unique_ptr<jvm::ApplicationModel>
+std::unique_ptr<WorkloadApp>
 makeJython(double scale)
 {
     InterpreterParams p;
@@ -245,7 +245,7 @@ dacapoExpectedScalable(const std::string &name)
     return name == "sunflow" || name == "lusearch" || name == "xalan";
 }
 
-std::unique_ptr<jvm::ApplicationModel>
+std::unique_ptr<WorkloadApp>
 makeDacapoApp(const std::string &name, double scale)
 {
     jscale_assert(scale > 0.0, "scale must be positive");

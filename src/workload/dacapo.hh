@@ -2,7 +2,7 @@
  * @file
  * Calibrated models of the paper's six DaCapo-9.12 applications.
  *
- * The factory returns ApplicationModels whose concurrency structure,
+ * The factory returns WorkloadApps whose concurrency structure,
  * locking profile and allocation behaviour reproduce each benchmark's
  * published characteristics at the fidelity the study needs:
  *
@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "jvm/runtime/app.hh"
+#include "workload/source.hh"
 
 namespace jscale::workload {
 
@@ -44,8 +44,8 @@ bool dacapoExpectedScalable(const std::string &name);
  * (task/unit/transaction counts) without changing the live footprint.
  * Fatal on an unknown name.
  */
-std::unique_ptr<jvm::ApplicationModel>
-makeDacapoApp(const std::string &name, double scale = 1.0);
+std::unique_ptr<WorkloadApp> makeDacapoApp(const std::string &name,
+                                           double scale = 1.0);
 
 } // namespace jscale::workload
 

@@ -1,8 +1,5 @@
 #include "workload/hotlock_app.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "base/logging.hh"
 
 namespace jscale::workload {
@@ -11,65 +8,6 @@ struct HotLockApp::RunState
 {
     TaskPool pool;
     jvm::MonitorId hot_lock = 0;
-};
-
-class HotLockApp::WorkerSource : public BufferedSource
-{
-  public:
-    WorkerSource(std::shared_ptr<RunState> state,
-                 const HotLockParams &params, std::uint32_t thread_idx,
-                 Rng rng)
-        : state_(std::move(state)), params_(params),
-          thread_idx_(thread_idx), rng_(rng)
-    {}
-
-  protected:
-    bool
-    refill(std::vector<jvm::Action> &out) override
-    {
-        if (!started_) {
-            started_ = true;
-            out.push_back(jvm::Action::compute(
-                std::max<Ticks>(params_.startup_compute, 1)));
-            if (thread_idx_ == 0) {
-                emitPinnedData(out, rng_, params_.pinned_shared,
-                               params_.pinned_shared_objects, /*site=*/1);
-            }
-            return true;
-        }
-
-        if (state_->pool.claim(1) == 0)
-            return false;
-
-        // Private phase: think-time compute plus a couple of small
-        // allocations, fully parallel.
-        const Ticks local = std::max<Ticks>(
-            1, static_cast<Ticks>(rng_.logNormal(
-                   std::log(static_cast<double>(
-                       params_.local_compute_mean)),
-                   params_.local_compute_sigma)));
-        emitTaskBody(out, rng_, params_.alloc, local,
-                     params_.allocs_per_op, /*site=*/2);
-
-        // Serialized phase: the one hot lock, held briefly.
-        const Ticks cs = std::max<Ticks>(
-            1, static_cast<Ticks>(rng_.logNormal(
-                   std::log(static_cast<double>(
-                       params_.cs_compute_mean)),
-                   params_.cs_compute_sigma)));
-        out.push_back(jvm::Action::monitorEnter(state_->hot_lock));
-        out.push_back(jvm::Action::compute(cs));
-        out.push_back(jvm::Action::monitorExit(state_->hot_lock));
-        out.push_back(jvm::Action::taskDone());
-        return true;
-    }
-
-  private:
-    std::shared_ptr<RunState> state_;
-    const HotLockParams &params_;
-    std::uint32_t thread_idx_;
-    Rng rng_;
-    bool started_ = false;
 };
 
 HotLockApp::HotLockApp(HotLockParams params) : params_(std::move(params))
@@ -82,17 +20,49 @@ HotLockApp::~HotLockApp() = default;
 void
 HotLockApp::setup(jvm::AppContext &ctx)
 {
-    state_ = std::make_shared<RunState>();
+    setupRequests(ctx);
     state_->pool.remaining = params_.total_ops;
+}
+
+void
+HotLockApp::setupRequests(jvm::AppContext &ctx)
+{
+    state_ = std::make_unique<RunState>();
     state_->hot_lock = ctx.createMonitor(params_.name + ".hot-lock");
+}
+
+void
+HotLockApp::emitStartup(std::vector<jvm::Action> &out, Rng &rng,
+                        std::uint32_t thread_idx) const
+{
+    emitStartupBatch(out, rng, thread_idx, params_.startup_compute,
+                     params_.pinned_shared, params_.pinned_shared_objects);
+}
+
+void
+HotLockApp::emitRequest(std::vector<jvm::Action> &out, Rng &rng) const
+{
+    // Private phase: think-time compute plus a couple of small
+    // allocations, fully parallel.
+    const Ticks local = drawTicks(rng, params_.local_compute_mean,
+                                  params_.local_compute_sigma);
+    emitTaskBody(out, rng, params_.alloc, local, params_.allocs_per_op,
+                 /*site=*/2);
+
+    // Serialized phase: the one hot lock, held briefly.
+    const Ticks cs =
+        drawTicks(rng, params_.cs_compute_mean, params_.cs_compute_sigma);
+    out.push_back(jvm::Action::monitorEnter(state_->hot_lock));
+    out.push_back(jvm::Action::compute(cs));
+    out.push_back(jvm::Action::monitorExit(state_->hot_lock));
 }
 
 std::unique_ptr<jvm::ActionSource>
 HotLockApp::threadSource(std::uint32_t thread_idx, jvm::AppContext &ctx)
 {
     jscale_assert(state_ != nullptr, "setup() must precede threadSource()");
-    return std::make_unique<WorkerSource>(
-        state_, params_, thread_idx, ctx.forkThreadRng(thread_idx));
+    return std::make_unique<RequestLoopSource>(
+        *this, state_->pool, thread_idx, ctx.forkThreadRng(thread_idx));
 }
 
 } // namespace jscale::workload

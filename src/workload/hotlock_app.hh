@@ -48,8 +48,8 @@ struct HotLockParams
     Ticks startup_compute = 100 * units::US;
 };
 
-/** The hot-lock application model. */
-class HotLockApp : public jvm::ApplicationModel
+/** The hot-lock application model; a request is one op. */
+class HotLockApp : public WorkloadApp
 {
   public:
     explicit HotLockApp(HotLockParams params);
@@ -60,14 +60,17 @@ class HotLockApp : public jvm::ApplicationModel
     std::unique_ptr<jvm::ActionSource>
     threadSource(std::uint32_t thread_idx, jvm::AppContext &ctx) override;
 
-    const HotLockParams &params() const { return params_; }
+    void setupRequests(jvm::AppContext &ctx) override;
+    void emitStartup(std::vector<jvm::Action> &out, Rng &rng,
+                     std::uint32_t thread_idx) const override;
+    void emitRequest(std::vector<jvm::Action> &out,
+                     Rng &rng) const override;
 
   private:
     struct RunState;
-    class WorkerSource;
 
     HotLockParams params_;
-    std::shared_ptr<RunState> state_;
+    std::unique_ptr<RunState> state_;
 };
 
 } // namespace jscale::workload

@@ -12,86 +12,6 @@ struct InterpreterApp::RunState
     jvm::MonitorId gil = 0;
 };
 
-/** A worker thread: claims script units, interprets op by op. */
-class InterpreterApp::WorkerSource : public BufferedSource
-{
-  public:
-    WorkerSource(std::shared_ptr<RunState> state,
-                 const InterpreterParams &params, std::uint32_t thread_idx,
-                 Rng rng)
-        : state_(std::move(state)), params_(params),
-          thread_idx_(thread_idx), rng_(rng)
-    {}
-
-  protected:
-    bool
-    refill(std::vector<jvm::Action> &out) override
-    {
-        if (!started_) {
-            started_ = true;
-            out.push_back(jvm::Action::compute(
-                std::max<Ticks>(params_.startup_compute, 1)));
-            if (thread_idx_ == 0) {
-                emitPinnedData(out, rng_, params_.pinned_shared,
-                               params_.pinned_shared_objects, /*site=*/1);
-            }
-            return true;
-        }
-        if (state_->pool.claim(1) == 0)
-            return false;
-
-        for (std::uint32_t op = 0; op < params_.ops_per_unit; ++op) {
-            out.push_back(jvm::Action::monitorEnter(state_->gil));
-            // Interpret while holding the GIL; Python objects are born
-            // (and mostly die) under the lock.
-            emitTaskBody(out, rng_, params_.alloc,
-                         std::max<Ticks>(params_.interp_slice, 1),
-                         params_.allocs_per_op, /*site=*/3);
-            out.push_back(jvm::Action::monitorExit(state_->gil));
-            if (params_.gap_compute > 0) {
-                out.push_back(
-                    jvm::Action::compute(params_.gap_compute));
-            }
-        }
-        out.push_back(jvm::Action::taskDone());
-        return true;
-    }
-
-  private:
-    std::shared_ptr<RunState> state_;
-    const InterpreterParams &params_;
-    std::uint32_t thread_idx_;
-    Rng rng_;
-    bool started_ = false;
-};
-
-/** A surplus thread: brief startup, then exit (short-lived). */
-class InterpreterApp::SurplusSource : public BufferedSource
-{
-  public:
-    SurplusSource(const InterpreterParams &params, Rng rng)
-        : params_(params), rng_(rng)
-    {}
-
-  protected:
-    bool
-    refill(std::vector<jvm::Action> &out) override
-    {
-        out.push_back(jvm::Action::compute(
-            std::max<Ticks>(params_.startup_compute / 2, 1)));
-        for (std::uint32_t i = 0; i < params_.surplus_allocs; ++i) {
-            out.push_back(jvm::Action::allocate(
-                params_.alloc.drawSize(rng_), params_.alloc.drawTtl(rng_),
-                /*site=*/5));
-        }
-        return false; // one batch, then End
-    }
-
-  private:
-    const InterpreterParams &params_;
-    Rng rng_;
-};
-
 InterpreterApp::InterpreterApp(InterpreterParams params)
     : params_(std::move(params))
 {
@@ -104,9 +24,40 @@ InterpreterApp::~InterpreterApp() = default;
 void
 InterpreterApp::setup(jvm::AppContext &ctx)
 {
-    state_ = std::make_shared<RunState>();
+    setupRequests(ctx);
     state_->pool.remaining = params_.total_units;
+}
+
+void
+InterpreterApp::setupRequests(jvm::AppContext &ctx)
+{
+    state_ = std::make_unique<RunState>();
     state_->gil = ctx.createMonitor(params_.name + ".interpreter-lock");
+}
+
+void
+InterpreterApp::emitStartup(std::vector<jvm::Action> &out, Rng &rng,
+                            std::uint32_t thread_idx) const
+{
+    emitStartupBatch(out, rng, thread_idx, params_.startup_compute,
+                     params_.pinned_shared, params_.pinned_shared_objects);
+}
+
+void
+InterpreterApp::emitRequest(std::vector<jvm::Action> &out, Rng &rng) const
+{
+    // One script unit, interpreted op by op.
+    for (std::uint32_t op = 0; op < params_.ops_per_unit; ++op) {
+        out.push_back(jvm::Action::monitorEnter(state_->gil));
+        // Interpret while holding the GIL; Python objects are born
+        // (and mostly die) under the lock.
+        emitTaskBody(out, rng, params_.alloc,
+                     std::max<Ticks>(params_.interp_slice, 1),
+                     params_.allocs_per_op, /*site=*/3);
+        out.push_back(jvm::Action::monitorExit(state_->gil));
+        if (params_.gap_compute > 0)
+            out.push_back(jvm::Action::compute(params_.gap_compute));
+    }
 }
 
 std::unique_ptr<jvm::ActionSource>
@@ -115,10 +66,12 @@ InterpreterApp::threadSource(std::uint32_t thread_idx,
 {
     jscale_assert(state_ != nullptr, "setup() must precede threadSource()");
     if (thread_idx < params_.worker_cap) {
-        return std::make_unique<WorkerSource>(
-            state_, params_, thread_idx, ctx.forkThreadRng(thread_idx));
+        return std::make_unique<RequestLoopSource>(
+            *this, state_->pool, thread_idx, ctx.forkThreadRng(thread_idx));
     }
-    return std::make_unique<SurplusSource>(params_,
+    return std::make_unique<SurplusSource>(params_.startup_compute,
+                                           params_.surplus_allocs,
+                                           params_.alloc,
                                            ctx.forkThreadRng(thread_idx));
 }
 

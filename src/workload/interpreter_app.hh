@@ -50,8 +50,12 @@ struct InterpreterParams
     std::uint32_t surplus_allocs = 3;
 };
 
-/** The jython-style application model. */
-class InterpreterApp : public jvm::ApplicationModel
+/**
+ * The jython-style application model. A request is one script unit;
+ * every serving thread contends for the GIL (no worker cap), so
+ * service time inflates with concurrency like the worker pool's does.
+ */
+class InterpreterApp : public WorkloadApp
 {
   public:
     explicit InterpreterApp(InterpreterParams params);
@@ -62,15 +66,17 @@ class InterpreterApp : public jvm::ApplicationModel
     std::unique_ptr<jvm::ActionSource>
     threadSource(std::uint32_t thread_idx, jvm::AppContext &ctx) override;
 
-    const InterpreterParams &params() const { return params_; }
+    void setupRequests(jvm::AppContext &ctx) override;
+    void emitStartup(std::vector<jvm::Action> &out, Rng &rng,
+                     std::uint32_t thread_idx) const override;
+    void emitRequest(std::vector<jvm::Action> &out,
+                     Rng &rng) const override;
 
   private:
     struct RunState;
-    class WorkerSource;
-    class SurplusSource;
 
     InterpreterParams params_;
-    std::shared_ptr<RunState> state_;
+    std::unique_ptr<RunState> state_;
 };
 
 } // namespace jscale::workload

@@ -54,8 +54,12 @@ struct PipelineParams
     std::uint32_t surplus_allocs = 4;
 };
 
-/** The eclipse-style application model. */
-class PipelineApp : public jvm::ApplicationModel
+/**
+ * The eclipse-style application model. A request is one compilation
+ * unit end to end: the serial parse stage becomes a global parser lock
+ * around produce (the same width-1 bottleneck), then consume.
+ */
+class PipelineApp : public WorkloadApp
 {
   public:
     explicit PipelineApp(PipelineParams params);
@@ -66,17 +70,24 @@ class PipelineApp : public jvm::ApplicationModel
     std::unique_ptr<jvm::ActionSource>
     threadSource(std::uint32_t thread_idx, jvm::AppContext &ctx) override;
 
-    const PipelineParams &params() const { return params_; }
+    void setupRequests(jvm::AppContext &ctx) override;
+    void emitStartup(std::vector<jvm::Action> &out, Rng &rng,
+                     std::uint32_t thread_idx) const override;
+    void emitRequest(std::vector<jvm::Action> &out,
+                     Rng &rng) const override;
 
   private:
     struct RunState;
-    class ProducerSource;
-    class ConsumerSource;
-    class SurplusSource;
-    class SoloSource;
+    class StageSource;
+
+    /** One parse (produce) body, no TaskDone. */
+    void emitProduce(std::vector<jvm::Action> &out, Rng &rng) const;
+    /** One typecheck/codegen (consume) body and its workspace critical
+     *  section, no TaskDone. */
+    void emitConsume(std::vector<jvm::Action> &out, Rng &rng) const;
 
     PipelineParams params_;
-    std::shared_ptr<RunState> state_;
+    std::unique_ptr<RunState> state_;
 };
 
 } // namespace jscale::workload

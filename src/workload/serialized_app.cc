@@ -1,7 +1,6 @@
 #include "workload/serialized_app.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/logging.hh"
 
@@ -12,83 +11,6 @@ struct SerializedApp::RunState
     TaskPool pool;
     jvm::MonitorId db_lock = 0;
     std::vector<jvm::MonitorId> cache_stripes;
-};
-
-class SerializedApp::ClientSource : public BufferedSource
-{
-  public:
-    ClientSource(std::shared_ptr<RunState> state,
-                 const SerializedParams &params, std::uint32_t thread_idx,
-                 Rng rng)
-        : state_(std::move(state)), params_(params),
-          thread_idx_(thread_idx), rng_(rng)
-    {}
-
-  protected:
-    bool
-    refill(std::vector<jvm::Action> &out) override
-    {
-        if (!started_) {
-            started_ = true;
-            out.push_back(jvm::Action::compute(
-                std::max<Ticks>(params_.startup_compute, 1)));
-            if (thread_idx_ == 0) {
-                emitPinnedData(out, rng_, params_.pinned_shared,
-                               params_.pinned_shared_objects, /*site=*/1);
-            }
-            return true;
-        }
-
-        if (state_->pool.claim(1) == 0)
-            return false;
-
-        // Parallel phase: parse and plan.
-        const Ticks parse = std::max<Ticks>(
-            1, static_cast<Ticks>(rng_.logNormal(
-                   std::log(static_cast<double>(
-                       params_.parse_compute_mean)),
-                   params_.parse_compute_sigma)));
-        emitTaskBody(out, rng_, params_.alloc, parse, params_.allocs_parse,
-                     /*site=*/3);
-
-        // Row-cache touches (striped, short).
-        double expected = params_.cache_accesses_per_txn;
-        std::uint32_t accesses = static_cast<std::uint32_t>(expected);
-        expected -= accesses;
-        if (expected > 0.0 && rng_.chance(expected))
-            ++accesses;
-        for (std::uint32_t a = 0; a < accesses; ++a) {
-            const std::size_t stripe =
-                rng_.below(state_->cache_stripes.size());
-            out.push_back(jvm::Action::monitorEnter(
-                state_->cache_stripes[stripe]));
-            out.push_back(jvm::Action::compute(
-                std::max<Ticks>(params_.cache_cs, 1)));
-            out.push_back(jvm::Action::monitorExit(
-                state_->cache_stripes[stripe]));
-        }
-
-        // Serialized phase: commit under the coarse database lock,
-        // including the undo/redo-log allocations made while holding it.
-        const Ticks commit = std::max<Ticks>(
-            1, static_cast<Ticks>(rng_.logNormal(
-                   std::log(static_cast<double>(
-                       params_.commit_compute_mean)),
-                   params_.commit_compute_sigma)));
-        out.push_back(jvm::Action::monitorEnter(state_->db_lock));
-        emitTaskBody(out, rng_, params_.alloc, commit,
-                     params_.allocs_commit, /*site=*/4);
-        out.push_back(jvm::Action::monitorExit(state_->db_lock));
-        out.push_back(jvm::Action::taskDone());
-        return true;
-    }
-
-  private:
-    std::shared_ptr<RunState> state_;
-    const SerializedParams &params_;
-    std::uint32_t thread_idx_;
-    Rng rng_;
-    bool started_ = false;
 };
 
 SerializedApp::SerializedApp(SerializedParams params)
@@ -104,8 +26,14 @@ SerializedApp::~SerializedApp() = default;
 void
 SerializedApp::setup(jvm::AppContext &ctx)
 {
-    state_ = std::make_shared<RunState>();
+    setupRequests(ctx);
     state_->pool.remaining = params_.total_transactions;
+}
+
+void
+SerializedApp::setupRequests(jvm::AppContext &ctx)
+{
+    state_ = std::make_unique<RunState>();
     state_->db_lock = ctx.createMonitor(params_.name + ".db-lock");
     for (std::uint32_t s = 0; s < params_.cache_stripes; ++s) {
         state_->cache_stripes.push_back(ctx.createMonitor(
@@ -113,12 +41,54 @@ SerializedApp::setup(jvm::AppContext &ctx)
     }
 }
 
+void
+SerializedApp::emitStartup(std::vector<jvm::Action> &out, Rng &rng,
+                           std::uint32_t thread_idx) const
+{
+    emitStartupBatch(out, rng, thread_idx, params_.startup_compute,
+                     params_.pinned_shared, params_.pinned_shared_objects);
+}
+
+void
+SerializedApp::emitRequest(std::vector<jvm::Action> &out, Rng &rng) const
+{
+    // Parallel phase: parse and plan.
+    const Ticks parse = drawTicks(rng, params_.parse_compute_mean,
+                                  params_.parse_compute_sigma);
+    emitTaskBody(out, rng, params_.alloc, parse, params_.allocs_parse,
+                 /*site=*/3);
+
+    // Row-cache touches (striped, short).
+    double expected = params_.cache_accesses_per_txn;
+    std::uint32_t accesses = static_cast<std::uint32_t>(expected);
+    expected -= accesses;
+    if (expected > 0.0 && rng.chance(expected))
+        ++accesses;
+    for (std::uint32_t a = 0; a < accesses; ++a) {
+        const jvm::MonitorId stripe =
+            state_->cache_stripes[rng.below(state_->cache_stripes.size())];
+        out.push_back(jvm::Action::monitorEnter(stripe));
+        out.push_back(
+            jvm::Action::compute(std::max<Ticks>(params_.cache_cs, 1)));
+        out.push_back(jvm::Action::monitorExit(stripe));
+    }
+
+    // Serialized phase: commit under the coarse database lock,
+    // including the undo/redo-log allocations made while holding it.
+    const Ticks commit = drawTicks(rng, params_.commit_compute_mean,
+                                   params_.commit_compute_sigma);
+    out.push_back(jvm::Action::monitorEnter(state_->db_lock));
+    emitTaskBody(out, rng, params_.alloc, commit, params_.allocs_commit,
+                 /*site=*/4);
+    out.push_back(jvm::Action::monitorExit(state_->db_lock));
+}
+
 std::unique_ptr<jvm::ActionSource>
 SerializedApp::threadSource(std::uint32_t thread_idx, jvm::AppContext &ctx)
 {
     jscale_assert(state_ != nullptr, "setup() must precede threadSource()");
-    return std::make_unique<ClientSource>(
-        state_, params_, thread_idx, ctx.forkThreadRng(thread_idx));
+    return std::make_unique<RequestLoopSource>(
+        *this, state_->pool, thread_idx, ctx.forkThreadRng(thread_idx));
 }
 
 } // namespace jscale::workload

@@ -49,8 +49,8 @@ struct SerializedParams
     Ticks startup_compute = 300 * units::US;
 };
 
-/** The h2-style application model. */
-class SerializedApp : public jvm::ApplicationModel
+/** The h2-style application model; a request is one transaction. */
+class SerializedApp : public WorkloadApp
 {
   public:
     explicit SerializedApp(SerializedParams params);
@@ -61,14 +61,17 @@ class SerializedApp : public jvm::ApplicationModel
     std::unique_ptr<jvm::ActionSource>
     threadSource(std::uint32_t thread_idx, jvm::AppContext &ctx) override;
 
-    const SerializedParams &params() const { return params_; }
+    void setupRequests(jvm::AppContext &ctx) override;
+    void emitStartup(std::vector<jvm::Action> &out, Rng &rng,
+                     std::uint32_t thread_idx) const override;
+    void emitRequest(std::vector<jvm::Action> &out,
+                     Rng &rng) const override;
 
   private:
     struct RunState;
-    class ClientSource;
 
     SerializedParams params_;
-    std::shared_ptr<RunState> state_;
+    std::unique_ptr<RunState> state_;
 };
 
 } // namespace jscale::workload

@@ -1,8 +1,54 @@
 #include "workload/source.hh"
 
 #include <algorithm>
+#include <cmath>
 
 namespace jscale::workload {
+
+bool
+RequestLoopSource::refill(std::vector<jvm::Action> &out)
+{
+    if (!started_) {
+        started_ = true;
+        app_.emitStartup(out, rng_, thread_idx_);
+        return true;
+    }
+    if (pool_.claim(1) == 0)
+        return false;
+    app_.emitRequest(out, rng_);
+    out.push_back(jvm::Action::taskDone());
+    return true;
+}
+
+bool
+SurplusSource::refill(std::vector<jvm::Action> &out)
+{
+    out.push_back(
+        jvm::Action::compute(std::max<Ticks>(startup_compute_ / 2, 1)));
+    for (std::uint32_t i = 0; i < allocs_; ++i) {
+        out.push_back(jvm::Action::allocate(
+            alloc_.drawSize(rng_), alloc_.drawTtl(rng_), /*site=*/5));
+    }
+    return false; // one batch, then End
+}
+
+Ticks
+drawTicks(Rng &rng, Ticks mean, double sigma)
+{
+    return std::max<Ticks>(
+        1, static_cast<Ticks>(rng.logNormal(
+               std::log(static_cast<double>(mean)), sigma)));
+}
+
+void
+emitStartupBatch(std::vector<jvm::Action> &out, Rng &rng,
+                 std::uint32_t thread_idx, Ticks compute, Bytes pinned,
+                 std::uint32_t objects)
+{
+    out.push_back(jvm::Action::compute(std::max<Ticks>(compute, 1)));
+    if (thread_idx == 0)
+        emitPinnedData(out, rng, pinned, objects, /*site=*/1);
+}
 
 void
 emitTaskBody(std::vector<jvm::Action> &out, Rng &rng,

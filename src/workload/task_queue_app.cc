@@ -1,7 +1,6 @@
 #include "workload/task_queue_app.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 
 #include "base/logging.hh"
@@ -29,11 +28,8 @@ struct TaskQueueApp::RunState
 class TaskQueueApp::WorkerSource : public BufferedSource
 {
   public:
-    WorkerSource(std::shared_ptr<RunState> state,
-                 const TaskQueueParams &params, std::uint32_t thread_idx,
-                 Rng rng)
-        : state_(std::move(state)), params_(params),
-          thread_idx_(thread_idx), rng_(rng)
+    WorkerSource(const TaskQueueApp &app, std::uint32_t thread_idx, Rng rng)
+        : app_(app), thread_idx_(thread_idx), rng_(rng)
     {}
 
   protected:
@@ -42,26 +38,13 @@ class TaskQueueApp::WorkerSource : public BufferedSource
     {
         if (!started_) {
             started_ = true;
-            emitStartup(out);
+            app_.emitStartup(out, rng_, thread_idx_);
             return true;
         }
         return emitChunk(out);
     }
 
   private:
-    void
-    emitStartup(std::vector<jvm::Action> &out)
-    {
-        out.push_back(jvm::Action::compute(
-            std::max<Ticks>(params_.startup_compute, 1)));
-        if (thread_idx_ == 0) {
-            emitPinnedData(out, rng_, params_.pinned_shared,
-                           params_.pinned_shared_objects, /*site=*/1);
-        }
-        emitPinnedData(out, rng_, params_.pinned_per_thread,
-                       params_.pinned_thread_objects, /*site=*/2);
-    }
-
     bool
     emitChunk(std::vector<jvm::Action> &out)
     {
@@ -70,91 +53,114 @@ class TaskQueueApp::WorkerSource : public BufferedSource
         // marker ahead of the queue lock is the governor's admission
         // point: a parked thread stops *before* contending for the
         // queue, not while holding it.
-        const std::uint64_t n = state_->pool.claim(state_->chunk_size);
+        RunState &state = *app_.state_;
+        const std::uint64_t n = state.pool.claim(state.chunk_size);
         out.push_back(jvm::Action::taskFetch());
-        out.push_back(jvm::Action::monitorEnter(state_->queue_lock));
-        out.push_back(jvm::Action::compute(
-            std::max<Ticks>(params_.queue_cs, 1)));
-        out.push_back(jvm::Action::monitorExit(state_->queue_lock));
+        app_.emitQueueCs(out);
         if (n == 0)
             return false;
 
-        for (std::uint64_t t = 0; t < n; ++t)
-            emitTask(out);
+        for (std::uint64_t t = 0; t < n; ++t) {
+            app_.emitTask(out, rng_);
+            out.push_back(jvm::Action::taskDone());
+        }
 
         // Per-chunk coordination (phase sync, result merge) over the
         // striped sync structure.
-        for (std::uint32_t s = 0; s < params_.sync_locks_per_chunk; ++s) {
-            const jvm::MonitorId stripe =
-                state_->sync_stripes[rng_.below(
-                    state_->sync_stripes.size())];
-            out.push_back(jvm::Action::monitorEnter(stripe));
-            out.push_back(jvm::Action::compute(
-                std::max<Ticks>(params_.sync_cs, 1)));
-            out.push_back(jvm::Action::monitorExit(stripe));
-        }
+        for (std::uint32_t s = 0; s < app_.params_.sync_locks_per_chunk;
+             ++s)
+            app_.emitSyncStripe(out, rng_);
         return true;
     }
 
-    void
-    emitTask(std::vector<jvm::Action> &out)
-    {
-        const Ticks compute = std::max<Ticks>(
-            1, static_cast<Ticks>(rng_.logNormal(
-                   std::log(static_cast<double>(
-                       params_.task_compute_mean)),
-                   params_.task_compute_sigma)));
-        const std::uint32_t allocs =
-            params_.allocs_per_task == 0
-                ? 0
-                : static_cast<std::uint32_t>(rng_.range(
-                      params_.allocs_per_task / 2,
-                      params_.allocs_per_task + params_.allocs_per_task / 2));
-
-        // First half of the task body.
-        emitTaskBody(out, rng_, params_.alloc, compute / 2, allocs / 2,
-                     /*site=*/3);
-
-        // Shared-resource accesses in the middle of the task.
-        for (auto &res : state_->resources) {
-            double expected = res.spec.accesses_per_task;
-            std::uint32_t accesses =
-                static_cast<std::uint32_t>(expected);
-            expected -= accesses;
-            if (expected > 0.0 && rng_.chance(expected))
-                ++accesses;
-            for (std::uint32_t a = 0; a < accesses; ++a) {
-                const std::size_t stripe =
-                    res.zipf ? res.zipf->sample(rng_)
-                             : (res.spec.stripes > 1
-                                    ? rng_.below(res.spec.stripes)
-                                    : 0);
-                out.push_back(jvm::Action::monitorEnter(
-                    res.stripes[stripe]));
-                for (std::uint32_t k = 0; k < res.spec.allocs_in_cs; ++k) {
-                    out.push_back(jvm::Action::allocate(
-                        params_.alloc.drawSize(rng_),
-                        params_.alloc.drawTtl(rng_), /*site=*/4));
-                }
-                out.push_back(jvm::Action::compute(
-                    std::max<Ticks>(res.spec.cs_compute, 1)));
-                out.push_back(jvm::Action::monitorExit(
-                    res.stripes[stripe]));
-            }
-        }
-
-        // Second half of the task body.
-        emitTaskBody(out, rng_, params_.alloc, compute - compute / 2,
-                     allocs - allocs / 2, /*site=*/3);
-        out.push_back(jvm::Action::taskDone());
-    }
-
-    std::shared_ptr<RunState> state_;
-    const TaskQueueParams &params_;
+    const TaskQueueApp &app_;
     std::uint32_t thread_idx_;
     Rng rng_;
     bool started_ = false;
 };
+
+void
+TaskQueueApp::emitStartup(std::vector<jvm::Action> &out, Rng &rng,
+                          std::uint32_t thread_idx) const
+{
+    emitStartupBatch(out, rng, thread_idx, params_.startup_compute,
+                     params_.pinned_shared, params_.pinned_shared_objects);
+    emitPinnedData(out, rng, params_.pinned_per_thread,
+                   params_.pinned_thread_objects, /*site=*/2);
+}
+
+void
+TaskQueueApp::emitRequest(std::vector<jvm::Action> &out, Rng &rng) const
+{
+    emitQueueCs(out);
+    emitTask(out, rng);
+    emitSyncStripe(out, rng);
+}
+
+void
+TaskQueueApp::emitQueueCs(std::vector<jvm::Action> &out) const
+{
+    out.push_back(jvm::Action::monitorEnter(state_->queue_lock));
+    out.push_back(
+        jvm::Action::compute(std::max<Ticks>(params_.queue_cs, 1)));
+    out.push_back(jvm::Action::monitorExit(state_->queue_lock));
+}
+
+void
+TaskQueueApp::emitTask(std::vector<jvm::Action> &out, Rng &rng) const
+{
+    const Ticks compute = drawTicks(rng, params_.task_compute_mean,
+                                    params_.task_compute_sigma);
+    const std::uint32_t allocs =
+        params_.allocs_per_task == 0
+            ? 0
+            : static_cast<std::uint32_t>(rng.range(
+                  params_.allocs_per_task / 2,
+                  params_.allocs_per_task + params_.allocs_per_task / 2));
+
+    // First half of the task body.
+    emitTaskBody(out, rng, params_.alloc, compute / 2, allocs / 2,
+                 /*site=*/3);
+
+    // Shared-resource accesses in the middle of the task.
+    for (const auto &res : state_->resources) {
+        double expected = res.spec.accesses_per_task;
+        std::uint32_t accesses = static_cast<std::uint32_t>(expected);
+        expected -= accesses;
+        if (expected > 0.0 && rng.chance(expected))
+            ++accesses;
+        for (std::uint32_t a = 0; a < accesses; ++a) {
+            const std::size_t stripe =
+                res.zipf ? res.zipf->sample(rng)
+                         : (res.spec.stripes > 1
+                                ? rng.below(res.spec.stripes)
+                                : 0);
+            out.push_back(jvm::Action::monitorEnter(res.stripes[stripe]));
+            for (std::uint32_t k = 0; k < res.spec.allocs_in_cs; ++k) {
+                out.push_back(jvm::Action::allocate(
+                    params_.alloc.drawSize(rng), params_.alloc.drawTtl(rng),
+                    /*site=*/4));
+            }
+            out.push_back(jvm::Action::compute(
+                std::max<Ticks>(res.spec.cs_compute, 1)));
+            out.push_back(jvm::Action::monitorExit(res.stripes[stripe]));
+        }
+    }
+
+    // Second half of the task body.
+    emitTaskBody(out, rng, params_.alloc, compute - compute / 2,
+                 allocs - allocs / 2, /*site=*/3);
+}
+
+void
+TaskQueueApp::emitSyncStripe(std::vector<jvm::Action> &out, Rng &rng) const
+{
+    const jvm::MonitorId stripe =
+        state_->sync_stripes[rng.below(state_->sync_stripes.size())];
+    out.push_back(jvm::Action::monitorEnter(stripe));
+    out.push_back(jvm::Action::compute(std::max<Ticks>(params_.sync_cs, 1)));
+    out.push_back(jvm::Action::monitorExit(stripe));
+}
 
 TaskQueueApp::TaskQueueApp(TaskQueueParams params)
     : params_(std::move(params))
@@ -169,13 +175,19 @@ TaskQueueApp::~TaskQueueApp() = default;
 void
 TaskQueueApp::setup(jvm::AppContext &ctx)
 {
-    state_ = std::make_shared<RunState>();
+    setupRequests(ctx);
     state_->pool.remaining = params_.total_tasks;
     state_->chunk_size = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(
                static_cast<double>(params_.total_tasks) /
                (params_.chunk_divisor *
                 static_cast<double>(ctx.threadCount()))));
+}
+
+void
+TaskQueueApp::setupRequests(jvm::AppContext &ctx)
+{
+    state_ = std::make_unique<RunState>();
     state_->queue_lock = ctx.createMonitor(params_.name + ".task-queue");
     for (std::uint32_t s = 0; s < std::max<std::uint32_t>(
                                       params_.sync_stripes, 1);
@@ -201,8 +213,8 @@ std::unique_ptr<jvm::ActionSource>
 TaskQueueApp::threadSource(std::uint32_t thread_idx, jvm::AppContext &ctx)
 {
     jscale_assert(state_ != nullptr, "setup() must precede threadSource()");
-    return std::make_unique<WorkerSource>(
-        state_, params_, thread_idx, ctx.forkThreadRng(thread_idx));
+    return std::make_unique<WorkerSource>(*this, thread_idx,
+                                          ctx.forkThreadRng(thread_idx));
 }
 
 } // namespace jscale::workload

@@ -82,8 +82,13 @@ struct TaskQueueParams
     Ticks startup_compute = 200 * units::US;
 };
 
-/** The scalable task-queue application model. */
-class TaskQueueApp : public jvm::ApplicationModel
+/**
+ * The scalable task-queue application model. A request is the
+ * queue critical section, one task and one sync stripe: lock traffic
+ * stays proportional to the work rate, which is the property the
+ * scalability analysis depends on.
+ */
+class TaskQueueApp : public WorkloadApp
 {
   public:
     explicit TaskQueueApp(TaskQueueParams params);
@@ -94,14 +99,25 @@ class TaskQueueApp : public jvm::ApplicationModel
     std::unique_ptr<jvm::ActionSource>
     threadSource(std::uint32_t thread_idx, jvm::AppContext &ctx) override;
 
-    const TaskQueueParams &params() const { return params_; }
+    void setupRequests(jvm::AppContext &ctx) override;
+    void emitStartup(std::vector<jvm::Action> &out, Rng &rng,
+                     std::uint32_t thread_idx) const override;
+    void emitRequest(std::vector<jvm::Action> &out,
+                     Rng &rng) const override;
 
   private:
     struct RunState;
     class WorkerSource;
 
+    /** The shared queue's critical section. */
+    void emitQueueCs(std::vector<jvm::Action> &out) const;
+    /** One task body, shared-resource accesses included, no TaskDone. */
+    void emitTask(std::vector<jvm::Action> &out, Rng &rng) const;
+    /** One critical section on a random sync/merge stripe. */
+    void emitSyncStripe(std::vector<jvm::Action> &out, Rng &rng) const;
+
     TaskQueueParams params_;
-    std::shared_ptr<RunState> state_;
+    std::unique_ptr<RunState> state_;
 };
 
 } // namespace jscale::workload

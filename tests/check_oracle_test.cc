@@ -119,9 +119,9 @@ TEST(Oracle, AttachDisarmsStarvationCheckWhenStealingIsOff)
 
     profile::TaskProfiler profiler;
     check::OracleSuite suite;
-    EXPECT_TRUE(suite.config().starvation);
+    EXPECT_TRUE(suite.starvationArmed());
     suite.attach(vm, profiler);
-    EXPECT_FALSE(suite.config().starvation);
+    EXPECT_FALSE(suite.starvationArmed());
 }
 
 TEST(Oracle, SabotagedEventStreamsAreCaughtAndDiagnosed)

@@ -721,6 +721,14 @@ class SnapshotPolicy : public os::SchedPolicy
     bool
     eligible(const OsThread &, Ticks) const override
     {
+        capture();
+        return true;
+    }
+
+    /** Record every run queue's depth and every core's online bit. */
+    void
+    capture() const
+    {
         const std::size_t n = mach_.cores().size();
         depths.resize(n);
         online.resize(n);
@@ -728,7 +736,6 @@ class SnapshotPolicy : public os::SchedPolicy
             depths[id] = sched_.readyQueueDepth(id);
             online[id] = mach_.core(id).enabled();
         }
-        return true;
     }
 
     const char *policyName() const override { return "snapshot"; }
@@ -768,19 +775,69 @@ referenceVictim(const SnapshotPolicy &snap, const machine::Machine &mach,
     return victim;
 }
 
-/** Checks every stolen dispatch against referenceVictim. */
+/**
+ * Checks every stolen dispatch against referenceVictim, and that no
+ * idle core leaves a victim behind. A burst that ends on an offline
+ * core re-queues its thread on a busy online core and kicks no idle
+ * one, so after such a burst the idle-core check rests until the next
+ * kickAll the probes show: a wake outside a stopped world, or a resume.
+ */
 class StealChecker : public os::SchedulerListener
 {
   public:
     StealChecker(const Scheduler &sched, const machine::Machine &mach,
                  const SnapshotPolicy &snap)
-        : sched_(sched), mach_(mach), snap_(snap)
+        : sched_(sched), mach_(mach), snap_(snap),
+          running_(mach.cores().size(), nullptr)
     {}
 
     void
-    onDispatch(const OsThread &, CoreId core, Ticks, bool stolen,
+    onThreadState(const OsThread &t, ThreadState prev, Ticks) override
+    {
+        if (prev == ThreadState::Running)
+            std::replace(running_.begin(), running_.end(), &t,
+                         static_cast<const OsThread *>(nullptr));
+        if ((prev == ThreadState::Blocked ||
+             prev == ThreadState::Sleeping) &&
+            !sched_.worldStopped())
+            displaced_ = false;
+    }
+
+    void
+    onWorldResumed(std::uint32_t, Ticks) override
+    {
+        displaced_ = false;
+    }
+
+    void
+    onBurstEnd(const OsThread &, CoreId core, Ticks, bool, Ticks) override
+    {
+        displaced_ = displaced_ || !mach_.core(core).enabled();
+    }
+
+    /** Every idle online core has no victim the rule would take. */
+    void
+    expectNoMissedSteal() const
+    {
+        if (displaced_)
+            return;
+        snap_.capture();
+        for (CoreId id = 0; id < running_.size(); ++id) {
+            if (running_[id] != nullptr || !snap_.online[id])
+                continue;
+            ++idle_checks;
+            const auto victim = referenceVictim(snap_, mach_, id);
+            ASSERT_FALSE(victim) << "idle core " << id << " left core "
+                                 << *victim << "'s queue at "
+                                 << snap_.depths[*victim];
+        }
+    }
+
+    void
+    onDispatch(const OsThread &t, CoreId core, Ticks, bool stolen,
                Ticks) override
     {
+        running_[core] = &t;
         if (!stolen)
             return;
         ++steals;
@@ -806,18 +863,25 @@ class StealChecker : public os::SchedulerListener
 
     std::uint64_t steals = 0;
     std::uint64_t remote_steals = 0;
+    /** Idle online cores checked for a missed victim. */
+    mutable std::uint64_t idle_checks = 0;
     CoreId top_victim = 0;
 
   private:
     const Scheduler &sched_;
     const machine::Machine &mach_;
     const SnapshotPolicy &snap_;
+    /** The thread on each core (nullptr = idle). */
+    std::vector<const OsThread *> running_;
+    /** A burst ended on an offline core since the last kickAll. */
+    bool displaced_ = false;
 };
 
 /**
  * Random wakes, blocks, stalls, core offline/online toggles and
  * per-group stop/resume-world, with the scheduler's run-queue index
- * checked after every step and every steal checked against the scan.
+ * checked after every step, every steal checked against the scan and,
+ * while no group is stopped, no idle core left with a victim.
  * Returns the highest core id a thread was stolen from.
  */
 CoreId
@@ -891,10 +955,13 @@ driveRandomly(const machine::MachineConfig &config, std::uint64_t seed,
             break;
         }
         sched.checkInvariants();
+        if (!sched.groupStopped(0) && !sched.groupStopped(1))
+            checker.expectNoMissedSteal();
         if (::testing::Test::HasFatalFailure())
             break;
     }
     EXPECT_EQ(checker.steals, sched.schedStats().steals);
+    EXPECT_GT(checker.idle_checks, 1000u);
     EXPECT_GT(checker.remote_steals, 0u);
     EXPECT_GT(sched.schedStats().displaced_threads, 0u);
     EXPECT_GT(sched.schedStats().forced_stalls, 0u);

@@ -273,6 +273,46 @@ TEST(OpenLoop, SweepByteIdenticalAcrossJobs)
     }
 }
 
+/** FNV-1a 64 digest of @p text. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(OpenLoop, PinnedDigestPerApp)
+{
+    // Every app's served request body is pinned byte for byte: the
+    // stat snapshot and the traffic CSV of one oracle-checked run.
+    ExperimentConfig cfg = fastConfig();
+    cfg.arrivals = "poisson:rate=4000:requests=200";
+    cfg.oracles = true;
+    const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+        {"sunflow", 0x393281d1fde1a144ull},
+        {"lusearch", 0x338a1ccdd578a9f0ull},
+        {"xalan", 0x68787ac28907615aull},
+        {"h2", 0xc2e912b92ee317d8ull},
+        {"eclipse", 0x52faf99c39c454bfull},
+        {"jython", 0x84efc75ac734111aull},
+        {"hotlock", 0xb2adfb0bdd1d3641ull},
+    };
+    for (const auto &[app, digest] : pinned) {
+        ExperimentRunner runner(cfg);
+        const jvm::RunResult r = runner.runApp(app, 4);
+        ASSERT_EQ(r.traffic.completed, 200u) << app;
+        std::ostringstream os;
+        core::runStatSnapshot(r).print(os);
+        core::trafficTable({r}).writeCsv(os);
+        EXPECT_EQ(fnv1a(os.str()), digest)
+            << app << ": 0x" << std::hex << fnv1a(os.str());
+    }
+}
+
 // ---------------------------------------------------------------------
 // Bounded admission queues
 // ---------------------------------------------------------------------
