@@ -2,7 +2,8 @@
  * @file
  * E12 — simulator micro-benchmarks (google-benchmark): throughput of
  * the event queue, the allocation/death path, the monitor fast path, a
- * contended monitor handoff, the scheduler's wake path, a private mutator's burst loop, the timeline
+ * contended monitor handoff, the scheduler's wake path, a private mutator's
+ * burst loop with and without its heap, the timeline
  * encoder and a full simulated application run. These bound the cost of every
  * experiment above and guard against performance regressions in the
  * simulation kernel itself.
@@ -607,6 +608,57 @@ BM_PrivateBurstRun(benchmark::State &state)
         static_cast<std::int64_t>(sim.eventsProcessed()));
 }
 BENCHMARK(BM_PrivateBurstRun);
+
+/** A private thread with no work behind its bursts: what is left of
+ *  BM_PrivateBurstRun is the scheduler's cost per burst. */
+class NopBurstClient : public os::SchedClient
+{
+  public:
+    explicit NopBurstClient(std::uint64_t seed) : rng_(seed) {}
+
+    Ticks
+    planBurst(Ticks, Ticks) override
+    {
+        return 1 + rng_.below(4 * units::US);
+    }
+
+    os::BurstOutcome
+    finishBurst(Ticks, Ticks) override
+    {
+        return os::BurstOutcome::Ready;
+    }
+
+    std::string clientName() const override { return "nop-burst"; }
+
+  private:
+    Rng rng_;
+};
+
+void
+BM_NopBurstRun(benchmark::State &state)
+{
+    // N threads, each alone on one of N cores, with no heap: a burst
+    // ends before the queue head (and runs in place) only when it is
+    // the soonest of the N. An item is one burst.
+    const auto n = static_cast<std::uint32_t>(state.range(0));
+    sim::Simulation sim(1);
+    machine::Machine mach(machine::Machine::amd6168_4p48c());
+    mach.enableCores(n);
+    os::Scheduler sched(sim, mach);
+    std::vector<std::unique_ptr<NopBurstClient>> clients;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        clients.push_back(std::make_unique<NopBurstClient>(i + 1));
+        sched.start(
+            sched.registerThread(clients.back().get(),
+                                 os::ThreadKind::Mutator));
+    }
+    for (auto _ : state)
+        sim.run(sim.now() + 100 * units::US);
+    benchmark::DoNotOptimize(sched.schedStats().dispatches);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(sched.schedStats().dispatches));
+}
+BENCHMARK(BM_NopBurstRun)->Arg(1)->Arg(2)->Arg(48);
 
 void
 BM_FullApplicationRun(benchmark::State &state)

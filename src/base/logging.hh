@@ -38,6 +38,18 @@ concat(Args &&...args)
 }
 
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
+
+/**
+ * Format a panic message and panic. Cold and out of line, so a check's
+ * formatting stays off its caller's hot path and small asserting
+ * accessors inline.
+ */
+template <typename... Args>
+[[noreturn, gnu::cold, gnu::noinline]] void
+panicWith(const char *file, int line, const Args &...args)
+{
+    panicImpl(file, line, concat(args...));
+}
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 void logImpl(LogLevel level, const char *tag, const std::string &msg);
 
@@ -57,8 +69,7 @@ std::ostream *setLogStream(std::ostream *os);
  * that indicate a bug in the simulator itself, never for user error.
  */
 #define jscale_panic(...) \
-    ::jscale::detail::panicImpl(__FILE__, __LINE__, \
-                                ::jscale::detail::concat(__VA_ARGS__))
+    ::jscale::detail::panicWith(__FILE__, __LINE__, __VA_ARGS__)
 
 /**
  * Report an unrecoverable user/configuration error and exit(1). Use when
@@ -69,14 +80,13 @@ std::ostream *setLogStream(std::ostream *os);
                                 ::jscale::detail::concat(__VA_ARGS__))
 
 /** Assert a simulator invariant; panics with the condition text on failure. */
-#define jscale_assert(cond, ...)                                            \
-    do {                                                                    \
-        if (!(cond)) {                                                      \
-            ::jscale::detail::panicImpl(                                    \
-                __FILE__, __LINE__,                                         \
-                ::jscale::detail::concat("assertion '", #cond, "' failed ", \
-                                         ##__VA_ARGS__));                   \
-        }                                                                   \
+#define jscale_assert(cond, ...)                                      \
+    do {                                                              \
+        if (!(cond)) {                                                \
+            ::jscale::detail::panicWith(__FILE__, __LINE__,           \
+                                        "assertion '", #cond,         \
+                                        "' failed ", ##__VA_ARGS__);  \
+        }                                                             \
     } while (0)
 
 /** Emit a warning about questionable but non-fatal conditions. */

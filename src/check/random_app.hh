@@ -58,84 +58,71 @@ class RandomApp : public jvm::ApplicationModel
     std::unique_ptr<jvm::ActionSource>
     threadSource(std::uint32_t idx, jvm::AppContext &) override
     {
-        return std::make_unique<Src>(*this, Rng(seed_ * 977 + idx));
+        return std::make_unique<jvm::ScriptSource>(
+            script(Rng(seed_ * 977 + idx)));
     }
 
   private:
-    class Src : public jvm::ActionSource
+    /**
+     * A balanced random script. Locks are always acquired in ascending
+     * id order (no deadlocks) and released before the next acquisition
+     * round.
+     */
+    std::vector<jvm::Action>
+    script(Rng rng) const
     {
-      public:
-        Src(const RandomApp &app, Rng rng)
-        {
-            using jvm::Action;
-            // Pre-generate a balanced random script. Locks are always
-            // acquired in ascending id order (no deadlocks) and
-            // released before the next acquisition round.
-            for (std::uint32_t t = 0; t < app.tasks_; ++t) {
-                const int shape = static_cast<int>(rng.below(5));
-                switch (shape) {
-                  case 0: // pure compute
-                    script_.push_back(Action::compute(
-                        1 + rng.below(40 * units::US)));
-                    break;
-                  case 1: { // allocation burst
-                    const int n = 1 + static_cast<int>(rng.below(8));
-                    for (int i = 0; i < n; ++i) {
-                        script_.push_back(Action::allocate(
-                            16 + rng.below(2048), rng.below(16384)));
-                    }
-                    break;
-                  }
-                  case 2: { // nested ordered locks around work
-                    const std::size_t first =
-                        rng.below(app.monitors_.size());
-                    const bool two =
-                        rng.chance(0.4) &&
-                        first + 1 < app.monitors_.size();
-                    script_.push_back(
-                        Action::monitorEnter(app.monitors_[first]));
-                    if (two) {
-                        script_.push_back(Action::monitorEnter(
-                            app.monitors_[first + 1]));
-                    }
-                    script_.push_back(Action::compute(
-                        1 + rng.below(4 * units::US)));
-                    if (two) {
-                        script_.push_back(Action::monitorExit(
-                            app.monitors_[first + 1]));
-                    }
-                    script_.push_back(
-                        Action::monitorExit(app.monitors_[first]));
-                    break;
-                  }
-                  case 3: // channel round-trip (bounded: permits return)
-                    script_.push_back(
-                        Action::channelAcquire(app.channel_));
-                    script_.push_back(Action::compute(
-                        1 + rng.below(2 * units::US)));
-                    script_.push_back(Action::channelPost(app.channel_));
-                    break;
-                  default: // pinned data
-                    script_.push_back(Action::allocatePinned(
-                        64 + rng.below(1024)));
-                    break;
+        using jvm::Action;
+        std::vector<Action> script;
+        for (std::uint32_t t = 0; t < tasks_; ++t) {
+            const int shape = static_cast<int>(rng.below(5));
+            switch (shape) {
+              case 0: // pure compute
+                script.push_back(Action::compute(
+                    1 + rng.below(40 * units::US)));
+                break;
+              case 1: { // allocation burst
+                const int n = 1 + static_cast<int>(rng.below(8));
+                for (int i = 0; i < n; ++i) {
+                    // TTL first: the draw order of every recorded case.
+                    const Bytes ttl = rng.below(16384);
+                    const Bytes size = 16 + rng.below(2048);
+                    script.push_back(Action::allocate(size, ttl));
                 }
-                script_.push_back(Action::taskDone());
+                break;
+              }
+              case 2: { // nested ordered locks around work
+                const std::size_t first = rng.below(monitors_.size());
+                const bool two =
+                    rng.chance(0.4) && first + 1 < monitors_.size();
+                script.push_back(Action::monitorEnter(monitors_[first]));
+                if (two) {
+                    script.push_back(Action::monitorEnter(
+                        monitors_[first + 1]));
+                }
+                script.push_back(Action::compute(
+                    1 + rng.below(4 * units::US)));
+                if (two) {
+                    script.push_back(Action::monitorExit(
+                        monitors_[first + 1]));
+                }
+                script.push_back(Action::monitorExit(monitors_[first]));
+                break;
+              }
+              case 3: // channel round-trip (bounded: permits return)
+                script.push_back(Action::channelAcquire(channel_));
+                script.push_back(Action::compute(
+                    1 + rng.below(2 * units::US)));
+                script.push_back(Action::channelPost(channel_));
+                break;
+              default: // pinned data
+                script.push_back(
+                    Action::allocatePinned(64 + rng.below(1024)));
+                break;
             }
-            script_.push_back(Action::end());
+            script.push_back(Action::taskDone());
         }
-
-        const jvm::Action &
-        next() override
-        {
-            return script_[pos_ < script_.size() ? pos_++
-                                                 : script_.size() - 1];
-        }
-
-      private:
-        std::vector<jvm::Action> script_;
-        std::size_t pos_ = 0;
-    };
+        return script;
+    }
 
     std::uint64_t seed_;
     std::uint32_t n_monitors_;

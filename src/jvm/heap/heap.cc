@@ -30,8 +30,7 @@ gcKindName(GcKind k)
 
 Heap::Heap(const HeapConfig &config, std::uint32_t n_mutators,
            const ListenerChain *listeners)
-    : config_(config), n_mutators_(n_mutators), listeners_(listeners),
-      ledger_(n_mutators)
+    : config_(config), n_mutators_(n_mutators), listeners_(listeners)
 {
     jscale_assert(n_mutators >= 1, "heap requires at least one mutator");
     jscale_assert(config.capacity >= 1 * units::MiB,
@@ -54,6 +53,8 @@ Heap::Heap(const HeapConfig &config, std::uint32_t n_mutators,
         config.compartmentalized ? n_mutators : 1;
     eden_used_.assign(compartments, 0);
     eden_objects_.resize(compartments);
+    eden_dead_.resize(compartments);
+    updateEdenLimit();
 
     tlab_remaining_.assign(n_mutators, 0);
     owner_alloc_bytes_.assign(n_mutators, 0);
@@ -80,8 +81,8 @@ Heap::compartmentUsed(MutatorIndex owner) const
     return eden_used_[compartmentOf(owner)];
 }
 
-Bytes
-Heap::effectiveCompartmentCapacity() const
+void
+Heap::updateEdenLimit()
 {
     const Bytes cap = compartmentCapacity();
     const Bytes per_comp =
@@ -89,7 +90,7 @@ Heap::effectiveCompartmentCapacity() const
     // Never squeeze a compartment below a quarter of its capacity: the
     // spike degrades throughput (more frequent GCs), it must not starve
     // allocation entirely.
-    return cap - std::min(per_comp, cap - cap / 4);
+    eden_limit_ = cap - std::min(per_comp, cap - cap / 4);
 }
 
 Bytes
@@ -119,8 +120,7 @@ Heap::allocate(MutatorIndex owner, Bytes size, Bytes ttl_owner_bytes,
         // the old TLAB).
         if (size > tlab_remaining_[owner]) {
             const Bytes reserve = std::max(config_.tlab_size, size);
-            if (eden_used_[comp] + reserve >
-                effectiveCompartmentCapacity())
+            if (eden_used_[comp] + reserve > eden_limit_)
                 return AllocStatus::NeedsGc;
             stats_.tlab_waste += tlab_remaining_[owner];
             ++stats_.tlab_refills;
@@ -130,7 +130,7 @@ Heap::allocate(MutatorIndex owner, Bytes size, Bytes ttl_owner_bytes,
         }
         tlab_remaining_[owner] -= size;
     } else {
-        if (eden_used_[comp] + size > effectiveCompartmentCapacity())
+        if (eden_used_[comp] + size > eden_limit_)
             return AllocStatus::NeedsGc;
         eden_used_[comp] += size;
         eden_used_total_ += size;
@@ -153,7 +153,7 @@ Heap::allocate(MutatorIndex owner, Bytes size, Bytes ttl_owner_bytes,
         ledger_.alloc(id, owner, site, size, global_alloc_bytes_, now,
                       death_owner, pinned);
 
-    eden_objects_[comp].push_back(h);
+    eden_objects_[comp].push_back(ObjectLedger::Ref{h, id});
     if (!pinned) {
         DeathQueue &q = death_queues_[owner];
         std::vector<DeathEntry> &tier =
@@ -193,6 +193,14 @@ Heap::killObject(ObjectHandle h, Bytes global_at_death, Ticks now)
         const ObjectRecord r = ledger_.view(h);
         listeners_->dispatch(
             [&](RuntimeListener &l) { l.onObjectDeath(r, lifespan, now); });
+    }
+    if (ledger_.region(h) == Region::Eden) {
+        // Nothing reads a dead eden object again: free its slot now and
+        // let its compartment's tally stand in for it at the next scan.
+        EdenDead &d = eden_dead_[compartmentOf(ledger_.owner(h))];
+        ++d.objects;
+        d.bytes += size;
+        ledger_.free(h);
     }
 }
 
@@ -245,44 +253,45 @@ Heap::processDeaths(MutatorIndex owner, Ticks now)
     }
     owner_prev_clock_[owner] = clock;
     owner_prev_global_[owner] = global_alloc_bytes_;
-    // TTL deaths leave stale pairs on the owner's roster; compact once
-    // they dominate so thread-exit sweeps stay linear in live objects.
-    ledger_.maybeCompactRoster(owner);
 }
 
 void
 Heap::killThreadObjects(MutatorIndex owner, Ticks now)
 {
     jscale_assert(owner < n_mutators_, "owner index out of range");
-    // One linear sweep over the owner's roster, in allocation order
-    // (matching the old intrusive-list walk): stale pairs are skipped,
-    // live objects are killed in place, and the roster is rebuilt with
-    // just the pinned survivors (they die at VM shutdown via
-    // killAllRemaining).
-    std::vector<ObjectLedger::RosterEntry> survivors;
-    for (const ObjectLedger::RosterEntry &e : ledger_.roster(owner)) {
-        if (!ledger_.rosterMatches(e))
-            continue;
-        if (ledger_.pinned(e.handle)) {
-            survivors.push_back(e);
-            continue;
-        }
+    // The owner's death queue names each of its live unpinned objects
+    // once (pinned ones die at VM shutdown via killAllRemaining). They
+    // die in id order, which is their allocation order; a tier pushed
+    // in that order already is one, and needs no sort.
+    DeathQueue &q = death_queues_[owner];
+    std::vector<DeathEntry> &doomed = q.far;
+    doomed.insert(doomed.end(), q.near.begin(), q.near.end());
+    q.near.clear();
+    const auto by_id = [](const DeathEntry &a, const DeathEntry &b) {
+        return a.id < b.id;
+    };
+    if (!std::is_sorted(doomed.begin(), doomed.end(), by_id))
+        std::sort(doomed.begin(), doomed.end(), by_id);
+    for (const DeathEntry &e : doomed)
         killObject(e.handle, global_alloc_bytes_, now);
-    }
-    ledger_.replaceRoster(owner, std::move(survivors));
+    doomed.clear();
 }
 
 void
 Heap::killAllRemaining(Ticks now)
 {
+    for (const auto &list : eden_objects_) {
+        for (const ObjectLedger::Ref &r : list) {
+            if (ledger_.holds(r))
+                killObject(r.handle, global_alloc_bytes_, now);
+        }
+    }
     auto kill_all = [&](std::vector<ObjectHandle> &list) {
         for (const ObjectHandle h : list) {
             if (ledger_.id(h) != 0 && !ledger_.dead(h))
                 killObject(h, global_alloc_bytes_, now);
         }
     };
-    for (auto &list : eden_objects_)
-        kill_all(list);
     kill_all(survivor_objects_);
     kill_all(old_objects_);
 }
@@ -295,58 +304,64 @@ Heap::collectMinor(Ticks now, std::int32_t compartment)
     std::vector<ObjectHandle> new_survivor;
     Bytes new_survivor_bytes = 0;
 
-    auto scan = [&](std::vector<ObjectHandle> &list) {
-        for (const ObjectHandle h : list) {
-            const Bytes size = ledger_.size(h);
-            ++w.scanned_objects;
-            w.scanned_bytes += size;
-            if (ledger_.dead(h)) {
-                w.reclaimed_bytes += size;
-                ledger_.free(h);
-                continue;
-            }
-            ledger_.bumpAge(h);
-            const std::uint8_t age = ledger_.age(h);
-            const bool pinned = ledger_.pinned(h);
-            const bool overflow =
-                new_survivor_bytes + size > survivor_capacity_;
-            const bool promote =
-                pinned || age >= config_.tenure_threshold || overflow;
-            if (promote) {
-                if (overflow && !pinned &&
-                    age < config_.tenure_threshold) {
-                    w.survivor_overflow = true;
-                }
-                ledger_.setRegion(h, Region::Old);
-                old_objects_.push_back(h);
-                old_used_ += size;
-                w.promoted_bytes += size;
-            } else {
-                ledger_.setRegion(h, Region::Survivor);
-                new_survivor.push_back(h);
-                new_survivor_bytes += size;
-                w.copied_bytes += size;
-            }
+    auto scan_one = [&](ObjectHandle h) {
+        const Bytes size = ledger_.size(h);
+        ++w.scanned_objects;
+        w.scanned_bytes += size;
+        if (ledger_.dead(h)) {
+            w.reclaimed_bytes += size;
+            ledger_.free(h);
+            return;
         }
-        list.clear();
+        ledger_.bumpAge(h);
+        const std::uint8_t age = ledger_.age(h);
+        const bool pinned = ledger_.pinned(h);
+        const bool overflow =
+            new_survivor_bytes + size > survivor_capacity_;
+        const bool promote =
+            pinned || age >= config_.tenure_threshold || overflow;
+        if (promote) {
+            if (overflow && !pinned &&
+                age < config_.tenure_threshold) {
+                w.survivor_overflow = true;
+            }
+            ledger_.setRegion(h, Region::Old);
+            old_objects_.push_back(h);
+            old_used_ += size;
+            w.promoted_bytes += size;
+        } else {
+            ledger_.setRegion(h, Region::Survivor);
+            new_survivor.push_back(h);
+            new_survivor_bytes += size;
+            w.copied_bytes += size;
+        }
+    };
+    auto scan_eden = [&](std::size_t c) {
+        for (const ObjectLedger::Ref &r : eden_objects_[c]) {
+            if (ledger_.holds(r))
+                scan_one(r.handle);
+        }
+        eden_objects_[c].clear();
+        const EdenDead dead = takeEdenDead(c);
+        w.scanned_objects += dead.objects;
+        w.scanned_bytes += dead.bytes;
+        w.reclaimed_bytes += dead.bytes;
+        eden_used_total_ -= eden_used_[c];
+        eden_used_[c] = 0;
     };
 
-    scan(survivor_objects_);
+    for (const ObjectHandle h : survivor_objects_)
+        scan_one(h);
     if (compartment >= 0) {
         jscale_assert(config_.compartmentalized,
                       "compartment GC on a non-compartmentalized heap");
         jscale_assert(static_cast<std::size_t>(compartment) <
                           eden_objects_.size(),
                       "compartment index out of range");
-        scan(eden_objects_[compartment]);
-        eden_used_total_ -= eden_used_[compartment];
-        eden_used_[compartment] = 0;
+        scan_eden(static_cast<std::size_t>(compartment));
     } else {
-        for (std::size_t c = 0; c < eden_objects_.size(); ++c) {
-            scan(eden_objects_[c]);
-            eden_used_[c] = 0;
-        }
-        eden_used_total_ = 0;
+        for (std::size_t c = 0; c < eden_objects_.size(); ++c)
+            scan_eden(c);
     }
 
     survivor_objects_ = std::move(new_survivor);
@@ -363,54 +378,40 @@ Heap::collectMinor(Ticks now, std::int32_t compartment)
 FullWork
 Heap::collectFull(Ticks now)
 {
-    (void)now;
-    FullWork w;
-
-    // Sweep and compact the old generation.
-    std::vector<ObjectHandle> new_old;
-    new_old.reserve(old_objects_.size());
-    Bytes live = 0;
-    for (const ObjectHandle h : old_objects_) {
+    // Sweep and compact the old generation, then evacuate the entire
+    // nursery into it.
+    FullWork w = sweepOld(now);
+    auto evacuate = [&](ObjectHandle h) {
         ++w.scanned_objects;
         const Bytes size = ledger_.size(h);
         if (ledger_.dead(h)) {
             w.reclaimed_bytes += size;
             ledger_.free(h);
-            continue;
+            return;
         }
-        new_old.push_back(h);
-        live += size;
-    }
-
-    // Evacuate the entire nursery into the old generation.
-    auto evacuate = [&](std::vector<ObjectHandle> &list) {
-        for (const ObjectHandle h : list) {
-            ++w.scanned_objects;
-            const Bytes size = ledger_.size(h);
-            if (ledger_.dead(h)) {
-                w.reclaimed_bytes += size;
-                ledger_.free(h);
-                continue;
-            }
-            ledger_.setRegion(h, Region::Old);
-            new_old.push_back(h);
-            live += size;
-        }
-        list.clear();
+        ledger_.setRegion(h, Region::Old);
+        old_objects_.push_back(h);
+        w.live_bytes += size;
     };
-    evacuate(survivor_objects_);
+    for (const ObjectHandle h : survivor_objects_)
+        evacuate(h);
+    survivor_objects_.clear();
     for (std::size_t c = 0; c < eden_objects_.size(); ++c) {
-        evacuate(eden_objects_[c]);
+        for (const ObjectLedger::Ref &r : eden_objects_[c]) {
+            if (ledger_.holds(r))
+                evacuate(r.handle);
+        }
+        eden_objects_[c].clear();
+        const EdenDead dead = takeEdenDead(c);
+        w.scanned_objects += dead.objects;
+        w.reclaimed_bytes += dead.bytes;
         eden_used_[c] = 0;
     }
     eden_used_total_ = 0;
     survivor_used_ = 0;
-
-    old_objects_ = std::move(new_old);
-    old_used_ = live;
+    old_used_ = w.live_bytes;
     for (auto &t : tlab_remaining_)
         t = 0;
-    w.live_bytes = live;
     return w;
 }
 
@@ -422,17 +423,15 @@ Heap::collectCompartment(MutatorIndex owner, Ticks now)
                   "collectCompartment on a shared heap");
     MinorWork w;
     const std::size_t comp = compartmentOf(owner);
-    std::vector<ObjectHandle> retained;
+    std::vector<ObjectLedger::Ref> retained;
     Bytes retained_bytes = 0;
-    for (const ObjectHandle h : eden_objects_[comp]) {
+    for (const ObjectLedger::Ref &r : eden_objects_[comp]) {
+        if (!ledger_.holds(r))
+            continue; // died here: counted by the tally below
+        const ObjectHandle h = r.handle;
         const Bytes size = ledger_.size(h);
         ++w.scanned_objects;
         w.scanned_bytes += size;
-        if (ledger_.dead(h)) {
-            w.reclaimed_bytes += size;
-            ledger_.free(h);
-            continue;
-        }
         ledger_.bumpAge(h);
         if (ledger_.pinned(h) ||
             ledger_.age(h) >= config_.tenure_threshold) {
@@ -442,12 +441,16 @@ Heap::collectCompartment(MutatorIndex owner, Ticks now)
             w.promoted_bytes += size;
         } else {
             // In-place compaction: the object stays in its compartment.
-            retained.push_back(h);
+            retained.push_back(r);
             retained_bytes += size;
             w.copied_bytes += size;
         }
     }
     eden_objects_[comp] = std::move(retained);
+    const EdenDead dead = takeEdenDead(comp);
+    w.scanned_objects += dead.objects;
+    w.scanned_bytes += dead.bytes;
+    w.reclaimed_bytes += dead.bytes;
     eden_used_total_ -= eden_used_[comp] - retained_bytes;
     eden_used_[comp] = retained_bytes;
     w.needs_full = oldGenPressure();
@@ -492,35 +495,49 @@ Heap::checkInvariants() const
     Bytes old_resident = 0;
     Bytes eden_resident = 0;
     std::uint64_t live_unpinned = 0;
-    auto walk = [&](const std::vector<ObjectHandle> &list, Region region) {
-        for (const ObjectHandle h : list) {
-            if (ledger_.id(h) == 0)
-                continue; // freed slot awaiting removal by GC
-            const Bytes size = ledger_.size(h);
-            jscale_assert(ledger_.region(h) == region, "object ",
-                          ledger_.id(h), " in wrong region list");
-            if (!ledger_.dead(h)) {
-                live += size;
-                ++live_count;
-                live_unpinned += ledger_.pinned(h) ? 0 : 1;
-            }
-            switch (region) {
-              case Region::Eden:
-                eden_resident += size;
-                break;
-              case Region::Survivor:
-                survivor_resident += size;
-                break;
-              case Region::Old:
-                old_resident += size;
-                break;
-            }
+    auto walk = [&](ObjectHandle h, Region region) {
+        const Bytes size = ledger_.size(h);
+        jscale_assert(ledger_.region(h) == region, "object ",
+                      ledger_.id(h), " in wrong region list");
+        if (!ledger_.dead(h)) {
+            live += size;
+            ++live_count;
+            live_unpinned += ledger_.pinned(h) ? 0 : 1;
+        }
+        switch (region) {
+          case Region::Eden:
+            eden_resident += size;
+            break;
+          case Region::Survivor:
+            survivor_resident += size;
+            break;
+          case Region::Old:
+            old_resident += size;
+            break;
         }
     };
-    for (const auto &list : eden_objects_)
-        walk(list, Region::Eden);
-    walk(survivor_objects_, Region::Survivor);
-    walk(old_objects_, Region::Old);
+    // An eden list's stale Refs are exactly its compartment's dead, and
+    // their bytes still fill the compartment until it is collected.
+    for (std::size_t c = 0; c < eden_objects_.size(); ++c) {
+        std::uint64_t stale = 0;
+        for (const ObjectLedger::Ref &r : eden_objects_[c]) {
+            if (!ledger_.holds(r)) {
+                ++stale;
+                continue;
+            }
+            jscale_assert(!ledger_.dead(r.handle), "object ", r.id,
+                          " died in eden but kept its slot");
+            walk(r.handle, Region::Eden);
+        }
+        jscale_assert(stale == eden_dead_[c].objects, "eden compartment ",
+                      c, " has ", stale, " stale entries but ",
+                      eden_dead_[c].objects, " dead counted");
+        eden_resident += eden_dead_[c].bytes;
+    }
+    for (const ObjectHandle h : survivor_objects_)
+        walk(h, Region::Survivor);
+    for (const ObjectHandle h : old_objects_)
+        walk(h, Region::Old);
     jscale_assert(live == live_bytes_, "live bytes mismatch: lists ",
                   live, " vs counter ", live_bytes_);
     jscale_assert(live_count == live_objects_,
@@ -536,28 +553,6 @@ Heap::checkInvariants() const
         eden_total += used;
     jscale_assert(eden_total == eden_used_total_,
                   "eden usage mismatch");
-    // Every live object must appear exactly once (by matching id) on
-    // its owner's roster, and the roster live census must agree.
-    std::uint64_t owner_listed = 0;
-    for (MutatorIndex owner = 0; owner < n_mutators_; ++owner) {
-        std::uint64_t matched = 0;
-        for (const ObjectLedger::RosterEntry &e : ledger_.roster(owner)) {
-            if (!ledger_.rosterMatches(e))
-                continue; // stale pair: slot died or was reused
-            jscale_assert(ledger_.owner(e.handle) == owner, "object ",
-                          e.id, " on wrong owner roster");
-            ++matched;
-        }
-        jscale_assert(matched == ledger_.rosterLive(owner),
-                      "roster live census mismatch for owner ", owner,
-                      ": ", matched, " matched vs ",
-                      ledger_.rosterLive(owner), " counted");
-        owner_listed += matched;
-    }
-    jscale_assert(owner_listed == live_objects_,
-                  "owner rosters disagree with live object count: ",
-                  owner_listed, " listed vs ", live_objects_);
-
     // Death-queue consistency: every live, unpinned object has exactly
     // one entry in its owner's tiers, at its death threshold, which lies
     // ahead of the owner's clock (the last death pass popped every due
@@ -629,6 +624,7 @@ Heap::resizeYoung(double young_fraction)
     eden_capacity_ = new_eden;
     survivor_capacity_ = new_survivor;
     old_capacity_ = new_old;
+    updateEdenLimit();
     ++resize_count_;
     return true;
 }

@@ -25,6 +25,7 @@
 #define JSCALE_JVM_HEAP_HEAP_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "base/units.hh"
@@ -162,7 +163,7 @@ class Heap
      * Compartment capacity minus the external-pressure reservation —
      * what allocation checks actually test against.
      */
-    Bytes effectiveCompartmentCapacity() const;
+    Bytes effectiveCompartmentCapacity() const { return eden_limit_; }
     /** @} */
 
     /** @name Fault injection: external heap pressure */
@@ -174,7 +175,12 @@ class Heap
      * degrades instead of livelocking, and OutOfMemory checks ignore it
      * (a transient spike must never be fatal). Pass 0 to recover.
      */
-    void setExternalPressure(Bytes bytes) { external_pressure_ = bytes; }
+    void
+    setExternalPressure(Bytes bytes)
+    {
+        external_pressure_ = bytes;
+        updateEdenLimit();
+    }
     /** @} */
 
     /**
@@ -205,6 +211,9 @@ class Heap
 
     /** Number of live objects. */
     std::uint64_t liveObjects() const;
+
+    /** Object ledger slots, free ones included (its footprint). */
+    std::size_t ledgerSlots() const { return ledger_.slots(); }
 
     /** Run statistics, including the lifespan histogram. */
     const HeapStats &heapStats() const { return stats_; }
@@ -267,6 +276,25 @@ class Heap
     /** Eden compartment index for an owner. */
     std::size_t compartmentOf(MutatorIndex owner) const;
 
+    /** Recompute eden_limit_ after a geometry or pressure change. */
+    void updateEdenLimit();
+
+    /** Objects that died in an eden compartment since it was last
+     *  collected; their slots are already free. */
+    struct EdenDead
+    {
+        std::uint64_t objects = 0;
+        Bytes bytes = 0;
+    };
+
+    /** Take compartment @p c's dead for a collection that reclaims
+     *  them, resetting its tally. */
+    EdenDead
+    takeEdenDead(std::size_t c)
+    {
+        return std::exchange(eden_dead_[c], EdenDead{});
+    }
+
     HeapConfig config_;
     std::uint32_t n_mutators_;
     const ListenerChain *listeners_;
@@ -281,14 +309,20 @@ class Heap
     Bytes eden_used_total_ = 0;
     /** Fault-injected eden reservation (heap-pressure spike). */
     Bytes external_pressure_ = 0;
+    /** effectiveCompartmentCapacity(), kept current. */
+    Bytes eden_limit_ = 0;
     Bytes survivor_used_ = 0;
     /** Old usage includes dead-but-uncompacted bytes until a full GC. */
     Bytes old_used_ = 0;
 
-    /** Columnar per-object bookkeeping + per-owner rosters. */
+    /** Columnar per-object bookkeeping. */
     ObjectLedger ledger_;
-    /** Eden object lists, one per compartment. */
-    std::vector<std::vector<ObjectHandle>> eden_objects_;
+    /** Eden object lists, one per compartment, in allocation order. An
+     *  object that dies in eden frees its slot at once and leaves a
+     *  stale Ref here until the next collection of its compartment. */
+    std::vector<std::vector<ObjectLedger::Ref>> eden_objects_;
+    /** Dead tally per compartment: the objects behind its stale Refs. */
+    std::vector<EdenDead> eden_dead_;
     std::vector<ObjectHandle> survivor_objects_;
     std::vector<ObjectHandle> old_objects_;
 

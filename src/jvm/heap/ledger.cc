@@ -2,51 +2,20 @@
 
 namespace jscale::jvm {
 
-ObjectLedger::ObjectLedger(std::uint32_t n_owners)
-    : rosters_(n_owners), roster_live_(n_owners, 0)
-{}
-
 ObjectHandle
-ObjectLedger::alloc(ObjectId id, MutatorIndex owner, AllocSiteId site,
-                    Bytes size, Bytes birth_global, Ticks birth_time,
-                    Bytes death_owner, bool pinned)
+ObjectLedger::grow()
 {
-    ObjectHandle h;
-    if (!free_list_.empty()) {
-        h = free_list_.back();
-        free_list_.pop_back();
-    } else {
-        h = static_cast<ObjectHandle>(ids_.size());
-        ids_.emplace_back();
-        owners_.emplace_back();
-        sites_.emplace_back();
-        sizes_.emplace_back();
-        birth_global_.emplace_back();
-        birth_time_.emplace_back();
-        death_owner_.emplace_back();
-        age_.emplace_back();
-        meta_.emplace_back();
-    }
-    ids_[h] = id;
-    owners_[h] = owner;
-    sites_[h] = site;
-    sizes_[h] = size;
-    birth_global_[h] = birth_global;
-    birth_time_[h] = birth_time;
-    death_owner_[h] = death_owner;
-    age_[h] = 0;
-    meta_[h] = static_cast<std::uint8_t>(Region::Eden) |
-               (pinned ? kPinnedBit : std::uint8_t{0});
-    rosters_[owner].push_back(RosterEntry{h, id});
-    ++roster_live_[owner];
+    const auto h = static_cast<ObjectHandle>(ids_.size());
+    ids_.emplace_back();
+    owners_.emplace_back();
+    sites_.emplace_back();
+    sizes_.emplace_back();
+    birth_global_.emplace_back();
+    birth_time_.emplace_back();
+    death_owner_.emplace_back();
+    age_.emplace_back();
+    meta_.emplace_back();
     return h;
-}
-
-void
-ObjectLedger::free(ObjectHandle h)
-{
-    ids_[h] = 0; // invalidates any roster or death-queue reference
-    free_list_.push_back(h);
 }
 
 ObjectRecord
@@ -65,23 +34,6 @@ ObjectLedger::view(ObjectHandle h) const
     r.dead = dead(h);
     r.pinned = pinned(h);
     return r;
-}
-
-void
-ObjectLedger::maybeCompactRoster(MutatorIndex owner)
-{
-    std::vector<RosterEntry> &roster = rosters_[owner];
-    // Compact only once stale pairs outnumber live ones and the roster
-    // is big enough for the rewrite to matter — keeps the amortized
-    // cost of compaction O(1) per death.
-    if (roster.size() <= 64 || roster.size() <= 2 * roster_live_[owner])
-        return;
-    std::size_t out = 0;
-    for (const RosterEntry &e : roster) {
-        if (rosterMatches(e))
-            roster[out++] = e;
-    }
-    roster.resize(out);
 }
 
 } // namespace jscale::jvm

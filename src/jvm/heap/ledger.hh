@@ -9,14 +9,14 @@
  * the few narrow columns they need instead of pulling a 64-byte record
  * per object through the cache.
  *
- * Membership replaces the old intrusive per-owner linked lists with
- * per-owner *rosters*: append-only vectors of (handle, id) pairs in
- * allocation order. Death no longer performs list surgery (three random
- * pointer writes per kill); it just sets the dead bit. Rosters tolerate
- * stale entries — an (handle, id) pair whose slot died or was reused no
- * longer matches the ids column and is skipped — and are compacted
- * lazily once stale entries dominate, so batched kills degrade into one
- * linear sweep over densely packed pairs.
+ * Slots are recycled through a free list. An object that dies in eden
+ * frees its slot at once, so the ledger stays as large as the live set
+ * rather than everything allocated since the last collection; lists
+ * that may outlive a slot (eden lists, death queues) hold a Ref, the
+ * (handle, id) pair that reads as stale once the slot is freed or
+ * reused. Survivor and old objects keep their slot, marked by the dead
+ * bit, until a collection sweeps them. No per-owner membership is
+ * kept: an owner's death queue names every object it can still kill.
  *
  * The AoS ObjectRecord survives as a *materialized view* (view()) built
  * only when listener probes need a record-shaped snapshot.
@@ -37,26 +37,48 @@ namespace jscale::jvm {
 class ObjectLedger
 {
   public:
-    /** One per-owner roster membership: handle plus the id that guards
-     *  against slot reuse (the pair is stale once they disagree). */
-    struct RosterEntry
+    /** A handle plus the id that guards against slot reuse (the pair
+     *  is stale once they disagree). */
+    struct Ref
     {
         ObjectHandle handle;
         ObjectId id;
     };
 
-    explicit ObjectLedger(std::uint32_t n_owners);
+    /** Create an object, reusing a free slot when available. Returns
+     *  its handle. */
+    ObjectHandle
+    alloc(ObjectId id, MutatorIndex owner, AllocSiteId site, Bytes size,
+          Bytes birth_global, Ticks birth_time, Bytes death_owner,
+          bool pinned)
+    {
+        ObjectHandle h;
+        if (free_list_.empty()) {
+            h = grow();
+        } else {
+            h = free_list_.back();
+            free_list_.pop_back();
+        }
+        ids_[h] = id;
+        owners_[h] = owner;
+        sites_[h] = site;
+        sizes_[h] = size;
+        birth_global_[h] = birth_global;
+        birth_time_[h] = birth_time;
+        death_owner_[h] = death_owner;
+        age_[h] = 0;
+        meta_[h] = static_cast<std::uint8_t>(Region::Eden) |
+                   (pinned ? kPinnedBit : std::uint8_t{0});
+        return h;
+    }
 
-    /**
-     * Create an object, reusing a free slot when available, and append
-     * it to its owner's roster. Returns its handle.
-     */
-    ObjectHandle alloc(ObjectId id, MutatorIndex owner, AllocSiteId site,
-                       Bytes size, Bytes birth_global, Ticks birth_time,
-                       Bytes death_owner, bool pinned);
-
-    /** Reclaim a slot (GC swept the dead object); id 0 marks it free. */
-    void free(ObjectHandle h);
+    /** Reclaim a dead object's slot; id 0 marks it free. */
+    void
+    free(ObjectHandle h)
+    {
+        ids_[h] = 0; // invalidates every Ref to the slot
+        free_list_.push_back(h);
+    }
 
     /** @name Column accessors */
     /** @{ */
@@ -82,59 +104,21 @@ class ObjectLedger
     bool pinned(ObjectHandle h) const { return meta_[h] & kPinnedBit; }
     /** @} */
 
-    /** Set the dead bit and retire the object from its owner's live
-     *  census (the roster entry itself goes stale, no surgery). */
-    void
-    markDead(ObjectHandle h)
-    {
-        meta_[h] |= kDeadBit;
-        --roster_live_[owners_[h]];
-    }
+    void markDead(ObjectHandle h) { meta_[h] |= kDeadBit; }
+
+    /** Whether @p r still names the object it was taken for. */
+    bool holds(const Ref &r) const { return ids_[r.handle] == r.id; }
 
     /** Materialize a record-shaped snapshot for listener probes. */
     ObjectRecord view(ObjectHandle h) const;
-
-    /** @name Rosters */
-    /** @{ */
-    const std::vector<RosterEntry> &
-    roster(MutatorIndex owner) const
-    {
-        return rosters_[owner];
-    }
-
-    /** Live objects currently credited to @p owner. */
-    std::uint64_t
-    rosterLive(MutatorIndex owner) const
-    {
-        return roster_live_[owner];
-    }
-
-    /** True when the entry still names a live object (not stale). */
-    bool
-    rosterMatches(const RosterEntry &e) const
-    {
-        return ids_[e.handle] == e.id && !dead(e.handle);
-    }
-
-    /**
-     * Replace @p owner's roster wholesale (thread-exit sweeps rebuild
-     * the roster from its pinned survivors). Does not touch the live
-     * census — the caller already retired the dead via markDead().
-     */
-    void
-    replaceRoster(MutatorIndex owner, std::vector<RosterEntry> entries)
-    {
-        rosters_[owner] = std::move(entries);
-    }
-
-    /** Drop stale roster entries once they dominate the live ones. */
-    void maybeCompactRoster(MutatorIndex owner);
-    /** @} */
 
     /** Total slots ever created (free-listed ones included). */
     std::size_t slots() const { return ids_.size(); }
 
   private:
+    /** Append a slot to every column; returns its handle. */
+    ObjectHandle grow();
+
     static constexpr std::uint8_t kRegionMask = 0x03;
     static constexpr std::uint8_t kDeadBit = 0x04;
     static constexpr std::uint8_t kPinnedBit = 0x08;
@@ -150,9 +134,6 @@ class ObjectLedger
     /** Packed region (2 bits) | dead | pinned. */
     std::vector<std::uint8_t> meta_;
     std::vector<ObjectHandle> free_list_;
-
-    std::vector<std::vector<RosterEntry>> rosters_;
-    std::vector<std::uint64_t> roster_live_;
 };
 
 } // namespace jscale::jvm

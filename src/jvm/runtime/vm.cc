@@ -55,13 +55,6 @@ JavaVm::JavaVm(sim::Simulation &sim, machine::Machine &mach,
 
 JavaVm::~JavaVm() = default;
 
-Heap &
-JavaVm::heap()
-{
-    jscale_assert(heap_ != nullptr, "heap only exists once run() started");
-    return *heap_;
-}
-
 MonitorTable &
 JavaVm::monitors()
 {

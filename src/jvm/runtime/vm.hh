@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/units.hh"
 #include "jvm/gc/adaptive.hh"
 #include "jvm/gc/concurrent.hh"
@@ -431,7 +432,13 @@ class JavaVm
 
     /** @name Component access (valid during and after run) */
     /** @{ */
-    Heap &heap();
+    Heap &
+    heap()
+    {
+        jscale_assert(heap_ != nullptr,
+                      "heap only exists once run() started");
+        return *heap_;
+    }
     MonitorTable &monitors();
     const VmConfig &config() const { return config_; }
     const VmCosts &costs() const { return config_.costs; }

@@ -14,7 +14,10 @@
 #define JSCALE_JVM_THREADS_ACTION_HH
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
+#include "base/logging.hh"
 #include "base/units.hh"
 #include "jvm/object/object.hh"
 #include "jvm/runtime/listener.hh"
@@ -181,15 +184,63 @@ struct Action
 /**
  * Per-thread behaviour generator, implemented by workload models.
  * next() is called exactly once per consumed action and must eventually
- * return Action::end().
+ * return Action::end(). It reads the actions in place from a span the
+ * source serves, so only a used-up span costs a virtual call.
  */
 class ActionSource
 {
   public:
     virtual ~ActionSource() = default;
 
-    /** Produce the thread's next action, valid until the next call. */
-    virtual const Action &next() = 0;
+    /** The thread's next action, valid until the next call. */
+    const Action &
+    next()
+    {
+        if (next_ == end_)
+            refillSpan();
+        return *next_++;
+    }
+
+  protected:
+    /** Serve [@p begin, @p end) next; the actions stay in place until
+     *  the next refillSpan(). */
+    void
+    serve(const Action *begin, const Action *end)
+    {
+        jscale_assert(begin != end, "an action source served no action");
+        next_ = begin;
+        end_ = end;
+    }
+
+  private:
+    /** The span is used up: serve() the next actions. */
+    virtual void refillSpan() = 0;
+
+    const Action *next_ = nullptr;
+    const Action *end_ = nullptr;
+};
+
+/** Serves a fixed action list, then End for good. */
+class ScriptSource : public ActionSource
+{
+  public:
+    explicit ScriptSource(std::vector<Action> script)
+        : script_(std::move(script))
+    {
+        script_.push_back(Action::end());
+    }
+
+  private:
+    void
+    refillSpan() final
+    {
+        const Action *from = served_ ? &script_.back() : script_.data();
+        served_ = true;
+        serve(from, script_.data() + script_.size());
+    }
+
+    std::vector<Action> script_;
+    bool served_ = false;
 };
 
 } // namespace jscale::jvm

@@ -68,25 +68,10 @@ MutatorThread::actionCost(const Action &a) const
 }
 
 void
-MutatorThread::fetchAction()
-{
-    jscale_assert(!have_action_, "fetch over unconsumed action");
-    jscale_assert(!finished_, "fetch after End");
-    current_ = source_->next();
-    have_action_ = true;
-    remaining_cost_ = actionCost(current_);
-    // A contended handoff's coherence penalty lands on the first
-    // action executed as the new owner — inside the hold window, where
-    // the cache-miss cost belongs.
-    remaining_cost_ += pending_penalty_;
-    pending_penalty_ = 0;
-}
-
-void
 MutatorThread::consumeAction()
 {
-    jscale_assert(have_action_, "consume without action");
-    have_action_ = false;
+    jscale_assert(current_, "consume without action");
+    current_ = nullptr;
     remaining_cost_ = 0;
     ++stats_.actions_executed;
 }
@@ -95,12 +80,18 @@ Ticks
 MutatorThread::planBurst(Ticks now, Ticks limit)
 {
     (void)now;
-    (void)limit;
     if (kill_pending_)
         return 1; // minimal burst; finishBurst performs the kill
-    if (!have_action_)
-        fetchAction();
-    if (remaining_cost_ == 0) {
+    if (!current_) {
+        // Fetch the next action and price it. A contended handoff's
+        // coherence penalty lands on the first action executed as the
+        // new owner — inside the hold window, where the cache-miss cost
+        // belongs.
+        jscale_assert(!finished_, "fetch after End");
+        current_ = &source_->next();
+        remaining_cost_ = actionCost(*current_) + pending_penalty_;
+        pending_penalty_ = 0;
+    } else if (remaining_cost_ == 0) {
         // Resuming a paid-for action whose effect is pending retry
         // (allocation after GC): charge the slow-path re-entry.
         remaining_cost_ = std::max<Ticks>(vm_.costs().gc_retry, 1);
@@ -119,9 +110,9 @@ MutatorThread::executeKill(Ticks now)
     held_ids_.clear();
     // An in-flight (non-End) action is an abandoned task: report it so
     // the run accounts for the re-enqueue.
-    if (have_action_ && current_.kind != Action::Kind::End)
+    if (current_ && current_->kind != Action::Kind::End)
         vm_.onTaskAbandoned(index_);
-    have_action_ = false;
+    current_ = nullptr;
     remaining_cost_ = 0;
     kill_pending_ = false;
     killed_ = true;
@@ -135,21 +126,21 @@ MutatorThread::finishBurst(Ticks now, Ticks elapsed)
 {
     if (kill_pending_)
         return executeKill(now);
-    jscale_assert(have_action_, "burst finished without an action");
+    jscale_assert(current_, "burst finished without an action");
     jscale_assert(elapsed <= remaining_cost_, "burst over-ran action cost");
     remaining_cost_ -= elapsed;
     if (remaining_cost_ > 0)
         return os::BurstOutcome::Ready; // preempted mid-action
 
     // Cost fully paid: apply the action's effect.
-    switch (current_.kind) {
+    switch (current_->kind) {
       case Action::Kind::Compute:
         consumeAction();
         return os::BurstOutcome::Ready;
 
       case Action::Kind::Allocate: {
         const AllocStatus status = vm_.heap().allocate(
-            index_, current_.bytes, current_.ttl, current_.site, now);
+            index_, current_->bytes, current_->ttl, current_->site, now);
         if (status == AllocStatus::NeedsGc) {
             awaiting_gc_ = true;
             ++stats_.gc_waits;
@@ -157,15 +148,15 @@ MutatorThread::finishBurst(Ticks now, Ticks elapsed)
             return os::BurstOutcome::Blocked; // action retried after GC
         }
         ++stats_.allocations;
-        stats_.bytes_allocated += current_.bytes;
+        stats_.bytes_allocated += current_->bytes;
         consumeAction();
         return os::BurstOutcome::Ready;
       }
 
       case Action::Kind::MonitorEnter: {
-        Monitor &m = vm_.monitors().monitor(current_.id);
+        Monitor &m = vm_.monitors().monitor(current_->id);
         if (m.acquire(this, now)) {
-            held_ids_.push_back(current_.id);
+            held_ids_.push_back(current_->id);
             consumeAction();
             return os::BurstOutcome::Ready;
         }
@@ -174,31 +165,31 @@ MutatorThread::finishBurst(Ticks now, Ticks elapsed)
       }
 
       case Action::Kind::MonitorExit:
-        dropHeld(current_.id, "exit");
-        vm_.monitors().monitor(current_.id).release(this, now);
+        dropHeld(current_->id, "exit");
+        vm_.monitors().monitor(current_->id).release(this, now);
         consumeAction();
         return os::BurstOutcome::Ready;
 
       case Action::Kind::MonitorWait: {
-        Monitor &m = vm_.monitors().monitor(current_.id);
-        dropHeld(current_.id, "wait");
+        Monitor &m = vm_.monitors().monitor(current_->id);
+        dropHeld(current_->id, "wait");
         awaiting_grant_ = true;
         m.waitOn(this, now); // releases; re-grant consumes the action
         return os::BurstOutcome::Blocked;
       }
 
       case Action::Kind::MonitorNotify: {
-        Monitor &m = vm_.monitors().monitor(current_.id);
-        m.notify(this, current_.count == 0
+        Monitor &m = vm_.monitors().monitor(current_->id);
+        m.notify(this, current_->count == 0
                            ? std::numeric_limits<std::uint32_t>::max()
-                           : current_.count,
+                           : current_->count,
                  now);
         consumeAction();
         return os::BurstOutcome::Ready;
       }
 
       case Action::Kind::ChannelAcquire: {
-        WaitChannel &ch = vm_.monitors().channel(current_.id);
+        WaitChannel &ch = vm_.monitors().channel(current_->id);
         if (ch.acquire(this, now)) {
             consumeAction();
             return os::BurstOutcome::Ready;
@@ -208,7 +199,7 @@ MutatorThread::finishBurst(Ticks now, Ticks elapsed)
       }
 
       case Action::Kind::ChannelPost:
-        vm_.monitors().channel(current_.id).post(current_.count, now);
+        vm_.monitors().channel(current_->id).post(current_->count, now);
         consumeAction();
         return os::BurstOutcome::Ready;
 
@@ -239,9 +230,9 @@ void
 MutatorThread::monitorGranted(MonitorId monitor)
 {
     jscale_assert(awaiting_grant_ &&
-                      (current_.kind == Action::Kind::MonitorEnter ||
-                       current_.kind == Action::Kind::MonitorWait) &&
-                      current_.id == monitor,
+                      (current_->kind == Action::Kind::MonitorEnter ||
+                       current_->kind == Action::Kind::MonitorWait) &&
+                      current_->id == monitor,
                   "unexpected monitor grant");
     awaiting_grant_ = false;
     held_ids_.push_back(monitor);
@@ -261,8 +252,8 @@ void
 MutatorThread::channelGranted(ChannelId channel)
 {
     jscale_assert(awaiting_grant_ &&
-                      current_.kind == Action::Kind::ChannelAcquire &&
-                      current_.id == channel,
+                      current_->kind == Action::Kind::ChannelAcquire &&
+                      current_->id == channel,
                   "unexpected channel grant");
     awaiting_grant_ = false;
     consumeAction();

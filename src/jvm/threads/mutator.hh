@@ -78,7 +78,7 @@ class MutatorThread : public os::SchedClient, public MonitorWaiter
     MutatorIndex index() const { return index_; }
 
     /** Size of the allocation this thread is blocked on (GC wait). */
-    Bytes pendingAllocBytes() const { return current_.bytes; }
+    Bytes pendingAllocBytes() const { return current_->bytes; }
 
     bool finished() const { return finished_; }
     const MutatorStats &mutStats() const { return stats_; }
@@ -112,9 +112,6 @@ class MutatorThread : public os::SchedClient, public MonitorWaiter
     /** @} */
 
   private:
-    /** Fetch the next action and price it. */
-    void fetchAction();
-
     /** Consume the current action after its effect was applied. */
     void consumeAction();
 
@@ -134,8 +131,9 @@ class MutatorThread : public os::SchedClient, public MonitorWaiter
     std::string name_;
     os::OsThread *os_thread_ = nullptr;
 
-    Action current_{};
-    bool have_action_ = false;
+    /** The action being executed, read in place from the source's
+     *  span; nullptr between actions. */
+    const Action *current_ = nullptr;
     /** Unpaid CPU cost of the current action. */
     Ticks remaining_cost_ = 0;
     /** Coherence penalty from a contended handoff, paid as extra CPU

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <typeinfo>
 
 #include "base/logging.hh"
 
@@ -127,6 +128,7 @@ Scheduler::setPolicy(std::unique_ptr<SchedPolicy> policy)
 {
     jscale_assert(policy != nullptr, "null scheduling policy");
     policy_ = std::move(policy);
+    default_policy_ = typeid(*policy_) == typeid(DefaultPolicy);
     for (const auto &t : threads_)
         policy_->onRegister(*t);
 }
@@ -383,7 +385,7 @@ Scheduler::pickFromQueue(machine::CoreId core_id, Ticks now)
         // tenant's world resumes; other groups schedule around them.
         if (stopped_groups_ > 0 && groups_[(*it)->group_].stopped)
             continue;
-        if (policy_->eligible(**it, now) || (*it)->client()->urgent()) {
+        if (mayRun(**it, now)) {
             OsThread *t = *it;
             // The head is the common pick; pop_front stays inline.
             if (it == queue.begin())
@@ -490,7 +492,14 @@ Scheduler::dispatch(machine::CoreId core_id, OsThread *thread, bool stolen)
             l.onDispatch(*thread, core_id, overhead, stolen, now);
         });
     }
+    return startBurst(core_id, thread, now, overhead);
+}
 
+Ticks
+Scheduler::startBurst(machine::CoreId core_id, OsThread *thread, Ticks now,
+                      Ticks overhead)
+{
+    CoreState &cs = cores_[core_id];
     const Ticks planned = thread->client_->planBurst(now, config_.quantum);
     jscale_assert(planned > 0 && planned <= config_.quantum,
                   "planBurst of '", thread->name(),
@@ -577,28 +586,39 @@ Scheduler::endBurst(machine::CoreId core_id)
     // stop-the-world); core state must already be consistent.
     const BurstOutcome outcome = thread->client_->finishBurst(now, work);
 
-    // Set when the thread goes straight back onto this core.
-    OsThread *again = nullptr;
+    const Ticks stall_until = thread->forced_sleep_until_;
+    thread->forced_sleep_until_ = 0;
     switch (outcome) {
       case BurstOutcome::Ready:
-        if (thread->forced_sleep_until_ > now) {
+        if (stall_until > now) {
             // Forced stall (fault injection): hold the thread off-core
             // as if the host OS had descheduled it.
             setThreadState(thread, ThreadState::Sleeping, now);
-            armTimedWake(thread, thread->forced_sleep_until_);
+            armTimedWake(thread, stall_until);
             ++stats_.forced_stalls;
         } else {
-            setThreadState(thread, ThreadState::Ready, now);
             // Queued alone on this idle core, the thread would be picked
-            // straight back: skip the queue round trip.
+            // straight back: it continues in place, with no context
+            // switch (it is the core's last thread), no migration (this
+            // is its last core) and a zero-length ready span. Probes see
+            // the round trip through the queue it skips.
             if (!cs.running && cs.ready.empty() && stopped_groups_ == 0 &&
-                mach_.core(core_id).enabled() &&
-                (policy_->eligible(*thread, now) || thread->client_->urgent()))
-                again = thread;
-            else
-                enqueueReady(thread, core_id);
+                mach_.core(core_id).enabled() && mayRun(*thread, now)) {
+                if (!listeners_.empty()) {
+                    setThreadState(thread, ThreadState::Ready, now);
+                    setThreadState(thread, ThreadState::Running, now);
+                    listeners_.dispatch([&](SchedulerListener &l) {
+                        l.onDispatch(*thread, core_id, 0, false, now);
+                    });
+                }
+                thread->state_since_ = now;
+                ++thread->dispatches_;
+                ++stats_.dispatches;
+                return startBurst(core_id, thread, now, 0);
+            }
+            setThreadState(thread, ThreadState::Ready, now);
+            enqueueReady(thread, core_id);
         }
-        thread->forced_sleep_until_ = 0;
         break;
       case BurstOutcome::Blocked:
         setThreadState(thread,
@@ -606,11 +626,9 @@ Scheduler::endBurst(machine::CoreId core_id)
                                               : ThreadState::Blocked,
                        now);
         thread->pending_sleep_ = false;
-        thread->forced_sleep_until_ = 0;
         break;
       case BurstOutcome::Finished:
         setThreadState(thread, ThreadState::Finished, now);
-        thread->forced_sleep_until_ = 0;
         ++finished_count_;
         if (finished_cb_)
             finished_cb_(thread);
@@ -621,7 +639,7 @@ Scheduler::endBurst(machine::CoreId core_id)
         maybeFireStwCallback(thread->group_);
     if (allStopped())
         return 0;
-    return again ? dispatch(core_id, again, false) : maybeDispatch(core_id);
+    return maybeDispatch(core_id);
 }
 
 void

@@ -284,6 +284,18 @@ class Scheduler
     Ticks maybeDispatch(machine::CoreId core_id);
     /** Put @p thread on @p core_id; returns the end of its burst. */
     Ticks dispatch(machine::CoreId core_id, OsThread *thread, bool stolen);
+    /** Plan @p thread's burst on @p core_id after @p overhead (the tail
+     *  of every dispatch); returns its end. */
+    Ticks startBurst(machine::CoreId core_id, OsThread *thread, Ticks now,
+                     Ticks overhead);
+    /** Whether the policy lets @p thread run at @p now; a thread
+     *  holding locks (urgent) always may. */
+    bool
+    mayRun(const OsThread &thread, Ticks now) const
+    {
+        return default_policy_ || policy_->eligible(thread, now) ||
+               thread.client()->urgent();
+    }
     /** The core's slice end fired: end bursts until one must wait. */
     void sliceEnd(machine::CoreId core_id);
     /**
@@ -335,6 +347,8 @@ class Scheduler
     machine::Machine &mach_;
     SchedulerConfig config_;
     std::unique_ptr<SchedPolicy> policy_;
+    /** The policy is DefaultPolicy: every thread is always eligible. */
+    bool default_policy_ = true;
     Rng rng_;
 
     std::vector<std::unique_ptr<OsThread>> threads_;

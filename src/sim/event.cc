@@ -105,13 +105,6 @@ EventQueue::reschedule(Event *ev, Ticks when)
     settle(ev->slot_, Entry{when, ev});
 }
 
-Ticks
-EventQueue::nextTime() const
-{
-    jscale_assert(!heap_.empty(), "nextTime() on empty event queue");
-    return heap_.front().when;
-}
-
 Event *
 EventQueue::pop()
 {

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/units.hh"
 
 namespace jscale::sim {
@@ -156,7 +157,12 @@ class EventQueue
     std::size_t size() const { return heap_.size(); }
 
     /** Time of the earliest pending event; queue must not be empty. */
-    Ticks nextTime() const;
+    Ticks
+    nextTime() const
+    {
+        jscale_assert(!heap_.empty(), "nextTime() on empty event queue");
+        return heap_.front().when;
+    }
 
     /**
      * Pop and return the earliest pending event, marking it

@@ -65,23 +65,6 @@ Simulation::processNext()
     return true;
 }
 
-bool
-Simulation::fuse(Ticks when)
-{
-    jscale_assert(when >= now_, "fusing an event in the past: ", when,
-                  " < ", now_);
-    // Exactly the checks run() makes before its next pop: a stop ends
-    // the loop, an event past the limit stays queued, and a queued
-    // event at or before @p when pops first (ties go by sequence).
-    if (!fusing_ || stop_requested_ || when > fuse_until_)
-        return false;
-    if (!queue_.empty() && queue_.nextTime() <= when)
-        return false;
-    now_ = when;
-    ++events_processed_;
-    return true;
-}
-
 Ticks
 Simulation::run(Ticks until)
 {

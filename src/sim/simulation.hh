@@ -73,7 +73,23 @@ class Simulation
      * caller then handles it without a queue round trip. Otherwise
      * nothing changes and the caller schedules it as usual.
      */
-    bool fuse(Ticks when);
+    bool
+    fuse(Ticks when)
+    {
+        jscale_assert(when >= now_, "fusing an event in the past: ", when,
+                      " < ", now_);
+        // Exactly the checks run() makes before its next pop: a stop
+        // ends the loop, an event past the limit stays queued, and a
+        // queued event at or before @p when pops first (ties go by
+        // sequence).
+        if (!fusing_ || stop_requested_ || when > fuse_until_)
+            return false;
+        if (!queue_.empty() && queue_.nextTime() <= when)
+            return false;
+        now_ = when;
+        ++events_processed_;
+        return true;
+    }
 
     /** Request the run() loop to exit after the current event. */
     void requestStop() { stop_requested_ = true; }

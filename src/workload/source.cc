@@ -25,11 +25,18 @@ SurplusSource::refill(std::vector<jvm::Action> &out)
 {
     out.push_back(
         jvm::Action::compute(std::max<Ticks>(startup_compute_ / 2, 1)));
-    for (std::uint32_t i = 0; i < allocs_; ++i) {
-        out.push_back(jvm::Action::allocate(
-            alloc_.drawSize(rng_), alloc_.drawTtl(rng_), /*site=*/5));
-    }
+    for (std::uint32_t i = 0; i < allocs_; ++i)
+        out.push_back(drawAllocation(rng_, alloc_, /*site=*/5));
     return false; // one batch, then End
+}
+
+jvm::Action
+drawAllocation(Rng &rng, const AllocationProfile &profile,
+               jvm::AllocSiteId site)
+{
+    const Bytes ttl = profile.drawTtl(rng);
+    const Bytes size = profile.drawSize(rng);
+    return jvm::Action::allocate(size, ttl, site);
 }
 
 Ticks
@@ -67,8 +74,7 @@ emitTaskBody(std::vector<jvm::Action> &out, Rng &rng,
     for (std::uint32_t i = 0; i < allocs; ++i) {
         out.push_back(jvm::Action::compute(slice));
         spent += slice;
-        out.push_back(jvm::Action::allocate(profile.drawSize(rng),
-                                            profile.drawTtl(rng), site));
+        out.push_back(drawAllocation(rng, profile, site));
     }
     if (compute > spent)
         out.push_back(jvm::Action::compute(compute - spent));

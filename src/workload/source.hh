@@ -50,26 +50,9 @@ class WorkloadApp : public jvm::ApplicationModel
                              Rng &rng) const = 0;
 };
 
-/** Base ActionSource emitting refill()-produced batches. */
+/** Base ActionSource serving refill()-produced batches in place. */
 class BufferedSource : public jvm::ActionSource
 {
-  public:
-    const jvm::Action &
-    next() override
-    {
-        while (pos_ >= buf_.size()) {
-            if (done_) {
-                static const jvm::Action end = jvm::Action::end();
-                return end;
-            }
-            buf_.clear();
-            pos_ = 0;
-            if (!refill(buf_))
-                done_ = true;
-        }
-        return buf_[pos_++];
-    }
-
   protected:
     /**
      * Emit the next batch into @p out. @return false when the thread is
@@ -78,8 +61,18 @@ class BufferedSource : public jvm::ActionSource
     virtual bool refill(std::vector<jvm::Action> &out) = 0;
 
   private:
+    void
+    refillSpan() final
+    {
+        buf_.clear();
+        while (buf_.empty() && !done_)
+            done_ = !refill(buf_);
+        if (buf_.empty())
+            buf_.push_back(jvm::Action::end());
+        serve(buf_.data(), buf_.data() + buf_.size());
+    }
+
     std::vector<jvm::Action> buf_;
-    std::size_t pos_ = 0;
     bool done_ = false;
 };
 
@@ -143,6 +136,13 @@ class SurplusSource : public BufferedSource
     const AllocationProfile &alloc_;
     Rng rng_;
 };
+
+/**
+ * One allocation from @p profile at @p site. The TTL is drawn before
+ * the size: the order every recorded output was made with.
+ */
+jvm::Action drawAllocation(Rng &rng, const AllocationProfile &profile,
+                           jvm::AllocSiteId site);
 
 /** A log-normal draw of ticks around @p mean, at least one tick. */
 Ticks drawTicks(Rng &rng, Ticks mean, double sigma);

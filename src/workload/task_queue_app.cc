@@ -136,11 +136,8 @@ TaskQueueApp::emitTask(std::vector<jvm::Action> &out, Rng &rng) const
                                 ? rng.below(res.spec.stripes)
                                 : 0);
             out.push_back(jvm::Action::monitorEnter(res.stripes[stripe]));
-            for (std::uint32_t k = 0; k < res.spec.allocs_in_cs; ++k) {
-                out.push_back(jvm::Action::allocate(
-                    params_.alloc.drawSize(rng), params_.alloc.drawTtl(rng),
-                    /*site=*/4));
-            }
+            for (std::uint32_t k = 0; k < res.spec.allocs_in_cs; ++k)
+                out.push_back(drawAllocation(rng, params_.alloc, /*site=*/4));
             out.push_back(jvm::Action::compute(
                 std::max<Ticks>(res.spec.cs_compute, 1)));
             out.push_back(jvm::Action::monitorExit(res.stripes[stripe]));

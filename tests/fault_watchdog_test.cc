@@ -43,34 +43,9 @@ class LivelockApp : public jvm::ApplicationModel
     std::unique_ptr<jvm::ActionSource>
     threadSource(std::uint32_t, jvm::AppContext &) override
     {
-        class Source : public jvm::ActionSource
-        {
-          public:
-            explicit Source(jvm::ChannelId ch) : ch_(ch) {}
-
-            const jvm::Action &
-            next() override
-            {
-                switch (step_++) {
-                  case 0:
-                    action_ = jvm::Action::compute(10 * units::US);
-                    break;
-                  case 1:
-                    action_ = jvm::Action::channelAcquire(ch_);
-                    break;
-                  default:
-                    action_ = jvm::Action::end();
-                    break;
-                }
-                return action_;
-            }
-
-          private:
-            jvm::ChannelId ch_;
-            int step_ = 0;
-            jvm::Action action_;
-        };
-        return std::make_unique<Source>(starved_);
+        return std::make_unique<jvm::ScriptSource>(std::vector<jvm::Action>{
+            jvm::Action::compute(10 * units::US),
+            jvm::Action::channelAcquire(starved_)});
     }
 
   private:

@@ -243,6 +243,100 @@ TEST(Heap, KillThenMinorGcDoesNotDoubleCount)
     EXPECT_EQ(h.heapStats().objects_died, 1u);
 }
 
+TEST(Heap, EdenDeathsFreeTheirLedgerSlots)
+{
+    // Short-lived objects dying in eden hand their slots straight back,
+    // so with no collection the ledger stays as big as the live set.
+    HeapConfig cfg;
+    cfg.capacity = 256 * units::MiB;
+    Heap h(cfg, 1, nullptr);
+    Rng rng(7);
+    std::uint64_t max_live = 0;
+    for (int i = 0; i < 100000; ++i) {
+        ASSERT_EQ(h.allocate(0, 16 + rng.below(512),
+                             rng.below(4 * units::KiB), 0, 0),
+                  AllocStatus::Ok);
+        max_live = std::max(max_live, h.liveObjects());
+    }
+    EXPECT_EQ(h.heapStats().objects_allocated, 100000u);
+    // Each allocation takes one slot on top of the live set it meets.
+    EXPECT_LE(h.ledgerSlots(), max_live + 1);
+    EXPECT_LT(h.ledgerSlots(), 1000u);
+    h.checkInvariants();
+}
+
+TEST(Heap, InvariantsCountEdenDeadTallies)
+{
+    // Eden deaths keep filling their compartment until it is collected;
+    // the invariants and the next scan count them from the tally.
+    for (const bool compartments : {false, true}) {
+        HeapConfig cfg = smallConfig();
+        cfg.compartmentalized = compartments;
+        Heap h(cfg, 2, nullptr);
+        Rng rng(11);
+        Bytes allocated = 0;
+        for (int i = 0; i < 2000; ++i) {
+            const Bytes size = 16 + rng.below(256);
+            const Bytes ttl =
+                rng.chance(0.2) ? 64 * units::KiB : rng.below(512);
+            ASSERT_EQ(h.allocate(static_cast<MutatorIndex>(i % 2), size,
+                                 ttl, 0, 0),
+                      AllocStatus::Ok);
+            allocated += size;
+            if (i % 97 == 0)
+                h.checkInvariants();
+        }
+        const Bytes died = h.heapStats().bytes_died;
+        ASSERT_GT(h.heapStats().objects_died, 1000u);
+        EXPECT_EQ(h.edenUsed(), allocated);
+        h.checkInvariants();
+        const jvm::MinorWork w = h.collectMinor(0);
+        EXPECT_EQ(w.scanned_objects, 2000u);
+        EXPECT_EQ(w.scanned_bytes, allocated);
+        EXPECT_EQ(w.reclaimed_bytes, died);
+        h.checkInvariants();
+    }
+}
+
+TEST(Heap, ThreadExitKillsInIdOrder)
+{
+    // Thread exit kills the owner's live objects from both death tiers
+    // in allocation (id) order; pinned ones and other owners' survive.
+    struct Probe : RuntimeListener
+    {
+        void
+        onObjectDeath(const jvm::ObjectRecord &r, Bytes, Ticks) override
+        {
+            died.push_back(r.id);
+        }
+        std::vector<ObjectId> died;
+    };
+    Probe probe;
+    ListenerChain chain;
+    chain.add(&probe);
+    Heap h(smallConfig(), 2, &chain);
+    Rng rng(3);
+    std::vector<ObjectId> expected;
+    for (ObjectId id = 1; id <= 300; ++id) {
+        const auto owner = static_cast<MutatorIndex>(rng.below(2));
+        const bool pinned = rng.chance(0.1);
+        // Near-tier TTLs (under 4 KiB) and far-tier ones, all longer
+        // than an owner allocates here (about 2.4 KiB), so every
+        // unpinned object lives to the exit.
+        const Bytes ttl =
+            pinned            ? kImmortalTtl
+            : rng.chance(0.5) ? 3 * units::KiB + rng.below(1024)
+                              : 64 * units::KiB + rng.below(4096);
+        ASSERT_EQ(h.allocate(owner, 16, ttl, 0, 0), AllocStatus::Ok);
+        if (owner == 0 && !pinned)
+            expected.push_back(id);
+    }
+    ASSERT_TRUE(probe.died.empty());
+    h.killThreadObjects(0, 0);
+    EXPECT_EQ(probe.died, expected);
+    h.checkInvariants();
+}
+
 TEST(Heap, ListenersObserveAllocAndDeath)
 {
     struct Probe : RuntimeListener

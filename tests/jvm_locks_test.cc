@@ -138,45 +138,26 @@ class ChannelApp : public jvm::ApplicationModel
     std::unique_ptr<jvm::ActionSource>
     threadSource(std::uint32_t idx, jvm::AppContext &) override
     {
-        return std::make_unique<Src>(chan_, idx);
+        using jvm::Action;
+        std::vector<Action> script;
+        if (idx == 0) { // producer
+            for (int i = 0; i < kUnits; ++i) {
+                script.push_back(Action::compute(5 * units::US));
+                script.push_back(Action::channelPost(chan_));
+            }
+        } else { // consumer (single)
+            for (int i = 0; i < kUnits; ++i) {
+                script.push_back(Action::channelAcquire(chan_));
+                script.push_back(Action::compute(2 * units::US));
+                script.push_back(Action::taskDone());
+            }
+        }
+        return std::make_unique<jvm::ScriptSource>(std::move(script));
     }
 
     static constexpr int kUnits = 25;
 
   private:
-    class Src : public jvm::ActionSource
-    {
-      public:
-        Src(jvm::ChannelId chan, std::uint32_t idx)
-        {
-            using jvm::Action;
-            if (idx == 0) { // producer
-                for (int i = 0; i < kUnits; ++i) {
-                    script_.push_back(Action::compute(5 * units::US));
-                    script_.push_back(Action::channelPost(chan));
-                }
-            } else { // consumer (single)
-                for (int i = 0; i < kUnits; ++i) {
-                    script_.push_back(Action::channelAcquire(chan));
-                    script_.push_back(Action::compute(2 * units::US));
-                    script_.push_back(Action::taskDone());
-                }
-            }
-            script_.push_back(Action::end());
-        }
-
-        const jvm::Action &
-        next() override
-        {
-            return script_[pos_ < script_.size() ? pos_++
-                                                 : script_.size() - 1];
-        }
-
-      private:
-        std::vector<jvm::Action> script_;
-        std::size_t pos_ = 0;
-    };
-
     jvm::ChannelId chan_ = 0;
 };
 

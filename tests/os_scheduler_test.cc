@@ -16,10 +16,14 @@
 #include <vector>
 
 #include "base/random.hh"
+#include "core/experiment.hh"
+#include "core/report.hh"
+#include "fault/fault.hh"
 #include "machine/machine.hh"
 #include "os/policy.hh"
 #include "os/scheduler.hh"
 #include "sim/simulation.hh"
+#include "workload/dacapo.hh"
 
 namespace {
 
@@ -674,6 +678,53 @@ TEST(SchedulerFusion, RunMatchesStepByStep)
     EXPECT_NE(fused.find("preempted"), std::string::npos);
     EXPECT_NE(fused.find("stop 0"), std::string::npos);
     EXPECT_NE(fused.find("t3 finished"), std::string::npos);
+}
+
+/** Observes nothing; attached, it makes the scheduler fire every
+ *  probe (a Ready state and a dispatch per continued burst). */
+class InertListener : public os::SchedulerListener
+{};
+
+std::string
+statCsv(const jvm::RunResult &r)
+{
+    std::ostringstream out;
+    core::runStatSnapshot(r).printCsv(out);
+    return out.str();
+}
+
+TEST(SchedulerFusion, BareContinuationMatchesObservedPath)
+{
+    // A thread handed its core straight back continues in place; with
+    // a listener attached it also fires the probes of the Ready ->
+    // dispatch round trip it skips. Every statistic must agree, also
+    // where the policy gates threads (biased) and where cores stretch
+    // bursts (slowdown).
+    std::vector<std::string> apps = workload::dacapoAppNames();
+    apps.push_back("hotlock");
+    const std::pair<bool, std::string> arms[] = {
+        {false, ""}, {true, ""}, {false, "slow@1:n=2:factor=0.5:for=3"}};
+    for (const auto &[biased, faults] : arms) {
+        core::ExperimentConfig cfg;
+        cfg.workload_scale = 0.1;
+        cfg.biased_scheduling = biased;
+        std::string err;
+        ASSERT_TRUE(fault::FaultPlan::parse(faults, cfg.faults, err)) << err;
+        core::ExperimentRunner runner(cfg);
+        for (const std::string &app : apps) {
+            for (const std::uint32_t threads : {1u, 2u, 4u, 16u}) {
+                InertListener inert;
+                const std::string bare = statCsv(runner.runApp(app, threads));
+                const std::string observed = statCsv(runner.runApp(
+                    app, threads, [&inert](jvm::JavaVm &vm) {
+                        vm.scheduler().listeners().add(&inert);
+                    }));
+                EXPECT_EQ(bare, observed)
+                    << app << " t" << threads << (biased ? " biased" : "")
+                    << " " << faults;
+            }
+        }
+    }
 }
 
 /** Client for the randomized index test: each burst runs a drawn

@@ -54,52 +54,27 @@ class TinyApp : public jvm::ApplicationModel
     std::unique_ptr<jvm::ActionSource>
     threadSource(std::uint32_t thread_idx, jvm::AppContext &) override
     {
-        return std::make_unique<Source>(params_, lock_, thread_idx);
+        std::vector<jvm::Action> script;
+        if (thread_idx == 0 && params_.pinned > 0)
+            script.push_back(jvm::Action::allocatePinned(params_.pinned));
+        for (std::uint32_t t = 0; t < params_.tasks_per_thread; ++t) {
+            script.push_back(jvm::Action::compute(params_.compute_per_task));
+            for (std::uint32_t a = 0; a < params_.allocs_per_task; ++a) {
+                script.push_back(jvm::Action::allocate(params_.alloc_size,
+                                                       params_.alloc_ttl));
+            }
+            if (params_.use_shared_lock >= 0) {
+                script.push_back(jvm::Action::monitorEnter(lock_));
+                script.push_back(jvm::Action::compute(
+                    std::max<Ticks>(params_.use_shared_lock, 1)));
+                script.push_back(jvm::Action::monitorExit(lock_));
+            }
+            script.push_back(jvm::Action::taskDone());
+        }
+        return std::make_unique<jvm::ScriptSource>(std::move(script));
     }
 
   private:
-    class Source : public jvm::ActionSource
-    {
-      public:
-        Source(const TinyAppParams &p, jvm::MonitorId lock,
-               std::uint32_t idx)
-            : p_(p), lock_(lock), idx_(idx)
-        {
-            if (idx_ == 0 && p_.pinned > 0)
-                script_.push_back(jvm::Action::allocatePinned(p_.pinned));
-            for (std::uint32_t t = 0; t < p_.tasks_per_thread; ++t) {
-                script_.push_back(
-                    jvm::Action::compute(p_.compute_per_task));
-                for (std::uint32_t a = 0; a < p_.allocs_per_task; ++a) {
-                    script_.push_back(jvm::Action::allocate(
-                        p_.alloc_size, p_.alloc_ttl));
-                }
-                if (p_.use_shared_lock >= 0) {
-                    script_.push_back(jvm::Action::monitorEnter(lock_));
-                    script_.push_back(jvm::Action::compute(
-                        std::max<Ticks>(p_.use_shared_lock, 1)));
-                    script_.push_back(jvm::Action::monitorExit(lock_));
-                }
-                script_.push_back(jvm::Action::taskDone());
-            }
-            script_.push_back(jvm::Action::end());
-        }
-
-        const jvm::Action &
-        next() override
-        {
-            return script_[pos_ < script_.size() ? pos_++
-                                                 : script_.size() - 1];
-        }
-
-      private:
-        TinyAppParams p_;
-        jvm::MonitorId lock_;
-        std::uint32_t idx_;
-        std::vector<jvm::Action> script_;
-        std::size_t pos_ = 0;
-    };
-
     TinyAppParams params_;
     jvm::MonitorId lock_ = 0;
 };
@@ -159,31 +134,10 @@ class ScriptApp : public jvm::ApplicationModel
     std::unique_ptr<jvm::ActionSource>
     threadSource(std::uint32_t idx, jvm::AppContext &) override
     {
-        return std::make_unique<Src>(script_(idx, monitors_));
+        return std::make_unique<jvm::ScriptSource>(script_(idx, monitors_));
     }
 
   private:
-    class Src : public jvm::ActionSource
-    {
-      public:
-        explicit Src(std::vector<jvm::Action> script)
-            : script_(std::move(script))
-        {
-            script_.push_back(jvm::Action::end());
-        }
-
-        const jvm::Action &
-        next() override
-        {
-            return script_[pos_ < script_.size() ? pos_++
-                                                 : script_.size() - 1];
-        }
-
-      private:
-        std::vector<jvm::Action> script_;
-        std::size_t pos_ = 0;
-    };
-
     std::uint32_t n_monitors_;
     Script script_;
     std::vector<jvm::MonitorId> monitors_;

@@ -90,6 +90,28 @@ TEST(EmitTaskBody, ComputeAndAllocCountsPreserved)
     EXPECT_EQ(compute, 100 * units::US);
 }
 
+TEST(EmitTaskBody, DrawsEachTtlBeforeItsSize)
+{
+    // Every recorded output drew an allocation's TTL before its size.
+    // The order is spelled out, so no compiler's argument order moves it.
+    std::vector<jvm::Action> out;
+    Rng rng(45);
+    AllocationProfile prof;
+    emitTaskBody(out, rng, prof, 100 * units::US, 40, 3);
+    Rng replay(45);
+    int allocs = 0;
+    for (const auto &a : out) {
+        if (a.kind != jvm::Action::Kind::Allocate)
+            continue;
+        ++allocs;
+        const Bytes ttl = prof.drawTtl(replay);
+        EXPECT_EQ(a.ttl, ttl);
+        EXPECT_EQ(a.bytes, prof.drawSize(replay));
+    }
+    EXPECT_EQ(allocs, 40);
+    EXPECT_EQ(rng.next(), replay.next());
+}
+
 TEST(EmitPinnedData, TotalApproximatelyReached)
 {
     std::vector<jvm::Action> out;
